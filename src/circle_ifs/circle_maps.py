@@ -130,7 +130,7 @@ class LiftMap:
 
     Subclasses implement `lift` and `deriv`; everything else (circle
     evaluation, inverses, bounds) is generic.  Instances are immutable and
-    safe to share across threads; all operations are pure.
+    all operations are pure (no caches), so maps can be shared freely.
     """
 
     def lift(self, x: FloatLike) -> FloatLike:
@@ -481,20 +481,6 @@ def map_from_json(obj: dict) -> LiftMap:
 # ---------------------------------------------------------------------------
 # Map-level operations
 # ---------------------------------------------------------------------------
-
-
-def eval_map(f: LiftMap, x: float) -> CirclePoint:
-    """Circle evaluation F(x) mod 1; independent of the lift representative."""
-    return CirclePoint(f.lift(float(x)))
-
-
-def deriv_map(f: LiftMap, x: float) -> float:
-    return float(f.deriv(float(x)))
-
-
-def inverse_eval(f: LiftMap, y: float) -> CirclePoint:
-    """Point x with d(f(x), y) <= TOL_INV, via the lift's bracketed solve."""
-    return CirclePoint(f.inverse_lift(float(y)))
 
 
 class RotationNumberEstimate(NamedTuple):

@@ -1,9 +1,9 @@
 """Command-line surface: reproducible experiments from JSON configs.
 
-Every run is fully determined by its config (plus --seed/--threads
-overrides, which are themselves part of the reproducibility contract:
---threads never changes output bytes).  Outputs are canonical JSON (sorted
-keys, shortest round-trip floats) or CSV, so identical configs give
+Every run is fully determined by its config plus the --seed override.
+Every command runs on one thread; --threads is accepted for compatibility
+and ignored, so it never changes output bytes.  Outputs are canonical JSON
+(sorted keys, shortest round-trip floats) or CSV, so identical configs give
 byte-identical artifacts.
 
 Exit codes: 0 success, 2 verification failure (including config schema
@@ -40,7 +40,7 @@ from .periodic_points import (
     find_contracted_fixed_arc,
     periodic_in_interval,
 )
-from .symbolic import InvalidModel, SequenceModel, model_from_json, sample_sequence
+from .symbolic import InvalidModel, SequenceModel, model_from_json
 from .synchronization import (
     CoverSearchExhausted,
     NoMinimalGenerator,
@@ -70,7 +70,8 @@ def _cell(v) -> str:
     if isinstance(v, bool):
         return "1" if v else "0"
     if isinstance(v, float):
-        return repr(v)
+        # float() first: numpy scalars would print as np.float64(...).
+        return repr(float(v))
     return str(v)
 
 
@@ -144,6 +145,23 @@ def _model_of(cfg: dict) -> SequenceModel:
     return model_from_json(cfg["model"])
 
 
+def _param(params: dict, key: str, cast, default):
+    """params[key] (or default) converted by cast; bad values are config errors."""
+    value = params.get(key, default)
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"params.{key}: {exc}") from exc
+
+
+def _n_grid(value) -> list[int] | None:
+    if value is not None and not (
+        isinstance(value, list) and value and all(type(n) is int and n >= 1 for n in value)
+    ):
+        raise ValueError(f"must be a non-empty list of integers >= 1, got {value!r}")
+    return value
+
+
 def _arc_param(params: dict, key: str, path: str) -> Arc:
     obj = _field(params, key, path)
     try:
@@ -153,30 +171,30 @@ def _arc_param(params: dict, key: str, path: str) -> Arc:
 
 
 # ---------------------------------------------------------------------------
-# Command handlers: (config, seed, threads) -> (text, exit_code)
+# Command handlers: (config, seed) -> (text, exit_code)
 # ---------------------------------------------------------------------------
 
 
-def _cmd_simulate_orbit(cfg: dict, seed: int, threads: int) -> tuple[str, int]:
+def _cmd_simulate_orbit(cfg: dict, seed: int) -> tuple[str, int]:
     params = cfg.get("params", {})
     ifs = _ifs_of(cfg)
     model = _model_of(cfg)
-    length = int(params.get("length", 1000))
-    x = float(params.get("x", 0.0))
+    length = _param(params, "length", int, 1000)
+    x = _param(params, "x", float, 0.0)
     header = ["n", "letter", "point"]
     if length == 0:
         return csv_text(header, []), 0
-    word = sample_sequence(model, length, seed)
+    word = model.sample(length, seed)
     return csv_text(header, orbit_to_csv_rows(ifs, word, x)), 0
 
 
-def _cmd_estimate_minimality(cfg: dict, seed: int, threads: int) -> tuple[str, int]:
+def _cmd_estimate_minimality(cfg: dict, seed: int) -> tuple[str, int]:
     params = cfg.get("params", {})
     ifs = _ifs_of(cfg)
     kwargs = dict(
-        eps=float(params.get("eps", 0.01)),
-        start_grid=int(params.get("start_grid", 16)),
-        depth=int(params.get("depth", 10_000)),
+        eps=_param(params, "eps", float, 0.01),
+        start_grid=_param(params, "start_grid", int, 16),
+        depth=_param(params, "depth", int, 10_000),
     )
     fwd = minimality_estimate(ifs, **kwargs)
     bwd = minimality_estimate(ifs.inverse_ifs(), **kwargs)
@@ -189,45 +207,44 @@ def _cmd_estimate_minimality(cfg: dict, seed: int, threads: int) -> tuple[str, i
     return canonical_json(out), 0
 
 
-def _cmd_classify(cfg: dict, seed: int, threads: int) -> tuple[str, int]:
+def _cmd_classify(cfg: dict, seed: int) -> tuple[str, int]:
     params = cfg.get("params", {})
     result = antonov_classify(
         _ifs_of(cfg),
         _model_of(cfg),
-        n_pairs=int(params.get("n_pairs", 500)),
-        sync_horizon=int(params.get("sync_horizon", 2000)),
-        tol_sync=float(params.get("tol_sync", 1e-3)),
-        n_seeds=int(params.get("n_seeds", 20)),
-        word_length=int(params.get("word_length", 5000)),
-        m_levels=int(params.get("m_levels", 10)),
+        n_pairs=_param(params, "n_pairs", int, 500),
+        sync_horizon=_param(params, "sync_horizon", int, 2000),
+        tol_sync=_param(params, "tol_sync", float, 1e-3),
+        n_seeds=_param(params, "n_seeds", int, 20),
+        word_length=_param(params, "word_length", int, 5000),
+        m_levels=_param(params, "m_levels", int, 10),
         seed=seed,
         check_minimality=bool(params.get("check_minimality", False)),
-        threads=threads,
     )
     return canonical_json(result.to_json()), 0
 
 
-def _cmd_detect_repellers(cfg: dict, seed: int, threads: int) -> tuple[str, int]:
+def _cmd_detect_repellers(cfg: dict, seed: int) -> tuple[str, int]:
     params = cfg.get("params", {})
     model = _model_of(cfg)
-    word = sample_sequence(model, int(params.get("word_length", 5000)), seed)
+    word = model.sample(_param(params, "word_length", int, 5000), seed)
     est = detect_repellers(
-        _ifs_of(cfg), word, m_levels=int(params.get("m_levels", 12))
+        _ifs_of(cfg), word, m_levels=_param(params, "m_levels", int, 12)
     )
     return canonical_json(est.to_json()), 0
 
 
-def _cmd_tail_bound(cfg: dict, seed: int, threads: int) -> tuple[str, int]:
+def _cmd_tail_bound(cfg: dict, seed: int) -> tuple[str, int]:
     params = cfg.get("params", {})
     report = hitting_tail_check(
         _ifs_of(cfg),
         _model_of(cfg),
         _arc_param(params, "target", "params."),
-        x=float(params.get("x", 0.0)),
-        n_grid=params.get("n_grid"),
-        n_trials=int(params.get("n_trials", 10_000)),
+        x=_param(params, "x", float, 0.0),
+        n_grid=_param(params, "n_grid", _n_grid, None),
+        n_trials=_param(params, "n_trials", int, 10_000),
         seed=seed,
-        minimal_index=int(params.get("minimal_index", 0)),
+        minimal_index=_param(params, "minimal_index", int, 0),
     )
     text = csv_text(
         ["n", "empirical_miss", "bound", "stderr"], report.to_csv_rows()
@@ -235,7 +252,7 @@ def _cmd_tail_bound(cfg: dict, seed: int, threads: int) -> tuple[str, int]:
     return text, 0 if report.dominated else 2
 
 
-def _cmd_certify(cfg: dict, seed: int, threads: int) -> tuple[str, int]:
+def _cmd_certify(cfg: dict, seed: int) -> tuple[str, int]:
     params = cfg.get("params", {})
     gens = [map_from_json(g) for g in cfg["generators"]]
     if len(gens) != 2:
@@ -243,9 +260,9 @@ def _cmd_certify(cfg: dict, seed: int, threads: int) -> tuple[str, int]:
     pair = certify_robust_minimality(
         gens[0],
         gens[1],
-        n_max=int(params.get("n_max", 10_000)),
-        deriv_margin=float(params.get("deriv_margin", 0.01)),
-        min_margin=float(params.get("min_margin", 1e-4)),
+        n_max=_param(params, "n_max", int, 10_000),
+        deriv_margin=_param(params, "deriv_margin", float, 0.01),
+        min_margin=_param(params, "min_margin", float, 1e-4),
         label=cfg.get("label", ""),
     )
     return canonical_json(pair.to_json()), 0
@@ -267,13 +284,13 @@ def _cmd_certify_check(path: str) -> tuple[str, int]:
     return canonical_json(out), 0 if (ok_f and ok_b) else 2
 
 
-def _cmd_universal_word(cfg: dict, seed: int, threads: int) -> tuple[str, int]:
+def _cmd_universal_word(cfg: dict, seed: int) -> tuple[str, int]:
     params = cfg.get("params", {})
     res = find_universal_word(
         _ifs_of(cfg),
         _arc_param(params, "target", "params."),
-        z_grid=int(params.get("z_grid", 1000)),
-        max_len=int(params.get("max_len", 500)),
+        z_grid=_param(params, "z_grid", int, 1000),
+        max_len=_param(params, "max_len", int, 500),
     )
     out = {
         "word": res.word.to_json(),
@@ -287,26 +304,25 @@ def _cmd_universal_word(cfg: dict, seed: int, threads: int) -> tuple[str, int]:
     return canonical_json(out), 0
 
 
-def _cmd_find_periodic(cfg: dict, seed: int, threads: int) -> tuple[str, int]:
+def _cmd_find_periodic(cfg: dict, seed: int) -> tuple[str, int]:
     params = cfg.get("params", {})
     ifs = _ifs_of(cfg)
     model = _model_of(cfg)
     attractor = find_contracted_fixed_arc(
-        ifs, model, seed, horizon=int(params.get("horizon", 512))
+        ifs, model, seed, horizon=_param(params, "horizon", int, 512)
     )
     rec = periodic_in_interval(ifs, _arc_param(params, "target", "params."), attractor)
     return canonical_json(rec.to_json()), 0
 
 
-def _cmd_density_sweep(cfg: dict, seed: int, threads: int) -> tuple[str, int]:
+def _cmd_density_sweep(cfg: dict, seed: int) -> tuple[str, int]:
     params = cfg.get("params", {})
     report = density_sweep(
         _ifs_of(cfg),
-        int(params.get("mesh", 20)),
+        _param(params, "mesh", int, 20),
         _model_of(cfg),
         seed,
-        horizon=int(params.get("horizon", 512)),
-        threads=threads,
+        horizon=_param(params, "horizon", int, 512),
     )
     text = csv_text(
         ["arc_index", "stability", "found", "word_length", "residual", "multiplier"],
@@ -315,7 +331,7 @@ def _cmd_density_sweep(cfg: dict, seed: int, threads: int) -> tuple[str, int]:
     return text, 0
 
 
-def _cmd_perturb(cfg: dict, seed: int, threads: int) -> tuple[str, int]:
+def _cmd_perturb(cfg: dict, seed: int) -> tuple[str, int]:
     params = cfg.get("params", {})
     size = params.get("size")
     if not isinstance(size, (int, float)) or size < 0:
@@ -323,7 +339,7 @@ def _cmd_perturb(cfg: dict, seed: int, threads: int) -> tuple[str, int]:
     inner_name = _field(params, "command", "params.")
     if inner_name not in HANDLERS or inner_name == "perturb":
         raise ConfigError(f"params.command: unknown or non-perturbable {inner_name!r}")
-    perturb_seed = int(params.get("perturb_seed", 0))
+    perturb_seed = _param(params, "perturb_seed", int, 0)
     new_gens = []
     for i, gj in enumerate(cfg["generators"]):
         key = np.array([perturb_seed % (1 << 64), 7000 + i], dtype=np.uint64)
@@ -332,7 +348,7 @@ def _cmd_perturb(cfg: dict, seed: int, threads: int) -> tuple[str, int]:
     inner_cfg = dict(cfg)
     inner_cfg["generators"] = new_gens
     inner_cfg["params"] = params.get("params", {})
-    return HANDLERS[inner_name](inner_cfg, seed, threads)
+    return HANDLERS[inner_name](inner_cfg, seed)
 
 
 HANDLERS = {
@@ -375,7 +391,8 @@ def main(argv: list[str] | None = None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", help="experiment config JSON")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--threads", type=int, default=1, help="worker thread bound")
+        p.add_argument("--threads", type=int, default=1,
+                       help="accepted for compatibility and ignored (runs on one thread)")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         if name == "certify":
             p.add_argument("--check", default=None, metavar="FILE",
@@ -390,7 +407,7 @@ def main(argv: list[str] | None = None) -> int:
                 raise ConfigError("config: --config is required")
             cfg = load_config(args.config)
             seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-            text, code = HANDLERS[args.command](cfg, seed, max(1, args.threads))
+            text, code = HANDLERS[args.command](cfg, seed)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2

@@ -9,7 +9,7 @@ letter is applied first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -118,6 +118,19 @@ def branch_lift_array(ifs: IFS, w: WordLike, xs: np.ndarray) -> np.ndarray:
     return vals
 
 
+def _walk_step(gens: Sequence[LiftMap], pos: np.ndarray, col: np.ndarray) -> None:
+    """One step of a batch of random walks: pos[i] moves in place by the
+    generator of letter col[i] (letters 1..k; letter 0 leaves it put).
+
+    pos may carry a trailing axis of points that share their row's letter.
+    Each generator is evaluated once per step, on the rows it moves.
+    """
+    for a, g in enumerate(gens, start=1):
+        mask = col == a
+        if np.any(mask):
+            pos[mask] = np.mod(g.lift(pos[mask]), 1.0)
+
+
 def branch_deriv(ifs: IFS, w: WordLike, x: float) -> float:
     """Chain-rule derivative of the branch at x."""
     pos = float(x) % 1.0
@@ -130,78 +143,6 @@ def branch_deriv(ifs: IFS, w: WordLike, x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Hat-composition diameters
-# ---------------------------------------------------------------------------
-
-
-def hat_diameter_decay(ifs: IFS, w: WordLike, grid_n: int) -> list[float]:
-    """Metric diameter of the hat-composition image of the circle, per n.
-
-    The grid induces an arc partition of S^1 and the image of the circle
-    under the hat branch is the union of the image arcs.  Their lift lengths
-    telescope to exactly lift(1) - lift(0) = 1 for degree-one monotone
-    lifts, so the union is the whole circle and the diameter is 1/2 at every
-    n: these IFSs are never strongly fibred.  (The finite image *point set*
-    can cluster near attractors; that is a grid artifact, so the arc union
-    is what gets measured.)
-
-    The telescoping closure is verified numerically for every n via the two
-    closing endpoints; the full grid union is evaluated on a checkpoint
-    schedule (about 16 prefixes plus the final one).  Returns |w| + 1
-    entries (n = 0 included).
-    """
-    if grid_n < 3:
-        raise ValueError("grid_n must be >= 3")
-    letters = _letters(w)
-    n_steps = len(letters)
-    gens = ifs.generators
-    for g in gens:
-        if g.deriv_bounds()[0] <= 0.0:
-            raise ValueError("generators must be orientation-preserving homeomorphisms")
-
-    # Endpoint telescoping for every prefix, stacked: the block appended at
-    # step j receives exactly the letters w_1..w_j on top, i.e. it becomes
-    # the closing endpoints of the hat image for prefix length j.
-    ends = np.empty(0, dtype=float)
-    for j in range(n_steps, 0, -1):
-        ends = np.concatenate([ends, [0.0, 1.0]])
-        ends = gens[letters[j - 1] - 1].lift(ends)
-    closures = ends[1::2] - ends[0::2]  # one per prefix n = N, N-1, ..., 1
-    if np.any(np.abs(closures - 1.0) > 1e-9):
-        raise ValueError("hat images fail the degree-one closure check")
-
-    base = np.linspace(0.0, 1.0, grid_n + 1)
-    diams = [0.5] * (n_steps + 1)
-    diams[0] = _union_arc_diameter(base)
-    stride = max(1, n_steps // 16)
-    checkpoints = set(range(stride, n_steps + 1, stride)) | ({n_steps} if n_steps else set())
-    for n in sorted(checkpoints):
-        img = base
-        for a in reversed(letters[:n]):  # hat order: last letter innermost
-            img = gens[a - 1].lift(img)
-        diams[n] = _union_arc_diameter(img)
-    return diams
-
-
-def _union_arc_diameter(lift_points: np.ndarray) -> float:
-    """Diameter of the union of consecutive image arcs on the circle.
-
-    For a monotone degree-one lift evaluated on a closed grid the arc
-    lengths are the consecutive lift differences and sum to 1, so the union
-    is the whole circle (diameter 1/2).  Monotonicity violations beyond
-    float noise would indicate a malformed map.
-    """
-    diffs = np.diff(lift_points)
-    if np.any(diffs < -1e-9):
-        raise ValueError("image arcs are not monotone; map is not a homeomorphism")
-    total = float(np.sum(np.maximum(diffs, 0.0)))
-    if total >= 1.0 - 1e-9:
-        return 0.5
-    # Degenerate fallback: a single arc of length < 1.
-    return min(total, 0.5)
-
-
-# ---------------------------------------------------------------------------
 # Semigroup orbits and minimality estimation
 # ---------------------------------------------------------------------------
 
@@ -211,29 +152,25 @@ def _quantize(xs: np.ndarray, res: float = DEDUP_RES) -> np.ndarray:
     return np.round(np.mod(xs, 1.0) / res).astype(np.int64) % m
 
 
-def semigroup_orbit(
+def _orbit_levels(
     ifs: IFS,
     x: float,
     depth: int,
-    cap: int = ORBIT_CAP,
+    cap: int,
     dedup_res: float = DEDUP_RES,
     frontier_cap: int | None = None,
-) -> np.ndarray:
-    """Breadth-first orbit {h(x) : h a word of length 1..depth}, deduplicated.
+) -> Iterator[np.ndarray]:
+    """Yield the fresh points of each breadth-first level of the orbit of x.
 
     Generators expand in index order; within a level the first occurrence of
-    a duplicated point wins, which makes the enumeration deterministic.  The
-    orbit is truncated at `cap` points; `frontier_cap` optionally bounds the
-    per-level frontier, keeping lexicographically earliest nodes (so pure
-    first-generator words always survive).
+    a duplicated point wins, which makes the enumeration deterministic.  At
+    most `cap` points are yielded in total; `frontier_cap` optionally bounds
+    the per-level frontier, keeping lexicographically earliest nodes (so
+    pure first-generator words always survive).  Stops early when a level
+    brings nothing new.
     """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    if cap < ifs.k:
-        raise ValueError("cap must be at least the number of generators")
     frontier = np.array([float(x) % 1.0])
     seen: set[int] = set()
-    collected: list[np.ndarray] = []
     total = 0
     for _ in range(depth):
         children = np.concatenate(
@@ -248,17 +185,34 @@ def semigroup_orbit(
         children = children[fresh]
         keys = keys[fresh]
         if len(children) == 0:
-            break
+            return
         seen.update(keys.tolist())
-        if total + len(children) > cap:
-            children = children[: cap - total]
-        collected.append(children)
+        children = children[: cap - total]
         total += len(children)
+        yield children
         if total >= cap:
-            break
-        frontier = children
-        if frontier_cap is not None and len(frontier) > frontier_cap:
-            frontier = frontier[:frontier_cap]
+            return
+        frontier = children[:frontier_cap]
+
+
+def semigroup_orbit(
+    ifs: IFS,
+    x: float,
+    depth: int,
+    cap: int = ORBIT_CAP,
+    dedup_res: float = DEDUP_RES,
+    frontier_cap: int | None = None,
+) -> np.ndarray:
+    """Breadth-first orbit {h(x) : h a word of length 1..depth}, deduplicated.
+
+    Enumeration order, truncation at `cap` points and `frontier_cap` are
+    those of `_orbit_levels`.
+    """
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    if cap < ifs.k:
+        raise ValueError("cap must be at least the number of generators")
+    collected = list(_orbit_levels(ifs, x, depth, cap, dedup_res, frontier_cap))
     if not collected:
         return np.empty(0, dtype=float)
     return np.concatenate(collected)
@@ -312,31 +266,12 @@ def minimality_estimate(
     worst = 0.0
     for i in range(start_grid):
         start = i / start_grid
-        frontier = np.array([start])
-        seen: set[int] = set()
-        points = [frontier.copy()]
-        total = 1
+        points = [np.array([start])]
         covered = np.zeros(n_targets, dtype=bool)
         gap_now = None
-        for _ in range(depth):
-            children = np.concatenate(
-                [np.mod(g.lift(frontier), 1.0) for g in ifs.generators]
-            )
-            keys = _quantize(children)
-            _, first_idx = np.unique(keys, return_index=True)
-            first_idx.sort()
-            children = children[first_idx]
-            keys = keys[first_idx]
-            fresh = np.fromiter((k not in seen for k in keys.tolist()), bool, len(keys))
-            children = children[fresh]
-            keys = keys[fresh]
-            if len(children) == 0:
-                break
-            seen.update(keys.tolist())
-            if total + len(children) > cap:
-                children = children[: cap - total]
+        # The start point counts towards the cap.
+        for children in _orbit_levels(ifs, start, depth, cap - 1, frontier_cap=frontier_cap):
             points.append(children)
-            total += len(children)
             srt = np.sort(children)
             todo = np.flatnonzero(~covered)
             if len(todo):
@@ -345,11 +280,6 @@ def minimality_estimate(
             if covered.all():
                 gap_now = float(np.max(_coverage_gap(np.sort(np.concatenate(points)), targets)))
                 break
-            if total >= cap:
-                break
-            frontier = children
-            if len(frontier) > frontier_cap:
-                frontier = frontier[:frontier_cap]
         if gap_now is None:
             orbit = np.sort(np.concatenate(points))
             gap_now = float(np.max(_coverage_gap(orbit, targets)))
@@ -396,17 +326,12 @@ def random_orbit_density(
         raise ValueError("n_samples must be >= 1")
     n_targets = int(np.ceil(2.0 / eps))
     targets = np.arange(n_targets) / n_targets
-    letters = _sample_letter_matrix(model, n_samples, n_max, seed)
+    letters = model.sample_matrix(n_samples, n_max, seed)
     pos = np.full(n_samples, float(x) % 1.0)
     track = np.empty((n_samples, n_max + 1), dtype=float)
     track[:, 0] = pos
-    gens = ifs.generators
     for step in range(n_max):
-        col = letters[:, step]
-        for a in range(1, ifs.k + 1):
-            mask = col == a
-            if np.any(mask):
-                pos[mask] = np.mod(gens[a - 1].lift(pos[mask]), 1.0)
+        _walk_step(ifs.generators, pos, letters[:, step])
         track[:, step + 1] = pos
     dense = 0
     for s in range(n_samples):
@@ -416,13 +341,6 @@ def random_orbit_density(
     frac = dense / n_samples
     stderr = float(np.sqrt(frac * (1.0 - frac) / n_samples))
     return DensityReport(frac, stderr, n_samples, seed)
-
-
-def _sample_letter_matrix(model, n_rows: int, length: int, seed: int) -> np.ndarray:
-    if hasattr(model, "sample_matrix"):
-        return model.sample_matrix(n_rows, length, seed)
-    rows = [model.sample(length, seed, stream=r).letters for r in range(n_rows)]
-    return np.array(rows, dtype=np.int8)
 
 
 def orbit_to_csv_rows(ifs: IFS, w: Word, x: float) -> list[tuple[int, int, float]]:

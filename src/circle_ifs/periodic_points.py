@@ -596,7 +596,6 @@ def density_sweep(
     seed: int,
     *,
     horizon: int = 512,
-    threads: int = 1,
     **construction_kwargs,
 ) -> SweepReport:
     """Run the periodic-point construction on every arc of a mesh partition,
@@ -616,30 +615,20 @@ def density_sweep(
         )
         return SweepReport(mesh=mesh, rows=rows, records=())
 
-    def work(task: tuple[int, str]) -> tuple[SweepRow, PeriodicPointRecord | None]:
-        i, side = task
-        arc = Arc(i / mesh, 1.0 / mesh)
-        try:
-            if side == "attracting":
-                rec = periodic_in_interval(ifs, arc, attractor_f, **construction_kwargs)
-            else:
-                inv_rec = periodic_in_interval(inverse, arc, attractor_b, **construction_kwargs)
-                rec = _as_forward_repeller(ifs, inv_rec)
-            return (
-                SweepRow(i, side, True, len(rec.word), rec.residual, rec.multiplier),
-                rec,
-            )
-        except (StageExhausted, HorizonExceeded) as exc:
-            return SweepRow(i, side, False, 0, float("nan"), float("nan"), str(exc)), None
-
-    tasks = [(i, side) for side in ("attracting", "repelling") for i in range(mesh)]
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, tasks))
-    else:
-        results = [work(t) for t in tasks]
-    rows = tuple(r for r, _ in results)
-    records = tuple(rec for _, rec in results if rec is not None)
-    return SweepReport(mesh=mesh, rows=rows, records=records)
+    rows: list[SweepRow] = []
+    records: list[PeriodicPointRecord] = []
+    for side in ("attracting", "repelling"):
+        for i in range(mesh):
+            arc = Arc(i / mesh, 1.0 / mesh)
+            try:
+                if side == "attracting":
+                    rec = periodic_in_interval(ifs, arc, attractor_f, **construction_kwargs)
+                else:
+                    inv_rec = periodic_in_interval(inverse, arc, attractor_b, **construction_kwargs)
+                    rec = _as_forward_repeller(ifs, inv_rec)
+            except (StageExhausted, HorizonExceeded) as exc:
+                rows.append(SweepRow(i, side, False, 0, float("nan"), float("nan"), str(exc)))
+                continue
+            rows.append(SweepRow(i, side, True, len(rec.word), rec.residual, rec.multiplier))
+            records.append(rec)
+    return SweepReport(mesh=mesh, rows=tuple(rows), records=tuple(records))

@@ -2,8 +2,9 @@
 
 Sequence models carry a probability floor p in (0, 1/k]: every conditional
 next-letter probability is >= p regardless of the past.  Sampling uses a
-counter-based generator (Philox) keyed by (seed, stream), so parallel workers
-draw non-overlapping, reproducible streams.
+counter-based generator (Philox) keyed by (seed, stream), so distinct
+streams are non-overlapping and every draw is reproducible.  Each model
+samples through one method, `sample_matrix`; `sample` is its first row.
 """
 
 from __future__ import annotations
@@ -72,16 +73,30 @@ def _rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _letter_dtype(k: int) -> type:
+    """int8 letters unless the alphabet outgrows them."""
+    return np.int8 if k <= np.iinfo(np.int8).max else np.int64
+
+
 class SequenceModel:
     """Base for distributions on {1..k}^N with conditional floor p."""
 
     k: int
     p: float
 
-    def sample(self, length: int, seed: int, stream: int = 0) -> Word:
+    def sample_matrix(self, n_rows: int, length: int, seed: int, stream: int = 0) -> np.ndarray:
+        """(n_rows, length) matrix of letters 1..k."""
         raise NotImplementedError
 
+    def sample(self, length: int, seed: int, stream: int = 0) -> Word:
+        """Deterministic sample of a length-n prefix: row 0 of sample_matrix."""
+        if length < 1:
+            raise ValueError("length must be >= 1")
+        row = self.sample_matrix(1, length, seed, stream)[0]
+        return Word(tuple(row.tolist()), self.k)
+
     def cylinder_measure(self, c: Cylinder) -> float:
+        """Exact product of conditional probabilities; always >= p^|sigma|."""
         raise NotImplementedError
 
     def to_json(self) -> dict:
@@ -104,18 +119,11 @@ class BernoulliModel(SequenceModel):
         self.p = min(w)
         self._cum = np.cumsum(w)
 
-    def sample(self, length: int, seed: int, stream: int = 0) -> Word:
-        if length < 1:
-            raise ValueError("length must be >= 1")
-        u = _rng(seed, stream).random(length)
-        idx = np.minimum(np.searchsorted(self._cum, u, side="right"), self.k - 1)
-        return Word(tuple(int(i) + 1 for i in idx), self.k)
-
     def sample_matrix(self, n_rows: int, length: int, seed: int, stream: int = 0) -> np.ndarray:
-        """(n_rows, length) int8 letter matrix from a single stream."""
+        """(n_rows, length) letter matrix; all rows share one stream, row-major."""
         u = _rng(seed, stream).random((n_rows, length))
         idx = np.minimum(np.searchsorted(self._cum, u.ravel(), side="right"), self.k - 1)
-        return (idx.reshape(n_rows, length) + 1).astype(np.int8)
+        return (idx.reshape(n_rows, length) + 1).astype(_letter_dtype(self.k))
 
     def cylinder_measure(self, c: Cylinder) -> float:
         out = 1.0
@@ -153,19 +161,28 @@ class MarkovMinorizedModel(SequenceModel):
         self._row_cum = [np.cumsum(r) for r in mat]
         self._init_cum = np.cumsum(init)
 
-    def sample(self, length: int, seed: int, stream: int = 0) -> Word:
-        if length < 1:
-            raise ValueError("length must be >= 1")
-        u = _rng(seed, stream).random(length)
-        letters = np.empty(length, dtype=np.int64)
-        state = min(int(np.searchsorted(self._init_cum, u[0], side="right")), self.k - 1)
-        letters[0] = state + 1
-        for i in range(1, length):
-            state = min(
-                int(np.searchsorted(self._row_cum[state], u[i], side="right")), self.k - 1
-            )
-            letters[i] = state + 1
-        return Word(tuple(int(a) for a in letters), self.k)
+    def sample_matrix(self, n_rows: int, length: int, seed: int, stream: int = 0) -> np.ndarray:
+        """(n_rows, length) letter matrix; row r is drawn from stream + r.
+
+        Each uniform u_i picks the next state of every possible current
+        state at once (one table row per state), and the chain then walks
+        that table by list lookup.
+        """
+        last = self.k - 1
+        out = np.empty((n_rows, length), dtype=_letter_dtype(self.k))
+        for r in range(n_rows):
+            u = _rng(seed, stream + r).random(length)
+            table = [
+                np.minimum(np.searchsorted(cum, u, side="right"), last).tolist()
+                for cum in self._row_cum
+            ]
+            state = min(int(np.searchsorted(self._init_cum, u[0], side="right")), last)
+            states = [state]
+            for i in range(1, length):
+                state = table[state][i]
+                states.append(state)
+            out[r] = states
+        return out + 1
 
     def cylinder_measure(self, c: Cylinder) -> float:
         if len(c.word) == 0:
@@ -191,16 +208,6 @@ def model_from_json(obj: dict) -> SequenceModel:
     if kind == "markov":
         return MarkovMinorizedModel(obj["rows"], obj.get("initial"))
     raise InvalidModel(f"unknown model kind: {kind!r}")
-
-
-def sample_sequence(model: SequenceModel, length: int, seed: int, stream: int = 0) -> Word:
-    """Deterministic sample of a length-n prefix from the model."""
-    return model.sample(length, seed, stream)
-
-
-def cylinder_measure(model: SequenceModel, c: Cylinder) -> float:
-    """Exact product of conditional probabilities; always >= p^|sigma|."""
-    return model.cylinder_measure(c)
 
 
 def is_prefix_dense(w: Word, depth: int) -> bool:

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .circle_maps import Arc, CirclePoint, LiftMap, circle_distance_array, find_fixed_points
-from .ifs_core import IFS, WordLike, _letters, _sample_letter_matrix, branch_lift_array
+from .ifs_core import IFS, WordLike, _letters, _walk_step, branch_lift_array
 from .symbolic import SequenceModel, Word
 
 # Polarization threshold: an arc counts as growing when its image length
@@ -111,19 +111,13 @@ def sync_fraction(
         raise ValueError("tol_sync must be positive")
     key = np.array([seed % (1 << 64), 1], dtype=np.uint64)
     pair_rng = np.random.Generator(np.random.Philox(key=key))
-    xs = pair_rng.random(n_pairs)
-    ys = pair_rng.random(n_pairs)
+    # One row per pair: column 0 holds x, column 1 holds y.
+    pairs = np.column_stack([pair_rng.random(n_pairs), pair_rng.random(n_pairs)])
     if n > 0:
-        letters = _sample_letter_matrix(model, n_pairs, n, seed)
-        gens = ifs.generators
+        letters = model.sample_matrix(n_pairs, n, seed)
         for step in range(n):
-            col = letters[:, step]
-            for a in range(1, ifs.k + 1):
-                mask = col == a
-                if np.any(mask):
-                    xs[mask] = np.mod(gens[a - 1].lift(xs[mask]), 1.0)
-                    ys[mask] = np.mod(gens[a - 1].lift(ys[mask]), 1.0)
-    dist = circle_distance_array(xs, ys)
+            _walk_step(ifs.generators, pairs, letters[:, step])
+    dist = circle_distance_array(pairs[:, 0], pairs[:, 1])
     return SyncReport(
         ifs_label=ifs.label,
         model=model.to_json(),
@@ -288,16 +282,14 @@ def antonov_classify(
     majority: float = 0.8,
     seed: int = 0,
     check_minimality: bool = False,
-    threads: int = 1,
 ) -> TrichotomyResult:
     """Empirical trichotomy: common-rotation behavior, or ell-point contraction.
 
     A two-sided 3-sigma test of the synchronized fraction against the
     no-dynamics baseline detects the rotation case; otherwise the modal
     bracketing count across seeds decides ell.  The verdict is inconclusive
-    when the modal count falls short of the majority threshold.  The
-    per-seed detections run on stream-split words and merge by seed index,
-    so the result is independent of the thread count.
+    when the modal count falls short of the majority threshold.  Seed s
+    detects on the word of stream 100 + s.
     """
     warnings: list[str] = []
     if check_minimality:
@@ -316,39 +308,21 @@ def antonov_classify(
         return TrichotomyResult(
             "case1", None, report, baseline, sigma, {}, 0, check_minimality, tuple(warnings)
         )
-    def detect_one(s: int) -> int | None:
-        w = model.sample(word_length, seed, stream=100 + s)
-        try:
-            return detect_repellers(ifs, w, m_levels=m_levels).ell_hat
-        except Unpolarized:
-            return None
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            ells = list(pool.map(detect_one, range(n_seeds)))
-    else:
-        ells = [detect_one(s) for s in range(n_seeds)]
     ell_counts: dict[int, int] = {}
     unpolarized = 0
-    for ell in ells:
-        if ell is None:
+    for s in range(n_seeds):
+        w = model.sample(word_length, seed, stream=100 + s)
+        try:
+            ell = detect_repellers(ifs, w, m_levels=m_levels).ell_hat
+        except Unpolarized:
             unpolarized += 1
-        else:
-            ell_counts[ell] = ell_counts.get(ell, 0) + 1
-    if not ell_counts:
-        return TrichotomyResult(
-            "inconclusive", None, report, baseline, sigma, ell_counts,
-            unpolarized, check_minimality, tuple(warnings),
-        )
-    modal_ell, modal_count = max(ell_counts.items(), key=lambda kv: (kv[1], -kv[0]))
-    if modal_count < majority * n_seeds:
-        return TrichotomyResult(
-            "inconclusive", None, report, baseline, sigma, ell_counts,
-            unpolarized, check_minimality, tuple(warnings),
-        )
-    case = "case2" if modal_ell == 1 else "case3"
+            continue
+        ell_counts[ell] = ell_counts.get(ell, 0) + 1
+    case, modal_ell = "inconclusive", None
+    if ell_counts:
+        ell, count = max(ell_counts.items(), key=lambda kv: (kv[1], -kv[0]))
+        if count >= majority * n_seeds:
+            case, modal_ell = ("case2" if ell == 1 else "case3"), ell
     return TrichotomyResult(
         case, modal_ell, report, baseline, sigma, ell_counts,
         unpolarized, check_minimality, tuple(warnings),
@@ -495,17 +469,13 @@ def hitting_tail_check(
         )
         return TailBoundReport(rows, ell, r, s, model.p, n_trials, seed)
 
-    letters = _sample_letter_matrix(model, n_trials, horizon, seed)
+    letters = model.sample_matrix(n_trials, horizon, seed)
     pos = np.full(n_trials, float(x) % 1.0)
     hit_time = np.full(n_trials, np.iinfo(np.int64).max, dtype=np.int64)
     alive = hit_time == np.iinfo(np.int64).max
-    gens = ifs.generators
     for step in range(1, horizon + 1):
-        col = letters[:, step - 1]
-        for a in range(1, ifs.k + 1):
-            mask = alive & (col == a)
-            if np.any(mask):
-                pos[mask] = np.mod(gens[a - 1].lift(pos[mask]), 1.0)
+        # Rows that have hit get letter 0 and stay put.
+        _walk_step(ifs.generators, pos, np.where(alive, letters[:, step - 1], 0))
         hits = alive & target.contains_array(pos)
         hit_time[hits] = step
         alive &= ~hits

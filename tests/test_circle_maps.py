@@ -14,10 +14,7 @@ from circle_ifs.circle_maps import (
     SinePerturbed,
     TOL_INV,
     circle_distance,
-    eval_map,
-    deriv_map,
     find_fixed_points,
-    inverse_eval,
     map_from_json,
     rotation_number,
 )
@@ -75,15 +72,15 @@ class TestArc:
 
 class TestEval:
     def test_rotation_is_translation(self):
-        assert eval_map(Rotation(0.25), 0.5) == 0.75
+        assert Rotation(0.25)(0.5) == 0.75
 
     def test_sine_closed_form(self):
         # Direct evaluation of the closed-form lift at x = 1/4.
         expected = 0.25 - 0.5 / TWO_PI
-        assert eval_map(SinePerturbed(0.0, -0.5), 0.25) == pytest.approx(expected, abs=1e-15)
+        assert SinePerturbed(0.0, -0.5)(0.25) == pytest.approx(expected, abs=1e-15)
 
     def test_power_of_rotation_identity(self):
-        assert eval_map(Power(Rotation(0.1), 10), 0.3) == pytest.approx(0.3, abs=1e-12)
+        assert Power(Rotation(0.1), 10)(0.3) == pytest.approx(0.3, abs=1e-12)
 
     def test_lift_representative_independence(self):
         f = SinePerturbed(0.1, 0.4)
@@ -94,12 +91,12 @@ class TestEval:
 class TestDeriv:
     def test_rotation_derivative_is_one(self):
         for x in (0.0, 0.3, 0.9):
-            assert deriv_map(Rotation(GOLDEN), x) == 1.0
+            assert Rotation(GOLDEN).deriv(x) == 1.0
 
     def test_sine_derivative_closed_form(self):
         f = SinePerturbed(0.0, -0.5)
-        assert deriv_map(f, 0.0) == pytest.approx(0.5)   # 1 + b cos 0
-        assert deriv_map(f, 0.5) == pytest.approx(1.5)   # 1 + b cos pi
+        assert f.deriv(0.0) == pytest.approx(0.5)   # 1 + b cos 0
+        assert f.deriv(0.5) == pytest.approx(1.5)   # 1 + b cos pi
 
     def test_chain_rule_against_finite_differences(self):
         rng = random.Random(7)
@@ -108,25 +105,25 @@ class TestDeriv:
             for _ in range(20):
                 x = rng.random()
                 num = (f.lift(x + h) - f.lift(x - h)) / (2.0 * h)
-                assert deriv_map(f, x) == pytest.approx(num, rel=1e-4)
+                assert f.deriv(x) == pytest.approx(num, rel=1e-4)
 
 
 class TestInverse:
     def test_rotation_inverse(self):
-        assert inverse_eval(Rotation(0.25), 0.75) == pytest.approx(0.5, abs=TOL_INV)
+        assert Rotation(0.25).inverse_eval(0.75) == pytest.approx(0.5, abs=TOL_INV)
 
     def test_sine_inverse_matches_forward_example(self):
         f = SinePerturbed(0.0, -0.5)
         y = 0.25 - 0.5 / TWO_PI
-        assert inverse_eval(f, y) == pytest.approx(0.25, abs=1e-10)
+        assert f.inverse_eval(y) == pytest.approx(0.25, abs=1e-10)
 
     def test_round_trip_100_random_points(self):
         rng = random.Random(3)
         for f in sample_maps():
             for _ in range(12):
                 x = rng.random()
-                y = eval_map(f, x)
-                back = inverse_eval(f, y)
+                y = f(x)
+                back = f.inverse_eval(y)
                 assert circle_distance(back, x) < 1e-9
 
     def test_vectorized_round_trip(self):
@@ -226,7 +223,7 @@ class TestSerialization:
         for f in sample_maps():
             g = map_from_json(f.to_json())
             for x in (0.1, 0.6):
-                assert eval_map(g, x) == pytest.approx(eval_map(f, x), abs=1e-12)
+                assert g(x) == pytest.approx(f(x), abs=1e-12)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown map kind"):

@@ -1,9 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from circle_ifs.cli import main
+from circle_ifs.cli import csv_text, main
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -59,6 +60,26 @@ class TestConfigValidation:
         code, _, err = run_cli(capsys, "classify", "--config", write_config(cfg))
         assert code == 2
         assert "model" in err
+
+
+    @pytest.mark.parametrize("command, params, key", [
+        ("certify", {"n_max": "abc"}, "n_max"),
+        ("tail-bound", {"target": {"start": 0.3, "length": 0.05}, "n_grid": [0]}, "n_grid"),
+        ("simulate-orbit", {"length": "x"}, "length"),
+        ("classify", {"n_seeds": None}, "n_seeds"),
+        ("estimate-minimality", {"eps": "0.1x"}, "eps"),
+    ])
+    def test_malformed_param_exits_2_with_path(self, write_config, capsys, command, params, key):
+        code, out, err = run_cli(capsys, command, "--config", write_config(base_config(**params)))
+        assert code == 2
+        assert out == ""
+        assert f"params.{key}" in err
+
+
+class TestCsv:
+    def test_numpy_float_cell_prints_as_float(self):
+        text = csv_text(["a", "b"], [(np.float64(1.25e-13), 0.5)])
+        assert text == "a,b\n1.25e-13,0.5\n"
 
 
 class TestSimulateOrbit:

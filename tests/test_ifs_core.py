@@ -1,6 +1,5 @@
 import math
 import random
-import time
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from circle_ifs.ifs_core import (
     OrbitalBranch,
     branch_apply,
     branch_apply_array,
-    hat_diameter_decay,
     minimality_estimate,
     random_orbit_density,
     semigroup_orbit,
@@ -71,26 +69,6 @@ class TestBranchApply:
     def test_hat_apply_reverses_order(self, golden_sine):
         b = OrbitalBranch(golden_sine, Word((1, 2), 2))
         assert b.hat_apply(0.1) == branch_apply(golden_sine, Word((2, 1), 2), 0.1)
-
-
-class TestHatDiameter:
-    def test_full_circle_every_step(self, golden_sine):
-        w = Word(tuple(1 + (i % 2) for i in range(50)), 2)
-        diams = hat_diameter_decay(golden_sine, w, grid_n=64)
-        assert len(diams) == 51
-        assert all(d == 0.5 for d in diams)
-
-    def test_empty_word_single_entry(self, golden_sine):
-        diams = hat_diameter_decay(golden_sine, Word((), 2), grid_n=16)
-        assert diams == [0.5]
-
-    def test_runtime_desk_scale(self, golden_sine):
-        w = Word(tuple(1 + (i % 2) for i in range(1000)), 2)
-        t0 = time.perf_counter()
-        diams = hat_diameter_decay(golden_sine, w, grid_n=1000)
-        elapsed = time.perf_counter() - t0
-        assert len(diams) == 1001
-        assert elapsed < 1.0
 
 
 class TestSemigroupOrbit:

@@ -8,10 +8,8 @@ from circle_ifs.symbolic import (
     MarkovMinorizedModel,
     Word,
     all_words_concatenated,
-    cylinder_measure,
     is_prefix_dense,
     model_from_json,
-    sample_sequence,
 )
 
 
@@ -31,8 +29,8 @@ class TestWord:
 class TestSampling:
     def test_same_seed_same_word(self):
         m = BernoulliModel([0.5, 0.5])
-        a = sample_sequence(m, 1000, seed=42)
-        b = sample_sequence(m, 1000, seed=42)
+        a = m.sample(1000, seed=42)
+        b = m.sample(1000, seed=42)
         assert a == b
 
     def test_streams_differ(self):
@@ -44,7 +42,7 @@ class TestSampling:
     def test_frequencies_converge(self):
         # Binomial concentration: at n = 1e5 each frequency is within 0.01.
         m = BernoulliModel([0.5, 0.5])
-        w = sample_sequence(m, 100_000, seed=7)
+        w = m.sample(100_000, seed=7)
         freq1 = w.letters.count(1) / len(w)
         assert 0.49 <= freq1 <= 0.51
 
@@ -63,7 +61,7 @@ class TestSampling:
     def test_markov_transition_frequencies(self):
         rows = [[0.8, 0.2], [0.3, 0.7]]
         m = MarkovMinorizedModel(rows)
-        w = sample_sequence(m, 1_000_000, seed=5)
+        w = m.sample(1_000_000, seed=5)
         letters = np.array(w.letters)
         for i in range(2):
             mask = letters[:-1] == i + 1
@@ -72,10 +70,38 @@ class TestSampling:
                 freq = int(((letters[1:] == j + 1) & mask).sum()) / total
                 assert freq == pytest.approx(rows[i][j], abs=0.01)
 
+    @pytest.mark.parametrize("model", [
+        BernoulliModel([0.3, 0.7]),
+        MarkovMinorizedModel([[0.7, 0.3], [0.4, 0.6]], [0.2, 0.8]),
+    ])
+    def test_sample_is_first_matrix_row(self, model):
+        for stream in (0, 5):
+            row = model.sample_matrix(1, 300, 9, stream)[0]
+            assert model.sample(300, 9, stream).letters == tuple(row.tolist())
+
+    def test_markov_matrix_rows_are_streams(self):
+        rows = [[0.5, 0.3, 0.2], [0.2, 0.2, 0.6], [0.1, 0.1, 0.8]]
+        initial = [0.2, 0.3, 0.5]
+        m = MarkovMinorizedModel(rows, initial)
+        mat = m.sample_matrix(6, 200, seed=4)
+        assert mat.shape == (6, 200)
+        for r in range(6):
+            assert tuple(mat[r].tolist()) == m.sample(200, seed=4, stream=r).letters
+            # Reference: one inverse-CDF lookup per letter on stream r.
+            key = np.array([4, r], dtype=np.uint64)
+            u = np.random.Generator(np.random.Philox(key=key)).random(200)
+            cum = np.cumsum(initial)
+            expected = []
+            for ui in u:
+                state = min(int(np.searchsorted(cum, ui, side="right")), 2)
+                expected.append(state + 1)
+                cum = np.cumsum(rows[state])
+            assert mat[r].tolist() == expected
+
     def test_shift_compatibility(self):
         # Dropping the first letter leaves the Bernoulli distribution intact.
         m = BernoulliModel([0.3, 0.7])
-        w = sample_sequence(m, 100_000, seed=11)
+        w = m.sample(100_000, seed=11)
         shifted = w.letters[1:]
         freq2 = shifted.count(2) / len(shifted)
         assert freq2 == pytest.approx(0.7, abs=0.01)
@@ -84,24 +110,24 @@ class TestSampling:
 class TestCylinders:
     def test_fair_coin_measure(self):
         m = BernoulliModel([0.5, 0.5])
-        assert cylinder_measure(m, Cylinder(Word((1, 2, 1), 2))) == 0.125
+        assert m.cylinder_measure(Cylinder(Word((1, 2, 1), 2))) == 0.125
 
     def test_biased_product(self):
         m = BernoulliModel([0.3, 0.7])
-        assert cylinder_measure(m, Cylinder(Word((2, 2), 2))) == pytest.approx(0.49)
+        assert m.cylinder_measure(Cylinder(Word((2, 2), 2))) == pytest.approx(0.49)
 
     def test_floor_bound(self):
         m = BernoulliModel([0.2, 0.3, 0.5])
         for letters in [(1,), (1, 1), (1, 2, 1), (3, 1, 1, 1)]:
             c = Cylinder(Word(letters, 3))
-            assert cylinder_measure(m, c) >= m.p ** len(letters) - 1e-15
+            assert m.cylinder_measure(c) >= m.p ** len(letters) - 1e-15
 
     def test_kolmogorov_consistency(self):
         m = MarkovMinorizedModel([[0.8, 0.2], [0.3, 0.7]])
         for letters in [(1,), (2, 1), (1, 1, 2)]:
-            base = cylinder_measure(m, Cylinder(Word(letters, 2)))
+            base = m.cylinder_measure(Cylinder(Word(letters, 2)))
             split = sum(
-                cylinder_measure(m, Cylinder(Word(letters + (i,), 2))) for i in (1, 2)
+                m.cylinder_measure(Cylinder(Word(letters + (i,), 2))) for i in (1, 2)
             )
             assert split == pytest.approx(base, abs=1e-12)
 
@@ -120,7 +146,7 @@ class TestPrefixDensity:
         # factor in >= 99 of 100 seeds.
         m = BernoulliModel([0.5, 0.5])
         hits = sum(
-            is_prefix_dense(sample_sequence(m, 2**16, seed=s), 8) for s in range(100)
+            is_prefix_dense(m.sample(2**16, seed=s), 8) for s in range(100)
         )
         assert hits >= 99
 

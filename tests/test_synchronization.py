@@ -143,12 +143,6 @@ class TestAntonovClassify:
         res = antonov_classify(rotations, fair_coin, n_seeds=5, seed=1)
         assert res.case == "case1"
 
-    def test_thread_count_does_not_change_result(self, golden_sine, fair_coin):
-        kw = dict(n_seeds=6, word_length=2000, seed=1)
-        serial = antonov_classify(golden_sine, fair_coin, threads=1, **kw)
-        threaded = antonov_classify(golden_sine, fair_coin, threads=4, **kw)
-        assert serial.to_json() == threaded.to_json()
-
     def test_golden_sine_is_case2(self, golden_sine, fair_coin):
         res = antonov_classify(golden_sine, fair_coin, n_seeds=10, seed=1)
         assert res.case == "case2"
