@@ -15,7 +15,10 @@ families:
 
 Inverses have no closed form in the sine family, so inverse evaluation solves
 F(x) = y by monotone bisection on a bracketing window refined with Newton
-steps.  All evaluation methods accept plain floats or numpy arrays.
+steps.  All evaluation methods accept plain floats or numpy arrays.  A scalar
+(0-d) input to an inverse solve runs the same loop on Python floats, with the
+same floating-point operations, so it returns exactly the array path's value
+without the cost of 1-element arrays.
 """
 
 from __future__ import annotations
@@ -166,9 +169,15 @@ class LiftMap:
     # -- inverse evaluation --------------------------------------------------
 
     def inverse_lift(self, y: FloatLike) -> FloatLike:
-        """Solve F(x) = y on the lift by bracketed Newton + bisection."""
-        scalar = np.isscalar(y) or np.ndim(y) == 0
-        yy = np.atleast_1d(np.asarray(y, dtype=float))
+        """Solve F(x) = y on the lift by bracketed Newton + bisection.
+
+        A 0-d input (float, numpy scalar or 0-d array) runs the scalar loop
+        and comes back as a Python float; arrays are solved elementwise in
+        one vectorized loop.  Both paths perform the same float operations.
+        """
+        if np.ndim(y) == 0:
+            return self._inverse_lift_scalar(float(y))
+        yy = np.asarray(y, dtype=float)
         d = self.displacement_bound()
         lo = yy - d - 1e-9
         hi = yy + d + 1e-9
@@ -197,7 +206,36 @@ class LiftMap:
                 raise ConvergenceFailure(
                     f"inverse residual above {TOL_INV} after {iters} iterations"
                 )
-        return float(x[0]) if scalar else x
+        return x
+
+    def _inverse_lift_scalar(self, y: float) -> float:
+        """`inverse_lift` for one Python float: the same Newton steps,
+        clipping and bisection as the array loop, without numpy arrays."""
+        d = self.displacement_bound()
+        lo = y - d - 1e-9
+        hi = y + d + 1e-9
+        x = y
+        iters = 0
+        for _ in range(12):
+            fx = float(self.lift(x)) - y
+            if abs(fx) <= 0.5 * TOL_INV:
+                break
+            x = min(max(x - fx / float(self.deriv(x)), lo), hi)
+            iters += 1
+        if abs(float(self.lift(x)) - y) > 0.5 * TOL_INV:
+            while iters < MAX_INVERSE_ITER and hi - lo > 0.25 * TOL_INV:
+                mid = 0.5 * (lo + hi)
+                if float(self.lift(mid)) < y:
+                    lo = mid
+                else:
+                    hi = mid
+                iters += 1
+            x = 0.5 * (lo + hi)
+            if abs(float(self.lift(x)) - y) > 10.0 * TOL_INV:
+                raise ConvergenceFailure(
+                    f"inverse residual above {TOL_INV} after {iters} iterations"
+                )
+        return x
 
     def inverse_eval(self, y: FloatLike) -> FloatLike:
         return self.inverse_lift(y) % 1.0

@@ -154,6 +154,29 @@ def _param(params: dict, key: str, cast, default):
         raise ConfigError(f"params.{key}: {exc}") from exc
 
 
+def _at_least(lo: int):
+    """Cast to an integer >= lo."""
+
+    def cast(value) -> int:
+        n = int(value)
+        if n < lo:
+            raise ValueError(f"must be an integer >= {lo}, got {value!r}")
+        return n
+
+    return cast
+
+
+def _positive(value) -> float:
+    x = float(value)
+    if not x > 0.0:
+        raise ValueError(f"must be a positive number, got {value!r}")
+    return x
+
+
+# detect_repellers refines from level 3 and needs m_levels >= 3 + 3.
+_M_LEVELS = _at_least(6)
+
+
 def _n_grid(value) -> list[int] | None:
     if value is not None and not (
         isinstance(value, list) and value and all(type(n) is int and n >= 1 for n in value)
@@ -179,7 +202,7 @@ def _cmd_simulate_orbit(cfg: dict, seed: int) -> tuple[str, int]:
     params = cfg.get("params", {})
     ifs = _ifs_of(cfg)
     model = _model_of(cfg)
-    length = _param(params, "length", int, 1000)
+    length = _param(params, "length", _at_least(0), 1000)
     x = _param(params, "x", float, 0.0)
     header = ["n", "letter", "point"]
     if length == 0:
@@ -192,8 +215,8 @@ def _cmd_estimate_minimality(cfg: dict, seed: int) -> tuple[str, int]:
     params = cfg.get("params", {})
     ifs = _ifs_of(cfg)
     kwargs = dict(
-        eps=_param(params, "eps", float, 0.01),
-        start_grid=_param(params, "start_grid", int, 16),
+        eps=_param(params, "eps", _positive, 0.01),
+        start_grid=_param(params, "start_grid", _at_least(1), 16),
         depth=_param(params, "depth", int, 10_000),
     )
     fwd = minimality_estimate(ifs, **kwargs)
@@ -212,12 +235,12 @@ def _cmd_classify(cfg: dict, seed: int) -> tuple[str, int]:
     result = antonov_classify(
         _ifs_of(cfg),
         _model_of(cfg),
-        n_pairs=_param(params, "n_pairs", int, 500),
+        n_pairs=_param(params, "n_pairs", _at_least(1), 500),
         sync_horizon=_param(params, "sync_horizon", int, 2000),
-        tol_sync=_param(params, "tol_sync", float, 1e-3),
-        n_seeds=_param(params, "n_seeds", int, 20),
-        word_length=_param(params, "word_length", int, 5000),
-        m_levels=_param(params, "m_levels", int, 10),
+        tol_sync=_param(params, "tol_sync", _positive, 1e-3),
+        n_seeds=_param(params, "n_seeds", _at_least(1), 20),
+        word_length=_param(params, "word_length", _at_least(1), 5000),
+        m_levels=_param(params, "m_levels", _M_LEVELS, 10),
         seed=seed,
         check_minimality=bool(params.get("check_minimality", False)),
     )
@@ -227,9 +250,9 @@ def _cmd_classify(cfg: dict, seed: int) -> tuple[str, int]:
 def _cmd_detect_repellers(cfg: dict, seed: int) -> tuple[str, int]:
     params = cfg.get("params", {})
     model = _model_of(cfg)
-    word = model.sample(_param(params, "word_length", int, 5000), seed)
+    word = model.sample(_param(params, "word_length", _at_least(1), 5000), seed)
     est = detect_repellers(
-        _ifs_of(cfg), word, m_levels=_param(params, "m_levels", int, 12)
+        _ifs_of(cfg), word, m_levels=_param(params, "m_levels", _M_LEVELS, 12)
     )
     return canonical_json(est.to_json()), 0
 
@@ -242,7 +265,7 @@ def _cmd_tail_bound(cfg: dict, seed: int) -> tuple[str, int]:
         _arc_param(params, "target", "params."),
         x=_param(params, "x", float, 0.0),
         n_grid=_param(params, "n_grid", _n_grid, None),
-        n_trials=_param(params, "n_trials", int, 10_000),
+        n_trials=_param(params, "n_trials", _at_least(1), 10_000),
         seed=seed,
         minimal_index=_param(params, "minimal_index", int, 0),
     )
@@ -289,7 +312,7 @@ def _cmd_universal_word(cfg: dict, seed: int) -> tuple[str, int]:
     res = find_universal_word(
         _ifs_of(cfg),
         _arc_param(params, "target", "params."),
-        z_grid=_param(params, "z_grid", int, 1000),
+        z_grid=_param(params, "z_grid", _at_least(1), 1000),
         max_len=_param(params, "max_len", int, 500),
     )
     out = {
@@ -309,7 +332,7 @@ def _cmd_find_periodic(cfg: dict, seed: int) -> tuple[str, int]:
     ifs = _ifs_of(cfg)
     model = _model_of(cfg)
     attractor = find_contracted_fixed_arc(
-        ifs, model, seed, horizon=_param(params, "horizon", int, 512)
+        ifs, model, seed, horizon=_param(params, "horizon", _at_least(1), 512)
     )
     rec = periodic_in_interval(ifs, _arc_param(params, "target", "params."), attractor)
     return canonical_json(rec.to_json()), 0
@@ -322,7 +345,7 @@ def _cmd_density_sweep(cfg: dict, seed: int) -> tuple[str, int]:
         _param(params, "mesh", int, 20),
         _model_of(cfg),
         seed,
-        horizon=_param(params, "horizon", int, 512),
+        horizon=_param(params, "horizon", _at_least(1), 512),
     )
     text = csv_text(
         ["arc_index", "stability", "found", "word_length", "residual", "multiplier"],
@@ -340,6 +363,9 @@ def _cmd_perturb(cfg: dict, seed: int) -> tuple[str, int]:
     if inner_name not in HANDLERS or inner_name == "perturb":
         raise ConfigError(f"params.command: unknown or non-perturbable {inner_name!r}")
     perturb_seed = _param(params, "perturb_seed", int, 0)
+    inner_params = params.get("params", {})
+    if not isinstance(inner_params, dict):
+        raise ConfigError(f"params.params: must be an object, got {inner_params!r}")
     new_gens = []
     for i, gj in enumerate(cfg["generators"]):
         key = np.array([perturb_seed % (1 << 64), 7000 + i], dtype=np.uint64)
@@ -347,7 +373,7 @@ def _cmd_perturb(cfg: dict, seed: int) -> tuple[str, int]:
         new_gens.append(perturb_map(map_from_json(gj), float(size), rng).to_json())
     inner_cfg = dict(cfg)
     inner_cfg["generators"] = new_gens
-    inner_cfg["params"] = params.get("params", {})
+    inner_cfg["params"] = inner_params
     return HANDLERS[inner_name](inner_cfg, seed)
 
 

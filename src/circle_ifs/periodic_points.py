@@ -26,7 +26,11 @@ from .circle_maps import (
     Arc,
     CirclePoint,
     Composition,
+    Inverse,
     LiftMap,
+    Power,
+    Rotation,
+    SinePerturbed,
     TOL_NEUTRAL,
     circle_distance,
     find_fixed_points,
@@ -92,11 +96,27 @@ def _classify(multiplier: float) -> str:
 
 def _bisect_fixed_point(ifs: IFS, letters: Sequence[int], lo: float, hi: float) -> float:
     """Root of branch(x) = x on [lo, hi], assuming the branch maps the
-    interval into itself (so the normalized displacement changes sign)."""
-    k = np.floor(_word_lift(ifs, letters, lo) - lo)
+    interval into itself (so the normalized displacement changes sign).
 
-    def disp(x: float) -> float:
-        return _word_lift(ifs, letters, x) - k - x
+    For the monotone degree-one branch h, h(x) >= x + k holds exactly when
+    x >= h^-1(x) + k.  When every generator is an `Inverse` or a pure
+    translation (the inverse IFS), h^-1 is a composition of forward lifts
+    and needs no inverse solve, so the sign tests run on x - h^-1(x) - k
+    with k = floor(lo - h^-1(lo)); otherwise they run on h(x) - k - x with
+    k = floor(h(lo) - lo).  Both give the same signs, hence the same
+    "interval is not mapped into itself" condition.
+    """
+    if all(isinstance(g, Inverse) or g.as_translation() is not None for g in ifs.generators):
+        k = np.floor(lo - _inverse_word_lift(ifs, letters, lo))
+
+        def disp(x: float) -> float:
+            return x - _inverse_word_lift(ifs, letters, x) - k
+
+    else:
+        k = np.floor(_word_lift(ifs, letters, lo) - lo)
+
+        def disp(x: float) -> float:
+            return _word_lift(ifs, letters, x) - k - x
 
     dlo = disp(lo)
     dhi = disp(hi)
@@ -128,7 +148,11 @@ def _newton_polish(ifs: IFS, letters: Sequence[int], q: float, rounds: int = 12)
     A float64 point near a fixed point with multiplier D carries residual
     about D * ulp, so the iteration runs in extended precision and then the
     best representable float64 neighbor (smallest re-evaluated residual)
-    is returned.
+    is returned.  The iteration stops after `rounds` steps, on a step above
+    0.1 (no convergence), once the residual is below 1e-18, or once the
+    step has stalled at 1e-18 or less: at multipliers far above 1 the
+    residual test is never met, and a stalled step is below the float64
+    spacing of points above 0.01.
     """
     qq = np.longdouble(q)
     for _ in range(rounds):
@@ -142,7 +166,7 @@ def _newton_polish(ifs: IFS, letters: Sequence[int], q: float, rounds: int = 12)
         if abs(float(step)) > 0.1:
             break
         qq = qq - step
-        if abs(float(f)) < 1e-18:
+        if abs(float(f)) < 1e-18 or abs(float(step)) <= 1e-18:
             break
     center = float(np.mod(qq, 1.0))
 
@@ -161,14 +185,12 @@ def _word_lift_ld(ifs: IFS, letters: Sequence[int], x: np.longdouble) -> np.long
 
 def _lift_ld(g: LiftMap, x: np.longdouble) -> np.longdouble:
     """Extended-precision lift; falls back to float64 for numeric inverses."""
-    from .circle_maps import Composition as Comp, Power, Rotation, SinePerturbed
-
     if isinstance(g, Rotation):
         return x + np.longdouble(g.alpha)
     if isinstance(g, SinePerturbed):
         w = np.longdouble(2.0 * np.pi * g.harmonics)
         return x + np.longdouble(g.a) + np.longdouble(g.b) / w * np.sin(w * x)
-    if isinstance(g, Comp):
+    if isinstance(g, Composition):
         for m in reversed(g.maps):
             x = _lift_ld(m, x)
         return x

@@ -126,6 +126,22 @@ class TestInverse:
                 back = f.inverse_eval(y)
                 assert circle_distance(back, x) < 1e-9
 
+    def test_scalar_solve_matches_array_bit_for_bit(self):
+        # SinePerturbed(0.3, 0.999, 3) sends about a quarter of these
+        # points through the bisection fallback.
+        rng = random.Random(17)
+        for f in sample_maps() + [SinePerturbed(0.3, 0.999, harmonics=3)]:
+            for _ in range(50):
+                y = rng.uniform(-3.0, 3.0)
+                assert f.inverse_lift(y) == f.inverse_lift(np.array([y]))[0]
+
+    def test_scalar_solve_returns_python_float(self):
+        f = SinePerturbed(0.1, 0.3)
+        for y in (0.4, np.float64(0.4), np.array(0.4)):
+            x = f.inverse_lift(y)
+            assert type(x) is float
+            assert x == f.inverse_lift(np.array([0.4]))[0]
+
     def test_vectorized_round_trip(self):
         f = Composition([SinePerturbed(0.0, -0.5), Rotation(GOLDEN)])
         xs = np.linspace(0.0, 1.0, 101)[:-1]

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from circle_ifs.cli import csv_text, main
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
 def base_config(**params):
@@ -68,6 +70,16 @@ class TestConfigValidation:
         ("simulate-orbit", {"length": "x"}, "length"),
         ("classify", {"n_seeds": None}, "n_seeds"),
         ("estimate-minimality", {"eps": "0.1x"}, "eps"),
+        ("simulate-orbit", {"length": -5}, "length"),
+        ("estimate-minimality", {"eps": 0}, "eps"),
+        ("classify", {"n_pairs": 0}, "n_pairs"),
+        ("detect-repellers", {"m_levels": 5}, "m_levels"),
+        ("tail-bound", {"target": {"start": 0.3, "length": 0.05}, "n_trials": 0}, "n_trials"),
+        ("density-sweep", {"horizon": 0}, "horizon"),
+        ("perturb", {"size": 0, "command": "detect-repellers", "params": [1]}, "params"),
+        ("estimate-minimality", {"start_grid": 0}, "start_grid"),
+        ("universal-word", {"target": {"start": 0.3, "length": 0.05}, "z_grid": 0}, "z_grid"),
+        ("classify", {"n_seeds": 0}, "n_seeds"),
     ])
     def test_malformed_param_exits_2_with_path(self, write_config, capsys, command, params, key):
         code, out, err = run_cli(capsys, command, "--config", write_config(base_config(**params)))
@@ -145,6 +157,15 @@ class TestDeterminism:
         _, out1, _ = run_cli(capsys, "density-sweep", "--config", path, "--threads", "1")
         _, out4, _ = run_cli(capsys, "density-sweep", "--config", path, "--threads", "4")
         assert out1 == out4
+
+    def test_density_sweep_matches_golden_bytes(self, write_config, capsys):
+        # The reference bytes come from vectorized inverse solves and
+        # direct-displacement bisection; the scalar solves and forward-map
+        # bisection must reproduce them exactly.
+        path = write_config(base_config(mesh=4))
+        code, out, _ = run_cli(capsys, "density-sweep", "--config", path)
+        assert code == 0
+        assert out == (GOLDEN_DIR / "density_sweep_mesh4_seed7.csv").read_text()
 
     def test_seed_flag_overrides_config(self, write_config, capsys):
         path = write_config(base_config(word_length=1500, m_levels=8))

@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from circle_ifs.circle_maps import Arc, Rotation, SinePerturbed, circle_distance
+from circle_ifs import periodic_points
+from circle_ifs.circle_maps import Arc, LiftMap, Rotation, SinePerturbed, circle_distance
 from circle_ifs.ifs_core import IFS, branch_apply, branch_deriv
 from circle_ifs.periodic_points import (
     HorizonExceeded,
@@ -19,6 +20,72 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 @pytest.fixture(scope="module")
 def sweep(golden_sine_ifs, fair_coin):
     return density_sweep(golden_sine_ifs, 20, fair_coin, seed=3)
+
+
+@pytest.fixture(scope="module")
+def inverse_composites(golden_sine_ifs, fair_coin):
+    """The inverse IFS and the (letters, lo, hi) of the bisections that the
+    repelling side of a mesh-20 sweep runs for two of its arcs."""
+    inv = golden_sine_ifs.inverse_ifs()
+    att = find_contracted_fixed_arc(inv, fair_coin, seed=3, stream=1)
+    calls = []
+    original = periodic_points._bisect_fixed_point
+
+    def recording(ifs, letters, lo, hi):
+        calls.append((tuple(letters), lo, hi))
+        return original(ifs, letters, lo, hi)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(periodic_points, "_bisect_fixed_point", recording)
+        for i in (3, 12):
+            periodic_in_interval(inv, Arc(i / 20, 1 / 20), att)
+    return inv, calls
+
+
+def reference_bisection(ifs, letters, lo, hi):
+    """Bisection on the direct displacement h(x) - k - x."""
+    def disp(x):
+        return periodic_points._word_lift(ifs, letters, x) - k - x
+
+    k = math.floor(periodic_points._word_lift(ifs, letters, lo) - lo)
+    if disp(lo) < 0.0 or disp(hi) > 0.0:
+        raise ValueError("interval is not mapped into itself")
+    while hi - lo > 1e-13:
+        mid = 0.5 * (lo + hi)
+        if disp(mid) >= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+class TestBisectFixedPoint:
+    def test_inverse_ifs_matches_direct_displacement(self, inverse_composites):
+        inv, calls = inverse_composites
+        assert len(calls) == 2
+        for letters, lo, hi in calls:
+            q = periodic_points._bisect_fixed_point(inv, letters, lo, hi)
+            assert abs(q - reference_bisection(inv, letters, lo, hi)) < 1e-12
+
+    def test_inverse_ifs_needs_no_inverse_solve(self, inverse_composites, monkeypatch):
+        inv, calls = inverse_composites
+        expected = [periodic_points._bisect_fixed_point(inv, *c) for c in calls]
+
+        def no_solve(self, y):
+            raise AssertionError("inverse solve on the forward-map side")
+
+        monkeypatch.setattr(LiftMap, "inverse_lift", no_solve)
+        assert [periodic_points._bisect_fixed_point(inv, *c) for c in calls] == expected
+
+    def test_interval_not_mapped_into_itself_raises(self, inverse_composites):
+        inv, calls = inverse_composites
+        for letters, lo, hi in calls:
+            q = periodic_points._bisect_fixed_point(inv, letters, lo, hi)
+            lo, hi = q + 0.2, q + 0.21
+            with pytest.raises(ValueError, match="not mapped into itself"):
+                reference_bisection(inv, letters, lo, hi)
+            with pytest.raises(ValueError, match="not mapped into itself"):
+                periodic_points._bisect_fixed_point(inv, letters, lo, hi)
 
 
 class TestContractedFixedArc:
