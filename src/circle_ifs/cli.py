@@ -7,7 +7,8 @@ and ignored, so it never changes output bytes.  Outputs are canonical JSON
 byte-identical artifacts.
 
 Exit codes: 0 success, 2 verification failure (including config schema
-violations), 3 search exhaustion.
+violations), 3 search exhaustion (including a Newton/bisection inverse solve
+that fails to converge, circle_maps.ConvergenceFailure).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .certifier import (
     find_universal_word,
     perturb_map,
 )
-from .circle_maps import Arc, map_from_json
+from .circle_maps import Arc, ConvergenceFailure, map_from_json
 from .ifs_core import IFS, minimality_estimate, orbit_to_csv_rows
 from .periodic_points import (
     HorizonExceeded,
@@ -217,7 +218,7 @@ def _cmd_estimate_minimality(cfg: dict, seed: int) -> tuple[str, int]:
     kwargs = dict(
         eps=_param(params, "eps", _positive, 0.01),
         start_grid=_param(params, "start_grid", _at_least(1), 16),
-        depth=_param(params, "depth", int, 10_000),
+        depth=_param(params, "depth", _at_least(1), 10_000),
     )
     fwd = minimality_estimate(ifs, **kwargs)
     bwd = minimality_estimate(ifs.inverse_ifs(), **kwargs)
@@ -236,7 +237,7 @@ def _cmd_classify(cfg: dict, seed: int) -> tuple[str, int]:
         _ifs_of(cfg),
         _model_of(cfg),
         n_pairs=_param(params, "n_pairs", _at_least(1), 500),
-        sync_horizon=_param(params, "sync_horizon", int, 2000),
+        sync_horizon=_param(params, "sync_horizon", _at_least(1), 2000),
         tol_sync=_param(params, "tol_sync", _positive, 1e-3),
         n_seeds=_param(params, "n_seeds", _at_least(1), 20),
         word_length=_param(params, "word_length", _at_least(1), 5000),
@@ -342,7 +343,7 @@ def _cmd_density_sweep(cfg: dict, seed: int) -> tuple[str, int]:
     params = cfg.get("params", {})
     report = density_sweep(
         _ifs_of(cfg),
-        _param(params, "mesh", int, 20),
+        _param(params, "mesh", _at_least(1), 20),
         _model_of(cfg),
         seed,
         horizon=_param(params, "horizon", _at_least(1), 512),
@@ -396,6 +397,7 @@ _EXHAUSTION = (
     HorizonExceeded,
     LengthExceeded,
     CoverSearchExhausted,
+    ConvergenceFailure,
 )
 _VERIFICATION = (
     ContractionFails,

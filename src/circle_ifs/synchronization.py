@@ -37,6 +37,13 @@ THETA_GROW = 0.9
 # fixed point at 1/2) stay interior to one arc at every refinement level.
 PARTITION_OFFSET = 1.0 / 3.0
 
+# Point budget of one branch walk in detect_repellers: a walk pushes the
+# endpoints of the kept arcs' descendants down to the deepest level at which
+# they number at most WALK_POINTS arcs (WALK_POINTS + 1 endpoints when the
+# arcs are adjacent).  A walk's cost is mostly per-letter dispatch up to
+# about this many points, so one walk serves several refinement levels.
+WALK_POINTS = 128
+
 
 class Unpolarized(RuntimeError):
     """Arc-image lengths never polarized along the supplied word."""
@@ -165,12 +172,20 @@ def detect_repellers(
     """Bracket the branch's exceptional points by nested partition refinement.
 
     At level j the circle is split into 2^j arcs (endpoints offset by 1/3 so
-    dyadic repellers stay interior); every arc is pushed through the full
-    branch using endpoint images, exact for monotone maps.  Arcs whose image
-    length exceeds theta_grow times the level maximum are kept and split for
-    the next level.  The kept count must stabilize over the last three
-    levels; all-rotation branches keep every arc, never stabilize, and raise
-    Unpolarized.
+    dyadic repellers stay interior); each kept arc's image length is the
+    difference of its endpoint images under the full branch, exact for
+    monotone maps.  Arcs whose image length exceeds theta_grow times the
+    level maximum are kept and split for the next level.  The kept count
+    must stabilize over the last three levels; all-rotation branches keep
+    every arc, never stabilize, and raise Unpolarized.
+
+    Endpoint images are cached by domain point.  When a level needs one that
+    is missing, a single walk of the branch pushes the endpoints of every
+    descendant of the kept arcs, down to the deepest level (at most m_levels)
+    with no more than WALK_POINTS arcs, so the next levels read the cache.
+    Each point's image does not depend on the points walked with it, except
+    through Inverse generators: their array Newton loop stops when every
+    point has converged, so last digits depend on the batch.
 
     Returns one bracketing midpoint per kept arc at the finest level; the
     residual is the final arc length 2^-m_levels.
@@ -181,21 +196,30 @@ def detect_repellers(
         raise ValueError("m_levels must exceed start_level + 2")
     cache: dict[float, float] = {}
 
-    def images(points: list[float]) -> None:
-        fresh = [p for p in points if p not in cache]
-        if fresh:
-            vals = branch_lift_array(ifs, letters, np.array(fresh))
-            cache.update(zip(fresh, vals.tolist()))
-
-    # Domain coordinates live on the lift in [offset, offset + 1].
+    # Domain coordinates live on the lift in [offset, offset + 1].  Arc i at
+    # level j has the same endpoint floats as its halves at level j + 1,
+    # since (2i) / 2^(j+1) == i / 2^j exactly.
     def endpoint(i: int, level: int) -> float:
         return PARTITION_OFFSET + i / (1 << level)
+
+    def images(kept: list[int], level: int) -> None:
+        if all(endpoint(i, level) in cache and endpoint(i + 1, level) in cache for i in kept):
+            return
+        depth = 0
+        while level + depth < m_levels and len(kept) << (depth + 1) <= WALK_POINTS:
+            depth += 1
+        span = 1 << depth
+        fresh = sorted(
+            {endpoint(i * span + j, level + depth) for i in kept for j in range(span + 1)}
+            - cache.keys()
+        )
+        vals = branch_lift_array(ifs, letters, np.array(fresh))
+        cache.update(zip(fresh, vals.tolist()))
 
     kept: list[int] = list(range(1 << start_level))  # arc indices at current level
     counts: list[int] = []
     for level in range(start_level, m_levels + 1):
-        pts = sorted({endpoint(i, level) for i in kept} | {endpoint(i + 1, level) for i in kept})
-        images(pts)
+        images(kept, level)
         lengths = {
             i: cache[endpoint(i + 1, level)] - cache[endpoint(i, level)] for i in kept
         }

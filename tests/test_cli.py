@@ -5,6 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from circle_ifs import cli
+from circle_ifs.circle_maps import ConvergenceFailure
 from circle_ifs.cli import csv_text, main
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -80,12 +82,27 @@ class TestConfigValidation:
         ("estimate-minimality", {"start_grid": 0}, "start_grid"),
         ("universal-word", {"target": {"start": 0.3, "length": 0.05}, "z_grid": 0}, "z_grid"),
         ("classify", {"n_seeds": 0}, "n_seeds"),
+        ("classify", {"sync_horizon": 0}, "sync_horizon"),
+        ("density-sweep", {"mesh": 0}, "mesh"),
+        ("estimate-minimality", {"depth": 0}, "depth"),
     ])
     def test_malformed_param_exits_2_with_path(self, write_config, capsys, command, params, key):
         code, out, err = run_cli(capsys, command, "--config", write_config(base_config(**params)))
         assert code == 2
         assert out == ""
         assert f"params.{key}" in err
+
+
+class TestExitCodes:
+    def test_convergence_failure_exits_3(self, write_config, capsys, monkeypatch):
+        def failing(cfg, seed):
+            raise ConvergenceFailure("inverse_lift did not converge")
+
+        monkeypatch.setitem(cli.HANDLERS, "detect-repellers", failing)
+        code, out, err = run_cli(capsys, "detect-repellers", "--config", write_config(base_config()))
+        assert code == 3
+        assert out == ""
+        assert err == "search exhausted: inverse_lift did not converge\n"
 
 
 class TestCsv:
@@ -166,6 +183,22 @@ class TestDeterminism:
         code, out, _ = run_cli(capsys, "density-sweep", "--config", path)
         assert code == 0
         assert out == (GOLDEN_DIR / "density_sweep_mesh4_seed7.csv").read_text()
+
+    def test_detect_repellers_matches_golden_bytes(self, capsys):
+        # The reference bytes come from one branch walk per refinement
+        # level; walks shared across levels must reproduce them exactly.
+        code, out, _ = run_cli(
+            capsys, "detect-repellers", "--config", str(GOLDEN_DIR / "golden_sine_seed7.json")
+        )
+        assert code == 0
+        assert out == (GOLDEN_DIR / "detect_repellers_seed7.json").read_text()
+
+    def test_classify_matches_golden_bytes(self, write_config, capsys):
+        cfg = json.loads((GOLDEN_DIR / "golden_sine_seed7.json").read_text())
+        cfg["params"] = {"n_seeds": 5}
+        code, out, _ = run_cli(capsys, "classify", "--config", write_config(cfg))
+        assert code == 0
+        assert out == (GOLDEN_DIR / "classify_seed7.json").read_text()
 
     def test_seed_flag_overrides_config(self, write_config, capsys):
         path = write_config(base_config(word_length=1500, m_levels=8))

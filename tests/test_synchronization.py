@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from circle_ifs.circle_maps import Arc, Rotation, SinePerturbed
-from circle_ifs.ifs_core import IFS
-from circle_ifs.symbolic import BernoulliModel, Word
+from circle_ifs import synchronization
+from circle_ifs.circle_maps import Arc, CirclePoint, Rotation, SinePerturbed
+from circle_ifs.ifs_core import IFS, branch_lift_array
+from circle_ifs.symbolic import BernoulliModel, MarkovMinorizedModel, Word
 from circle_ifs.synchronization import (
+    PARTITION_OFFSET,
     NoMinimalGenerator,
+    RepellerEstimate,
     Unpolarized,
     antonov_classify,
     covering_count,
@@ -124,6 +127,104 @@ class TestDetectRepellers:
         assert est.ell_hat == 2
         a, b = (float(p) for p in est.points)
         assert abs(abs(a - b) - 0.5) < 1e-3
+
+
+def detect_repellers_per_level(ifs, w, m_levels):
+    """Reference: one branch walk per refinement level, carrying only the
+    endpoints that level is missing (the detector before walks were shared)."""
+    theta_grow, start_level, max_candidates = 0.9, 3, 64
+    letters = w.letters
+    cache = {}
+
+    def endpoint(i, level):
+        return PARTITION_OFFSET + i / (1 << level)
+
+    kept = list(range(1 << start_level))
+    counts = []
+    for level in range(start_level, m_levels + 1):
+        pts = sorted({endpoint(i, level) for i in kept} | {endpoint(i + 1, level) for i in kept})
+        fresh = [p for p in pts if p not in cache]
+        if fresh:
+            vals = synchronization.branch_lift_array(ifs, letters, np.array(fresh))
+            cache.update(zip(fresh, vals.tolist()))
+        lengths = {i: cache[endpoint(i + 1, level)] - cache[endpoint(i, level)] for i in kept}
+        top = max(lengths.values())
+        grown = [i for i in kept if lengths[i] > theta_grow * top]
+        if not grown:
+            raise Unpolarized("no arc image exceeded the growth threshold")
+        if len(grown) > max_candidates:
+            raise Unpolarized(f"{len(grown)} growing arcs exceed the candidate cap")
+        counts.append(len(grown))
+        if level >= start_level + 2 and len(grown) / (1 << level) > 0.5:
+            raise Unpolarized("growing arcs cover most of the circle (isometric branch?)")
+        if level == m_levels:
+            kept = grown
+            final_lengths = [lengths[i] for i in grown]
+            break
+        kept = [c for i in grown for c in (2 * i, 2 * i + 1)]
+    if len(counts) >= 3 and not (counts[-1] == counts[-2] == counts[-3]):
+        raise Unpolarized(f"growing-arc count never stabilized: {counts}")
+    ell = counts[-1]
+    if min(final_lengths) <= theta_grow / ell * 0.5:
+        raise Unpolarized("final bracketing arcs are not uniformly grown")
+    points = tuple(
+        CirclePoint(endpoint(i, m_levels) + 0.5 / (1 << m_levels)) for i in sorted(kept)
+    )
+    return RepellerEstimate(w, m_levels, points, ell, 2.0**-m_levels, tuple(final_lengths))
+
+
+def _outcome(detect, ifs, w, m_levels):
+    try:
+        return detect(ifs, w, m_levels=m_levels)
+    except Unpolarized as exc:
+        return ("Unpolarized", str(exc))
+
+
+EQUIVALENCE_IFS = {
+    "golden-sine": [Rotation(GOLDEN), SinePerturbed(0.0, -0.5)],
+    "half-turn": [Rotation(GOLDEN), SinePerturbed(0.0, -0.5, harmonics=2)],
+    "rotations": [Rotation(GOLDEN), Rotation(0.3)],
+}
+EQUIVALENCE_MODELS = {
+    "bernoulli": BernoulliModel([0.5, 0.5]),
+    "markov": MarkovMinorizedModel([[0.7, 0.3], [0.3, 0.7]]),
+}
+
+
+class TestSharedWalks:
+    @pytest.mark.parametrize("m_levels", [6, 8, 10, 12, 22])
+    @pytest.mark.parametrize("length", [64, 5000])
+    @pytest.mark.parametrize("model", sorted(EQUIVALENCE_MODELS))
+    @pytest.mark.parametrize("label", sorted(EQUIVALENCE_IFS))
+    def test_matches_per_level_reference(self, label, model, length, m_levels):
+        ifs = IFS(EQUIVALENCE_IFS[label], label=label)
+        w = EQUIVALENCE_MODELS[model].sample(length, seed=m_levels, stream=3)
+        got = _outcome(detect_repellers, ifs, w, m_levels)
+        ref = _outcome(detect_repellers_per_level, ifs, w, m_levels)
+        assert got == ref
+        if isinstance(got, RepellerEstimate):
+            # Dataclass equality compares floats with ==; check the bits too.
+            assert [p.hex() for p in got.points] == [p.hex() for p in ref.points]
+            assert [x.hex() for x in got.final_image_lengths] == [
+                x.hex() for x in ref.final_image_lengths
+            ]
+
+    def test_golden_sine_at_ten_levels_walks_twice(self, golden_sine, fair_coin, monkeypatch):
+        calls = []
+
+        def counting(ifs, w, xs):
+            calls.append(len(xs))
+            return branch_lift_array(ifs, w, xs)
+
+        monkeypatch.setattr(synchronization, "branch_lift_array", counting)
+        w = fair_coin.sample(5000, seed=0, stream=0)
+        est = detect_repellers(golden_sine, w, m_levels=10)
+        assert est.ell_hat == 1
+        assert len(calls) == 2
+        assert calls[0] == (1 << 7) + 1  # every level-7 endpoint in the first walk
+        calls.clear()
+        detect_repellers_per_level(golden_sine, w, m_levels=10)
+        assert len(calls) == 8
 
 
 class TestWordOfCaution:
