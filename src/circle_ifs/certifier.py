@@ -79,6 +79,30 @@ class LengthExceeded(RuntimeError):
         self.survivors = survivors
 
 
+class _FieldError(ValueError):
+    """A missing or malformed certificate field; str() is "<path>: <reason>"."""
+
+    def __init__(self, path: str, reason: str):
+        super().__init__(f"{path}: {reason}")
+        self.path = path
+        self.reason = reason
+
+
+def _parsed(obj: dict, key: str, parse: Callable):
+    """parse(obj[key]), raising _FieldError with the field's dotted path."""
+    if not isinstance(obj, dict):
+        raise TypeError(f"must be an object, got {obj!r}")
+    if key not in obj:
+        raise _FieldError(key, "missing required field")
+    try:
+        return parse(obj[key])
+    except _FieldError as exc:
+        sep = "" if exc.path.startswith("[") else "."
+        raise _FieldError(f"{key}{sep}{exc.path}", exc.reason) from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _FieldError(key, str(exc)) from exc
+
+
 # ---------------------------------------------------------------------------
 # Basin location
 # ---------------------------------------------------------------------------
@@ -112,13 +136,13 @@ class BasinData:
     @staticmethod
     def from_json(obj: dict) -> "BasinData":
         return BasinData(
-            p=float(obj["p"]),
-            eps=float(obj["eps"]),
-            delta=float(obj["delta"]),
-            arc_A=Arc.from_json(obj["arc_A"]),
-            arc_B=Arc.from_json(obj["arc_B"]),
-            arc_D=Arc.from_json(obj["arc_D"]),
-            deriv_margin=float(obj["deriv_margin"]),
+            p=_parsed(obj, "p", float),
+            eps=_parsed(obj, "eps", float),
+            delta=_parsed(obj, "delta", float),
+            arc_A=_parsed(obj, "arc_A", Arc.from_json),
+            arc_B=_parsed(obj, "arc_B", Arc.from_json),
+            arc_D=_parsed(obj, "arc_D", Arc.from_json),
+            deriv_margin=_parsed(obj, "deriv_margin", float),
         )
 
 
@@ -403,6 +427,27 @@ def verify_global_cover(
 MARGIN_KEYS = ("cover_overlap", "return_window", "contraction", "circle_cover")
 
 
+def _generator_pair(value) -> tuple[dict, dict]:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ValueError(f"must be an array of two map objects, got {value!r}")
+    for i, g in enumerate(value):
+        try:
+            map_from_json(g)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise _FieldError(f"[{i}]", str(exc)) from exc
+    return value[0], value[1]
+
+
+def _exponents(value) -> tuple[int, ...]:
+    if not (isinstance(value, list) and value and all(type(n) is int and n >= 0 for n in value)):
+        raise ValueError(f"must be a non-empty array of integers >= 0, got {value!r}")
+    return tuple(value)
+
+
+def _margins(value) -> dict:
+    return {k: _parsed(value, k, float) for k in MARGIN_KEYS}
+
+
 @dataclass(frozen=True)
 class Certificate:
     direction: str  # "forward" | "backward"
@@ -439,17 +484,18 @@ class Certificate:
 
     @staticmethod
     def from_json(obj: dict) -> "Certificate":
+        """Parse and check one side; a bad field raises ValueError("<path>: ...")."""
         return Certificate(
-            direction=obj["direction"],
+            direction=_parsed(obj, "direction", str),
             label=obj.get("label", ""),
-            generators=(obj["generators"][0], obj["generators"][1]),
-            basin=BasinData.from_json(obj["basin"]),
-            cover_exponents=tuple(int(n) for n in obj["cover_exponents"]),
-            lam=float(obj["lambda"]),
-            global_forward_exponents=tuple(int(n) for n in obj["global_forward_exponents"]),
-            global_backward_exponents=tuple(int(n) for n in obj["global_backward_exponents"]),
-            margins={k: float(obj["margins"][k]) for k in MARGIN_KEYS},
-            radius=float(obj["radius"]),
+            generators=_parsed(obj, "generators", _generator_pair),
+            basin=_parsed(obj, "basin", BasinData.from_json),
+            cover_exponents=_parsed(obj, "cover_exponents", _exponents),
+            lam=_parsed(obj, "lambda", float),
+            global_forward_exponents=_parsed(obj, "global_forward_exponents", _exponents),
+            global_backward_exponents=_parsed(obj, "global_backward_exponents", _exponents),
+            margins=_parsed(obj, "margins", _margins),
+            radius=_parsed(obj, "radius", float),
         )
 
 
@@ -473,8 +519,10 @@ class CertificatePair:
 
     @staticmethod
     def from_json(obj: dict) -> "CertificatePair":
+        """Parse both sides; a bad field raises ValueError("<side>.<path>: ...")."""
         return CertificatePair(
-            Certificate.from_json(obj["forward"]), Certificate.from_json(obj["backward"])
+            _parsed(obj, "forward", Certificate.from_json),
+            _parsed(obj, "backward", Certificate.from_json),
         )
 
 
@@ -622,9 +670,18 @@ def reverify_certificate(
     With f1/f2 omitted the stored generators are used, which must reproduce
     the stored margins to within 1e-12 (determinism).  Supplying perturbed
     maps re-checks the same combinatorial data under perturbation; all
-    margins positive means the certificate survives.  Rotation-power
-    families are evaluated along shared incremental chains, so the cost is
-    linear in the largest exponent.
+    margins positive means the certificate survives.
+
+    Conditions (1)-(3) share one f1 chain over f2(B ends), the D ends and f2
+    of the contraction grid on (p + delta, p + eps).  Each exponent step is
+    one `f1.lift_deriv`, whose derivative multiplies the grid's running
+    D(f1^n o f2); at each cover exponent n the chain gives the ends of
+    h_n(B) and f1^n(D) and the grid maximum of Dh_n.  A rotation f1 just
+    translates the ends.  Condition (4) follows the ends of B under f1 and
+    f1^-1 on chains of its own, so the cost is linear in the largest
+    exponent.  Where f1 contains an inverse, its array Newton solve stops
+    when every point of the chain has converged, so the last digits of an
+    end can depend on the points solved with it.
     """
     s1, s2 = cert.generator_maps()
     f1 = s1 if f1 is None else f1
@@ -635,12 +692,31 @@ def reverify_certificate(
     rb0 = (basin.arc_B.start - p) % 1.0
     rb1 = rb0 + basin.arc_B.length
 
+    # (1)-(3): one f1 chain whose first four points are the B and D ends.
+    b_img = np.asarray(f2.lift(np.array([p + rb0, p + rb1])), dtype=float)
+    xs = p + np.linspace(delta, eps, contraction_grid + 1)
+    grid_pos, grid_deriv = f2.lift_deriv(xs)
+    pos = np.concatenate([b_img, [p, p + d_len], np.asarray(grid_pos, dtype=float)])
+    deriv = np.concatenate([np.ones(4), np.asarray(grid_deriv, dtype=float)])
+    trans = f1.as_translation()
+    ends: dict[int, np.ndarray] = {}  # n -> f1^n of the four B and D ends
+    worst = 0.0
+    done = 0
+    for n in sorted(set(cert.cover_exponents)):
+        if trans is None:
+            for _ in range(n - done):
+                pos, d = f1.lift_deriv(pos)
+                deriv = deriv * d
+            ends[n] = pos[:4]
+        else:
+            ends[n] = pos[:4] + n * trans
+        done = n
+        worst = max(worst, float(np.max(deriv[4:])))
+
     # (1) closure(B) covered by h_i = f1^{n_i} o f2 images, in stored order.
-    base = np.asarray(f2.lift(np.array([p + rb0, p + rb1])), dtype=float)
-    images1 = _power_chain(f1, base, cert.cover_exponents)
     spans = []
     for n in cert.cover_exponents:
-        lo, hi = images1[n]
+        lo, hi = ends[n][:2]
         start = (lo - p) % 1.0
         spans.append((start, start + (hi - lo)))
     chain = [rb0 - spans[0][0]]
@@ -650,29 +726,13 @@ def reverify_certificate(
     m1 = min(chain)
 
     # (2) rotated closure(D) inside (p + delta, p + eps).
-    images2 = _power_chain(f1, np.array([p, p + d_len]), cert.cover_exponents)
     m2 = math.inf
     for n in cert.cover_exponents:
-        lo, hi = images2[n]
+        lo, hi = ends[n][2:]
         start = (lo - p) % 1.0
         m2 = min(m2, start - delta, eps - (start + (hi - lo)))
 
-    # (3) contraction on (p + delta, p + eps): the derivative of
-    # f1^{n} o f2 accumulates along one shared chain.
-    xs = p + np.linspace(delta, eps, contraction_grid + 1)
-    deriv = np.asarray(f2.deriv(xs), dtype=float)
-    pos = np.asarray(f2.lift(xs), dtype=float)
-    worst = 0.0
-    trans = f1.as_translation()
-    remaining = sorted(set(cert.cover_exponents))
-    done = 0
-    for n in remaining:
-        if trans is None:
-            for _ in range(n - done):
-                deriv = deriv * np.asarray(f1.deriv(pos))
-                pos = np.asarray(f1.lift(pos))
-        done = n
-        worst = max(worst, float(np.max(deriv)))
+    # (3) contraction on (p + delta, p + eps), Lipschitz-inflated.
     c_bound = max(
         Composition([Power(f1, n), f2]).second_deriv_bound()
         for n in cert.cover_exponents

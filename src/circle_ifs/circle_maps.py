@@ -19,6 +19,12 @@ steps.  All evaluation methods accept plain floats or numpy arrays.  A scalar
 (0-d) input to an inverse solve runs the same loop on Python floats, with the
 same floating-point operations, so it returns exactly the array path's value
 without the cost of 1-element arrays.
+
+`lift_deriv(x)` returns (F(x), DF(x)) from one pass and is the one chain-rule
+evaluator: `deriv` of a Composition, Power or Inverse is its second component.
+A composite folds its factors' derivatives in application order, skipping
+translations (a factor of exactly 1), and an Inverse solves F(x) = y once for
+both components, so the result equals `(lift(x), deriv(x))` bit for bit.
 """
 
 from __future__ import annotations
@@ -128,19 +134,29 @@ class Arc:
 # ---------------------------------------------------------------------------
 
 
+def _ones(x: FloatLike) -> FloatLike:
+    """The derivative of a translation: 1.0, or ones shaped like an array x."""
+    return 1.0 if np.ndim(x) == 0 else np.ones(np.shape(x))
+
+
 class LiftMap:
     """Base class: an orientation-preserving circle homeomorphism.
 
-    Subclasses implement `lift` and `deriv`; everything else (circle
-    evaluation, inverses, bounds) is generic.  Instances are immutable and
-    all operations are pure (no caches), so maps can be shared freely.
+    Subclasses implement `lift` and either `deriv` or `lift_deriv`;
+    everything else (circle evaluation, inverses, bounds) is generic.
+    Instances are immutable and all operations are pure (no caches), so maps
+    can be shared freely.
     """
 
     def lift(self, x: FloatLike) -> FloatLike:
         raise NotImplementedError
 
     def deriv(self, x: FloatLike) -> FloatLike:
-        raise NotImplementedError
+        return self.lift_deriv(x)[1]
+
+    def lift_deriv(self, x: FloatLike) -> tuple[FloatLike, FloatLike]:
+        """(F(x), DF(x)) in one pass, equal bit for bit to (lift, deriv)."""
+        return self.lift(x), self.deriv(x)
 
     def __call__(self, x: FloatLike) -> FloatLike:
         return self.lift(x) % 1.0
@@ -254,9 +270,7 @@ class Rotation(LiftMap):
         return x + self.alpha
 
     def deriv(self, x: FloatLike) -> FloatLike:
-        if np.isscalar(x) or np.ndim(x) == 0:
-            return 1.0
-        return np.ones_like(np.asarray(x, dtype=float))
+        return _ones(x)
 
     def inverse(self) -> LiftMap:
         return Rotation(-self.alpha)
@@ -311,6 +325,11 @@ class SinePerturbed(LiftMap):
         w = self._w
         return 1.0 + self.b * np.cos(w * x)
 
+    def lift_deriv(self, x: FloatLike) -> tuple[FloatLike, FloatLike]:
+        w = self._w
+        wx = w * x
+        return x + self.a + (self.b / w) * np.sin(wx), 1.0 + self.b * np.cos(wx)
+
     def displacement_bound(self) -> float:
         return abs(self.a) + abs(self.b) / self._w
 
@@ -354,12 +373,15 @@ class Composition(LiftMap):
             x = m.lift(x)
         return x
 
-    def deriv(self, x: FloatLike) -> FloatLike:
-        total = 1.0
+    def lift_deriv(self, x: FloatLike) -> tuple[FloatLike, FloatLike]:
+        total = None
         for m in reversed(self.maps):
-            total = total * m.deriv(x)
-            x = m.lift(x)
-        return total
+            if m.as_translation() is not None:
+                x = m.lift(x)
+                continue
+            x, d = m.lift_deriv(x)
+            total = d if total is None else total * d
+        return x, _ones(x) if total is None else total
 
     def inverse(self) -> LiftMap:
         return Composition([m.inverse() for m in reversed(self.maps)])
@@ -421,13 +443,15 @@ class Power(LiftMap):
             x = f.lift(x)
         return x
 
-    def deriv(self, x: FloatLike) -> FloatLike:
+    def lift_deriv(self, x: FloatLike) -> tuple[FloatLike, FloatLike]:
+        if self.base.as_translation() is not None:
+            return self.lift(x), _ones(x)
         f = self._factor()
-        total = 1.0
+        total = None
         for _ in range(abs(self.exponent)):
-            total = total * f.deriv(x)
-            x = f.lift(x)
-        return total
+            x, d = f.lift_deriv(x)
+            total = d if total is None else total * d
+        return x, _ones(x) if total is None else total
 
     def inverse(self) -> LiftMap:
         return Power(self.base, -self.exponent)
@@ -454,11 +478,19 @@ class Power(LiftMap):
         return (lo**n, hi**n)
 
     def second_deriv_bound(self) -> float:
-        n = abs(self.exponent)
-        if n == 0:
-            return 0.0
+        # The n-fold Composition fold, over a table of the factor's maps.
         f = self._factor()
-        return Composition([f] * n).second_deriv_bound()
+        table = [
+            (m.second_deriv_bound(), m.deriv_bounds()[1])
+            for m in reversed(f.maps if isinstance(f, Composition) else (f,))
+        ]
+        bound = 0.0
+        dhi = 1.0
+        for _ in range(abs(self.exponent)):
+            for m2, mhi in table:
+                bound = m2 * dhi * dhi + mhi * bound
+                dhi *= mhi
+        return bound
 
     def to_json(self) -> dict:
         return {"kind": "power", "base": self.base.to_json(), "exponent": self.exponent}
@@ -471,9 +503,9 @@ class Inverse(LiftMap):
     def lift(self, x: FloatLike) -> FloatLike:
         return self.base.inverse_lift(x)
 
-    def deriv(self, x: FloatLike) -> FloatLike:
+    def lift_deriv(self, x: FloatLike) -> tuple[FloatLike, FloatLike]:
         pre = self.base.inverse_lift(x)
-        return 1.0 / self.base.deriv(pre)
+        return pre, 1.0 / self.base.deriv(pre)
 
     def inverse(self) -> LiftMap:
         return self.base
@@ -502,6 +534,8 @@ class Inverse(LiftMap):
 
 
 def map_from_json(obj: dict) -> LiftMap:
+    if not isinstance(obj, dict):
+        raise TypeError(f"map must be an object, got {obj!r}")
     kind = obj.get("kind")
     if kind == "rotation":
         return Rotation(float(obj["alpha"]))

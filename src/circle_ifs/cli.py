@@ -295,9 +295,14 @@ def _cmd_certify(cfg: dict, seed: int) -> tuple[str, int]:
 def _cmd_certify_check(path: str) -> tuple[str, int]:
     try:
         blob = json.loads(Path(path).read_text())
-        pair = CertificatePair.from_json(blob)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"certificate: {exc}") from exc
+    if not isinstance(blob, dict):
+        raise ConfigError("certificate: top level must be an object")
+    try:
+        pair = CertificatePair.from_json(blob)
+    except ValueError as exc:
+        raise ConfigError(f"certificate.{exc}") from exc
     ok_f, rev_f = check_certificate(pair.forward)
     ok_b, rev_b = check_certificate(pair.backward)
     out = {

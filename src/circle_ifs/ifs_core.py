@@ -132,13 +132,13 @@ def _walk_step(gens: Sequence[LiftMap], pos: np.ndarray, col: np.ndarray) -> Non
 
 
 def branch_deriv(ifs: IFS, w: WordLike, x: float) -> float:
-    """Chain-rule derivative of the branch at x."""
+    """Chain-rule derivative of the branch at x, one `lift_deriv` per letter."""
     pos = float(x) % 1.0
     total = 1.0
     for a in _letters(w):
-        g = ifs.generators[a - 1]
-        total *= float(g.deriv(pos))
-        pos = g.lift(pos) % 1.0
+        lifted, d = ifs.generators[a - 1].lift_deriv(pos)
+        total *= float(d)
+        pos = lifted % 1.0
     return total
 
 

@@ -1,5 +1,7 @@
+import json
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,12 +23,46 @@ from circle_ifs.certifier import (
     verify_contraction,
     verify_global_cover,
 )
-from circle_ifs.circle_maps import Arc, Rotation, SinePerturbed
+from circle_ifs.circle_maps import Arc, LiftMap, Rotation, SinePerturbed
 from circle_ifs.ifs_core import IFS, branch_apply
 from circle_ifs.symbolic import all_words_concatenated
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 TWO_PI = 2.0 * math.pi
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+
+def c2_draws(golden_rotation, sine_map, size):
+    """The acceptance-C2 perturbations: Philox keys [2024, i], i < 20."""
+    for i in range(20):
+        rng = np.random.Generator(np.random.Philox(key=np.array([2024, i], dtype=np.uint64)))
+        yield perturb_map(golden_rotation, size, rng), perturb_map(sine_map, size, rng)
+
+
+class CountingMap(LiftMap):
+    """Delegates to `base`, counting lift and lift_deriv calls."""
+
+    def __init__(self, base):
+        self.base = base
+        self.lifts = 0
+        self.steps = 0
+
+    def lift(self, x):
+        self.lifts += 1
+        return self.base.lift(x)
+
+    def lift_deriv(self, x):
+        self.steps += 1
+        return self.base.lift_deriv(x)
+
+    def inverse(self):
+        return self.base.inverse()
+
+    def deriv_bounds(self):
+        return self.base.deriv_bounds()
+
+    def second_deriv_bound(self):
+        return self.base.second_deriv_bound()
 
 
 class TestLocateBasin:
@@ -164,6 +200,37 @@ class TestCertifyEndToEnd:
             assert reverify_certificate(
                 certificate_pair.backward, f1.inverse(), f2.inverse()
             ).valid
+
+    def test_perturbed_reverification_matches_golden_bits(
+        self, certificate_pair, golden_rotation, sine_map
+    ):
+        # The reference reprs come from separate power chains for (1) and
+        # (2) and a deriv-then-lift loop for (3); the shared lift_deriv
+        # chain must reproduce them exactly.
+        golden = json.loads((GOLDEN_DIR / "reverify_seed7.json").read_text())
+        draws = c2_draws(golden_rotation, sine_map, certificate_pair.radius / 2.0)
+        for expected, (f1, f2) in zip(golden, draws, strict=True):
+            for side, cert, g1, g2 in (
+                ("forward", certificate_pair.forward, f1, f2),
+                ("backward", certificate_pair.backward, f1.inverse(), f2.inverse()),
+            ):
+                rev = reverify_certificate(cert, g1, g2)
+                got = {
+                    "lam": repr(rev.lam),
+                    "margins": {k: repr(v) for k, v in rev.margins.items()},
+                    "valid": rev.valid,
+                }
+                assert got == expected[side]
+
+    def test_one_lift_deriv_per_exponent_step(self, certificate_pair, golden_rotation, sine_map):
+        f1, f2 = next(c2_draws(golden_rotation, sine_map, certificate_pair.radius / 2.0))
+        cert = certificate_pair.forward
+        counting = CountingMap(f1)
+        rev = reverify_certificate(cert, counting, f2)
+        assert rev == reverify_certificate(cert, f1, f2)
+        assert counting.steps == max(cert.cover_exponents)
+        # Plain lifts come only from the condition-(4) chain.
+        assert counting.lifts == max(cert.global_forward_exponents)
 
     def test_ten_radius_perturbation_reattempted(
         self, certificate_pair, golden_rotation, sine_map

@@ -18,6 +18,7 @@ from circle_ifs.circle_maps import (
     map_from_json,
     rotation_number,
 )
+from circle_ifs.certifier import perturb_map
 
 TWO_PI = 2.0 * math.pi
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -106,6 +107,86 @@ class TestDeriv:
                 x = rng.random()
                 num = (f.lift(x + h) - f.lift(x - h)) / (2.0 * h)
                 assert f.deriv(x) == pytest.approx(num, rel=1e-4)
+
+
+def reference_deriv(f, x):
+    """The chain rule as written before `lift_deriv`: separate deriv and
+    lift loops per factor, and two inverse solves for an Inverse."""
+    if isinstance(f, Composition):
+        total = 1.0
+        for m in reversed(f.maps):
+            total = total * reference_deriv(m, x)
+            x = m.lift(x)
+        return total
+    if isinstance(f, Power):
+        g = f.base if f.exponent >= 0 else f.base.inverse()
+        total = 1.0
+        for _ in range(abs(f.exponent)):
+            total = total * reference_deriv(g, x)
+            x = g.lift(x)
+        return total
+    if isinstance(f, Inverse):
+        return 1.0 / reference_deriv(f.base, f.base.inverse_lift(x))
+    return f.deriv(x)
+
+
+def reference_power_second_deriv_bound(f):
+    """Power.second_deriv_bound as the n-fold Composition fold."""
+    n = abs(f.exponent)
+    return Composition([f._factor()] * n).second_deriv_bound() if n else 0.0
+
+
+def lift_deriv_maps():
+    rng = np.random.Generator(np.random.Philox(key=np.array([2024, 0], dtype=np.uint64)))
+    word = Composition([Rotation(0.3), SinePerturbed(0.0, -0.5), Inverse(SinePerturbed(0.1, 0.4))])
+    return sample_maps() + [
+        perturb_map(Rotation(GOLDEN), 1e-3, rng),
+        perturb_map(SinePerturbed(0.0, -0.5), 1e-3, rng),
+        perturb_map(SinePerturbed(0.0, -0.5), 1e-3, rng).inverse(),
+        Inverse(word),
+        Power(word, -3),
+        Power(Composition([Power(word, 2), Rotation(0.1)]), -2),
+        Power(Rotation(0.3), 4),
+        Composition([Rotation(0.1), Inverse(Rotation(0.2))]),
+    ]
+
+
+def same_bits(a, b):
+    return type(a) is type(b) and np.shape(a) == np.shape(b) and np.array_equal(a, b)
+
+
+class TestLiftDeriv:
+    def test_matches_lift_and_chain_rule_bit_for_bit(self):
+        xs = np.linspace(-1.5, 2.5, 97)
+        for f in lift_deriv_maps():
+            for x in (xs, 0.3, np.float64(-1.7)):
+                value, d = f.lift_deriv(x)
+                assert same_bits(value, f.lift(x)), f
+                assert same_bits(d, reference_deriv(f, x)), f
+                assert same_bits(d, f.deriv(x)), f
+
+    def test_array_input_gives_array_derivative(self):
+        xs = np.linspace(0.0, 1.0, 5)
+        for f in (Power(Rotation(0.3), 0), Power(SinePerturbed(0.0, -0.5), 0),
+                  Composition([Rotation(0.1), Rotation(0.2)])):
+            assert np.array_equal(f.deriv(xs), np.ones(5))
+            assert f.deriv(0.5) == 1.0
+
+    def test_inverse_solves_once(self, monkeypatch):
+        base = SinePerturbed(0.05, 0.6)
+        calls = []
+        solve = SinePerturbed.inverse_lift
+        monkeypatch.setattr(SinePerturbed, "inverse_lift",
+                            lambda self, y: calls.append(y) or solve(self, y))
+        Inverse(base).lift_deriv(np.linspace(0.0, 1.0, 9))
+        assert len(calls) == 1
+
+    def test_power_second_deriv_bound_matches_composition_fold(self):
+        word = Composition([Rotation(0.3), SinePerturbed(0.0, -0.5), Inverse(SinePerturbed(0.1, 0.4))])
+        for base in (SinePerturbed(0.0, -0.5), Rotation(0.3), word, Inverse(word)):
+            for n in (-5, -1, 0, 1, 2, 7, 40):
+                f = Power(base, n)
+                assert f.second_deriv_bound() == reference_power_second_deriv_bound(f)
 
 
 class TestInverse:

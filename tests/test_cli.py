@@ -51,6 +51,13 @@ class TestConfigValidation:
         assert code == 2
         assert "generators[0]" in err
 
+    def test_non_object_generator_reports_path(self, write_config, capsys):
+        cfg = base_config()
+        cfg["generators"] = [3, cfg["generators"][1]]
+        code, _, err = run_cli(capsys, "estimate-minimality", "--config", write_config(cfg))
+        assert code == 2
+        assert err == "config error: generators[0]: map must be an object, got 3\n"
+
     def test_wrong_schema_rejected(self, write_config, capsys):
         cfg = base_config()
         cfg["schema"] = 2
@@ -151,6 +158,31 @@ class TestCertifyCommand:
         code, _, _ = run_cli(capsys, "certify", "--check", str(bad))
         assert code == 2
 
+    @pytest.mark.parametrize("side, key, value, path", [
+        ("forward", "cover_exponents", [], "forward.cover_exponents"),
+        ("backward", "global_forward_exponents", [], "backward.global_forward_exponents"),
+        ("forward", "cover_exponents", [-3], "forward.cover_exponents"),
+        ("forward", "generators", [{"kind": "nope"}, {"kind": "sine", "a": 0.0, "b": -0.5}],
+         "forward.generators[0]"),
+        ("backward", "generators", [{"kind": "rotation", "alpha": 0.3}, {"kind": "sine", "a": 0.0, "b": 2}],
+         "backward.generators[1]"),
+        ("forward", "margins", [1.0, 2.0], "forward.margins"),
+        ("forward", "basin", {"p": 0.5}, "forward.basin.eps"),
+        ("forward", None, 3, "forward"),
+    ])
+    def test_malformed_certificate_exits_2_with_path(self, capsys, tmp_path, side, key, value, path):
+        blob = json.loads((GOLDEN_DIR / "certify_seed7.json").read_text())
+        if key is None:
+            blob[side] = value
+        else:
+            blob[side][key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(blob))
+        code, out, err = run_cli(capsys, "certify", "--check", str(bad))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"config error: certificate.{path}: ")
+
     def test_certify_rejects_rotation_pair(self, write_config, capsys):
         cfg = base_config()
         cfg["generators"] = [
@@ -199,6 +231,21 @@ class TestDeterminism:
         code, out, _ = run_cli(capsys, "classify", "--config", write_config(cfg))
         assert code == 0
         assert out == (GOLDEN_DIR / "classify_seed7.json").read_text()
+
+    def test_certify_and_check_match_golden_bytes(self, capsys, tmp_path):
+        # The reference bytes come from separate power chains for
+        # conditions (1) and (2); the shared lift_deriv chain must
+        # reproduce them exactly.
+        code, out, _ = run_cli(
+            capsys, "certify", "--config", str(GOLDEN_DIR / "golden_sine_seed7.json")
+        )
+        assert code == 0
+        assert out == (GOLDEN_DIR / "certify_seed7.json").read_text()
+        cert = tmp_path / "cert.json"
+        cert.write_text(out)
+        code, out, _ = run_cli(capsys, "certify", "--check", str(cert))
+        assert code == 0
+        assert out == (GOLDEN_DIR / "certify_check_seed7.json").read_text()
 
     def test_seed_flag_overrides_config(self, write_config, capsys):
         path = write_config(base_config(word_length=1500, m_levels=8))

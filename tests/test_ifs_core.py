@@ -4,12 +4,13 @@ import random
 import numpy as np
 import pytest
 
-from circle_ifs.circle_maps import Rotation, SinePerturbed, circle_distance
+from circle_ifs.circle_maps import LiftMap, Rotation, SinePerturbed, circle_distance
 from circle_ifs.ifs_core import (
     IFS,
     OrbitalBranch,
     branch_apply,
     branch_apply_array,
+    branch_deriv,
     minimality_estimate,
     random_orbit_density,
     semigroup_orbit,
@@ -69,6 +70,32 @@ class TestBranchApply:
     def test_hat_apply_reverses_order(self, golden_sine):
         b = OrbitalBranch(golden_sine, Word((1, 2), 2))
         assert b.hat_apply(0.1) == branch_apply(golden_sine, Word((2, 1), 2), 0.1)
+
+
+class TestBranchDeriv:
+    def test_inverse_word_matches_deriv_then_lift_with_one_solve_per_letter(
+        self, golden_sine, monkeypatch
+    ):
+        ifs = golden_sine.inverse_ifs()
+        rng = random.Random(5)
+        cases = [([rng.randint(1, 2) for _ in range(rng.randint(1, 40))], rng.random())
+                 for _ in range(30)]
+        expected = []
+        for letters, x in cases:
+            pos, total = float(x) % 1.0, 1.0
+            for a in letters:
+                g = ifs.generators[a - 1]
+                total *= float(g.deriv(pos))
+                pos = g.lift(pos) % 1.0
+            expected.append(total)
+        solves = []
+        solve = LiftMap._inverse_lift_scalar
+        monkeypatch.setattr(LiftMap, "_inverse_lift_scalar",
+                            lambda self, y: solves.append(y) or solve(self, y))
+        for (letters, x), want in zip(cases, expected):
+            del solves[:]
+            assert branch_deriv(ifs, letters, x) == want
+            assert len(solves) == letters.count(2)
 
 
 class TestSemigroupOrbit:
