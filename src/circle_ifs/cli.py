@@ -76,10 +76,16 @@ def _cell(v) -> str:
     return str(v)
 
 
-def csv_text(header: list[str], rows: list[tuple]) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(_cell(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+def csv_text(header: list[str], columns: list) -> str:
+    """CSV text of equally long columns under a header line.  Each column
+    gets one formatter: `str` if every cell is an int, `repr` if every cell
+    is a Python float, else `_cell`; all three give `_cell`'s bytes."""
+    cells = []
+    for col in columns:
+        kinds = set(map(type, col))
+        fmt = str if kinds <= {int} else repr if kinds <= {float} else _cell
+        cells.append(map(fmt, col))
+    return "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -156,11 +162,12 @@ def _param(params: dict, key: str, cast, default):
 
 
 def _at_least(lo: int):
-    """Cast to an integer >= lo."""
+    """Cast an int, or an integral float, to an integer >= lo.  Bools,
+    strings and non-integral floats are rejected."""
 
     def cast(value) -> int:
-        n = int(value)
-        if n < lo:
+        n = int(value) if type(value) in (int, float) else None
+        if n is None or n != value or n < lo:
             raise ValueError(f"must be an integer >= {lo}, got {value!r}")
         return n
 
@@ -168,10 +175,10 @@ def _at_least(lo: int):
 
 
 def _positive(value) -> float:
-    x = float(value)
-    if not x > 0.0:
+    """Cast a positive int or float (not a bool or a string) to float."""
+    if type(value) not in (int, float) or not value > 0.0:
         raise ValueError(f"must be a positive number, got {value!r}")
-    return x
+    return float(value)
 
 
 # detect_repellers refines from level 3 and needs m_levels >= 3 + 3.
@@ -205,11 +212,9 @@ def _cmd_simulate_orbit(cfg: dict, seed: int) -> tuple[str, int]:
     model = _model_of(cfg)
     length = _param(params, "length", _at_least(0), 1000)
     x = _param(params, "x", float, 0.0)
-    header = ["n", "letter", "point"]
-    if length == 0:
-        return csv_text(header, []), 0
-    word = model.sample(length, seed)
-    return csv_text(header, orbit_to_csv_rows(ifs, word, x)), 0
+    letters = model.sample_matrix(1, length, seed)[0].tolist() if length else []
+    points = orbit_to_csv_rows(ifs, letters, x)
+    return csv_text(["n", "letter", "point"], [range(1, length + 1), letters, points]), 0
 
 
 def _cmd_estimate_minimality(cfg: dict, seed: int) -> tuple[str, int]:
@@ -271,7 +276,7 @@ def _cmd_tail_bound(cfg: dict, seed: int) -> tuple[str, int]:
         minimal_index=_param(params, "minimal_index", int, 0),
     )
     text = csv_text(
-        ["n", "empirical_miss", "bound", "stderr"], report.to_csv_rows()
+        ["n", "empirical_miss", "bound", "stderr"], report.to_csv_columns()
     )
     return text, 0 if report.dominated else 2
 
@@ -355,7 +360,7 @@ def _cmd_density_sweep(cfg: dict, seed: int) -> tuple[str, int]:
     )
     text = csv_text(
         ["arc_index", "stability", "found", "word_length", "residual", "multiplier"],
-        report.to_csv_rows(),
+        report.to_csv_columns(),
     )
     return text, 0
 

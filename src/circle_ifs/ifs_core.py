@@ -81,19 +81,12 @@ def branch_apply(
     """Apply f_{w_n} o ... o f_{w_1} to x (first letter first).
 
     With return_trajectory=True, returns the n intermediate points
-    [f^1(x), ..., f^n(x)].
+    [f^1(x), ..., f^n(x)].  Both modes walk `orbit_to_csv_rows`.
     """
-    pos = float(x) % 1.0
-    gens = ifs.generators
-    if not return_trajectory:
-        for a in _letters(w):
-            pos = gens[a - 1].lift(pos) % 1.0
-        return CirclePoint(pos)
-    traj: list[CirclePoint] = []
-    for a in _letters(w):
-        pos = gens[a - 1].lift(pos) % 1.0
-        traj.append(CirclePoint(pos))
-    return traj
+    points = orbit_to_csv_rows(ifs, w, x)
+    if return_trajectory:
+        return [CirclePoint(p) for p in points]
+    return CirclePoint(points[-1] if points else x)
 
 
 def branch_apply_array(ifs: IFS, w: WordLike, xs: np.ndarray) -> np.ndarray:
@@ -343,11 +336,11 @@ def random_orbit_density(
     return DensityReport(frac, stderr, n_samples, seed)
 
 
-def orbit_to_csv_rows(ifs: IFS, w: Word, x: float) -> list[tuple[int, int, float]]:
-    """(n, letter, point) rows for an orbit dump."""
-    rows: list[tuple[int, int, float]] = []
+def orbit_to_csv_rows(ifs: IFS, w: WordLike, x: float) -> list[float]:
+    """The point column [f^1(x), ..., f^n(x)] of an orbit dump along w, as
+    Python floats in [0, 1).  The one scalar walk: `branch_apply` and
+    `pair_distance_trajectory` run on it too."""
+    lifts = (None, *(g.lift for g in ifs.generators))  # indexed by letter 1..k
     pos = float(x) % 1.0
-    for n, a in enumerate(w.letters, start=1):
-        pos = float(ifs.generators[a - 1].lift(pos)) % 1.0
-        rows.append((n, a, pos))
-    return rows
+    letters = w.letters if isinstance(w, Word) else w
+    return [pos := float(lifts[a](pos)) % 1.0 for a in letters]

@@ -565,11 +565,11 @@ class SweepReport:
         hits = sum(1 for r in self.rows if r.stability == stability and r.found)
         return hits / self.mesh
 
-    def to_csv_rows(self) -> list[tuple]:
-        return [
+    def to_csv_columns(self) -> list[tuple]:
+        return list(zip(*(
             (r.arc_index, r.stability, int(r.found), r.word_length, r.residual, r.multiplier)
             for r in self.rows
-        ]
+        )))
 
     def to_json(self) -> dict:
         return {
@@ -593,14 +593,19 @@ class SweepReport:
         }
 
 
-def _as_forward_repeller(ifs: IFS, record: PeriodicPointRecord) -> PeriodicPointRecord:
+def _as_forward_repeller(
+    ifs: IFS, record: PeriodicPointRecord, tol_fix: float
+) -> PeriodicPointRecord:
     """Convert an attracting record of the inverse IFS into a repelling
     record of the forward IFS: reverse the word, then polish the point on
     the expanding composition (extended precision plus best-neighbor
-    selection keeps the re-evaluated residual at the ulp scale)."""
+    selection keeps the re-evaluated residual at the ulp scale).  A
+    residual above tol_fix raises StageExhausted("polish", ...)."""
     letters = record.word.letters[::-1]
     q = _newton_polish(ifs, letters, float(record.point))
     residual = circle_distance(_word_lift(ifs, letters, q) % 1.0, q)
+    if residual > tol_fix:
+        raise StageExhausted("polish", f"residual {residual:.2e} above tolerance")
     mult = branch_deriv(ifs, letters, q)
     return PeriodicPointRecord(
         word=Word(letters, ifs.k),
@@ -625,6 +630,7 @@ def density_sweep(
     IFS with reversed words, for repelling records.  Per-arc failures are
     recorded, not raised."""
     inverse = ifs.inverse_ifs()
+    tol_fix = construction_kwargs.get("tol_fix", TOL_FIX)
     try:
         attractor_f = find_contracted_fixed_arc(ifs, model, seed, horizon=horizon, stream=0)
         attractor_b = find_contracted_fixed_arc(inverse, model, seed, horizon=horizon, stream=1)
@@ -647,7 +653,7 @@ def density_sweep(
                     rec = periodic_in_interval(ifs, arc, attractor_f, **construction_kwargs)
                 else:
                     inv_rec = periodic_in_interval(inverse, arc, attractor_b, **construction_kwargs)
-                    rec = _as_forward_repeller(ifs, inv_rec)
+                    rec = _as_forward_repeller(ifs, inv_rec, tol_fix)
             except (StageExhausted, HorizonExceeded) as exc:
                 rows.append(SweepRow(i, side, False, 0, float("nan"), float("nan"), str(exc)))
                 continue

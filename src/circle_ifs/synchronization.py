@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .circle_maps import Arc, CirclePoint, LiftMap, circle_distance_array, find_fixed_points
-from .ifs_core import IFS, WordLike, _letters, _walk_step, branch_lift_array
+from .ifs_core import IFS, WordLike, _letters, _walk_step, branch_lift_array, orbit_to_csv_rows
 from .symbolic import SequenceModel, Word
 
 # Polarization threshold: an arc counts as growing when its image length
@@ -66,15 +66,9 @@ def pair_distance_trajectory(
     ifs: IFS, w: WordLike, x: float, y: float
 ) -> list[float]:
     """d(f^n(x), f^n(y)) for n = 0..|w| along the branch of w."""
-    letters = _letters(w)
-    px, py = float(x) % 1.0, float(y) % 1.0
-    out = [float(circle_distance_array(px, py))]
-    for a in letters:
-        g = ifs.generators[a - 1]
-        px = float(g.lift(px)) % 1.0
-        py = float(g.lift(py)) % 1.0
-        out.append(float(circle_distance_array(px, py)))
-    return out
+    xs = [float(x) % 1.0, *orbit_to_csv_rows(ifs, w, x)]
+    ys = [float(y) % 1.0, *orbit_to_csv_rows(ifs, w, y)]
+    return [float(circle_distance_array(px, py)) for px, py in zip(xs, ys)]
 
 
 @dataclass(frozen=True)
@@ -384,8 +378,8 @@ class TailBoundReport:
     def dominated(self) -> bool:
         return all(r.dominated for r in self.rows)
 
-    def to_csv_rows(self) -> list[tuple]:
-        return [(r.n, r.empirical_miss, r.bound, r.stderr) for r in self.rows]
+    def to_csv_columns(self) -> list[tuple]:
+        return list(zip(*((r.n, r.empirical_miss, r.bound, r.stderr) for r in self.rows)))
 
     def to_json(self) -> dict:
         return {

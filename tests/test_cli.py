@@ -92,6 +92,15 @@ class TestConfigValidation:
         ("classify", {"sync_horizon": 0}, "sync_horizon"),
         ("density-sweep", {"mesh": 0}, "mesh"),
         ("estimate-minimality", {"depth": 0}, "depth"),
+        ("simulate-orbit", {"length": 2.7}, "length"),
+        ("simulate-orbit", {"length": True}, "length"),
+        ("simulate-orbit", {"length": "3"}, "length"),
+        ("detect-repellers", {"m_levels": 6.5}, "m_levels"),
+        ("classify", {"n_pairs": False}, "n_pairs"),
+        ("estimate-minimality", {"eps": True}, "eps"),
+        ("estimate-minimality", {"eps": "0.1"}, "eps"),
+        ("estimate-minimality", {"eps": float("nan")}, "eps"),
+        ("simulate-orbit", {"length": float("inf")}, "length"),
     ])
     def test_malformed_param_exits_2_with_path(self, write_config, capsys, command, params, key):
         code, out, err = run_cli(capsys, command, "--config", write_config(base_config(**params)))
@@ -114,7 +123,7 @@ class TestExitCodes:
 
 class TestCsv:
     def test_numpy_float_cell_prints_as_float(self):
-        text = csv_text(["a", "b"], [(np.float64(1.25e-13), 0.5)])
+        text = csv_text(["a", "b"], [[np.float64(1.25e-13)], [0.5]])
         assert text == "a,b\n1.25e-13,0.5\n"
 
 
@@ -135,6 +144,14 @@ class TestSimulateOrbit:
         assert int(n) == 25
         assert int(letter) in (1, 2)
         assert 0.0 <= float(point) < 1.0
+
+    def test_integral_float_length_is_an_integer(self, write_config, capsys):
+        _, out_int, _ = run_cli(capsys, "simulate-orbit", "--config",
+                                write_config(base_config(length=25)))
+        code, out_float, _ = run_cli(capsys, "simulate-orbit", "--config",
+                                     write_config(base_config(length=25.0), "float.json"))
+        assert code == 0
+        assert out_float == out_int
 
 
 class TestCertifyCommand:
@@ -246,6 +263,23 @@ class TestDeterminism:
         code, out, _ = run_cli(capsys, "certify", "--check", str(cert))
         assert code == 0
         assert out == (GOLDEN_DIR / "certify_check_seed7.json").read_text()
+
+    @pytest.mark.parametrize("model", ["coin", "markov"])
+    def test_simulate_orbit_matches_golden_bytes(self, capsys, model):
+        # The reference bytes come from per-row tuples formatted cell by
+        # cell; the column-wise writer must reproduce them exactly.
+        code, out, _ = run_cli(
+            capsys, "simulate-orbit", "--config", str(GOLDEN_DIR / f"orbit_{model}_seed7.json")
+        )
+        assert code == 0
+        assert out == (GOLDEN_DIR / f"simulate_orbit_{model}_seed7.csv").read_text()
+
+    def test_tail_bound_matches_golden_bytes(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "tail-bound", "--config", str(GOLDEN_DIR / "tail_bound_markov_seed7.json")
+        )
+        assert code == 0
+        assert out == (GOLDEN_DIR / "tail_bound_markov_seed7.csv").read_text()
 
     def test_seed_flag_overrides_config(self, write_config, capsys):
         path = write_config(base_config(word_length=1500, m_levels=8))

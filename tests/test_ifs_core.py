@@ -4,7 +4,14 @@ import random
 import numpy as np
 import pytest
 
-from circle_ifs.circle_maps import LiftMap, Rotation, SinePerturbed, circle_distance
+from circle_ifs.circle_maps import (
+    CirclePoint,
+    LiftMap,
+    Rotation,
+    SinePerturbed,
+    circle_distance,
+    circle_distance_array,
+)
 from circle_ifs.ifs_core import (
     IFS,
     OrbitalBranch,
@@ -12,10 +19,12 @@ from circle_ifs.ifs_core import (
     branch_apply_array,
     branch_deriv,
     minimality_estimate,
+    orbit_to_csv_rows,
     random_orbit_density,
     semigroup_orbit,
 )
 from circle_ifs.symbolic import BernoulliModel, Word
+from circle_ifs.synchronization import pair_distance_trajectory
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -70,6 +79,36 @@ class TestBranchApply:
     def test_hat_apply_reverses_order(self, golden_sine):
         b = OrbitalBranch(golden_sine, Word((1, 2), 2))
         assert b.hat_apply(0.1) == branch_apply(golden_sine, Word((2, 1), 2), 0.1)
+
+    @pytest.mark.parametrize("inverse", [False, True])
+    def test_bit_identical_to_per_letter_loop(self, golden_sine, inverse):
+        # Reference: the loops branch_apply and pair_distance_trajectory ran
+        # before both moved onto the one scalar walk, orbit_to_csv_rows.
+        ifs = golden_sine.inverse_ifs() if inverse else golden_sine
+        gens = ifs.generators
+        rng = random.Random(11)
+        for _ in range(40):
+            w = Word(tuple(rng.randint(1, 2) for _ in range(rng.randint(0, 200))), 2)
+            x, y = rng.uniform(-2.0, 2.0), rng.random()
+            pos, traj, distances = float(x) % 1.0, [], []
+            other = float(y) % 1.0
+            distances.append(float(circle_distance_array(pos, other)))
+            for a in w:
+                pos = gens[a - 1].lift(pos) % 1.0
+                traj.append(CirclePoint(pos))
+                other = float(gens[a - 1].lift(other)) % 1.0
+                distances.append(float(circle_distance_array(float(pos), other)))
+            end = branch_apply(ifs, w, x)
+            assert type(end) is CirclePoint
+            assert end.hex() == CirclePoint(pos).hex()
+            got = branch_apply(ifs, w, x, return_trajectory=True)
+            assert all(type(p) is CirclePoint for p in got)
+            assert [p.hex() for p in got] == [p.hex() for p in traj]
+            points = orbit_to_csv_rows(ifs, list(w), x)
+            assert all(type(p) is float for p in points)
+            assert [p.hex() for p in points] == [p.hex() for p in traj]
+            got = pair_distance_trajectory(ifs, w, x, y)
+            assert [d.hex() for d in got] == [d.hex() for d in distances]
 
 
 class TestBranchDeriv:

@@ -225,3 +225,18 @@ class TestDensitySweep:
     def test_mesh_one_trivial(self, golden_sine_ifs, fair_coin):
         report = density_sweep(golden_sine_ifs, 1, fair_coin, seed=3)
         assert report.coverage("attracting") == 1.0
+
+    def test_repeller_above_tolerance_is_not_found(self, golden_sine_ifs, fair_coin, monkeypatch):
+        # A polish that leaves the point 1e-6 off the fixed point: the
+        # expanding composition moves it further, far above tol_fix.
+        polish = periodic_points._newton_polish
+        monkeypatch.setattr(periodic_points, "_newton_polish",
+                            lambda ifs, letters, q: polish(ifs, letters, q) + 1e-6)
+        report = density_sweep(golden_sine_ifs, 2, fair_coin, seed=3)
+        repelling = [r for r in report.rows if r.stability == "repelling"]
+        assert len(repelling) == 2
+        for row in repelling:
+            assert not row.found
+            assert row.error.startswith("[stage polish] residual ")
+        assert report.coverage("repelling") == 0.0
+        assert all(rec.stability != "repelling" for rec in report.records)

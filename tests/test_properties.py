@@ -1,4 +1,5 @@
-"""Property tests for the lift invariants over random nested maps.
+"""Property tests for the lift invariants over random nested maps, and for
+the column-wise CSV writer against the per-row writer it replaced.
 
 Maps are trees of depth <= 2 over rotations and sine maps, whose inner
 nodes compose two maps, raise one to a power |n| <= 2 or invert it.  A
@@ -21,6 +22,7 @@ from circle_ifs.circle_maps import (  # noqa: E402
     Rotation,
     SinePerturbed,
 )
+from circle_ifs.cli import csv_text  # noqa: E402
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -82,3 +84,46 @@ def test_lift_deriv_against_central_difference(f, x):
     values, ds = f.lift_deriv(xs)
     assert ds.shape == xs.shape
     assert np.array_equal(values, f.lift(xs))
+
+
+def reference_csv_text(header, rows):
+    """The per-row, per-cell CSV writer that the column-wise one replaced."""
+
+    def cell(v):
+        if isinstance(v, bool):
+            return "1" if v else "0"
+        if isinstance(v, float):
+            return repr(float(v))
+        return str(v)
+
+    lines = [",".join(header)]
+    lines.extend(",".join(cell(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+floats = st.one_of(st.floats(), st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0]))
+cell_kinds = [
+    st.integers(-(10**20), 10**20),
+    st.booleans(),
+    floats,
+    floats.map(np.float64),
+    st.sampled_from(["attracting", "repelling"]),
+]
+cell_kinds.append(st.one_of(*cell_kinds))
+
+
+@st.composite
+def tables(draw):
+    """Equally long columns, each of one cell kind or of mixed kinds."""
+    n_rows = draw(st.integers(0, 6))
+    return [
+        draw(st.lists(draw(st.sampled_from(cell_kinds)), min_size=n_rows, max_size=n_rows))
+        for _ in range(draw(st.integers(1, 5)))
+    ]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(tables())
+def test_csv_text_matches_per_row_writer(columns):
+    header = [f"c{i}" for i in range(len(columns))]
+    assert csv_text(header, columns) == reference_csv_text(header, list(zip(*columns)))
