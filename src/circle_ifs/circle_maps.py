@@ -18,7 +18,11 @@ F(x) = y by monotone bisection on a bracketing window refined with Newton
 steps.  All evaluation methods accept plain floats or numpy arrays.  A scalar
 (0-d) input to an inverse solve runs the same loop on Python floats, with the
 same floating-point operations, so it returns exactly the array path's value
-without the cost of 1-element arrays.
+without the cost of 1-element arrays.  Likewise a Python float given to a
+sine map's `lift`, `deriv` or `lift_deriv` is evaluated with `math.sin` and
+`math.cos` instead of numpy's: the same operations in the same order, so the
+bits match as long as numpy's float64 sin and cos agree with the platform
+libm (a property test checks this on every host that runs the suite).
 
 `lift_deriv(x)` returns (F(x), DF(x)) from one pass and is the one chain-rule
 evaluator: `deriv` of a Composition, Power or Inverse is its second component.
@@ -312,23 +316,22 @@ class SinePerturbed(LiftMap):
             raise ValueError(f"|b| must be < 1 for a diffeomorphism, got {self.b}")
         if self.harmonics < 1:
             raise ValueError("harmonics must be >= 1")
-
-    @property
-    def _w(self) -> float:
-        return 2.0 * math.pi * self.harmonics
+        w = 2.0 * math.pi * self.harmonics
+        object.__setattr__(self, "_w", w)
+        object.__setattr__(self, "_bw", self.b / w)
 
     def lift(self, x: FloatLike) -> FloatLike:
-        w = self._w
-        return x + self.a + (self.b / w) * np.sin(w * x)
+        sin = math.sin if type(x) is float else np.sin
+        return x + self.a + self._bw * sin(self._w * x)
 
     def deriv(self, x: FloatLike) -> FloatLike:
-        w = self._w
-        return 1.0 + self.b * np.cos(w * x)
+        cos = math.cos if type(x) is float else np.cos
+        return 1.0 + self.b * cos(self._w * x)
 
     def lift_deriv(self, x: FloatLike) -> tuple[FloatLike, FloatLike]:
-        w = self._w
-        wx = w * x
-        return x + self.a + (self.b / w) * np.sin(wx), 1.0 + self.b * np.cos(wx)
+        sin, cos = (math.sin, math.cos) if type(x) is float else (np.sin, np.cos)
+        wx = self._w * x
+        return x + self.a + self._bw * sin(wx), 1.0 + self.b * cos(wx)
 
     def displacement_bound(self) -> float:
         return abs(self.a) + abs(self.b) / self._w

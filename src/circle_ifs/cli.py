@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -132,7 +133,7 @@ def load_config(path: str) -> dict:
         except (InvalidModel, KeyError, TypeError) as exc:
             raise ConfigError(f"model: {exc}") from exc
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
+    if type(seed) is not int or seed < 0:
         raise ConfigError("seed: must be a non-negative integer")
     params = raw.get("params", {})
     if not isinstance(params, dict):
@@ -161,22 +162,30 @@ def _param(params: dict, key: str, cast, default):
         raise ConfigError(f"params.{key}: {exc}") from exc
 
 
-def _at_least(lo: int):
-    """Cast an int, or an integral float, to an integer >= lo.  Bools,
-    strings and non-integral floats are rejected."""
+def _at_least(lo: int, hi: int | None = None):
+    """Cast an int, or an integral float, to an integer >= lo (and <= hi
+    when given).  Bools, strings and non-integral floats are rejected."""
 
     def cast(value) -> int:
         n = int(value) if type(value) in (int, float) else None
-        if n is None or n != value or n < lo:
-            raise ValueError(f"must be an integer >= {lo}, got {value!r}")
+        if n is None or n != value or n < lo or (hi is not None and n > hi):
+            bound = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+            raise ValueError(f"must be an integer {bound}, got {value!r}")
         return n
 
     return cast
 
 
+def _finite(value) -> float:
+    """Cast a finite int or float (not a bool or a string) to float."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError(f"must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _positive(value) -> float:
-    """Cast a positive int or float (not a bool or a string) to float."""
-    if type(value) not in (int, float) or not value > 0.0:
+    """Cast a positive finite int or float (not a bool or a string) to float."""
+    if type(value) not in (int, float) or not 0.0 < value < math.inf:
         raise ValueError(f"must be a positive number, got {value!r}")
     return float(value)
 
@@ -211,7 +220,7 @@ def _cmd_simulate_orbit(cfg: dict, seed: int) -> tuple[str, int]:
     ifs = _ifs_of(cfg)
     model = _model_of(cfg)
     length = _param(params, "length", _at_least(0), 1000)
-    x = _param(params, "x", float, 0.0)
+    x = _param(params, "x", _finite, 0.0)
     letters = model.sample_matrix(1, length, seed)[0].tolist() if length else []
     points = orbit_to_csv_rows(ifs, letters, x)
     return csv_text(["n", "letter", "point"], [range(1, length + 1), letters, points]), 0
@@ -265,15 +274,16 @@ def _cmd_detect_repellers(cfg: dict, seed: int) -> tuple[str, int]:
 
 def _cmd_tail_bound(cfg: dict, seed: int) -> tuple[str, int]:
     params = cfg.get("params", {})
+    ifs = _ifs_of(cfg)
     report = hitting_tail_check(
-        _ifs_of(cfg),
+        ifs,
         _model_of(cfg),
         _arc_param(params, "target", "params."),
-        x=_param(params, "x", float, 0.0),
+        x=_param(params, "x", _finite, 0.0),
         n_grid=_param(params, "n_grid", _n_grid, None),
         n_trials=_param(params, "n_trials", _at_least(1), 10_000),
         seed=seed,
-        minimal_index=_param(params, "minimal_index", int, 0),
+        minimal_index=_param(params, "minimal_index", _at_least(0, ifs.k - 1), 0),
     )
     text = csv_text(
         ["n", "empirical_miss", "bound", "stderr"], report.to_csv_columns()
@@ -289,9 +299,9 @@ def _cmd_certify(cfg: dict, seed: int) -> tuple[str, int]:
     pair = certify_robust_minimality(
         gens[0],
         gens[1],
-        n_max=_param(params, "n_max", int, 10_000),
-        deriv_margin=_param(params, "deriv_margin", float, 0.01),
-        min_margin=_param(params, "min_margin", float, 1e-4),
+        n_max=_param(params, "n_max", _at_least(1), 10_000),
+        deriv_margin=_param(params, "deriv_margin", _finite, 0.01),
+        min_margin=_param(params, "min_margin", _finite, 1e-4),
         label=cfg.get("label", ""),
     )
     return canonical_json(pair.to_json()), 0
@@ -324,7 +334,7 @@ def _cmd_universal_word(cfg: dict, seed: int) -> tuple[str, int]:
         _ifs_of(cfg),
         _arc_param(params, "target", "params."),
         z_grid=_param(params, "z_grid", _at_least(1), 1000),
-        max_len=_param(params, "max_len", int, 500),
+        max_len=_param(params, "max_len", _at_least(1), 500),
     )
     out = {
         "word": res.word.to_json(),
@@ -373,7 +383,7 @@ def _cmd_perturb(cfg: dict, seed: int) -> tuple[str, int]:
     inner_name = _field(params, "command", "params.")
     if inner_name not in HANDLERS or inner_name == "perturb":
         raise ConfigError(f"params.command: unknown or non-perturbable {inner_name!r}")
-    perturb_seed = _param(params, "perturb_seed", int, 0)
+    perturb_seed = _param(params, "perturb_seed", _at_least(0), 0)
     inner_params = params.get("params", {})
     if not isinstance(inner_params, dict):
         raise ConfigError(f"params.params: must be an object, got {inner_params!r}")

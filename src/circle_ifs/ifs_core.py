@@ -23,6 +23,13 @@ WordLike = Union[Word, Sequence[int]]
 DEDUP_RES = 1e-9
 ORBIT_CAP = 1_000_000
 
+# branch_lift_array merges bitwise-equal points before every SYNC_CHECK-th
+# letter and walks on Python floats once SCALAR_VALUES or fewer remain.
+# A merge costs one sort of the walked values; a value on the float path
+# costs one Python call per letter, so that path is kept for a few values.
+SYNC_CHECK = 64
+SCALAR_VALUES = 4
+
 
 def _letters(w: WordLike) -> tuple[int, ...]:
     if isinstance(w, Word):
@@ -99,16 +106,42 @@ def branch_apply_array(ifs: IFS, w: WordLike, xs: np.ndarray) -> np.ndarray:
 
 
 def branch_lift_array(ifs: IFS, w: WordLike, xs: np.ndarray) -> np.ndarray:
-    """Vectorized branch application on the lift (no mod), preserving order.
+    """Vectorized branch application on the lift (no mod), preserving order
+    and shape.
 
     Lift differences of the output give exact image arc lengths for
     monotone inputs.
+
+    Only distinct values are walked.  Before every SYNC_CHECK-th letter the
+    walked values are merged by bit pattern; once at most SCALAR_VALUES
+    remain (ell + 1 when a synchronizing branch has contracted onto
+    ell <= 3 repellers), the rest of the word runs on Python floats.  Every
+    lift is elementwise, so equal points stay equal and the result is the
+    per-letter array loop's bit for bit, given that scalar sine lifts match
+    numpy's (see circle_maps).  Inverse generators are the exception: their
+    array Newton loop stops when the whole batch has converged, so last
+    digits depend on which points are walked together.
     """
     vals = np.asarray(xs, dtype=float)
-    gens = ifs.generators
-    for a in _letters(w):
-        vals = gens[a - 1].lift(vals)
-    return vals
+    walked = vals.ravel()
+    where = np.arange(walked.size)  # index into `walked` of each input point
+    lifts = (None, *(g.lift for g in ifs.generators))  # indexed by letter 1..k
+    letters = _letters(w)
+    for start in range(0, len(letters), SYNC_CHECK):
+        keys, merged = np.unique(walked.view(np.int64), return_inverse=True)
+        walked, where = keys.view(float), merged[where]
+        if len(walked) <= SCALAR_VALUES:
+            rest = letters[start:]
+            out = []
+            for v in walked.tolist():
+                for a in rest:
+                    v = lifts[a](v)
+                out.append(v)
+            walked = np.array(out, dtype=float)
+            break
+        for a in letters[start : start + SYNC_CHECK]:
+            walked = lifts[a](walked)
+    return walked[where].reshape(vals.shape)
 
 
 def _walk_step(gens: Sequence[LiftMap], pos: np.ndarray, col: np.ndarray) -> None:

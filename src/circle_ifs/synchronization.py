@@ -177,15 +177,18 @@ def detect_repellers(
     is missing, a single walk of the branch pushes the endpoints of every
     descendant of the kept arcs, down to the deepest level (at most m_levels)
     with no more than WALK_POINTS arcs, so the next levels read the cache.
+    The walk (`branch_lift_array`) carries only the distinct values: on a
+    synchronizing branch the endpoints merge into ell + 1 values within a
+    few hundred letters, and the rest of the word runs on Python floats.
     Each point's image does not depend on the points walked with it, except
     through Inverse generators: their array Newton loop stops when every
-    point has converged, so last digits depend on the batch.
+    point has converged, so last digits depend on the batch, and merging
+    changes the batch.
 
     Returns one bracketing midpoint per kept arc at the finest level; the
     residual is the final arc length 2^-m_levels.
     """
-    letters = _letters(w)
-    word = w if isinstance(w, Word) else Word(letters, ifs.k)
+    word = w if isinstance(w, Word) else Word(_letters(w), ifs.k)
     if m_levels < start_level + 3:
         raise ValueError("m_levels must exceed start_level + 2")
     cache: dict[float, float] = {}
@@ -207,7 +210,7 @@ def detect_repellers(
             {endpoint(i * span + j, level + depth) for i in kept for j in range(span + 1)}
             - cache.keys()
         )
-        vals = branch_lift_array(ifs, letters, np.array(fresh))
+        vals = branch_lift_array(ifs, word, np.array(fresh))
         cache.update(zip(fresh, vals.tolist()))
 
     kept: list[int] = list(range(1 << start_level))  # arc indices at current level

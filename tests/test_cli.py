@@ -11,6 +11,7 @@ from circle_ifs.cli import csv_text, main
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+TARGET = {"start": 0.3, "length": 0.05}
 
 
 def base_config(**params):
@@ -65,6 +66,14 @@ class TestConfigValidation:
         assert code == 2
         assert "schema" in err
 
+    def test_bool_seed_rejected(self, write_config, capsys):
+        cfg = base_config(length=3)
+        cfg["seed"] = True
+        code, out, err = run_cli(capsys, "simulate-orbit", "--config", write_config(cfg))
+        assert code == 2
+        assert out == ""
+        assert err == "config error: seed: must be a non-negative integer\n"
+
     def test_bad_model_reports_path(self, write_config, capsys):
         cfg = base_config()
         cfg["model"] = {"kind": "bernoulli", "weights": [1.0, 0.0]}
@@ -101,6 +110,27 @@ class TestConfigValidation:
         ("estimate-minimality", {"eps": "0.1"}, "eps"),
         ("estimate-minimality", {"eps": float("nan")}, "eps"),
         ("simulate-orbit", {"length": float("inf")}, "length"),
+        ("tail-bound", {"target": TARGET, "x": True}, "x"),
+        ("tail-bound", {"target": TARGET, "x": "0.5"}, "x"),
+        ("simulate-orbit", {"x": float("nan")}, "x"),
+        ("certify", {"deriv_margin": True}, "deriv_margin"),
+        ("certify", {"deriv_margin": "0.01"}, "deriv_margin"),
+        ("certify", {"min_margin": False}, "min_margin"),
+        ("certify", {"min_margin": "1e-4"}, "min_margin"),
+        ("universal-word", {"target": TARGET, "max_len": 2.7}, "max_len"),
+        ("universal-word", {"target": TARGET, "max_len": 0}, "max_len"),
+        ("certify", {"n_max": 2.7}, "n_max"),
+        ("certify", {"n_max": 0}, "n_max"),
+        ("certify", {"n_max": True}, "n_max"),
+        ("perturb", {"size": 0, "command": "detect-repellers", "perturb_seed": True}, "perturb_seed"),
+        ("perturb", {"size": 0, "command": "detect-repellers", "perturb_seed": "3"}, "perturb_seed"),
+        ("perturb", {"size": 0, "command": "detect-repellers", "perturb_seed": 1.5}, "perturb_seed"),
+        ("tail-bound", {"target": TARGET, "minimal_index": 5}, "minimal_index"),
+        ("tail-bound", {"target": TARGET, "minimal_index": 2}, "minimal_index"),
+        ("tail-bound", {"target": TARGET, "minimal_index": -1}, "minimal_index"),
+        ("tail-bound", {"target": TARGET, "minimal_index": True}, "minimal_index"),
+        ("estimate-minimality", {"eps": float("inf")}, "eps"),
+        ("classify", {"tol_sync": float("inf")}, "tol_sync"),
     ])
     def test_malformed_param_exits_2_with_path(self, write_config, capsys, command, params, key):
         code, out, err = run_cli(capsys, command, "--config", write_config(base_config(**params)))
@@ -248,6 +278,16 @@ class TestDeterminism:
         code, out, _ = run_cli(capsys, "classify", "--config", write_config(cfg))
         assert code == 0
         assert out == (GOLDEN_DIR / "classify_seed7.json").read_text()
+
+    def test_half_turn_classify_matches_golden_bytes(self, capsys):
+        # ell = 2: the reference bytes come from walking all 129 points
+        # through every letter; walks that merge them into the three
+        # values left must reproduce them exactly.
+        code, out, _ = run_cli(
+            capsys, "classify", "--config", str(GOLDEN_DIR / "half_turn_seed7.json")
+        )
+        assert code == 0
+        assert out == (GOLDEN_DIR / "classify_half_turn_seed7.json").read_text()
 
     def test_certify_and_check_match_golden_bytes(self, capsys, tmp_path):
         # The reference bytes come from separate power chains for

@@ -18,12 +18,13 @@ from circle_ifs.ifs_core import (
     branch_apply,
     branch_apply_array,
     branch_deriv,
+    branch_lift_array,
     minimality_estimate,
     orbit_to_csv_rows,
     random_orbit_density,
     semigroup_orbit,
 )
-from circle_ifs.symbolic import BernoulliModel, Word
+from circle_ifs.symbolic import BernoulliModel, MarkovMinorizedModel, Word
 from circle_ifs.synchronization import pair_distance_trajectory
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -109,6 +110,77 @@ class TestBranchApply:
             assert [p.hex() for p in points] == [p.hex() for p in traj]
             got = pair_distance_trajectory(ifs, w, x, y)
             assert [d.hex() for d in got] == [d.hex() for d in distances]
+
+
+def reference_branch_lift_array(ifs, w, xs):
+    """The per-letter loop that walked every point through every letter."""
+    vals = np.asarray(xs, dtype=float)
+    for a in w:
+        vals = ifs.generators[a - 1].lift(vals)
+    return vals
+
+
+LIFT_IFS = {
+    "golden-sine": IFS([Rotation(GOLDEN), SinePerturbed(0.0, -0.5)]),
+    "half-turn": IFS([Rotation(GOLDEN), SinePerturbed(0.0, -0.5, harmonics=2)]),
+    "rotations": IFS([Rotation(GOLDEN), Rotation(0.3)]),
+}
+LIFT_MODELS = {
+    "bernoulli": BernoulliModel([0.5, 0.5]),
+    "markov": MarkovMinorizedModel([[0.7, 0.3], [0.3, 0.7]]),
+}
+# detect_repellers' level-7 endpoints: 129 points offset by 1/3.
+ENDPOINTS = 1.0 / 3.0 + np.arange(129) / 128
+
+
+class TestBranchLiftArray:
+    # Synchronizing words merge the walked points into ell + 1 values
+    # (2 on golden-sine, 3 on half-turn) and finish on Python floats;
+    # rotations never merge.  Each case must equal the full loop bit for bit.
+    @pytest.mark.parametrize("n_points", [1, 7, 129])
+    @pytest.mark.parametrize("length", [16, 64, 5000])
+    @pytest.mark.parametrize("model", sorted(LIFT_MODELS))
+    @pytest.mark.parametrize("label", sorted(LIFT_IFS))
+    def test_bit_identical_to_per_letter_loop(self, label, model, length, n_points):
+        ifs = LIFT_IFS[label]
+        w = LIFT_MODELS[model].sample(length, seed=n_points, stream=5)
+        xs = ENDPOINTS[:n_points]
+        got = branch_lift_array(ifs, w, xs)
+        ref = reference_branch_lift_array(ifs, w, xs)
+        assert got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("label", sorted(LIFT_IFS))
+    def test_two_dimensional_input_with_repeats(self, label):
+        ifs = LIFT_IFS[label]
+        w = LIFT_MODELS["bernoulli"].sample(5000, seed=2, stream=5)
+        xs = np.concatenate([ENDPOINTS[:96], ENDPOINTS[:32]]).reshape(8, 16)
+        got = branch_lift_array(ifs, w, xs)
+        assert got.shape == (8, 16)
+        assert got.tobytes() == reference_branch_lift_array(ifs, w, xs).tobytes()
+
+    def test_empty_word_and_no_points(self, golden_sine):
+        xs = ENDPOINTS[:7].reshape(7, 1)
+        assert branch_lift_array(golden_sine, Word((), 2), xs).tobytes() == xs.tobytes()
+        w = LIFT_MODELS["bernoulli"].sample(100, seed=0, stream=5)
+        assert branch_lift_array(golden_sine, w, np.empty((0, 3))).shape == (0, 3)
+
+    def test_merged_walk_makes_few_array_sine_lifts(self, golden_sine, monkeypatch):
+        sizes = []
+        lift = SinePerturbed.lift
+
+        def counting(self, x):
+            if np.ndim(x):
+                sizes.append(np.size(x))
+            return lift(self, x)
+
+        monkeypatch.setattr(SinePerturbed, "lift", counting)
+        w = LIFT_MODELS["bernoulli"].sample(5000, seed=0, stream=0)
+        reference_branch_lift_array(golden_sine, w, ENDPOINTS)
+        assert len(sizes) == w.letters.count(2) > 2400
+        sizes.clear()
+        branch_lift_array(golden_sine, w, ENDPOINTS)
+        assert len(sizes) < 600
 
 
 class TestBranchDeriv:

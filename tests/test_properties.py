@@ -1,4 +1,5 @@
-"""Property tests for the lift invariants over random nested maps, and for
+"""Property tests for the lift invariants over random nested maps, for the
+scalar sine path against numpy's, for certificate JSON round trips, and for
 the column-wise CSV writer against the per-row writer it replaced.
 
 Maps are trees of depth <= 2 over rotations and sine maps, whose inner
@@ -8,6 +9,8 @@ in [0.5^4, 1.5^4] and the errors of the 1e-12 inverse solves stay well
 inside every tolerance used here.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -15,14 +18,21 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from circle_ifs.certifier import (  # noqa: E402
+    MARGIN_KEYS,
+    BasinData,
+    Certificate,
+    CertificatePair,
+)
 from circle_ifs.circle_maps import (  # noqa: E402
+    Arc,
     Composition,
     Inverse,
     Power,
     Rotation,
     SinePerturbed,
 )
-from circle_ifs.cli import csv_text  # noqa: E402
+from circle_ifs.cli import canonical_json, csv_text  # noqa: E402
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -84,6 +94,71 @@ def test_lift_deriv_against_central_difference(f, x):
     values, ds = f.lift_deriv(xs)
     assert ds.shape == xs.shape
     assert np.array_equal(values, f.lift(xs))
+
+
+def _bits(v):
+    return float(v).hex()
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(
+    st.builds(SinePerturbed, st.floats(-1.0, 1.0), st.floats(-0.99, 0.99), st.integers(1, 3)),
+    st.floats(-1e4, 1e4),
+)
+def test_scalar_sine_matches_one_element_array(f, x):
+    # A Python float takes math.sin/math.cos: equal bits need numpy's
+    # float64 sin and cos to agree with the platform libm.
+    xs = np.array([x])
+    value, d = f.lift_deriv(x)
+    values, ds = f.lift_deriv(xs)
+    assert type(f.lift(x)) is type(f.deriv(x)) is type(value) is type(d) is float
+    assert _bits(f.lift(x)) == _bits(f.lift(xs)[0]) == _bits(value) == _bits(values[0])
+    assert _bits(f.deriv(x)) == _bits(f.deriv(xs)[0]) == _bits(d) == _bits(ds[0])
+
+
+reals = st.floats(allow_nan=False, allow_infinity=False)
+exponents = st.lists(st.integers(0, 10**6), min_size=1, max_size=20).map(tuple)
+arcs = st.builds(
+    Arc,
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.floats(0.0, 1.0, exclude_min=True),
+)
+certificates = st.builds(
+    Certificate,
+    direction=st.sampled_from(["forward", "backward"]),
+    label=st.text(max_size=12),
+    generators=st.tuples(maps, maps).map(lambda pair: tuple(g.to_json() for g in pair)),
+    basin=st.builds(
+        BasinData,
+        p=reals, eps=reals, delta=reals, arc_A=arcs, arc_B=arcs, arc_D=arcs, deriv_margin=reals,
+    ),
+    cover_exponents=exponents,
+    lam=reals,
+    global_forward_exponents=exponents,
+    global_backward_exponents=exponents,
+    margins=st.fixed_dictionaries({k: reals for k in MARGIN_KEYS}),
+    radius=reals,
+)
+
+
+@PROPERTY
+@given(certificates)
+def test_certificate_json_round_trip(cert):
+    text = canonical_json(cert.to_json())
+    back = Certificate.from_json(json.loads(text))
+    assert back == cert
+    # Field equality compares floats with ==; the text also pins the bits.
+    assert canonical_json(back.to_json()) == text
+
+
+@PROPERTY
+@given(certificates, certificates)
+def test_certificate_pair_json_round_trip(forward, backward):
+    pair = CertificatePair(forward, backward)
+    text = canonical_json(pair.to_json())
+    back = CertificatePair.from_json(json.loads(text))
+    assert back == pair
+    assert canonical_json(back.to_json()) == text
 
 
 def reference_csv_text(header, rows):
