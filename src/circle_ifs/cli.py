@@ -19,8 +19,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .certifier import (
     CertificatePair,
     ContractionFails,
@@ -42,7 +40,7 @@ from .periodic_points import (
     find_contracted_fixed_arc,
     periodic_in_interval,
 )
-from .symbolic import InvalidModel, SequenceModel, model_from_json
+from .symbolic import InvalidModel, SequenceModel, _rng, model_from_json
 from .synchronization import (
     CoverSearchExhausted,
     NoMinimalGenerator,
@@ -221,7 +219,7 @@ def _cmd_simulate_orbit(cfg: dict, seed: int) -> tuple[str, int]:
     model = _model_of(cfg)
     length = _param(params, "length", _at_least(0), 1000)
     x = _param(params, "x", _finite, 0.0)
-    letters = model.sample_matrix(1, length, seed)[0].tolist() if length else []
+    letters = model.sample_matrix(1, length, seed)[0].tolist()
     points = orbit_to_csv_rows(ifs, letters, x)
     return csv_text(["n", "letter", "point"], [range(1, length + 1), letters, points]), 0
 
@@ -389,8 +387,7 @@ def _cmd_perturb(cfg: dict, seed: int) -> tuple[str, int]:
         raise ConfigError(f"params.params: must be an object, got {inner_params!r}")
     new_gens = []
     for i, gj in enumerate(cfg["generators"]):
-        key = np.array([perturb_seed % (1 << 64), 7000 + i], dtype=np.uint64)
-        rng = np.random.Generator(np.random.Philox(key=key))
+        rng = _rng(perturb_seed, 7000 + i)
         new_gens.append(perturb_map(map_from_json(gj), float(size), rng).to_json())
     inner_cfg = dict(cfg)
     inner_cfg["generators"] = new_gens

@@ -2,14 +2,20 @@
 
 Sequence models carry a probability floor p in (0, 1/k]: every conditional
 next-letter probability is >= p regardless of the past.  Sampling uses a
-counter-based generator (Philox) keyed by (seed, stream), so distinct
-streams are non-overlapping and every draw is reproducible.  Each model
-samples through one method, `sample_matrix`; `sample` is its first row.
+counter-based generator (Philox) keyed by [seed, stream] mod 2**64, so
+distinct streams are non-overlapping and every draw is reproducible.  Each
+model samples through one method, `sample_matrix`; `sample` is its first
+row.  A Markov matrix draws row r from stream `stream + r`, so its letters
+are fixed by (seed, stream) alone, whatever the shape asked for.  The
+chain is walked in chunks of about sqrt(length) letters from every state
+at once, so besides one re-keying per row the Python-level loop runs
+about 2 sqrt(length) times per block of rows rather than once per letter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -68,9 +74,50 @@ class Cylinder:
     word: Word
 
 
+def _philox_keys(seed: int, stream: int, n: int = 1) -> np.ndarray:
+    """(n, 2) Philox keys; row r is [seed, stream + r], both mod 2**64."""
+    keys = np.empty((n, 2), dtype=np.uint64)
+    keys[:, 0] = seed % (1 << 64)
+    keys[:, 1] = np.arange(n, dtype=np.uint64) + np.uint64(stream % (1 << 64))
+    return keys
+
+
 def _rng(seed: int, stream: int = 0) -> np.random.Generator:
-    key = np.array([seed % (1 << 64), stream % (1 << 64)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_philox_keys(seed, stream)[0]))
+
+
+def _stream_uniforms(n_rows: int, length: int, seed: int, stream: int) -> np.ndarray:
+    """(n_rows >= 1, length) uniforms; row r is `_rng(seed, stream + r).random(length)`.
+
+    One Philox is re-keyed per row by resetting its state, which draws the
+    same numbers as a fresh generator at less than half the cost.
+    """
+    u = np.empty((n_rows, length))
+    keys = _philox_keys(seed, stream, n_rows)
+    bitgen = np.random.Philox(key=keys[0])
+    gen = np.random.Generator(bitgen)
+    fresh = bitgen.state
+    for r in range(n_rows):
+        fresh["state"]["key"] = keys[r]
+        bitgen.state = fresh
+        gen.random(out=u[r])
+    return u
+
+
+def _add_next_states(u: np.ndarray, cum: np.ndarray, out: np.ndarray) -> None:
+    """Add to `out` the inverse-CDF index of each uniform, capped at k - 1.
+
+    sum_{j < k-1} [u >= cum[j]] equals min(searchsorted(cum, u, "right"),
+    k - 1) for any nondecreasing cum, zero-probability letters included.
+    """
+    for c in cum[:-1]:
+        out += u >= c
+
+
+# Markov rows are walked in blocks of about this many letters, so that the
+# walk's temporaries (8 bytes of uniforms per letter) stay cache-sized and
+# a large matrix does not leave the allocator holding extra memory.
+_BLOCK_LETTERS = 1 << 16
 
 
 def _letter_dtype(k: int) -> type:
@@ -136,7 +183,16 @@ class BernoulliModel(SequenceModel):
 
 
 class MarkovMinorizedModel(SequenceModel):
-    """One-step Markov chain whose transition entries all stay >= p > 0."""
+    """One-step Markov chain whose transition entries all stay >= p > 0.
+
+    Row r of `sample_matrix` is the chain driven by the uniforms of stream
+    `stream + r`: u_0 picks the first state from `initial`, and u_i picks
+    state i from the transition row of state i-1.  A block of rows is
+    walked together in chunks of C = isqrt(length) letters: each chunk is
+    walked from every one of the k states at once, the chunks are joined
+    left to right, and the letters are gathered from the walks of the
+    states that the joins enter each chunk in.
+    """
 
     def __init__(self, rows: Sequence[Sequence[float]], initial: Sequence[float] | None = None):
         mat = [tuple(float(x) for x in r) for r in rows]
@@ -162,27 +218,45 @@ class MarkovMinorizedModel(SequenceModel):
         self._init_cum = np.cumsum(init)
 
     def sample_matrix(self, n_rows: int, length: int, seed: int, stream: int = 0) -> np.ndarray:
-        """(n_rows, length) letter matrix; row r is drawn from stream + r.
-
-        Each uniform u_i picks the next state of every possible current
-        state at once (one table row per state), and the chain then walks
-        that table by list lookup.
-        """
-        last = self.k - 1
+        """(n_rows, length) letter matrix; row r is drawn from stream + r."""
         out = np.empty((n_rows, length), dtype=_letter_dtype(self.k))
-        for r in range(n_rows):
-            u = _rng(seed, stream + r).random(length)
-            table = [
-                np.minimum(np.searchsorted(cum, u, side="right"), last).tolist()
-                for cum in self._row_cum
-            ]
-            state = min(int(np.searchsorted(self._init_cum, u[0], side="right")), last)
-            states = [state]
-            for i in range(1, length):
-                state = table[state][i]
-                states.append(state)
-            out[r] = states
-        return out + 1
+        block = max(1, _BLOCK_LETTERS // max(length, 1))
+        for r in range(0, n_rows, block):
+            rows = min(block, n_rows - r)
+            out[r : r + rows] = self._chain_letters(_stream_uniforms(rows, length, seed, stream + r))
+        return out
+
+    def _chain_letters(self, u: np.ndarray) -> np.ndarray:
+        """Letters of the chains driven by the rows of uniforms u."""
+        n_rows, length = u.shape
+        k, dtype = self.k, _letter_dtype(self.k)
+        if u.size == 0:
+            return np.empty(u.shape, dtype=dtype)
+        chunk = isqrt(length)
+        n_chunks = -(-length // chunk)
+        lanes = n_rows * n_chunks  # one lane per (row, chunk)
+        # step[s, r, i]: state i of row r when state i-1 is s.  Column 0
+        # draws from `initial` whatever s is, so chunk 0 enters in state 0.
+        step = np.zeros((k, n_rows, n_chunks * chunk), dtype=dtype)
+        for s, cum in enumerate(self._row_cum):
+            _add_next_states(u[:, 1:], cum, step[s, :, 1:length])
+        _add_next_states(u[:, 0], self._init_cum, step[:, :, 0])
+        step = step.reshape(k, lanes, chunk).transpose(2, 0, 1).reshape(chunk, k * lanes)
+        # walk[t, s * lanes + m]: state at offset t of lane m entered in state s.
+        lane = np.arange(lanes)
+        lane_of = np.tile(lane, k)
+        walk = np.empty_like(step)
+        walk[0] = step[0]
+        for t in range(1, chunk):
+            walk[t] = step[t].take(walk[t - 1].astype(np.intp) * lanes + lane_of)
+        ends = walk[-1].reshape(k, n_rows, n_chunks)
+        entry = np.zeros((n_rows, n_chunks), dtype=np.intp)
+        rows = np.arange(n_rows)
+        for c in range(1, n_chunks):
+            entry[:, c] = ends[entry[:, c - 1], rows, c - 1]
+        states = walk.take(entry.reshape(-1) * lanes + lane, axis=1)
+        states = states.reshape(chunk, n_rows, n_chunks).transpose(1, 2, 0).reshape(n_rows, -1)
+        return states[:, :length] + 1
 
     def cylinder_measure(self, c: Cylinder) -> float:
         if len(c.word) == 0:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .circle_maps import Arc, CirclePoint, LiftMap, circle_distance_array, find_fixed_points
 from .ifs_core import IFS, WordLike, _letters, _walk_step, branch_lift_array, orbit_to_csv_rows
-from .symbolic import SequenceModel, Word
+from .symbolic import SequenceModel, Word, _rng
 
 # Polarization threshold: an arc counts as growing when its image length
 # exceeds THETA_GROW times the largest image length at its level.  With a
@@ -110,14 +110,12 @@ def sync_fraction(
     """
     if tol_sync <= 0.0:
         raise ValueError("tol_sync must be positive")
-    key = np.array([seed % (1 << 64), 1], dtype=np.uint64)
-    pair_rng = np.random.Generator(np.random.Philox(key=key))
+    pair_rng = _rng(seed, 1)
     # One row per pair: column 0 holds x, column 1 holds y.
     pairs = np.column_stack([pair_rng.random(n_pairs), pair_rng.random(n_pairs)])
-    if n > 0:
-        letters = model.sample_matrix(n_pairs, n, seed)
-        for step in range(n):
-            _walk_step(ifs.generators, pairs, letters[:, step])
+    letters = model.sample_matrix(n_pairs, n, seed)
+    for step in range(n):
+        _walk_step(ifs.generators, pairs, letters[:, step])
     dist = circle_distance_array(pairs[:, 0], pairs[:, 1])
     return SyncReport(
         ifs_label=ifs.label,

@@ -1,5 +1,6 @@
 import json
 import math
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -254,12 +255,40 @@ class TestDeterminism:
         _, out4, _ = run_cli(capsys, "density-sweep", "--config", path, "--threads", "4")
         assert out1 == out4
 
-    def test_density_sweep_matches_golden_bytes(self, write_config, capsys):
+    def test_threads_never_change_bytes(self, write_config, capsys):
+        # --threads is accepted and ignored: no value in 1..8 may move a byte.
+        hyp = pytest.importorskip("hypothesis")
+        markov = {"kind": "markov", "rows": [[0.7, 0.3], [0.4, 0.6]]}
+        configs = {}
+        for command, params in [
+            ("simulate-orbit", {"length": 300, "x": 0.123}),
+            ("tail-bound", {"target": TARGET, "x": 0.1, "n_trials": 60, "n_grid": [5, 40]}),
+            ("classify", {"n_pairs": 40, "sync_horizon": 100, "n_seeds": 2, "word_length": 600}),
+        ]:
+            cfg = dict(base_config(**params), model=markov)
+            path = write_config(cfg, f"{command}.json")
+            code, out, _ = run_cli(capsys, command, "--config", path)
+            assert code == 0
+            configs[command] = (path, out)
+
+        @hyp.settings(max_examples=20, deadline=None, derandomize=True, database=None)
+        @hyp.given(hyp.strategies.sampled_from(sorted(configs)), hyp.strategies.integers(1, 8))
+        def check(command, threads):
+            path, expected = configs[command]
+            running = threading.active_count()
+            code, out, _ = run_cli(capsys, command, "--config", path, "--threads", str(threads))
+            assert (code, out) == (0, expected)
+            assert threading.active_count() == running
+
+        check()
+
+    def test_density_sweep_matches_golden_bytes(self, capsys):
         # The reference bytes come from vectorized inverse solves and
         # direct-displacement bisection; the scalar solves and forward-map
         # bisection must reproduce them exactly.
-        path = write_config(base_config(mesh=4))
-        code, out, _ = run_cli(capsys, "density-sweep", "--config", path)
+        code, out, _ = run_cli(
+            capsys, "density-sweep", "--config", str(GOLDEN_DIR / "density_sweep_mesh4_seed7.json")
+        )
         assert code == 0
         assert out == (GOLDEN_DIR / "density_sweep_mesh4_seed7.csv").read_text()
 
@@ -272,10 +301,10 @@ class TestDeterminism:
         assert code == 0
         assert out == (GOLDEN_DIR / "detect_repellers_seed7.json").read_text()
 
-    def test_classify_matches_golden_bytes(self, write_config, capsys):
-        cfg = json.loads((GOLDEN_DIR / "golden_sine_seed7.json").read_text())
-        cfg["params"] = {"n_seeds": 5}
-        code, out, _ = run_cli(capsys, "classify", "--config", write_config(cfg))
+    def test_classify_matches_golden_bytes(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "classify", "--config", str(GOLDEN_DIR / "golden_sine_n_seeds5_seed7.json")
+        )
         assert code == 0
         assert out == (GOLDEN_DIR / "classify_seed7.json").read_text()
 

@@ -292,6 +292,18 @@ class TestRandomOrbitDensity:
         )
         assert report.fraction == 1.0
 
+    @pytest.mark.parametrize("model", [
+        BernoulliModel([0.5, 0.5]),
+        MarkovMinorizedModel([[0.7, 0.3], [0.4, 0.6]]),
+    ])
+    def test_zero_steps_is_the_start_point(self, golden_sine, model):
+        # The orbit is {x} alone: 1-dense (eps = 1) but not 0.4-dense.
+        for eps, fraction in [(1.0, 1.0), (0.4, 0.0)]:
+            report = random_orbit_density(
+                golden_sine, model, x=0.1, eps=eps, n_max=0, n_samples=5, seed=2
+            )
+            assert report.fraction == fraction
+
     def test_deterministic_per_seed(self, golden_sine):
         kw = dict(x=0.1, eps=0.1, n_max=500, n_samples=40, seed=12)
         m = BernoulliModel([0.5, 0.5])

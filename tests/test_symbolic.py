@@ -1,16 +1,65 @@
 import numpy as np
 import pytest
 
+from circle_ifs import symbolic
 from circle_ifs.symbolic import (
     BernoulliModel,
     Cylinder,
     InvalidModel,
     MarkovMinorizedModel,
     Word,
+    _letter_dtype,
     all_words_concatenated,
     is_prefix_dense,
     model_from_json,
 )
+
+
+def reference_markov_letters(model, u):
+    """Letters of the chains driven by the rows of u, one table lookup per
+    letter: the sampler's former per-letter loop."""
+    n_rows, length = u.shape
+    last = model.k - 1
+    row_cum = [np.cumsum(r) for r in model.rows]
+    init_cum = np.cumsum(model.initial)
+    out = np.empty((n_rows, length), dtype=_letter_dtype(model.k))
+    for r in range(n_rows if length else 0):
+        table = [
+            np.minimum(np.searchsorted(cum, u[r], side="right"), last).tolist()
+            for cum in row_cum
+        ]
+        state = min(int(np.searchsorted(init_cum, u[r, 0], side="right")), last)
+        states = [state]
+        for i in range(1, length):
+            state = table[state][i]
+            states.append(state)
+        out[r] = states
+    return out + 1
+
+
+def reference_markov_sample_matrix(model, n_rows, length, seed, stream=0):
+    """Row r from a fresh Philox keyed [seed, stream + r] mod 2**64."""
+    u = np.empty((n_rows, length))
+    for r in range(n_rows):
+        key = np.array([seed % 2**64, (stream + r) % 2**64], dtype=np.uint64)
+        u[r] = np.random.Generator(np.random.Philox(key=key)).random(length)
+    return reference_markov_letters(model, u)
+
+
+def markov_models(st):
+    """Markov models on 1..5 letters with entries >= 1/(10k); initial is
+    uniform or may hold zeros."""
+
+    @st.composite
+    def build(draw):
+        k = draw(st.integers(1, 5))
+        weights = st.lists(st.floats(1.0, 10.0), min_size=k, max_size=k)
+        rows = [[x / sum(w) for x in w] for w in draw(st.lists(weights, min_size=k, max_size=k))]
+        w = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]), min_size=k, max_size=k))
+        initial = None if sum(w) == 0.0 else [x / sum(w) for x in w]
+        return MarkovMinorizedModel(rows, initial)
+
+    return build()
 
 
 class TestWord:
@@ -87,16 +136,78 @@ class TestSampling:
         assert mat.shape == (6, 200)
         for r in range(6):
             assert tuple(mat[r].tolist()) == m.sample(200, seed=4, stream=r).letters
-            # Reference: one inverse-CDF lookup per letter on stream r.
-            key = np.array([4, r], dtype=np.uint64)
-            u = np.random.Generator(np.random.Philox(key=key)).random(200)
-            cum = np.cumsum(initial)
-            expected = []
-            for ui in u:
-                state = min(int(np.searchsorted(cum, ui, side="right")), 2)
-                expected.append(state + 1)
-                cum = np.cumsum(rows[state])
-            assert mat[r].tolist() == expected
+        assert np.array_equal(mat, reference_markov_sample_matrix(m, 6, 200, 4))
+
+    @pytest.mark.parametrize("model", [
+        BernoulliModel([0.3, 0.7]),
+        MarkovMinorizedModel([[0.7, 0.3], [0.4, 0.6]]),
+    ])
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 5), (0, 0)])
+    def test_empty_shapes(self, model, shape):
+        mat = model.sample_matrix(*shape, seed=1)
+        assert mat.shape == shape
+        assert mat.dtype == np.int8
+
+    def test_markov_wide_alphabet_letters(self):
+        # k = 130 letters outgrow int8.
+        k = 130
+        m = MarkovMinorizedModel([[1.0 / k] * k] * k)
+        mat = m.sample_matrix(3, 50, seed=2, stream=9)
+        ref = reference_markov_sample_matrix(m, 3, 50, 2, 9)
+        assert mat.dtype == ref.dtype == np.int64
+        assert np.array_equal(mat, ref)
+
+    def test_markov_matrix_property(self, monkeypatch):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        edges = st.integers(1, 24).flatmap(lambda c: st.sampled_from([c * c - 1, c * c, c * c + 1]))
+        near_wrap = st.integers(2**64 - 10, 2**64 + 10)
+        keys = st.one_of(st.integers(0, 2**64 - 1), near_wrap)
+
+        @hyp.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+        @hyp.given(
+            markov_models(st),
+            st.integers(0, 8),
+            st.one_of(st.integers(0, 600), edges),
+            keys,
+            keys,
+            st.sampled_from([1, 50, 700, symbolic._BLOCK_LETTERS]),
+        )
+        def check(model, n_rows, length, seed, stream, block_letters):
+            # Small blocks split the rows into several walks.
+            monkeypatch.setattr(symbolic, "_BLOCK_LETTERS", block_letters)
+            mat = model.sample_matrix(n_rows, length, seed, stream)
+            ref = reference_markov_sample_matrix(model, n_rows, length, seed, stream)
+            assert mat.dtype == ref.dtype
+            assert np.array_equal(mat, ref)
+
+        check()
+
+    def test_markov_chain_on_boundary_uniforms(self):
+        # Uniforms that sit exactly on (or next to) a cumulative sum, which
+        # random draws almost never hit, pick the letter the inverse CDF
+        # with side="right" picks.
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+
+        @st.composite
+        def cases(draw):
+            model = draw(markov_models(st))
+            cums = np.concatenate([np.cumsum(model.initial), np.cumsum(model.rows, axis=1).ravel()])
+            near = np.concatenate([cums, np.nextafter(cums, 0.0), np.nextafter(cums, 1.0)])
+            values = st.one_of(st.sampled_from([0.0, *near.tolist()]), st.floats(0.0, 1.0))
+            n_rows = draw(st.integers(0, 4))
+            length = draw(st.integers(0, 60))
+            u = draw(st.lists(values, min_size=n_rows * length, max_size=n_rows * length))
+            return model, np.array(u, dtype=float).reshape(n_rows, length)
+
+        @hyp.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+        @hyp.given(cases())
+        def check(case):
+            model, u = case
+            assert np.array_equal(model._chain_letters(u), reference_markov_letters(model, u))
+
+        check()
 
     def test_shift_compatibility(self):
         # Dropping the first letter leaves the Bernoulli distribution intact.

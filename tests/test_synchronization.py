@@ -78,6 +78,14 @@ class TestSyncFraction:
         rep = sync_fraction(golden_sine, fair_coin, n=0, n_pairs=5000, tol_sync=0.1, seed=5)
         assert rep.sync_fraction == pytest.approx(0.2, abs=0.03)
 
+    def test_zero_horizon_ignores_the_model(self, golden_sine, fair_coin):
+        markov = MarkovMinorizedModel([[0.7, 0.3], [0.4, 0.6]])
+        coin = sync_fraction(golden_sine, fair_coin, n=0, n_pairs=300, tol_sync=0.1, seed=5)
+        chain = sync_fraction(golden_sine, markov, n=0, n_pairs=300, tol_sync=0.1, seed=5)
+        assert (chain.sync_fraction, chain.median_final_distance) == (
+            coin.sync_fraction, coin.median_final_distance
+        )
+
     def test_deterministic(self, golden_sine, fair_coin):
         a = sync_fraction(golden_sine, fair_coin, 200, 100, 1e-3, seed=9)
         b = sync_fraction(golden_sine, fair_coin, 200, 100, 1e-3, seed=9)
