@@ -13,8 +13,10 @@ attracting fixed point p of g2 with one-sided basin A = (p, p + eps):
   (4) finitely many rotation images T_i(B) cover the circle, and so do
       inverse images S_i^{-1}(B).
 
-Every condition is verified with an explicit arc-length margin (derivative
-margins are Lipschitz-inflated grid maxima, not formal interval bounds), and
+The searches only pick the words.  Every condition is then measured with
+an explicit arc-length margin (derivative margins are Lipschitz-inflated
+grid maxima, not formal interval bounds) by `reverify_certificate`, the one
+evaluator that `certify --check` and perturbed re-verification use too, and
 the margins convert into a conservative C^1 perturbation radius.  The same
 pipeline applied to (g1^-1, g2^-1) yields the backward certificate.
 """
@@ -22,7 +24,7 @@ pipeline applied to (g1^-1, g2^-1) yields the backward certificate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -44,6 +46,7 @@ from .ifs_core import IFS
 from .symbolic import Word
 
 C_SAFETY = 0.1
+CONTRACTION_GRID = 1024  # grid cells on (p + delta, p + eps) for lambda
 
 
 class NoAttractingSide(RuntimeError):
@@ -230,14 +233,6 @@ def _require_rotation(g1: LiftMap, q_max: int = 64, tol: float = 1e-9) -> float:
     return alpha
 
 
-@dataclass(frozen=True)
-class CoverWords:
-    exponents: tuple[int, ...]
-    h_maps: tuple[LiftMap, ...]
-    margin_cover: float  # condition (1) worst overlap slack
-    margin_window: float  # condition (2) worst containment slack
-
-
 def search_cover_words(
     g1: LiftMap,
     g2: LiftMap,
@@ -245,8 +240,9 @@ def search_cover_words(
     n_max: int = 10_000,
     min_margin: float = 1e-4,
     window_frac: float = 0.05,
-) -> CoverWords:
-    """Smallest greedy family h_i = g1^{n_i} o g2 satisfying (1) and (2).
+) -> tuple[int, ...]:
+    """Exponents n_i of the smallest greedy family h_i = g1^{n_i} o g2
+    meant to satisfy (1) and (2); `reverify_certificate` measures how well.
 
     Admissible exponents place the rotated closure(D) inside
     (p + delta, p + eps), staying window_frac of the window away from its
@@ -306,47 +302,7 @@ def search_cover_words(
         if cur >= b1 + min_margin:
             break
 
-    chain_margins = [b0 - float(starts[picks[0]])]
-    for prev, nxt in zip(picks, picks[1:]):
-        chain_margins.append(float(ends[prev]) - float(starts[nxt]))
-    chain_margins.append(float(ends[picks[-1]]) - b1)
-    m1 = min(chain_margins)
-    m2 = min(min(float(betas[i]) - w_lo, w_hi - float(betas[i])) for i in picks)
-    exponents = tuple(int(ns[i]) for i in picks)
-    h_maps = tuple(Composition([Power(g1, n), g2]) for n in exponents)
-    return CoverWords(exponents, h_maps, m1, m2)
-
-
-# ---------------------------------------------------------------------------
-# Condition (3): uniform contraction
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ContractionResult:
-    lam: float
-    margin: float
-    grid_n: int
-    inflation: float
-
-
-def verify_contraction(
-    h_maps: Sequence[LiftMap], basin: BasinData, grid_n: int = 1024
-) -> ContractionResult:
-    """lambda = sup of Dh_i over (p + delta, p + eps), grid max plus a
-    Lipschitz-of-derivative inflation C * spacing / 2.  Fails if >= 1."""
-    xs = basin.p + np.linspace(basin.delta, basin.eps, grid_n + 1)
-    worst = 0.0
-    c_bound = 0.0
-    for h in h_maps:
-        worst = max(worst, float(np.max(np.asarray(h.deriv(xs)))))
-        c_bound = max(c_bound, h.second_deriv_bound())
-    spacing = (basin.eps - basin.delta) / grid_n
-    inflation = 0.5 * c_bound * spacing
-    lam = worst + inflation
-    if lam >= 1.0:
-        raise ContractionFails(f"inflated derivative bound {lam:.6f} >= 1")
-    return ContractionResult(lam, 1.0 - lam, grid_n, inflation)
+    return tuple(int(ns[i]) for i in picks)
 
 
 # ---------------------------------------------------------------------------
@@ -354,22 +310,15 @@ def verify_contraction(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GlobalCover:
-    forward_exponents: tuple[int, ...]
-    backward_exponents: tuple[int, ...]
-    margin: float
-
-
 def _greedy_circle_cover(
-    offsets: np.ndarray, length: float, min_margin: float, stage: str
-) -> tuple[list[int], float]:
+    offsets: np.ndarray, length: float, min_margin: float
+) -> tuple[int, ...]:
     """Cover the circle by arcs (offset_m, offset_m + length), anchored at
     exponent 0, greedily maximizing reach with quarter-arc reach buckets
-    (smallest exponent wins inside a bucket).  Returns (picks, margin).
+    (smallest exponent wins inside a bucket).  Returns the picked indices.
     """
     if length >= 1.0:
-        return [0], 1.0  # a full-circle arc covers unconditionally
+        return (0,)  # a full-circle arc covers unconditionally
     rel = np.mod(offsets - offsets[0], 1.0)
     bucket = 0.25 * length
     overlap_demand = max(min_margin, 0.1 * length)
@@ -380,44 +329,33 @@ def _greedy_circle_cover(
         adm = np.flatnonzero((rel <= cur - overlap_demand) & (rel + length > cur))
         if len(adm) == 0:
             raise SearchExhausted(
-                stage, f"circle cover stalls at {cur:.6f}", partial=picks
+                "global_cover", f"circle cover stalls at {cur:.6f}", partial=picks
             )
         reach = rel[adm] + length
         best_reach = float(np.max(reach))
         top = adm[reach >= best_reach - bucket]
         best = top[np.argmin(top)]
         if int(best) in picks:
-            raise SearchExhausted(stage, f"circle cover loops at {cur:.6f}", partial=picks)
+            raise SearchExhausted(
+                "global_cover", f"circle cover loops at {cur:.6f}", partial=picks
+            )
         picks.append(int(best))
         cur = float(rel[best] + length)
-    overlaps = []
-    for prev, nxt in zip(picks, picks[1:]):
-        overlaps.append(float(rel[prev]) + length - float(rel[nxt]))
-    overlaps.append(cur - 1.0)  # closing overlap with the anchor arc
-    return picks, min(overlaps)
+    return tuple(picks)
 
 
 def verify_global_cover(
     g1: LiftMap, arc_b: Arc, n_max: int = 10_000, min_margin: float = 1e-4
-) -> GlobalCover:
-    """Rotation exponents covering the circle by copies of B, both by
-    forward images T_i(B) = B + m_i*alpha and by inverse images
-    S_i^{-1}(B) = B - m_i*alpha, each with pairwise overlap margin."""
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Rotation exponents (forward, backward) covering the circle by copies
+    of B, by forward images T_i(B) = B + m_i*alpha and by inverse images
+    S_i^{-1}(B) = B - m_i*alpha; `reverify_certificate` measures the
+    overlaps."""
     alpha = _require_rotation(g1)
-    ms = np.arange(0, n_max + 1)
-    fwd_offsets = np.mod(arc_b.start + ms * alpha, 1.0)
-    bwd_offsets = np.mod(arc_b.start - ms * alpha, 1.0)
-    fwd_picks, fwd_margin = _greedy_circle_cover(
-        fwd_offsets, arc_b.length, min_margin, "global_cover"
-    )
-    bwd_picks, bwd_margin = _greedy_circle_cover(
-        bwd_offsets, arc_b.length, min_margin, "global_cover"
-    )
-    return GlobalCover(
-        tuple(int(ms[i]) for i in fwd_picks),
-        tuple(int(ms[i]) for i in bwd_picks),
-        min(fwd_margin, bwd_margin),
-    )
+    ms = np.arange(0, n_max + 1)  # ms[i] == i, so the picks are the exponents
+    fwd = _greedy_circle_cover(np.mod(arc_b.start + ms * alpha, 1.0), arc_b.length, min_margin)
+    bwd = _greedy_circle_cover(np.mod(arc_b.start - ms * alpha, 1.0), arc_b.length, min_margin)
+    return fwd, bwd
 
 
 # ---------------------------------------------------------------------------
@@ -527,36 +465,30 @@ class CertificatePair:
 
 
 def _perturbation_radius(
-    cover: CoverWords,
-    contraction: ContractionResult,
-    gcov: GlobalCover,
+    margins: dict,
+    cover_exponents: Sequence[int],
+    circle_exponents: Sequence[int],
     g1: LiftMap,
     g2: LiftMap,
-    c_safety: float,
 ) -> float:
     """Conservative C^1 radius keeping every margin positive.
 
     A C^1 perturbation of size eta moves an L-letter composition by at most
     eta * L in C^0 (rotation factors have unit Lipschitz constant; the
-    envelope holds while eta * L stays small, which c_safety enforces) and
+    envelope holds while eta * L stays small, which C_SAFETY enforces) and
     moves its derivative by at most eta * L * (1 + M2 * L / 2) where M2
     bounds the generators' second derivatives.  Arc margins divide by the
     first amplification, the contraction margin by the second.
     """
-    l_max = max(
-        max(cover.exponents) + 1,
-        max(gcov.forward_exponents),
-        max(gcov.backward_exponents),
-        1,
-    )
+    l_max = max(max(cover_exponents) + 1, *circle_exponents)
     m2_bound = max(g1.second_deriv_bound(), g2.second_deriv_bound())
     a0 = float(l_max)
     a1 = l_max * (1.0 + 0.5 * m2_bound * l_max)
-    return c_safety * min(
-        cover.margin_cover / a0,
-        cover.margin_window / a0,
-        gcov.margin / a0,
-        contraction.margin / a1,
+    return C_SAFETY * min(
+        margins["cover_overlap"] / a0,
+        margins["return_window"] / a0,
+        margins["circle_cover"] / a0,
+        margins["contraction"] / a1,
     )
 
 
@@ -566,35 +498,34 @@ def _certify_direction(
     direction: str,
     label: str,
     n_max: int,
-    fixed_grid: int,
-    contraction_grid: int,
     deriv_margin: float,
     min_margin: float,
-    c_safety: float,
 ) -> Certificate:
-    basin = locate_basin(g2, fixed_grid, deriv_margin)
-    cover = search_cover_words(g1, g2, basin, n_max, min_margin)
-    contraction = verify_contraction(cover.h_maps, basin, contraction_grid)
-    gcov = verify_global_cover(g1, basin.arc_B, n_max, min_margin)
-    radius = _perturbation_radius(cover, contraction, gcov, g1, g2, c_safety)
-    margins = {
-        "cover_overlap": cover.margin_cover,
-        "return_window": cover.margin_window,
-        "contraction": contraction.margin,
-        "circle_cover": gcov.margin,
-    }
-    return Certificate(
+    """Search the words, then take every margin and lambda from
+    `reverify_certificate` on the stored generators, as `--check` does."""
+    basin = locate_basin(g2, deriv_margin=deriv_margin)
+    cover_exponents = search_cover_words(g1, g2, basin, n_max, min_margin)
+    fwd, bwd = verify_global_cover(g1, basin.arc_B, n_max, min_margin)
+    cert = Certificate(
         direction=direction,
         label=label,
         generators=(g1.to_json(), g2.to_json()),
         basin=basin,
-        cover_exponents=cover.exponents,
-        lam=contraction.lam,
-        global_forward_exponents=gcov.forward_exponents,
-        global_backward_exponents=gcov.backward_exponents,
-        margins=margins,
-        radius=radius,
+        cover_exponents=cover_exponents,
+        lam=math.nan,
+        global_forward_exponents=fwd,
+        global_backward_exponents=bwd,
+        margins={},
+        radius=math.nan,
     )
+    rev = reverify_certificate(cert)
+    if not rev.lam < 1.0:
+        raise ContractionFails(f"inflated derivative bound {rev.lam:.6f} >= 1")
+    for key in MARGIN_KEYS:
+        if not rev.margins[key] > 0.0:
+            raise SearchExhausted(key, f"margin {rev.margins[key]:.3e} is not positive")
+    radius = _perturbation_radius(rev.margins, cover_exponents, fwd + bwd, g1, g2)
+    return replace(cert, lam=rev.lam, margins=rev.margins, radius=radius)
 
 
 def certify_robust_minimality(
@@ -602,26 +533,23 @@ def certify_robust_minimality(
     g2: LiftMap,
     *,
     n_max: int = 10_000,
-    fixed_grid: int = 4096,
-    contraction_grid: int = 1024,
     deriv_margin: float = 0.01,
     min_margin: float = 1e-4,
-    c_safety: float = C_SAFETY,
     label: str = "",
 ) -> CertificatePair:
     """Forward and backward certificates for the pair (g1, g2).
 
     The backward pass runs the identical pipeline on (g1^-1, g2^-1); a
     failure there invalidates the pair (exceptions propagate with the
-    failing stage).
+    failing stage).  A side is never emitted unless its own check passes:
+    lambda >= 1 raises ContractionFails, and any other margin <= 0 raises
+    SearchExhausted with the margin's name as the stage.
     """
     forward = _certify_direction(
-        g1, g2, "forward", label, n_max, fixed_grid, contraction_grid,
-        deriv_margin, min_margin, c_safety,
+        g1, g2, "forward", label, n_max, deriv_margin, min_margin
     )
     backward = _certify_direction(
-        g1.inverse(), g2.inverse(), "backward", label, n_max, fixed_grid,
-        contraction_grid, deriv_margin, min_margin, c_safety,
+        g1.inverse(), g2.inverse(), "backward", label, n_max, deriv_margin, min_margin
     )
     return CertificatePair(forward, backward)
 
@@ -663,14 +591,17 @@ def reverify_certificate(
     cert: Certificate,
     f1: LiftMap | None = None,
     f2: LiftMap | None = None,
-    contraction_grid: int = 1024,
 ) -> Reverification:
     """Re-evaluate conditions (1)-(4) with the certificate's frozen words.
 
-    With f1/f2 omitted the stored generators are used, which must reproduce
-    the stored margins to within 1e-12 (determinism).  Supplying perturbed
-    maps re-checks the same combinatorial data under perturbation; all
-    margins positive means the certificate survives.
+    This is the one evaluator of margins and lambda: `certify` stores what
+    it returns for the stored generators, and `certify --check` and
+    perturbed re-verification call it again.  With f1/f2 omitted the stored
+    generators are used, so a fresh certificate's margins are reproduced
+    exactly (`check_certificate` still allows 1e-12 for certificates
+    written by older versions).  Supplying perturbed maps re-checks the
+    same combinatorial data under perturbation; all margins positive means
+    the certificate survives.
 
     Conditions (1)-(3) share one f1 chain over f2(B ends), the D ends and f2
     of the contraction grid on (p + delta, p + eps).  Each exponent step is
@@ -694,7 +625,7 @@ def reverify_certificate(
 
     # (1)-(3): one f1 chain whose first four points are the B and D ends.
     b_img = np.asarray(f2.lift(np.array([p + rb0, p + rb1])), dtype=float)
-    xs = p + np.linspace(delta, eps, contraction_grid + 1)
+    xs = p + np.linspace(delta, eps, CONTRACTION_GRID + 1)
     grid_pos, grid_deriv = f2.lift_deriv(xs)
     pos = np.concatenate([b_img, [p, p + d_len], np.asarray(grid_pos, dtype=float)])
     deriv = np.concatenate([np.ones(4), np.asarray(grid_deriv, dtype=float)])
@@ -737,7 +668,7 @@ def reverify_certificate(
         Composition([Power(f1, n), f2]).second_deriv_bound()
         for n in cert.cover_exponents
     )
-    lam = worst + 0.5 * c_bound * (eps - delta) / contraction_grid
+    lam = worst + 0.5 * c_bound * (eps - delta) / CONTRACTION_GRID
     m3 = 1.0 - lam
 
     # (4) circle covers in stored order, forward and inverse families.

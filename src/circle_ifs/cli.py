@@ -181,6 +181,13 @@ def _finite(value) -> float:
     return float(value)
 
 
+def _non_negative(value) -> float:
+    """Cast a finite int or float >= 0 (not a bool or a string) to float."""
+    if type(value) not in (int, float) or not 0.0 <= value < math.inf:
+        raise ValueError(f"must be a non-negative number, got {value!r}")
+    return float(value)
+
+
 def _positive(value) -> float:
     """Cast a positive finite int or float (not a bool or a string) to float."""
     if type(value) not in (int, float) or not 0.0 < value < math.inf:
@@ -299,7 +306,7 @@ def _cmd_certify(cfg: dict, seed: int) -> tuple[str, int]:
         gens[1],
         n_max=_param(params, "n_max", _at_least(1), 10_000),
         deriv_margin=_param(params, "deriv_margin", _finite, 0.01),
-        min_margin=_param(params, "min_margin", _finite, 1e-4),
+        min_margin=_param(params, "min_margin", _non_negative, 1e-4),
         label=cfg.get("label", ""),
     )
     return canonical_json(pair.to_json()), 0

@@ -20,7 +20,6 @@ from circle_ifs.certifier import (
     perturb_map,
     reverify_certificate,
     search_cover_words,
-    verify_contraction,
     verify_global_cover,
 )
 from circle_ifs.circle_maps import Arc, LiftMap, Rotation, SinePerturbed
@@ -95,59 +94,57 @@ class TestLocateBasin:
 
 
 class TestSearchCoverWords:
-    def test_regression_fixture(self, golden_rotation, sine_map):
+    def test_regression_fixture(self, golden_rotation, sine_map, certificate_pair):
         # Frozen output of the documented greedy search on the canonical pair.
         basin = locate_basin(sine_map)
-        cover = search_cover_words(golden_rotation, sine_map, basin)
-        assert cover.exponents == (568, 26, 115)
-        assert cover.margin_cover > 0.0
-        assert cover.margin_window > 0.0
+        assert search_cover_words(golden_rotation, sine_map, basin) == (568, 26, 115)
+        cert = certificate_pair.forward
+        assert cert.cover_exponents == (568, 26, 115)
+        assert cert.margins["cover_overlap"] > 0.0
+        assert cert.margins["return_window"] > 0.0
 
     def test_rational_rotation_rejected(self, sine_map):
         basin = locate_basin(sine_map)
         with pytest.raises(RationalRotation):
             search_cover_words(Rotation(0.5), sine_map, basin)
 
-    def test_images_stay_in_return_window(self, golden_rotation, sine_map):
-        basin = locate_basin(sine_map)
-        cover = search_cover_words(golden_rotation, sine_map, basin)
+    def test_images_stay_in_return_window(self, certificate_pair):
+        cert = certificate_pair.forward
+        basin = cert.basin
         window = Arc(basin.p + basin.delta, basin.eps - basin.delta)
-        for h in cover.h_maps:
+        for h in cert.h_maps():
             lo = float(h.lift(basin.arc_B.start))
             hi = float(h.lift(basin.arc_B.start + basin.arc_B.length))
             assert window.contains_arc(Arc(lo % 1.0, hi - lo))
 
 
-class TestVerifyContraction:
-    def test_lambda_below_one(self, golden_rotation, sine_map):
-        basin = locate_basin(sine_map)
-        cover = search_cover_words(golden_rotation, sine_map, basin)
-        res = verify_contraction(cover.h_maps, basin)
-        assert res.lam < 1.0
-        assert res.margin == pytest.approx(1.0 - res.lam)
+class TestContraction:
+    def test_lambda_below_one(self, certificate_pair):
+        for cert in (certificate_pair.forward, certificate_pair.backward):
+            assert cert.lam < 1.0
+            assert cert.margins["contraction"] == 1.0 - cert.lam
 
-    def test_identity_fails(self, golden_rotation, sine_map):
-        basin = locate_basin(sine_map)
-        with pytest.raises(ContractionFails):
-            verify_contraction([Rotation(GOLDEN)], basin)
-
-    def test_grid_refinement_does_not_worsen(self, golden_rotation, sine_map):
-        basin = locate_basin(sine_map)
-        cover = search_cover_words(golden_rotation, sine_map, basin)
-        coarse = verify_contraction(cover.h_maps, basin, grid_n=512)
-        fine = verify_contraction(cover.h_maps, basin, grid_n=1024)
-        assert fine.lam <= coarse.lam + 1e-12
+    def test_lambda_at_least_one_raises(self, golden_rotation, sine_map):
+        # A negative derivative margin admits a basin where Dg2 exceeds 1.
+        with pytest.raises(ContractionFails, match="inflated derivative bound"):
+            certify_robust_minimality(golden_rotation, sine_map, deriv_margin=-0.01)
 
 
 class TestGlobalCover:
     def test_five_percent_arc(self, golden_rotation):
-        gc = verify_global_cover(golden_rotation, Arc(0.1, 0.2))
-        assert 6 <= len(gc.forward_exponents) <= 9
-        assert gc.margin > 0.0
+        forward, _ = verify_global_cover(golden_rotation, Arc(0.1, 0.2))
+        assert 6 <= len(forward) <= 9
+
+    def test_certificate_circle_cover(self, golden_rotation, certificate_pair):
+        cert = certificate_pair.forward
+        covers = verify_global_cover(golden_rotation, cert.basin.arc_B)
+        assert covers == (cert.global_forward_exponents, cert.global_backward_exponents)
+        for side in (certificate_pair.forward, certificate_pair.backward):
+            assert side.margins["circle_cover"] > 0.0
 
     def test_full_circle_trivial(self, golden_rotation):
-        gc = verify_global_cover(golden_rotation, Arc(0.0, 1.0))
-        assert gc.forward_exponents == (0,)
+        forward, _ = verify_global_cover(golden_rotation, Arc(0.0, 1.0))
+        assert forward == (0,)
 
     def test_small_budget_exhausts(self, golden_rotation):
         with pytest.raises(SearchExhausted):
@@ -187,6 +184,20 @@ class TestCertifyEndToEnd:
         rev = reverify_certificate(certificate_pair.forward)
         for k, v in certificate_pair.forward.margins.items():
             assert rev.margins[k] == pytest.approx(v, abs=1e-12)
+
+    @pytest.mark.parametrize("g2", [SinePerturbed(0.0, -0.5), SinePerturbed(0.0, 0.5)])
+    def test_stored_margins_are_the_reverified_ones(self, golden_rotation, g2):
+        # One evaluator: certify stores exactly what --check recomputes.
+        pair = certify_robust_minimality(golden_rotation, g2)
+        for cert in (pair.forward, pair.backward):
+            rev = reverify_certificate(cert)
+            assert cert.margins == rev.margins
+            assert cert.lam == rev.lam
+
+    def test_negative_min_margin_raises(self, golden_rotation, sine_map):
+        with pytest.raises(SearchExhausted) as info:
+            certify_robust_minimality(golden_rotation, sine_map, min_margin=-1e-3)
+        assert info.value.stage == "cover_overlap"
 
     def test_survives_half_radius_perturbations(
         self, certificate_pair, golden_rotation, sine_map

@@ -118,6 +118,7 @@ class TestConfigValidation:
         ("certify", {"deriv_margin": "0.01"}, "deriv_margin"),
         ("certify", {"min_margin": False}, "min_margin"),
         ("certify", {"min_margin": "1e-4"}, "min_margin"),
+        ("certify", {"min_margin": -1e-3}, "min_margin"),
         ("universal-word", {"target": TARGET, "max_len": 2.7}, "max_len"),
         ("universal-word", {"target": TARGET, "max_len": 0}, "max_len"),
         ("certify", {"n_max": 2.7}, "n_max"),
@@ -240,6 +241,21 @@ class TestCertifyCommand:
         code, _, err = run_cli(capsys, "certify", "--config", write_config(cfg))
         assert code == 2
         assert "verification failure" in err
+
+    def test_certify_contraction_failure_exits_2(self, write_config, capsys):
+        path = write_config(base_config(deriv_margin=-0.01))
+        code, out, err = run_cli(capsys, "certify", "--config", path)
+        assert code == 2
+        assert out == ""
+        assert "inflated derivative bound" in err
+
+    def test_certify_zero_min_margin_is_valid(self, write_config, capsys, tmp_path):
+        cert_path = str(tmp_path / "cert.json")
+        path = write_config(base_config(min_margin=0))
+        code, _, _ = run_cli(capsys, "certify", "--config", path, "--out", cert_path)
+        assert code == 0
+        code, _, _ = run_cli(capsys, "certify", "--check", cert_path)
+        assert code == 0
 
 
 class TestDeterminism:
