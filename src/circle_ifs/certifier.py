@@ -47,6 +47,13 @@ from .symbolic import Word
 
 C_SAFETY = 0.1
 CONTRACTION_GRID = 1024  # grid cells on (p + delta, p + eps) for lambda
+# Universal-word search: target shrink fraction, suffix BFS depth and
+# node budget, fine-grid refinement factor and verification rounds.
+UNIVERSAL_SHRINK = 0.1
+UNIVERSAL_BFS_DEPTH = 64
+UNIVERSAL_BFS_NODES = 200_000
+UNIVERSAL_FINE_FACTOR = 10
+UNIVERSAL_RETRIES = 3
 
 
 class NoAttractingSide(RuntimeError):
@@ -812,14 +819,7 @@ def _largest_cluster(sorted_pos: np.ndarray, span_cap: float) -> tuple[float, fl
     return float(sorted_pos[best]), float(last - sorted_pos[best])
 
 
-def _bfs_arc_to_target(
-    ifs: IFS,
-    lo: float,
-    span: float,
-    goal: Arc,
-    depth_cap: int,
-    node_cap: int,
-) -> tuple[int, ...] | None:
+def _bfs_arc_to_target(ifs: IFS, lo: float, span: float, goal: Arc) -> tuple[int, ...] | None:
     """Shortest word sending the arc (lo, lo+span) inside the goal arc.
 
     Breadth-first over arc states with visited-state quantization for
@@ -839,7 +839,7 @@ def _bfs_arc_to_target(
     nodes = 0
     while queue:
         cur_lo, cur_span, word = queue.popleft()
-        if len(word) >= depth_cap:
+        if len(word) >= UNIVERSAL_BFS_DEPTH:
             continue
         for a, g in enumerate(ifs.generators, start=1):
             new_lo_lift = float(g.lift(cur_lo))
@@ -853,7 +853,7 @@ def _bfs_arc_to_target(
                 continue
             seen.add(key)
             nodes += 1
-            if nodes > node_cap:
+            if nodes > UNIVERSAL_BFS_NODES:
                 return None
             queue.append((new_lo, new_span, new_word))
     return None
@@ -864,12 +864,6 @@ def find_universal_word(
     target: Arc,
     z_grid: int = 1000,
     max_len: int = 500,
-    *,
-    shrink_frac: float = 0.1,
-    bfs_depth: int = 64,
-    bfs_nodes: int = 200_000,
-    fine_factor: int = 10,
-    retries: int = 3,
 ) -> UniversalWordResult:
     """Word sigma such that every grid point z enters the target at some
     prefix time t(z) <= |sigma|.
@@ -878,15 +872,15 @@ def find_universal_word(
     surviving cluster into the target shrunk by a safety margin (so the grid
     property extrapolates between grid points), capturing stragglers
     opportunistically after every letter.  The property is then verified on
-    a fine_factor-times finer grid against the full target; any fine points
-    that slipped through are appended as survivors and the greedy loop
-    resumes, up to `retries` rounds.
+    a UNIVERSAL_FINE_FACTOR-times finer grid against the full target; any
+    fine points that slipped through are appended as survivors and the
+    greedy loop resumes, up to UNIVERSAL_RETRIES rounds.
     """
     if target.length >= 1.0:
         return UniversalWordResult(
             Word((), ifs.k), tuple([0] * z_grid), target, target, z_grid, True
         )
-    shrunk = target.shrunk(shrink_frac * target.length)
+    shrunk = target.shrunk(UNIVERSAL_SHRINK * target.length)
     gens = ifs.generators
 
     pos = np.arange(z_grid) / z_grid
@@ -909,11 +903,11 @@ def find_universal_word(
                 )
             srt = np.sort(positions[alive])
             lo, span = _largest_cluster(srt, 0.8 * shrunk.length)
-            suffix = _bfs_arc_to_target(ifs, lo, span, shrunk, bfs_depth, bfs_nodes)
+            suffix = _bfs_arc_to_target(ifs, lo, span, shrunk)
             if suffix is None:
                 # Fall back to steering the single worst straggler.
                 lo = float(srt[0])
-                suffix = _bfs_arc_to_target(ifs, lo, 0.0, shrunk, bfs_depth, bfs_nodes)
+                suffix = _bfs_arc_to_target(ifs, lo, 0.0, shrunk)
                 if suffix is None:
                     raise LengthExceeded(
                         "suffix search exhausted",
@@ -930,8 +924,8 @@ def find_universal_word(
     greedy(pos, capture)
 
     fine_verified = False
-    for _ in range(retries):
-        fine_n = z_grid * fine_factor
+    for _ in range(UNIVERSAL_RETRIES):
+        fine_n = z_grid * UNIVERSAL_FINE_FACTOR
         fine_pos = np.arange(fine_n) / fine_n
         entered = target.contains_array(fine_pos)
         cur = fine_pos.copy()

@@ -96,15 +96,6 @@ def branch_apply(
     return CirclePoint(points[-1] if points else x)
 
 
-def branch_apply_array(ifs: IFS, w: WordLike, xs: np.ndarray) -> np.ndarray:
-    """Vectorized branch application on circle positions."""
-    pos = np.mod(np.asarray(xs, dtype=float), 1.0)
-    gens = ifs.generators
-    for a in _letters(w):
-        pos = np.mod(gens[a - 1].lift(pos), 1.0)
-    return pos
-
-
 def branch_lift_array(ifs: IFS, w: WordLike, xs: np.ndarray) -> np.ndarray:
     """Vectorized branch application on the lift (no mod), preserving order
     and shape.

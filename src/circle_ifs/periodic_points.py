@@ -16,6 +16,7 @@ repelling periodic points of the forward system.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -27,11 +28,7 @@ from .circle_maps import (
     CirclePoint,
     Composition,
     Inverse,
-    LiftMap,
-    Power,
-    Rotation,
-    SinePerturbed,
-    TOL_NEUTRAL,
+    _classify,
     circle_distance,
     find_fixed_points,
 )
@@ -40,6 +37,18 @@ from .symbolic import SequenceModel, Word
 from .synchronization import Unpolarized, detect_repellers, repeller_bracket_arcs
 
 TOL_FIX = 1e-9
+# Fixed construction budgets.
+BFS_DEPTH = 12  # longest transport word F or G
+BFS_NODES = 100_000  # words enumerated per breadth-first search
+F_CANDIDATES = 40  # transports F tried per target
+G_CANDIDATES = 20  # returns G tried per transport F
+M_CAP = 500  # largest pull-in iterate m
+M_LEVELS = 7  # refinement levels of the repeller detection
+MILD_BAND = (0.02, 0.9)  # multipliers accepted for a short attracting prefix
+MIN_BASIN = 0.05  # shortest attracted interval of such a prefix
+BANACH_ROUNDS = 80
+NEWTON_ROUNDS = 12
+NEIGHBOR_ULPS = 4  # float64 neighbors re-evaluated on each side after Newton
 
 
 class HorizonExceeded(RuntimeError):
@@ -50,6 +59,7 @@ class StageExhausted(RuntimeError):
     def __init__(self, stage: str, message: str):
         super().__init__(f"[stage {stage}] {message}")
         self.stage = stage
+        self.detail = message
 
 
 @dataclass(frozen=True)
@@ -88,10 +98,8 @@ def _word_lift(ifs: IFS, letters: Sequence[int], x: float) -> float:
     return x
 
 
-def _classify(multiplier: float) -> str:
-    if abs(multiplier - 1.0) <= TOL_NEUTRAL:
-        return "neutral"
-    return "attracting" if multiplier < 1.0 else "repelling"
+def _residual(ifs: IFS, letters: Sequence[int], q: float) -> float:
+    return circle_distance(_word_lift(ifs, letters, q) % 1.0, q)
 
 
 def _bisect_fixed_point(ifs: IFS, letters: Sequence[int], lo: float, hi: float) -> float:
@@ -131,10 +139,10 @@ def _bisect_fixed_point(ifs: IFS, letters: Sequence[int], lo: float, hi: float) 
     return 0.5 * (lo + hi)
 
 
-def _banach_polish(ifs: IFS, letters: Sequence[int], q: float, rounds: int = 80) -> float:
+def _banach_polish(ifs: IFS, letters: Sequence[int], q: float) -> float:
     """Iterate the branch from q; converges to machine precision when the
     fixed point attracts."""
-    for _ in range(rounds):
+    for _ in range(BANACH_ROUNDS):
         nxt = _word_lift(ifs, letters, q) % 1.0
         if circle_distance(nxt, q) < 1e-15:
             return nxt
@@ -142,64 +150,65 @@ def _banach_polish(ifs: IFS, letters: Sequence[int], q: float, rounds: int = 80)
     return q
 
 
-def _newton_polish(ifs: IFS, letters: Sequence[int], q: float, rounds: int = 12) -> float:
-    """Newton refinement of branch(q) = q for expanding words.
+def _newton_polish(ifs: IFS, letters: Sequence[int], q: float) -> float:
+    """Newton refinement of branch(q) = q for expanding words, in float64.
 
     A float64 point near a fixed point with multiplier D carries residual
-    about D * ulp, so the iteration runs in extended precision and then the
-    best representable float64 neighbor (smallest re-evaluated residual)
-    is returned.  The iteration stops after `rounds` steps, on a step above
-    0.1 (no convergence), once the residual is below 1e-18, or once the
-    step has stalled at 1e-18 or less: at multipliers far above 1 the
-    residual test is never met, and a stalled step is below the float64
-    spacing of points above 0.01.
+    about D * ulp, so the iteration stops at that noise floor: after
+    NEWTON_ROUNDS steps, on a zero derivative, or before taking a step
+    above 0.1 (no convergence) or one that fails to halve the step before
+    (float64 noise).  The point and its float64 neighbors within
+    NEIGHBOR_ULPS ulp, center first, are then re-evaluated and the one
+    with the smallest residual is returned.
     """
-    qq = np.longdouble(q)
-    for _ in range(rounds):
-        img = _word_lift_ld(ifs, letters, qq)
-        k = np.floor(img - qq + np.longdouble(0.5))
-        f = img - k - qq
-        d = np.longdouble(branch_deriv(ifs, letters, float(qq % 1.0))) - 1.0
+    prev = math.inf
+    for _ in range(NEWTON_ROUNDS):
+        img = _word_lift(ifs, letters, q)
+        k = math.floor(img - q + 0.5)
+        d = branch_deriv(ifs, letters, q) - 1.0
         if d == 0.0:
             break
-        step = f / d
-        if abs(float(step)) > 0.1:
+        step = (img - k - q) / d
+        if abs(step) > 0.1 or abs(step) > 0.5 * prev:
             break
-        qq = qq - step
-        if abs(float(f)) < 1e-18 or abs(float(step)) <= 1e-18:
-            break
-    center = float(np.mod(qq, 1.0))
-
-    def resid(x: float) -> float:
-        return circle_distance(_word_lift(ifs, letters, x) % 1.0, x)
-
-    candidates = [center, np.nextafter(center, 0.0), np.nextafter(center, 1.0)]
-    return min(candidates, key=resid)
-
-
-def _word_lift_ld(ifs: IFS, letters: Sequence[int], x: np.longdouble) -> np.longdouble:
-    for a in letters:
-        x = _lift_ld(ifs.generators[a - 1], x)
-    return x
+        q -= step
+        prev = abs(step)
+    candidates = [q % 1.0]
+    down = up = candidates[0]
+    for _ in range(NEIGHBOR_ULPS):
+        down = math.nextafter(down, -math.inf)
+        up = math.nextafter(up, math.inf)
+        candidates += [down, up]
+    return min(candidates, key=lambda x: _residual(ifs, letters, x))
 
 
-def _lift_ld(g: LiftMap, x: np.longdouble) -> np.longdouble:
-    """Extended-precision lift; falls back to float64 for numeric inverses."""
-    if isinstance(g, Rotation):
-        return x + np.longdouble(g.alpha)
-    if isinstance(g, SinePerturbed):
-        w = np.longdouble(2.0 * np.pi * g.harmonics)
-        return x + np.longdouble(g.a) + np.longdouble(g.b) / w * np.sin(w * x)
-    if isinstance(g, Composition):
-        for m in reversed(g.maps):
-            x = _lift_ld(m, x)
-        return x
-    if isinstance(g, Power):
-        f = g.base if g.exponent >= 0 else g.base.inverse()
-        for _ in range(abs(g.exponent)):
-            x = _lift_ld(f, x)
-        return x
-    return np.longdouble(g.lift(float(x)))
+def _record(
+    ifs: IFS, letters: Sequence[int], q: float, stage: str, *, expanding: bool
+) -> PeriodicPointRecord:
+    """Record of the branch fixed point near q.
+
+    A contracting branch is polished by iteration first; Newton refinement
+    runs on an expanding branch, and on a contracting one whose residual
+    is still above TOL_FIX.  A residual above TOL_FIX after Newton raises
+    StageExhausted(stage, ...).
+    """
+    residual = math.inf
+    if not expanding:
+        q = _banach_polish(ifs, letters, q)
+        residual = _residual(ifs, letters, q)
+    if residual > TOL_FIX:
+        q = _newton_polish(ifs, letters, q)
+        residual = _residual(ifs, letters, q)
+        if residual > TOL_FIX:
+            raise StageExhausted(stage, f"residual {residual:.2e} above tolerance")
+    mult = branch_deriv(ifs, letters, q)
+    return PeriodicPointRecord(
+        word=Word(letters, ifs.k),
+        point=CirclePoint(q),
+        residual=residual,
+        multiplier=mult,
+        stability=_classify(mult),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +221,6 @@ def find_contracted_fixed_arc(
     model: SequenceModel,
     seed: int,
     horizon: int = 512,
-    m_levels: int = 7,
     stream: int = 0,
 ) -> Attractor:
     """Sample a branch, find a prefix length n and an arc U with
@@ -235,7 +243,7 @@ def find_contracted_fixed_arc(
     for n in lengths:
         prefix = w_full[:n]
         try:
-            est = detect_repellers(ifs, prefix, m_levels=m_levels)
+            est = detect_repellers(ifs, prefix, m_levels=M_LEVELS)
         except Unpolarized as exc:
             last_error = str(exc)
             continue
@@ -256,8 +264,7 @@ def find_contracted_fixed_arc(
                 continue
             q = _bisect_fixed_point(ifs, prefix.letters, lo, hi)
             q = _banach_polish(ifs, prefix.letters, q)
-            residual = circle_distance(_word_lift(ifs, prefix.letters, q) % 1.0, q)
-            if residual > TOL_FIX:
+            if _residual(ifs, prefix.letters, q) > TOL_FIX:
                 continue
             mult = branch_deriv(ifs, prefix.letters, q)
             basin = _attracted_interval(ifs, prefix, q, u_arc)
@@ -272,14 +279,10 @@ def find_contracted_fixed_arc(
     raise HorizonExceeded(f"within horizon {horizon}: {last_error}")
 
 
-def _mild_prefix_attractor(
-    ifs: IFS,
-    w_full: Word,
-    band: tuple[float, float] = (0.02, 0.9),
-    min_basin: float = 0.05,
-) -> Attractor | None:
+def _mild_prefix_attractor(ifs: IFS, w_full: Word) -> Attractor | None:
     """Shortest word prefix whose composition has an attracting fixed point
-    with multiplier inside `band` and a macroscopic attracted interval.
+    with multiplier inside MILD_BAND and an attracted interval of length at
+    least MIN_BASIN.
 
     The attracted interval between neighboring fixed points is itself
     invariant (points move monotonically toward the attractor), so it
@@ -292,14 +295,13 @@ def _mild_prefix_attractor(
         comp = Composition([ifs.generators[a - 1] for a in reversed(prefix.letters)])
         fps = find_fixed_points(comp, 1024)
         for fp in fps:
-            if fp.stability != "attracting" or not band[0] <= fp.derivative <= band[1]:
+            if fp.stability != "attracting" or not MILD_BAND[0] <= fp.derivative <= MILD_BAND[1]:
                 continue
             q = _banach_polish(ifs, prefix.letters, float(fp.point))
-            residual = circle_distance(_word_lift(ifs, prefix.letters, q) % 1.0, q)
-            if residual > TOL_FIX:
+            if _residual(ifs, prefix.letters, q) > TOL_FIX:
                 continue
             basin = _attracted_interval(ifs, prefix, q, Arc(q - 0.25, 0.5))
-            if basin.length < min_basin:
+            if basin.length < MIN_BASIN:
                 continue
             lo = basin.start
             hi = basin.start + basin.length
@@ -354,18 +356,18 @@ def _attracted_interval(ifs: IFS, word: Word, q: float, fallback: Arc) -> Arc:
 # ---------------------------------------------------------------------------
 
 
-def _bfs_words(ifs: IFS, depth: int, node_cap: int) -> Iterator[tuple[int, ...]]:
+def _bfs_words(ifs: IFS) -> Iterator[tuple[int, ...]]:
     """All words in breadth-first lexicographic order, empty word first."""
     queue: deque[tuple[int, ...]] = deque([()])
     count = 0
     while queue:
         w = queue.popleft()
         yield w
-        if len(w) >= depth:
+        if len(w) >= BFS_DEPTH:
             continue
         for a in range(1, ifs.k + 1):
             count += 1
-            if count > node_cap:
+            if count > BFS_NODES:
                 return
             queue.append(w + (a,))
 
@@ -392,18 +394,7 @@ def _arc_intersection(a: Arc, b: Arc) -> Arc | None:
     return Arc(a.start + lo, hi - lo)
 
 
-def periodic_in_interval(
-    ifs: IFS,
-    target: Arc,
-    attractor: Attractor,
-    *,
-    bfs_depth: int = 12,
-    bfs_nodes: int = 100_000,
-    f_candidates: int = 40,
-    g_candidates: int = 20,
-    m_cap: int = 500,
-    tol_fix: float = TOL_FIX,
-) -> PeriodicPointRecord:
+def periodic_in_interval(ifs: IFS, target: Arc, attractor: Attractor) -> PeriodicPointRecord:
     """Fixed point of G o g^m o F inside the target arc.
 
     F and G are found by breadth-first search (empty word allowed, so arcs
@@ -419,8 +410,8 @@ def periodic_in_interval(
     f_tried = 0
     stage = "F"
     detail = "no image of the target met the basin"
-    for f_word in _bfs_words(ifs, bfs_depth, bfs_nodes):
-        if f_tried >= f_candidates:
+    for f_word in _bfs_words(ifs):
+        if f_tried >= F_CANDIDATES:
             break
         lo = _word_lift(ifs, f_word, target.start)
         hi = _word_lift(ifs, f_word, target.start + target.length)
@@ -449,8 +440,8 @@ def periodic_in_interval(
 
         g_tried = 0
         g_found_any = False
-        for g_word in _bfs_words(ifs, bfs_depth, bfs_nodes):
-            if g_tried >= g_candidates:
+        for g_word in _bfs_words(ifs):
+            if g_tried >= G_CANDIDATES:
                 break
             pos = _word_lift(ifs, g_word, a) % 1.0
             inner = v_arc.shrunk(0.2 * v_arc.length)
@@ -462,7 +453,7 @@ def periodic_in_interval(
             if delta is None:
                 stage, detail = "G", "no neighborhood of the attractor maps into V"
                 continue
-            m = _pull_in_iterations(ifs, g_letters, c_lo_lift, c_hi_lift, a, delta, m_cap)
+            m = _pull_in_iterations(ifs, g_letters, c_lo_lift, c_hi_lift, a, delta)
             if m is None:
                 stage, detail = "m", f"g^m never entered the {delta:.2e}-neighborhood"
                 continue
@@ -472,22 +463,10 @@ def periodic_in_interval(
             except ValueError:
                 stage, detail = "m", "composite failed to map V into itself"
                 continue
-            q = _banach_polish(ifs, letters, q)
-            residual = circle_distance(_word_lift(ifs, letters, q) % 1.0, q)
-            if residual > tol_fix:
-                q = _newton_polish(ifs, letters, q)
-                residual = circle_distance(_word_lift(ifs, letters, q) % 1.0, q)
-                if residual > tol_fix:
-                    stage, detail = "m", f"residual {residual:.2e} above tolerance"
-                    continue
-            mult = branch_deriv(ifs, letters, q)
-            return PeriodicPointRecord(
-                word=Word(letters, ifs.k),
-                point=CirclePoint(q),
-                residual=residual,
-                multiplier=mult,
-                stability=_classify(mult),
-            )
+            try:
+                return _record(ifs, letters, q, "m", expanding=False)
+            except StageExhausted as exc:
+                stage, detail = exc.stage, exc.detail
         if not g_found_any:
             stage, detail = "G", "the attractor's orbit never entered V"
     raise StageExhausted(stage, detail)
@@ -527,10 +506,9 @@ def _pull_in_iterations(
     hi_lift: float,
     a: float,
     delta: float,
-    m_cap: int,
 ) -> int | None:
     lo, hi = lo_lift, hi_lift
-    for m in range(m_cap + 1):
+    for m in range(M_CAP + 1):
         rel = (lo % 1.0 - (a - delta)) % 1.0
         if rel + (hi - lo) <= 2.0 * delta:
             return m
@@ -593,27 +571,13 @@ class SweepReport:
         }
 
 
-def _as_forward_repeller(
-    ifs: IFS, record: PeriodicPointRecord, tol_fix: float
-) -> PeriodicPointRecord:
+def _as_forward_repeller(ifs: IFS, record: PeriodicPointRecord) -> PeriodicPointRecord:
     """Convert an attracting record of the inverse IFS into a repelling
-    record of the forward IFS: reverse the word, then polish the point on
-    the expanding composition (extended precision plus best-neighbor
+    record of the forward IFS: reverse the word, then Newton-polish the
+    point on the expanding composition (float64 Newton plus best-neighbor
     selection keeps the re-evaluated residual at the ulp scale).  A
-    residual above tol_fix raises StageExhausted("polish", ...)."""
-    letters = record.word.letters[::-1]
-    q = _newton_polish(ifs, letters, float(record.point))
-    residual = circle_distance(_word_lift(ifs, letters, q) % 1.0, q)
-    if residual > tol_fix:
-        raise StageExhausted("polish", f"residual {residual:.2e} above tolerance")
-    mult = branch_deriv(ifs, letters, q)
-    return PeriodicPointRecord(
-        word=Word(letters, ifs.k),
-        point=CirclePoint(q),
-        residual=residual,
-        multiplier=mult,
-        stability=_classify(mult),
-    )
+    residual above TOL_FIX raises StageExhausted("polish", ...)."""
+    return _record(ifs, record.word.letters[::-1], float(record.point), "polish", expanding=True)
 
 
 def density_sweep(
@@ -623,14 +587,12 @@ def density_sweep(
     seed: int,
     *,
     horizon: int = 512,
-    **construction_kwargs,
 ) -> SweepReport:
     """Run the periodic-point construction on every arc of a mesh partition,
     both for the forward IFS (attracting records) and, through the inverse
     IFS with reversed words, for repelling records.  Per-arc failures are
     recorded, not raised."""
     inverse = ifs.inverse_ifs()
-    tol_fix = construction_kwargs.get("tol_fix", TOL_FIX)
     try:
         attractor_f = find_contracted_fixed_arc(ifs, model, seed, horizon=horizon, stream=0)
         attractor_b = find_contracted_fixed_arc(inverse, model, seed, horizon=horizon, stream=1)
@@ -650,10 +612,10 @@ def density_sweep(
             arc = Arc(i / mesh, 1.0 / mesh)
             try:
                 if side == "attracting":
-                    rec = periodic_in_interval(ifs, arc, attractor_f, **construction_kwargs)
+                    rec = periodic_in_interval(ifs, arc, attractor_f)
                 else:
-                    inv_rec = periodic_in_interval(inverse, arc, attractor_b, **construction_kwargs)
-                    rec = _as_forward_repeller(ifs, inv_rec, tol_fix)
+                    inv_rec = periodic_in_interval(inverse, arc, attractor_b)
+                    rec = _as_forward_repeller(ifs, inv_rec)
             except (StageExhausted, HorizonExceeded) as exc:
                 rows.append(SweepRow(i, side, False, 0, float("nan"), float("nan"), str(exc)))
                 continue

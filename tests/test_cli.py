@@ -308,6 +308,15 @@ class TestDeterminism:
         assert code == 0
         assert out == (GOLDEN_DIR / "density_sweep_mesh4_seed7.csv").read_text()
 
+    def test_find_periodic_matches_golden_bytes(self, capsys):
+        # The reference bytes come from the attracting construction before
+        # the Newton polish moved to float64; it must not move a byte.
+        code, out, _ = run_cli(
+            capsys, "find-periodic", "--config", str(GOLDEN_DIR / "golden_sine_target_seed7.json")
+        )
+        assert code == 0
+        assert out == (GOLDEN_DIR / "find_periodic_seed7.json").read_text()
+
     def test_detect_repellers_matches_golden_bytes(self, capsys):
         # The reference bytes come from one branch walk per refinement
         # level; walks shared across levels must reproduce them exactly.

@@ -16,7 +16,6 @@ from circle_ifs.ifs_core import (
     IFS,
     OrbitalBranch,
     branch_apply,
-    branch_apply_array,
     branch_deriv,
     branch_lift_array,
     minimality_estimate,
@@ -69,13 +68,6 @@ class TestBranchApply:
         traj = branch_apply(golden_sine, Word((1, 2, 1), 2), 0.2, return_trajectory=True)
         assert len(traj) == 3
         assert traj[-1] == branch_apply(golden_sine, Word((1, 2, 1), 2), 0.2)
-
-    def test_array_agrees_with_scalar(self, golden_sine):
-        xs = np.linspace(0.0, 1.0, 17)[:-1]
-        w = Word((2, 1, 2, 2), 2)
-        arr = branch_apply_array(golden_sine, w, xs)
-        for x, y in zip(xs, arr):
-            assert float(branch_apply(golden_sine, w, x)) == pytest.approx(y, abs=1e-15)
 
     def test_hat_apply_reverses_order(self, golden_sine):
         b = OrbitalBranch(golden_sine, Word((1, 2), 2))

@@ -42,6 +42,15 @@ def inverse_composites(golden_sine_ifs, fair_coin):
     return inv, calls
 
 
+@pytest.fixture(scope="module")
+def inverse_records(golden_sine_ifs, fair_coin):
+    """Attracting records of the inverse IFS on the arcs of a mesh-4 sweep:
+    reversed, they are what the repelling side hands to the Newton polish."""
+    inv = golden_sine_ifs.inverse_ifs()
+    att = find_contracted_fixed_arc(inv, fair_coin, seed=7, stream=1)
+    return [periodic_in_interval(inv, Arc(i / 4, 1 / 4), att) for i in range(4)]
+
+
 def reference_bisection(ifs, letters, lo, hi):
     """Bisection on the direct displacement h(x) - k - x."""
     def disp(x):
@@ -86,6 +95,30 @@ class TestBisectFixedPoint:
                 reference_bisection(inv, letters, lo, hi)
             with pytest.raises(ValueError, match="not mapped into itself"):
                 periodic_points._bisect_fixed_point(inv, letters, lo, hi)
+
+
+class TestNewtonPolish:
+    def test_best_float64_neighbor(self, golden_sine_ifs, inverse_records, monkeypatch):
+        # The returned point beats every float64 within +-4 ulp of the point
+        # the Newton iteration stopped at (the polish without neighbor search).
+        def resid(letters, x):
+            return periodic_points._residual(golden_sine_ifs, letters, x)
+
+        for rec in inverse_records:
+            letters = rec.word.letters[::-1]
+            q = periodic_points._newton_polish(golden_sine_ifs, letters, float(rec.point))
+            with monkeypatch.context() as mp:
+                mp.setattr(periodic_points, "NEIGHBOR_ULPS", 0)
+                center = periodic_points._newton_polish(golden_sine_ifs, letters, float(rec.point))
+            window = [center]
+            for direction in (-math.inf, math.inf):
+                x = center
+                for _ in range(4):
+                    x = math.nextafter(x, direction)
+                    window.append(x)
+            assert q in window
+            assert resid(letters, q) == min(resid(letters, x) for x in window)
+            assert resid(letters, q) < 1e-11
 
 
 class TestContractedFixedArc:
@@ -162,6 +195,13 @@ class TestDensitySweep:
     def test_full_coverage_both_classes(self, sweep):
         assert sweep.coverage("attracting") == 1.0
         assert sweep.coverage("repelling") == 1.0
+
+    def test_seed42_every_arc_at_ulp_scale(self, golden_sine_ifs, fair_coin):
+        # Float64 Newton plus the +-4 ulp neighbor search: every arc found,
+        # repelling residuals far below TOL_FIX.
+        report = density_sweep(golden_sine_ifs, 20, fair_coin, seed=42)
+        assert all(row.found for row in report.rows)
+        assert max(r.residual for r in report.rows if r.stability == "repelling") < 1e-11
 
     def test_residuals_under_tolerance(self, sweep):
         for row in sweep.rows:
