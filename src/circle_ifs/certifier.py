@@ -47,6 +47,13 @@ from .symbolic import Word
 
 C_SAFETY = 0.1
 CONTRACTION_GRID = 1024  # grid cells on (p + delta, p + eps) for lambda
+BASIN_GRID = 4096  # grid cells on the circle for the basin search
+BASIN_MIN_EPS = 1e-3  # shortest admissible basin
+COVER_WINDOW_FRAC = 0.05  # edge padding of the return window for cover exponents
+# A rotation number within RATIONAL_TOL of p/q, q <= RATIONAL_Q_MAX, is rational.
+RATIONAL_Q_MAX, RATIONAL_TOL = 64, 1e-9
+CHECK_TOL = 1e-12  # stored against recomputed margins in check_certificate
+C1_GRID = 512  # grid points of the C^1 gauge
 # Universal-word search: target shrink fraction, suffix BFS depth and
 # node budget, fine-grid refinement factor and verification rounds.
 UNIVERSAL_SHRINK = 0.1
@@ -65,10 +72,9 @@ class RationalRotation(ValueError):
 
 
 class SearchExhausted(RuntimeError):
-    def __init__(self, stage: str, message: str, partial=None):
+    def __init__(self, stage: str, message: str):
         super().__init__(f"[{stage}] {message}")
         self.stage = stage
-        self.partial = partial
 
 
 class ContractionFails(RuntimeError):
@@ -84,9 +90,7 @@ class NestedLimitViolation(RuntimeError):
 
 
 class LengthExceeded(RuntimeError):
-    def __init__(self, message: str, survivors: tuple[float, ...] = ()):
-        super().__init__(message)
-        self.survivors = survivors
+    """The universal word outgrew max_len or its suffix search ran dry."""
 
 
 class _FieldError(ValueError):
@@ -165,36 +169,31 @@ def _local_iterate(g: LiftMap, p: float) -> Callable[[float], float]:
     return lambda t: float(g.lift(p + t)) - p - offset
 
 
-def locate_basin(
-    g2: LiftMap,
-    grid_n: int = 4096,
-    deriv_margin: float = 0.01,
-    min_eps: float = 1e-3,
-) -> BasinData:
+def locate_basin(g2: LiftMap, deriv_margin: float = 0.01) -> BasinData:
     """Find an attracting-side fixed point of g2 and its basin geometry.
 
     Picks the fixed point with the longest right-sided interval on which the
-    derivative stays below 1 - deriv_margin (grid resolution 1/grid_n), then
+    derivative stays below 1 - deriv_margin (grid resolution 1/BASIN_GRID), then
     sets delta to the midpoint of the admissible interval
     (0, eps - |p - g2(p+eps)|) and computes B and D from g2 evaluations.
     """
-    fps = find_fixed_points(g2, grid_n)
+    fps = find_fixed_points(g2, BASIN_GRID)
     if not fps:
         raise NoAttractingSide("map has no fixed points")
-    step = 1.0 / grid_n
+    step = 1.0 / BASIN_GRID
     best: tuple[float, float] | None = None  # (eps, p)
     for fp in fps:
         p = float(fp.point)
-        xs = p + step * np.arange(1, grid_n)
+        xs = p + step * np.arange(1, BASIN_GRID)
         ds = np.asarray(g2.deriv(xs))
         bad = np.flatnonzero(ds > 1.0 - deriv_margin)
-        good = int(bad[0]) if len(bad) else grid_n - 1
+        good = int(bad[0]) if len(bad) else BASIN_GRID - 1
         eps = good * step
-        if eps >= min_eps and (best is None or eps > best[0] + 1e-15):
+        if eps >= BASIN_MIN_EPS and (best is None or eps > best[0] + 1e-15):
             best = (eps, p)
     if best is None:
         raise NoAttractingSide(
-            f"no fixed point has a right basin of length >= {min_eps} "
+            f"no fixed point has a right basin of length >= {BASIN_MIN_EPS} "
             f"with derivative margin {deriv_margin}"
         )
     eps, p = best
@@ -226,18 +225,42 @@ def locate_basin(
 # ---------------------------------------------------------------------------
 
 
-def _require_rotation(g1: LiftMap, q_max: int = 64, tol: float = 1e-9) -> float:
+def _require_rotation(g1: LiftMap) -> float:
     alpha = g1.as_translation()
     if alpha is None:
         raise RationalRotation("the first generator must be built from rotations")
     frac = alpha % 1.0
-    for q in range(1, q_max + 1):
-        if abs(frac * q - round(frac * q)) < tol:
+    for q in range(1, RATIONAL_Q_MAX + 1):
+        if abs(frac * q - round(frac * q)) < RATIONAL_TOL:
             raise RationalRotation(
                 f"rotation number is approximately {round(frac * q)}/{q}; "
                 "an irrational rotation is required"
             )
     return alpha
+
+
+def _greedy_cover(
+    starts: np.ndarray, ends: np.ndarray, reach: float, stop: float,
+    demand: float, bucket: float, stage: str,
+) -> list[int]:
+    """Indices of a greedy left-to-right cover by the arcs (starts, ends),
+    from `reach` until the reach passes `stop`.
+
+    An arc is admissible when it starts at least `demand` before the
+    current reach and ends beyond it.  Among the admissible arcs ending
+    within `bucket` of the farthest end, the lowest index wins.  Each pick
+    ends beyond every earlier one, so no index repeats.
+    """
+    picks: list[int] = []
+    while reach < stop:
+        adm = np.flatnonzero((starts <= reach - demand) & (ends > reach))
+        if len(adm) == 0:
+            raise SearchExhausted(stage, f"cover stalls at {reach:.6f}")
+        best_end = float(np.max(ends[adm]))
+        best = int(adm[ends[adm] >= best_end - bucket][0])
+        picks.append(best)
+        reach = float(ends[best])
+    return picks
 
 
 def search_cover_words(
@@ -246,18 +269,16 @@ def search_cover_words(
     basin: BasinData,
     n_max: int = 10_000,
     min_margin: float = 1e-4,
-    window_frac: float = 0.05,
 ) -> tuple[int, ...]:
     """Exponents n_i of the smallest greedy family h_i = g1^{n_i} o g2
     meant to satisfy (1) and (2); `reverify_certificate` measures how well.
 
     Admissible exponents place the rotated closure(D) inside
-    (p + delta, p + eps), staying window_frac of the window away from its
-    edges so the condition-(2) margin is macroscopic.  A greedy
-    left-to-right pass then covers closure(B) by the translated copies of
-    g2(B), maximizing reach; reach ties are bucketed at a quarter arc so
-    the smallest workable exponent wins (small exponents keep the
-    perturbation amplification down).
+    (p + delta, p + eps), staying COVER_WINDOW_FRAC of the window away from
+    its edges so the condition-(2) margin is macroscopic.  `_greedy_cover`
+    then covers closure(B) by the translated copies of g2(B), with reach
+    ties bucketed at a quarter arc so the smallest workable exponent wins
+    (small exponents keep the perturbation amplification down).
     """
     alpha = _require_rotation(g1)
     if basin.arc_B.length >= 1.0:
@@ -268,14 +289,12 @@ def search_cover_words(
     p, eps, delta = basin.p, basin.eps, basin.delta
     local = _local_iterate(g2, p)
     d1 = basin.arc_D.length
-    b1 = d1
     b0 = (basin.arc_B.start - p) % 1.0  # g2 sends B's top endpoint here
-    c1 = b0
     c0 = local(b0)
-    if not 0.0 < c0 < c1:
+    if not 0.0 < c0 < b0:
         raise SearchExhausted("cover_words", "image of B under g2 is degenerate")
     w_lo, w_hi = delta, eps - d1
-    pad = max(min_margin, window_frac * (w_hi - w_lo))
+    pad = max(min_margin, COVER_WINDOW_FRAC * (w_hi - w_lo))
     if w_hi - w_lo <= 2.0 * pad:
         raise SearchExhausted(
             "cover_words", f"return window ({w_lo:.6f}, {w_hi:.6f}) is too thin"
@@ -286,29 +305,12 @@ def search_cover_words(
     ns, betas = ns[ok], betas[ok]
     if len(ns) == 0:
         raise SearchExhausted("cover_words", f"no exponent <= {n_max} lands in the window")
-    starts = c0 + betas
-    ends = c1 + betas
-    bucket = 0.25 * (c1 - c0)
-    overlap_demand = max(min_margin, 0.05 * (c1 - c0))
-
-    picks: list[int] = []
-    cur = b0
-    while True:
-        adm = np.flatnonzero((starts <= cur - overlap_demand) & (ends > cur))
-        if len(adm) == 0:
-            raise SearchExhausted(
-                "cover_words",
-                f"cover stalls at {cur:.6f} of [{b0:.6f}, {b1:.6f}]",
-                partial=[int(ns[i]) for i in picks],
-            )
-        best_end = float(np.max(ends[adm]))
-        top = adm[ends[adm] >= best_end - bucket]
-        best = top[np.argmin(ns[top])]
-        picks.append(int(best))
-        cur = float(ends[best])
-        if cur >= b1 + min_margin:
-            break
-
+    # Relative to p, B = (b0, d1) and g2(B) = (c0, b0).
+    c_len = b0 - c0
+    picks = _greedy_cover(
+        c0 + betas, b0 + betas, reach=b0, stop=d1 + min_margin,
+        demand=max(min_margin, 0.05 * c_len), bucket=0.25 * c_len, stage="cover_words",
+    )
     return tuple(int(ns[i]) for i in picks)
 
 
@@ -317,38 +319,20 @@ def search_cover_words(
 # ---------------------------------------------------------------------------
 
 
-def _greedy_circle_cover(
-    offsets: np.ndarray, length: float, min_margin: float
-) -> tuple[int, ...]:
+def _circle_cover(offsets: np.ndarray, length: float, min_margin: float) -> tuple[int, ...]:
     """Cover the circle by arcs (offset_m, offset_m + length), anchored at
-    exponent 0, greedily maximizing reach with quarter-arc reach buckets
-    (smallest exponent wins inside a bucket).  Returns the picked indices.
-    """
+    index 0, with `_greedy_cover` and quarter-arc reach buckets.  Returns
+    the picked indices, 0 first."""
     if length >= 1.0:
         return (0,)  # a full-circle arc covers unconditionally
     rel = np.mod(offsets - offsets[0], 1.0)
     bucket = 0.25 * length
-    overlap_demand = max(min_margin, 0.1 * length)
     close_by = max(min_margin, 0.5 * bucket)  # demanded closing overlap
-    picks = [0]
-    cur = length
-    while cur < 1.0 + close_by:
-        adm = np.flatnonzero((rel <= cur - overlap_demand) & (rel + length > cur))
-        if len(adm) == 0:
-            raise SearchExhausted(
-                "global_cover", f"circle cover stalls at {cur:.6f}", partial=picks
-            )
-        reach = rel[adm] + length
-        best_reach = float(np.max(reach))
-        top = adm[reach >= best_reach - bucket]
-        best = top[np.argmin(top)]
-        if int(best) in picks:
-            raise SearchExhausted(
-                "global_cover", f"circle cover loops at {cur:.6f}", partial=picks
-            )
-        picks.append(int(best))
-        cur = float(rel[best] + length)
-    return tuple(picks)
+    picks = _greedy_cover(
+        rel, rel + length, reach=length, stop=1.0 + close_by,
+        demand=max(min_margin, 0.1 * length), bucket=bucket, stage="global_cover",
+    )
+    return (0, *picks)
 
 
 def verify_global_cover(
@@ -356,12 +340,12 @@ def verify_global_cover(
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Rotation exponents (forward, backward) covering the circle by copies
     of B, by forward images T_i(B) = B + m_i*alpha and by inverse images
-    S_i^{-1}(B) = B - m_i*alpha; `reverify_certificate` measures the
-    overlaps."""
+    S_i^{-1}(B) = B - m_i*alpha, each picked by `_greedy_cover`;
+    `reverify_certificate` measures the overlaps."""
     alpha = _require_rotation(g1)
     ms = np.arange(0, n_max + 1)  # ms[i] == i, so the picks are the exponents
-    fwd = _greedy_circle_cover(np.mod(arc_b.start + ms * alpha, 1.0), arc_b.length, min_margin)
-    bwd = _greedy_circle_cover(np.mod(arc_b.start - ms * alpha, 1.0), arc_b.length, min_margin)
+    fwd = _circle_cover(np.mod(arc_b.start + ms * alpha, 1.0), arc_b.length, min_margin)
+    bwd = _circle_cover(np.mod(arc_b.start - ms * alpha, 1.0), arc_b.length, min_margin)
     return fwd, bwd
 
 
@@ -573,25 +557,30 @@ class Reverification:
     valid: bool
 
 
-def _power_chain(f: LiftMap, xs: np.ndarray, exponents: Sequence[int]) -> dict[int, np.ndarray]:
-    """Values of f^m(xs) for every requested m >= 0, via one incremental pass.
-
-    Rotation-built maps short-circuit to direct translation; everything else
-    shares a single iteration chain up to max(exponents).
-    """
-    wanted = sorted(set(int(m) for m in exponents))
+def _power_chain(
+    f: LiftMap, pos: np.ndarray, deriv: np.ndarray, exponents: Sequence[int]
+) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """(f^n(pos), deriv * Df^n(pos)) for every requested n >= 0, one
+    `f.lift_deriv` per step of a single chain up to max(exponents).  A
+    translation f just shifts pos and leaves deriv as it is."""
     t = f.as_translation()
-    if t is not None:
-        return {m: xs + m * t for m in wanted}
-    out: dict[int, np.ndarray] = {}
-    cur = np.array(xs, dtype=float)
+    out: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     done = 0
-    for m in wanted:
-        for _ in range(m - done):
-            cur = np.asarray(f.lift(cur))
-        done = m
-        out[m] = cur.copy()
+    for n in sorted(set(exponents)):
+        if t is None:
+            for _ in range(n - done):
+                pos, d = f.lift_deriv(pos)
+                deriv = deriv * d
+            out[n] = (pos, deriv)
+        else:
+            out[n] = (pos + n * t, deriv)
+        done = n
     return out
+
+
+def _overlaps(spans: Sequence[tuple[float, float]]) -> list[float]:
+    """Overlap of each (start, end) span with the next one."""
+    return [end - start for (_, end), (start, _) in zip(spans, spans[1:])]
 
 
 def reverify_certificate(
@@ -605,21 +594,22 @@ def reverify_certificate(
     it returns for the stored generators, and `certify --check` and
     perturbed re-verification call it again.  With f1/f2 omitted the stored
     generators are used, so a fresh certificate's margins are reproduced
-    exactly (`check_certificate` still allows 1e-12 for certificates
+    exactly (`check_certificate` still allows CHECK_TOL for certificates
     written by older versions).  Supplying perturbed maps re-checks the
     same combinatorial data under perturbation; all margins positive means
     the certificate survives.
 
-    Conditions (1)-(3) share one f1 chain over f2(B ends), the D ends and f2
-    of the contraction grid on (p + delta, p + eps).  Each exponent step is
-    one `f1.lift_deriv`, whose derivative multiplies the grid's running
-    D(f1^n o f2); at each cover exponent n the chain gives the ends of
-    h_n(B) and f1^n(D) and the grid maximum of Dh_n.  A rotation f1 just
-    translates the ends.  Condition (4) follows the ends of B under f1 and
-    f1^-1 on chains of its own, so the cost is linear in the largest
-    exponent.  Where f1 contains an inverse, its array Newton solve stops
-    when every point of the chain has converged, so the last digits of an
-    end can depend on the points solved with it.
+    One f1 chain (`_power_chain`) carries f2(B ends), the D ends, the B
+    ends and f2 of the contraction grid on (p + delta, p + eps), up to the
+    largest cover or global forward exponent.  Each step is one
+    `f1.lift_deriv`, whose derivative multiplies the grid's running
+    D(f1^n o f2).  At each cover exponent n the chain gives the ends of
+    h_n(B) and f1^n(D) and the grid maximum of Dh_n; at each global forward
+    exponent it gives the ends of f1^n(B).  Only the f1^-1 images of B for
+    condition (4) take a chain of their own, so the cost is linear in the
+    largest exponent.  Where f1 contains an inverse, its array Newton solve
+    stops when every point of the chain has converged, so the last digits
+    of an end can depend on the points solved with it.
     """
     s1, s2 = cert.generator_maps()
     f1 = s1 if f1 is None else f1
@@ -629,44 +619,29 @@ def reverify_certificate(
     d_len = basin.arc_D.length
     rb0 = (basin.arc_B.start - p) % 1.0
     rb1 = rb0 + basin.arc_B.length
+    b_ends = np.array([basin.arc_B.start, basin.arc_B.start + basin.arc_B.length])
 
-    # (1)-(3): one f1 chain whose first four points are the B and D ends.
+    # One f1 chain whose first six points are the f2(B), D and B ends.
     b_img = np.asarray(f2.lift(np.array([p + rb0, p + rb1])), dtype=float)
     xs = p + np.linspace(delta, eps, CONTRACTION_GRID + 1)
     grid_pos, grid_deriv = f2.lift_deriv(xs)
-    pos = np.concatenate([b_img, [p, p + d_len], np.asarray(grid_pos, dtype=float)])
-    deriv = np.concatenate([np.ones(4), np.asarray(grid_deriv, dtype=float)])
-    trans = f1.as_translation()
-    ends: dict[int, np.ndarray] = {}  # n -> f1^n of the four B and D ends
-    worst = 0.0
-    done = 0
-    for n in sorted(set(cert.cover_exponents)):
-        if trans is None:
-            for _ in range(n - done):
-                pos, d = f1.lift_deriv(pos)
-                deriv = deriv * d
-            ends[n] = pos[:4]
-        else:
-            ends[n] = pos[:4] + n * trans
-        done = n
-        worst = max(worst, float(np.max(deriv[4:])))
+    pos = np.concatenate([b_img, [p, p + d_len], b_ends, np.asarray(grid_pos, dtype=float)])
+    deriv = np.concatenate([np.ones(6), np.asarray(grid_deriv, dtype=float)])
+    chain = _power_chain(f1, pos, deriv, [*cert.cover_exponents, *cert.global_forward_exponents])
+    worst = max(float(np.max(chain[n][1][6:])) for n in cert.cover_exponents)
 
     # (1) closure(B) covered by h_i = f1^{n_i} o f2 images, in stored order.
     spans = []
     for n in cert.cover_exponents:
-        lo, hi = ends[n][:2]
+        lo, hi = chain[n][0][:2]
         start = (lo - p) % 1.0
         spans.append((start, start + (hi - lo)))
-    chain = [rb0 - spans[0][0]]
-    for (s_prev, e_prev), (s_next, _) in zip(spans, spans[1:]):
-        chain.append(e_prev - s_next)
-    chain.append(spans[-1][1] - rb1)
-    m1 = min(chain)
+    m1 = min([rb0 - spans[0][0], *_overlaps(spans), spans[-1][1] - rb1])
 
     # (2) rotated closure(D) inside (p + delta, p + eps).
     m2 = math.inf
     for n in cert.cover_exponents:
-        lo, hi = ends[n][2:]
+        lo, hi = chain[n][0][2:4]
         start = (lo - p) % 1.0
         m2 = min(m2, start - delta, eps - (start + (hi - lo)))
 
@@ -679,23 +654,17 @@ def reverify_certificate(
     m3 = 1.0 - lam
 
     # (4) circle covers in stored order, forward and inverse families.
+    backward = _power_chain(f1.inverse(), b_ends, np.ones(2), cert.global_backward_exponents)
     m4 = math.inf
-    b_ends = np.array([basin.arc_B.start, basin.arc_B.start + basin.arc_B.length])
-    for exponents, mapper in (
-        (cert.global_forward_exponents, f1),
-        (cert.global_backward_exponents, f1.inverse()),
+    for ends in (
+        [chain[m][0][4:6] for m in cert.global_forward_exponents],
+        [backward[m][0] for m in cert.global_backward_exponents],
     ):
-        values = _power_chain(mapper, b_ends, exponents)
-        spans = [(values[m][0], values[m][1] - values[m][0]) for m in exponents]
-        anchor = spans[0][0]
-        rel = [((lo - anchor) % 1.0, length) for lo, length in spans]
-        cur = rel[0][1]
-        chain = []
-        for r, length in rel[1:]:
-            chain.append(cur - r)
-            cur = r + length
-        chain.append(cur - 1.0)
-        m4 = min(m4, min(chain) if chain else spans[0][1])
+        spans = []
+        for lo, hi in ends:
+            start = (lo - ends[0][0]) % 1.0
+            spans.append((start, start + (hi - lo)))
+        m4 = min(m4, min([*_overlaps(spans), spans[-1][1] - 1.0]))
 
     margins = {
         "cover_overlap": float(m1),
@@ -707,13 +676,14 @@ def reverify_certificate(
     return Reverification(margins, float(lam), valid)
 
 
-def check_certificate(cert: Certificate, tol: float = 1e-12) -> tuple[bool, Reverification]:
+def check_certificate(cert: Certificate) -> tuple[bool, Reverification]:
     """Recompute margins from the stored generators and compare to the
-    stored values.  Fails when a margin drifts beyond tol or is not positive."""
+    stored values.  Fails when a margin drifts beyond CHECK_TOL or is not
+    positive."""
     rev = reverify_certificate(cert)
-    ok = rev.valid and abs(rev.lam - cert.lam) <= tol
+    ok = rev.valid and abs(rev.lam - cert.lam) <= CHECK_TOL
     for k in MARGIN_KEYS:
-        ok = ok and abs(rev.margins[k] - cert.margins[k]) <= tol
+        ok = ok and abs(rev.margins[k] - cert.margins[k]) <= CHECK_TOL
     return bool(ok), rev
 
 
@@ -888,18 +858,14 @@ def find_universal_word(
     capture[shrunk.contains_array(pos)] = 0
     letters: list[int] = []
 
-    def survivors_of(positions: np.ndarray, caps: np.ndarray) -> np.ndarray:
-        return np.flatnonzero(caps < 0)
-
     def greedy(positions: np.ndarray, caps: np.ndarray) -> None:
         while True:
-            alive = survivors_of(positions, caps)
+            alive = np.flatnonzero(caps < 0)
             if len(alive) == 0:
                 return
             if len(letters) > max_len:
                 raise LengthExceeded(
-                    f"word exceeded max_len={max_len} with {len(alive)} survivors",
-                    survivors=tuple(float(v) for v in np.sort(positions[alive])[:32]),
+                    f"word exceeded max_len={max_len} with {len(alive)} survivors"
                 )
             srt = np.sort(positions[alive])
             lo, span = _largest_cluster(srt, 0.8 * shrunk.length)
@@ -909,13 +875,10 @@ def find_universal_word(
                 lo = float(srt[0])
                 suffix = _bfs_arc_to_target(ifs, lo, 0.0, shrunk)
                 if suffix is None:
-                    raise LengthExceeded(
-                        "suffix search exhausted",
-                        survivors=tuple(float(v) for v in srt[:32]),
-                    )
+                    raise LengthExceeded("suffix search exhausted")
             for a in suffix:
                 g = gens[a - 1]
-                alive = survivors_of(positions, caps)
+                alive = np.flatnonzero(caps < 0)
                 positions[alive] = np.mod(g.lift(positions[alive]), 1.0)
                 letters.append(a)
                 hit = alive[shrunk.contains_array(positions[alive])]
@@ -957,9 +920,10 @@ def find_universal_word(
 # ---------------------------------------------------------------------------
 
 
-def c1_distance(f: LiftMap, g: LiftMap, grid_n: int = 512) -> float:
-    """sup |F - G| + sup |DF - DG| on a grid (the C^1 gauge used throughout)."""
-    xs = np.arange(grid_n) / grid_n
+def c1_distance(f: LiftMap, g: LiftMap) -> float:
+    """sup |F - G| + sup |DF - DG| on a C1_GRID-point grid (the C^1 gauge
+    used throughout)."""
+    xs = np.arange(C1_GRID) / C1_GRID
     d0 = float(np.max(np.abs(np.asarray(f.lift(xs)) - np.asarray(g.lift(xs)))))
     d1 = float(np.max(np.abs(np.asarray(f.deriv(xs)) - np.asarray(g.deriv(xs)))))
     return d0 + d1

@@ -59,9 +59,6 @@ class CirclePoint(float):
     def __new__(cls, value: float) -> "CirclePoint":
         return super().__new__(cls, float(value) % 1.0)
 
-    def distance_to(self, other: float) -> float:
-        return circle_distance(float(self), float(other))
-
     def __repr__(self) -> str:
         return f"CirclePoint({float(self)!r})"
 
@@ -118,12 +115,6 @@ class Arc:
         if 2.0 * margin >= self.length:
             raise ValueError("margin swallows the arc")
         return Arc(self.start + margin, self.length - 2.0 * margin)
-
-    def translated(self, t: float) -> "Arc":
-        return Arc(self.start + t, self.length)
-
-    def grid(self, n: int) -> np.ndarray:
-        return np.mod(self.start + self.length * np.arange(n) / n, 1.0)
 
     def to_json(self) -> dict:
         return {"start": self.start, "length": self.length}
@@ -417,11 +408,10 @@ class Composition(LiftMap):
     def second_deriv_bound(self) -> float:
         # |D2(f o g)| <= M2_f (sup Dg)^2 + sup Df * M2_g, folded pairwise.
         bound = 0.0
-        dlo, dhi = 1.0, 1.0
+        dhi = 1.0
         for m in reversed(self.maps):
-            mlo, mhi = m.deriv_bounds()
+            mhi = m.deriv_bounds()[1]
             bound = m.second_deriv_bound() * dhi * dhi + mhi * bound
-            dlo *= mlo
             dhi *= mhi
         return bound
 

@@ -42,6 +42,7 @@ from .periodic_points import (
 )
 from .symbolic import InvalidModel, SequenceModel, _rng, model_from_json
 from .synchronization import (
+    START_LEVEL,
     CoverSearchExhausted,
     NoMinimalGenerator,
     Unpolarized,
@@ -195,8 +196,15 @@ def _positive(value) -> float:
     return float(value)
 
 
-# detect_repellers refines from level 3 and needs m_levels >= 3 + 3.
-_M_LEVELS = _at_least(6)
+def _bool(value) -> bool:
+    """Accept only true or false (not a number or a string)."""
+    if type(value) is not bool:
+        raise ValueError(f"must be true or false, got {value!r}")
+    return value
+
+
+# detect_repellers refines from START_LEVEL and needs START_LEVEL + 3 levels.
+_M_LEVELS = _at_least(START_LEVEL + 3)
 
 
 def _n_grid(value) -> list[int] | None:
@@ -210,7 +218,7 @@ def _n_grid(value) -> list[int] | None:
 def _arc_param(params: dict, key: str, path: str) -> Arc:
     obj = _field(params, key, path)
     try:
-        return Arc(float(obj["start"]), float(obj["length"]))
+        return Arc(_finite(obj["start"]), _finite(obj["length"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path}{key}: {exc}") from exc
 
@@ -262,7 +270,7 @@ def _cmd_classify(cfg: dict, seed: int) -> tuple[str, int]:
         word_length=_param(params, "word_length", _at_least(1), 5000),
         m_levels=_param(params, "m_levels", _M_LEVELS, 10),
         seed=seed,
-        check_minimality=bool(params.get("check_minimality", False)),
+        check_minimality=_param(params, "check_minimality", _bool, False),
     )
     return canonical_json(result.to_json()), 0
 
@@ -382,9 +390,7 @@ def _cmd_density_sweep(cfg: dict, seed: int) -> tuple[str, int]:
 
 def _cmd_perturb(cfg: dict, seed: int) -> tuple[str, int]:
     params = cfg.get("params", {})
-    size = params.get("size")
-    if not isinstance(size, (int, float)) or size < 0:
-        raise ConfigError("params.size: must be a non-negative number")
+    size = _param(params, "size", _non_negative, None)
     inner_name = _field(params, "command", "params.")
     if inner_name not in HANDLERS or inner_name == "perturb":
         raise ConfigError(f"params.command: unknown or non-perturbable {inner_name!r}")
@@ -395,7 +401,10 @@ def _cmd_perturb(cfg: dict, seed: int) -> tuple[str, int]:
     new_gens = []
     for i, gj in enumerate(cfg["generators"]):
         rng = _rng(perturb_seed, 7000 + i)
-        new_gens.append(perturb_map(map_from_json(gj), float(size), rng).to_json())
+        try:
+            new_gens.append(perturb_map(map_from_json(gj), size, rng).to_json())
+        except ValueError as exc:  # a bump too large for a diffeomorphism
+            raise ConfigError(f"params.size: {exc}") from exc
     inner_cfg = dict(cfg)
     inner_cfg["generators"] = new_gens
     inner_cfg["params"] = inner_params

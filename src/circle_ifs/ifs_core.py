@@ -22,6 +22,8 @@ WordLike = Union[Word, Sequence[int]]
 # far below every epsilon of interest, prevents exponential blowup.
 DEDUP_RES = 1e-9
 ORBIT_CAP = 1_000_000
+# minimality_estimate keeps at most this many frontier points per level.
+FRONTIER_CAP = 50_000
 
 # branch_lift_array merges bitwise-equal points before every SYNC_CHECK-th
 # letter and walks on Python floats once SCALAR_VALUES or fewer remain.
@@ -164,24 +166,19 @@ def branch_deriv(ifs: IFS, w: WordLike, x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _quantize(xs: np.ndarray, res: float = DEDUP_RES) -> np.ndarray:
-    m = int(round(1.0 / res))
-    return np.round(np.mod(xs, 1.0) / res).astype(np.int64) % m
+def _quantize(xs: np.ndarray) -> np.ndarray:
+    m = int(round(1.0 / DEDUP_RES))
+    return np.round(np.mod(xs, 1.0) / DEDUP_RES).astype(np.int64) % m
 
 
 def _orbit_levels(
-    ifs: IFS,
-    x: float,
-    depth: int,
-    cap: int,
-    dedup_res: float = DEDUP_RES,
-    frontier_cap: int | None = None,
+    ifs: IFS, x: float, depth: int, cap: int, frontier_cap: int | None
 ) -> Iterator[np.ndarray]:
     """Yield the fresh points of each breadth-first level of the orbit of x.
 
     Generators expand in index order; within a level the first occurrence of
     a duplicated point wins, which makes the enumeration deterministic.  At
-    most `cap` points are yielded in total; `frontier_cap` optionally bounds
+    most `cap` points are yielded in total; `frontier_cap`, unless None, bounds
     the per-level frontier, keeping lexicographically earliest nodes (so
     pure first-generator words always survive).  Stops early when a level
     brings nothing new.
@@ -193,7 +190,7 @@ def _orbit_levels(
         children = np.concatenate(
             [np.mod(g.lift(frontier), 1.0) for g in ifs.generators]
         )
-        keys = _quantize(children, dedup_res)
+        keys = _quantize(children)
         _, first_idx = np.unique(keys, return_index=True)
         first_idx.sort()
         children = children[first_idx]
@@ -212,24 +209,16 @@ def _orbit_levels(
         frontier = children[:frontier_cap]
 
 
-def semigroup_orbit(
-    ifs: IFS,
-    x: float,
-    depth: int,
-    cap: int = ORBIT_CAP,
-    dedup_res: float = DEDUP_RES,
-    frontier_cap: int | None = None,
-) -> np.ndarray:
-    """Breadth-first orbit {h(x) : h a word of length 1..depth}, deduplicated.
+def semigroup_orbit(ifs: IFS, x: float, depth: int) -> np.ndarray:
+    """Breadth-first orbit {h(x) : h a word of length 1..depth}, deduplicated
+    at DEDUP_RES.
 
-    Enumeration order, truncation at `cap` points and `frontier_cap` are
-    those of `_orbit_levels`.
+    Enumeration order and truncation at ORBIT_CAP points are those of
+    `_orbit_levels`; the frontier is unbounded.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if cap < ifs.k:
-        raise ValueError("cap must be at least the number of generators")
-    collected = list(_orbit_levels(ifs, x, depth, cap, dedup_res, frontier_cap))
+    collected = list(_orbit_levels(ifs, x, depth, ORBIT_CAP, None))
     if not collected:
         return np.empty(0, dtype=float)
     return np.concatenate(collected)
@@ -265,11 +254,11 @@ def minimality_estimate(
     eps: float,
     start_grid: int = 16,
     depth: int = 10_000,
-    cap: int = ORBIT_CAP,
-    frontier_cap: int = 50_000,
 ) -> MinimalityEstimate:
     """Empirical minimality: from every start on a grid, the semigroup orbit
-    must come within eps of every point of an eps/2-grid.
+    must come within eps of every point of an eps/2-grid.  Each orbit is
+    that of `_orbit_levels`, with at most ORBIT_CAP points (the start
+    included) and FRONTIER_CAP frontier points per level.
 
     Returns the worst covering gap over all starts and a failing start point
     if any.  Backward minimality is the same call on ifs.inverse_ifs().
@@ -285,9 +274,8 @@ def minimality_estimate(
         start = i / start_grid
         points = [np.array([start])]
         covered = np.zeros(n_targets, dtype=bool)
-        gap_now = None
         # The start point counts towards the cap.
-        for children in _orbit_levels(ifs, start, depth, cap - 1, frontier_cap=frontier_cap):
+        for children in _orbit_levels(ifs, start, depth, ORBIT_CAP - 1, FRONTIER_CAP):
             points.append(children)
             srt = np.sort(children)
             todo = np.flatnonzero(~covered)
@@ -295,12 +283,9 @@ def minimality_estimate(
                 gaps = _coverage_gap(srt, targets[todo])
                 covered[todo[gaps <= eps]] = True
             if covered.all():
-                gap_now = float(np.max(_coverage_gap(np.sort(np.concatenate(points)), targets)))
                 break
-        if gap_now is None:
-            orbit = np.sort(np.concatenate(points))
-            gap_now = float(np.max(_coverage_gap(orbit, targets)))
-        worst = max(worst, gap_now)
+        orbit = np.sort(np.concatenate(points))
+        worst = max(worst, float(np.max(_coverage_gap(orbit, targets))))
         if not covered.all():
             return MinimalityEstimate(False, worst, CirclePoint(start))
     return MinimalityEstimate(True, worst, None)

@@ -56,9 +56,6 @@ class Word:
     def reversed(self) -> "Word":
         return Word(self.letters[::-1], self.k)
 
-    def repeat(self, times: int) -> "Word":
-        return Word(self.letters * times, self.k)
-
     def to_json(self) -> list[int]:
         return list(self.letters)
 

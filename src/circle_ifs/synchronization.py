@@ -33,6 +33,13 @@ from .symbolic import SequenceModel, Word, _rng
 # circle, tending to 1/ell each.
 THETA_GROW = 0.9
 
+# detect_repellers starts from 2^START_LEVEL arcs and declares the branch
+# unpolarized when more than MAX_CANDIDATES arcs keep growing.
+START_LEVEL = 3
+MAX_CANDIDATES = 64
+MAJORITY = 0.8  # share of antonov_classify's seeds that must agree on ell
+COVER_R_MAX = 10_000  # inverse iterates that covering_count tries
+
 # Partition endpoints are offset by 1/3 so that dyadic repellers (such as a
 # fixed point at 1/2) stay interior to one arc at every refinement level.
 PARTITION_OFFSET = 1.0 / 3.0
@@ -153,20 +160,13 @@ class RepellerEstimate:
         }
 
 
-def detect_repellers(
-    ifs: IFS,
-    w: WordLike,
-    m_levels: int = 12,
-    theta_grow: float = THETA_GROW,
-    start_level: int = 3,
-    max_candidates: int = 64,
-) -> RepellerEstimate:
+def detect_repellers(ifs: IFS, w: WordLike, m_levels: int = 12) -> RepellerEstimate:
     """Bracket the branch's exceptional points by nested partition refinement.
 
     At level j the circle is split into 2^j arcs (endpoints offset by 1/3 so
     dyadic repellers stay interior); each kept arc's image length is the
     difference of its endpoint images under the full branch, exact for
-    monotone maps.  Arcs whose image length exceeds theta_grow times the
+    monotone maps.  Arcs whose image length exceeds THETA_GROW times the
     level maximum are kept and split for the next level.  The kept count
     must stabilize over the last three levels; all-rotation branches keep
     every arc, never stabilize, and raise Unpolarized.
@@ -187,8 +187,8 @@ def detect_repellers(
     residual is the final arc length 2^-m_levels.
     """
     word = w if isinstance(w, Word) else Word(_letters(w), ifs.k)
-    if m_levels < start_level + 3:
-        raise ValueError("m_levels must exceed start_level + 2")
+    if m_levels < START_LEVEL + 3:
+        raise ValueError("m_levels must exceed START_LEVEL + 2")
     cache: dict[float, float] = {}
 
     # Domain coordinates live on the lift in [offset, offset + 1].  Arc i at
@@ -211,21 +211,21 @@ def detect_repellers(
         vals = branch_lift_array(ifs, word, np.array(fresh))
         cache.update(zip(fresh, vals.tolist()))
 
-    kept: list[int] = list(range(1 << start_level))  # arc indices at current level
+    kept: list[int] = list(range(1 << START_LEVEL))  # arc indices at current level
     counts: list[int] = []
-    for level in range(start_level, m_levels + 1):
+    for level in range(START_LEVEL, m_levels + 1):
         images(kept, level)
         lengths = {
             i: cache[endpoint(i + 1, level)] - cache[endpoint(i, level)] for i in kept
         }
         top = max(lengths.values())
-        grown = [i for i in kept if lengths[i] > theta_grow * top]
+        grown = [i for i in kept if lengths[i] > THETA_GROW * top]
         if not grown:
             raise Unpolarized("no arc image exceeded the growth threshold")
-        if len(grown) > max_candidates:
+        if len(grown) > MAX_CANDIDATES:
             raise Unpolarized(f"{len(grown)} growing arcs exceed the candidate cap")
         counts.append(len(grown))
-        if level >= start_level + 2 and len(grown) / (1 << level) > 0.5:
+        if level >= START_LEVEL + 2 and len(grown) / (1 << level) > 0.5:
             raise Unpolarized("growing arcs cover most of the circle (isometric branch?)")
         if level == m_levels:
             kept = grown
@@ -236,7 +236,7 @@ def detect_repellers(
     if len(counts) >= 3 and not (counts[-1] == counts[-2] == counts[-3]):
         raise Unpolarized(f"growing-arc count never stabilized: {counts}")
     ell = counts[-1]
-    if min(final_lengths) <= theta_grow / ell * 0.5:
+    if min(final_lengths) <= THETA_GROW / ell * 0.5:
         raise Unpolarized("final bracketing arcs are not uniformly grown")
     points = tuple(
         CirclePoint(endpoint(i, m_levels) + 0.5 / (1 << m_levels)) for i in sorted(kept)
@@ -298,7 +298,6 @@ def antonov_classify(
     n_seeds: int = 20,
     word_length: int = 5000,
     m_levels: int = 10,
-    majority: float = 0.8,
     seed: int = 0,
     check_minimality: bool = False,
 ) -> TrichotomyResult:
@@ -307,7 +306,7 @@ def antonov_classify(
     A two-sided 3-sigma test of the synchronized fraction against the
     no-dynamics baseline detects the rotation case; otherwise the modal
     bracketing count across seeds decides ell.  The verdict is inconclusive
-    when the modal count falls short of the majority threshold.  Seed s
+    when the modal count falls short of MAJORITY of the seeds.  Seed s
     detects on the word of stream 100 + s.
     """
     warnings: list[str] = []
@@ -340,7 +339,7 @@ def antonov_classify(
     case, modal_ell = "inconclusive", None
     if ell_counts:
         ell, count = max(ell_counts.items(), key=lambda kv: (kv[1], -kv[0]))
-        if count >= majority * n_seeds:
+        if count >= MAJORITY * n_seeds:
             case, modal_ell = ("case2" if ell == 1 else "case3"), ell
     return TrichotomyResult(
         case, modal_ell, report, baseline, sigma, ell_counts,
@@ -403,7 +402,7 @@ class TailBoundReport:
         }
 
 
-def covering_count(h: LiftMap, target: Arc, r_max: int = 10_000) -> int:
+def covering_count(h: LiftMap, target: Arc) -> int:
     """Smallest r with S^1 = union of h^{-1}(target), ..., h^{-r}(target).
 
     Arcs are pulled back through inverse endpoint evaluations (exact for
@@ -412,7 +411,7 @@ def covering_count(h: LiftMap, target: Arc, r_max: int = 10_000) -> int:
     intervals: list[tuple[float, float]] = []
     lo_lift = float(target.start)
     hi_lift = lo_lift + target.length
-    for r in range(1, r_max + 1):
+    for r in range(1, COVER_R_MAX + 1):
         lo_lift = float(h.inverse_lift(lo_lift))
         hi_lift = float(h.inverse_lift(hi_lift))
         start = lo_lift % 1.0
@@ -428,7 +427,7 @@ def covering_count(h: LiftMap, target: Arc, r_max: int = 10_000) -> int:
         if _covers_unit_interval(intervals):
             return r
     raise CoverSearchExhausted(
-        f"inverse iterates failed to cover the circle within r_max={r_max}"
+        f"inverse iterates failed to cover the circle within r_max={COVER_R_MAX}"
     )
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from circle_ifs import certifier
 from circle_ifs.certifier import (
     ContractionFails,
     NoAttractingSide,
@@ -116,6 +117,119 @@ class TestSearchCoverWords:
             lo = float(h.lift(basin.arc_B.start))
             hi = float(h.lift(basin.arc_B.start + basin.arc_B.length))
             assert window.contains_arc(Arc(lo % 1.0, hi - lo))
+
+
+def reference_interval_cover(ns, starts, ends, b0, b1, overlap_demand, bucket, min_margin):
+    """The greedy loop `search_cover_words` ran before `_greedy_cover`."""
+    picks = []
+    cur = b0
+    while True:
+        adm = np.flatnonzero((starts <= cur - overlap_demand) & (ends > cur))
+        if len(adm) == 0:
+            raise SearchExhausted("cover_words", f"cover stalls at {cur:.6f}")
+        best_end = float(np.max(ends[adm]))
+        top = adm[ends[adm] >= best_end - bucket]
+        best = top[np.argmin(ns[top])]
+        picks.append(int(best))
+        cur = float(ends[best])
+        if cur >= b1 + min_margin:
+            break
+    return tuple(picks)
+
+
+def reference_circle_cover(offsets, length, min_margin):
+    """The greedy loop `verify_global_cover` ran before `_greedy_cover`."""
+    if length >= 1.0:
+        return (0,)
+    rel = np.mod(offsets - offsets[0], 1.0)
+    bucket = 0.25 * length
+    overlap_demand = max(min_margin, 0.1 * length)
+    close_by = max(min_margin, 0.5 * bucket)
+    picks = [0]
+    cur = length
+    while cur < 1.0 + close_by:
+        adm = np.flatnonzero((rel <= cur - overlap_demand) & (rel + length > cur))
+        if len(adm) == 0:
+            raise SearchExhausted("global_cover", f"circle cover stalls at {cur:.6f}")
+        reach = rel[adm] + length
+        best_reach = float(np.max(reach))
+        top = adm[reach >= best_reach - bucket]
+        best = top[np.argmin(top)]
+        if int(best) in picks:
+            raise SearchExhausted("global_cover", f"circle cover loops at {cur:.6f}")
+        picks.append(int(best))
+        cur = float(rel[best] + length)
+    return tuple(picks)
+
+
+def _outcome(search, *args):
+    """The picks of a cover search, or the stage at which it stalled."""
+    try:
+        return tuple(search(*args))
+    except SearchExhausted as exc:
+        return exc.stage
+
+
+class TestGreedyCover:
+    """`_greedy_cover` picks what the two greedy loops it replaced picked."""
+
+    def test_interval_covers_match_reference(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+
+        @hyp.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+        @hyp.given(
+            st.floats(0.001, 0.999),  # alpha
+            st.integers(1, 2000),  # n_max
+            st.floats(0.0, 0.01),  # window start
+            st.floats(0.0, 0.6),  # window width
+            st.floats(0.01, 0.5),  # b0
+            st.floats(0.1, 1.5),  # length of g2(B) = (c0, b0), over that of B
+            st.floats(0.02, 0.3),  # length of B = (b0, b1)
+            st.sampled_from([0.0, 1e-4, 1e-2]),  # min_margin
+        )
+        def check(alpha, n_max, w_lo, w_len, b0, c_frac, b_len, min_margin):
+            c_len = c_frac * b_len
+            ns = np.arange(1, n_max + 1)
+            betas = np.mod(ns * alpha, 1.0)
+            ok = (betas >= w_lo) & (betas <= w_lo + w_len)
+            ns, betas = ns[ok], betas[ok]
+            c0, b1 = b0 - c_len, b0 + b_len
+            starts, ends = c0 + betas, b0 + betas
+            demand = max(min_margin, 0.05 * c_len)
+            bucket = 0.25 * c_len
+            expected = _outcome(
+                reference_interval_cover, ns, starts, ends, b0, b1, demand, bucket, min_margin
+            )
+            got = _outcome(
+                certifier._greedy_cover,
+                starts, ends, b0, b1 + min_margin, demand, bucket, "cover_words",
+            )
+            assert got == expected
+
+        check()
+
+    def test_circle_covers_match_reference(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+
+        @hyp.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+        @hyp.given(
+            st.floats(0.001, 0.999),  # alpha
+            st.sampled_from([1.0, -1.0]),  # forward or inverse images
+            st.integers(0, 400),  # n_max
+            st.floats(0.0, 1.0, exclude_max=True),  # B start
+            st.one_of(st.floats(1e-3, 1.0), st.floats(0.01, 0.2)),  # B length
+            st.sampled_from([0.0, 1e-4, 1e-2]),  # min_margin
+        )
+        def check(alpha, sign, n_max, start, length, min_margin):
+            ms = np.arange(0, n_max + 1)
+            offsets = np.mod(start + sign * ms * alpha, 1.0)
+            expected = _outcome(reference_circle_cover, offsets, length, min_margin)
+            got = _outcome(certifier._circle_cover, offsets, length, min_margin)
+            assert got == expected
+
+        check()
 
 
 class TestContraction:
@@ -239,9 +353,9 @@ class TestCertifyEndToEnd:
         counting = CountingMap(f1)
         rev = reverify_certificate(cert, counting, f2)
         assert rev == reverify_certificate(cert, f1, f2)
-        assert counting.steps == max(cert.cover_exponents)
-        # Plain lifts come only from the condition-(4) chain.
-        assert counting.lifts == max(cert.global_forward_exponents)
+        # One f1 chain serves conditions (1)-(3) and the forward family of (4).
+        assert counting.steps == max(cert.cover_exponents + cert.global_forward_exponents)
+        assert counting.lifts == 0
 
     def test_ten_radius_perturbation_reattempted(
         self, certificate_pair, golden_rotation, sine_map

@@ -133,6 +133,15 @@ class TestConfigValidation:
         ("tail-bound", {"target": TARGET, "minimal_index": True}, "minimal_index"),
         ("estimate-minimality", {"eps": float("inf")}, "eps"),
         ("classify", {"tol_sync": float("inf")}, "tol_sync"),
+        ("perturb", {"size": float("nan"), "command": "detect-repellers"}, "size"),
+        ("perturb", {"size": float("inf"), "command": "detect-repellers"}, "size"),
+        ("perturb", {"size": True, "command": "detect-repellers"}, "size"),
+        ("perturb", {"size": 10, "command": "detect-repellers"}, "size"),
+        ("classify", {"check_minimality": "no"}, "check_minimality"),
+        ("classify", {"check_minimality": 0}, "check_minimality"),
+        ("universal-word", {"target": {"start": True, "length": 0.05}}, "target"),
+        ("tail-bound", {"target": {"start": float("nan"), "length": 0.05}}, "target"),
+        ("find-periodic", {"target": {"start": 0.3, "length": "0.05"}}, "target"),
     ])
     def test_malformed_param_exits_2_with_path(self, write_config, capsys, command, params, key):
         code, out, err = run_cli(capsys, command, "--config", write_config(base_config(**params)))
@@ -316,6 +325,23 @@ class TestDeterminism:
         )
         assert code == 0
         assert out == (GOLDEN_DIR / "find_periodic_seed7.json").read_text()
+
+    def test_universal_word_matches_golden_bytes(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "universal-word", "--config", str(GOLDEN_DIR / "golden_sine_target_seed7.json")
+        )
+        assert code == 0
+        assert out == (GOLDEN_DIR / "universal_word_seed7.json").read_text()
+
+    def test_estimate_minimality_matches_golden_bytes(self, capsys):
+        # The reference bytes come from the orbit search with its caps and
+        # frontier bound passed as arguments; the module constants must
+        # reproduce them exactly.
+        code, out, _ = run_cli(
+            capsys, "estimate-minimality", "--config", str(GOLDEN_DIR / "golden_sine_seed7.json")
+        )
+        assert code == 0
+        assert out == (GOLDEN_DIR / "estimate_minimality_seed7.json").read_text()
 
     def test_detect_repellers_matches_golden_bytes(self, capsys):
         # The reference bytes come from one branch walk per refinement
