@@ -38,6 +38,9 @@ from .circle_maps import (
     Rotation,
     SinePerturbed,
     TOL_INV,
+    _array,
+    _finite,
+    _parsed,
     circle_distance,
     find_fixed_points,
     map_from_json,
@@ -93,30 +96,6 @@ class LengthExceeded(RuntimeError):
     """The universal word outgrew max_len or its suffix search ran dry."""
 
 
-class _FieldError(ValueError):
-    """A missing or malformed certificate field; str() is "<path>: <reason>"."""
-
-    def __init__(self, path: str, reason: str):
-        super().__init__(f"{path}: {reason}")
-        self.path = path
-        self.reason = reason
-
-
-def _parsed(obj: dict, key: str, parse: Callable):
-    """parse(obj[key]), raising _FieldError with the field's dotted path."""
-    if not isinstance(obj, dict):
-        raise TypeError(f"must be an object, got {obj!r}")
-    if key not in obj:
-        raise _FieldError(key, "missing required field")
-    try:
-        return parse(obj[key])
-    except _FieldError as exc:
-        sep = "" if exc.path.startswith("[") else "."
-        raise _FieldError(f"{key}{sep}{exc.path}", exc.reason) from exc
-    except (KeyError, TypeError, ValueError) as exc:
-        raise _FieldError(key, str(exc)) from exc
-
-
 # ---------------------------------------------------------------------------
 # Basin location
 # ---------------------------------------------------------------------------
@@ -149,15 +128,9 @@ class BasinData:
 
     @staticmethod
     def from_json(obj: dict) -> "BasinData":
-        return BasinData(
-            p=_parsed(obj, "p", float),
-            eps=_parsed(obj, "eps", float),
-            delta=_parsed(obj, "delta", float),
-            arc_A=_parsed(obj, "arc_A", Arc.from_json),
-            arc_B=_parsed(obj, "arc_B", Arc.from_json),
-            arc_D=_parsed(obj, "arc_D", Arc.from_json),
-            deriv_margin=_parsed(obj, "deriv_margin", float),
-        )
+        numbers = {k: _parsed(obj, k, _finite) for k in ("p", "eps", "delta", "deriv_margin")}
+        arcs = {k: _parsed(obj, k, Arc.from_json) for k in ("arc_A", "arc_B", "arc_D")}
+        return BasinData(**numbers, **arcs)
 
 
 def _local_iterate(g: LiftMap, p: float) -> Callable[[float], float]:
@@ -357,13 +330,8 @@ MARGIN_KEYS = ("cover_overlap", "return_window", "contraction", "circle_cover")
 
 
 def _generator_pair(value) -> tuple[dict, dict]:
-    if not isinstance(value, list) or len(value) != 2:
+    if len(_array(map_from_json)(value)) != 2:
         raise ValueError(f"must be an array of two map objects, got {value!r}")
-    for i, g in enumerate(value):
-        try:
-            map_from_json(g)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise _FieldError(f"[{i}]", str(exc)) from exc
     return value[0], value[1]
 
 
@@ -374,7 +342,7 @@ def _exponents(value) -> tuple[int, ...]:
 
 
 def _margins(value) -> dict:
-    return {k: _parsed(value, k, float) for k in MARGIN_KEYS}
+    return {k: _parsed(value, k, _finite) for k in MARGIN_KEYS}
 
 
 @dataclass(frozen=True)
@@ -420,11 +388,11 @@ class Certificate:
             generators=_parsed(obj, "generators", _generator_pair),
             basin=_parsed(obj, "basin", BasinData.from_json),
             cover_exponents=_parsed(obj, "cover_exponents", _exponents),
-            lam=_parsed(obj, "lambda", float),
+            lam=_parsed(obj, "lambda", _finite),
             global_forward_exponents=_parsed(obj, "global_forward_exponents", _exponents),
             global_backward_exponents=_parsed(obj, "global_backward_exponents", _exponents),
             margins=_parsed(obj, "margins", _margins),
-            radius=_parsed(obj, "radius", float),
+            radius=_parsed(obj, "radius", _finite),
         )
 
 

@@ -29,13 +29,18 @@ evaluator: `deriv` of a Composition, Power or Inverse is its second component.
 A composite folds its factors' derivatives in application order, skipping
 translations (a factor of exactly 1), and an Inverse solves F(x) = y once for
 both components, so the result equals `(lift(x), deriv(x))` bit for bit.
+
+Every JSON input (config, map, model, certificate) is read by `_parsed`
+and its strict casts, here at the bottom layer: a missing or malformed field
+raises `_FieldError` with the field's path, e.g. `generators[1].maps[0].alpha`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence, Union
+from itertools import chain, repeat
+from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -51,6 +56,79 @@ TOL_NEUTRAL = 1e-6
 
 class ConvergenceFailure(RuntimeError):
     """Inverse evaluation failed to reach TOL_INV within MAX_INVERSE_ITER."""
+
+
+# ---------------------------------------------------------------------------
+# JSON fields
+# ---------------------------------------------------------------------------
+
+
+class _FieldError(ValueError):
+    """A missing or malformed JSON field; str() is "<path>: <reason>"."""
+
+    def __init__(self, path: str, reason: str):
+        super().__init__(f"{path}: {reason}")
+        self.path = path
+        self.reason = reason
+
+
+def _object(value) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"must be an object, got {value!r}")
+    return value
+
+
+_REQUIRED = object()  # the `_parsed` default of a field that must be present
+
+
+def _parsed(obj, key: str | int, parse: Callable, default=_REQUIRED):
+    """parse(obj[key]) for a key of an object, or an index of an array
+    (path `[i]`); an absent key gives `default` unless it is _REQUIRED.
+    Failures raise _FieldError with the field's path."""
+    name = f"[{key}]" if type(key) is int else key
+    if type(key) is str and key not in _object(obj):
+        if default is _REQUIRED:
+            raise _FieldError(name, "missing required field")
+        return default
+    try:
+        return parse(obj[key])
+    except _FieldError as exc:
+        sep = "" if exc.path.startswith("[") else "."
+        raise _FieldError(f"{name}{sep}{exc.path}", exc.reason) from exc
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise _FieldError(name, str(exc)) from exc
+
+
+def _array(parse: Callable) -> Callable[[object], list]:
+    """Cast a JSON array elementwise by parse, each element at its index."""
+
+    def cast(value) -> list:
+        if not isinstance(value, list):
+            raise ValueError(f"must be an array, got {value!r}")
+        return [_parsed(value, i, parse) for i in range(len(value))]
+
+    return cast
+
+
+def _finite(value) -> float:
+    """Cast a finite int or float (not a bool or a string) to float."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError(f"must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _integer(lo: int | None = None) -> Callable[[object], int]:
+    """Cast an int, or an integral float, to an integer, >= lo unless lo is
+    None.  Bools, strings and non-integral floats are rejected."""
+    bound = "" if lo is None else f" >= {lo}"
+
+    def cast(value) -> int:
+        n = int(value) if type(value) in (int, float) else None
+        if n is None or n != value or (lo is not None and n < lo):
+            raise ValueError(f"must be an integer{bound}, got {value!r}")
+        return n
+
+    return cast
 
 
 class CirclePoint(float):
@@ -121,7 +199,7 @@ class Arc:
 
     @staticmethod
     def from_json(obj: dict) -> "Arc":
-        return Arc(float(obj["start"]), float(obj["length"]))
+        return Arc(_parsed(obj, "start", _finite), _parsed(obj, "length", _finite))
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +418,17 @@ class SinePerturbed(LiftMap):
         return out
 
 
+def _m2_fold(pairs: Iterable[tuple[float, float]]) -> float:
+    """Bound on sup |F''| of a composition from its factors' (M2, sup DF) pairs
+    in application order, folding |D2(f o g)| <= M2_f (sup Dg)^2 + sup Df * M2_g."""
+    bound = 0.0
+    dhi = 1.0
+    for m2, mhi in pairs:
+        bound = m2 * dhi * dhi + mhi * bound
+        dhi *= mhi
+    return bound
+
+
 def _flatten(maps: Sequence[LiftMap]) -> tuple[LiftMap, ...]:
     flat: list[LiftMap] = []
     for m in maps:
@@ -406,14 +495,9 @@ class Composition(LiftMap):
         return (lo, hi)
 
     def second_deriv_bound(self) -> float:
-        # |D2(f o g)| <= M2_f (sup Dg)^2 + sup Df * M2_g, folded pairwise.
-        bound = 0.0
-        dhi = 1.0
-        for m in reversed(self.maps):
-            mhi = m.deriv_bounds()[1]
-            bound = m.second_deriv_bound() * dhi * dhi + mhi * bound
-            dhi *= mhi
-        return bound
+        return _m2_fold(
+            [(m.second_deriv_bound(), m.deriv_bounds()[1]) for m in reversed(self.maps)]
+        )
 
     def to_json(self) -> dict:
         return {"kind": "composition", "maps": [m.to_json() for m in self.maps]}
@@ -477,13 +561,7 @@ class Power(LiftMap):
             (m.second_deriv_bound(), m.deriv_bounds()[1])
             for m in reversed(f.maps if isinstance(f, Composition) else (f,))
         ]
-        bound = 0.0
-        dhi = 1.0
-        for _ in range(abs(self.exponent)):
-            for m2, mhi in table:
-                bound = m2 * dhi * dhi + mhi * bound
-                dhi *= mhi
-        return bound
+        return _m2_fold(chain.from_iterable(repeat(table, abs(self.exponent))))
 
     def to_json(self) -> dict:
         return {"kind": "power", "base": self.base.to_json(), "exponent": self.exponent}
@@ -531,15 +609,16 @@ def map_from_json(obj: dict) -> LiftMap:
         raise TypeError(f"map must be an object, got {obj!r}")
     kind = obj.get("kind")
     if kind == "rotation":
-        return Rotation(float(obj["alpha"]))
+        return Rotation(_parsed(obj, "alpha", _finite))
     if kind == "sine":
-        return SinePerturbed(float(obj["a"]), float(obj["b"]), int(obj.get("harmonics", 1)))
+        a, b = _parsed(obj, "a", _finite), _parsed(obj, "b", _finite)
+        return SinePerturbed(a, b, _parsed(obj, "harmonics", _integer(1), 1))
     if kind == "composition":
-        return Composition([map_from_json(m) for m in obj["maps"]])
+        return Composition(_parsed(obj, "maps", _array(map_from_json)))
     if kind == "power":
-        return Power(map_from_json(obj["base"]), int(obj["exponent"]))
+        return Power(_parsed(obj, "base", map_from_json), _parsed(obj, "exponent", _integer()))
     if kind == "inverse":
-        return Inverse(map_from_json(obj["base"]))
+        return Inverse(_parsed(obj, "base", map_from_json))
     raise ValueError(f"unknown map kind: {kind!r}")
 
 

@@ -4,11 +4,14 @@ Every run is fully determined by its config plus the --seed override.
 Every command runs on one thread; --threads is accepted for compatibility
 and ignored, so it never changes output bytes.  Outputs are canonical JSON
 (sorted keys, shortest round-trip floats) or CSV, so identical configs give
-byte-identical artifacts.
+byte-identical artifacts.  A command's `params` are the keys of its PARAMS
+entry, each read by a strict cast or set to its default.
 
-Exit codes: 0 success, 2 verification failure (including config schema
-violations), 3 search exhaustion (including a Newton/bisection inverse solve
-that fails to converge, circle_maps.ConvergenceFailure).
+Exit codes: 0 success, 2 verification failure or config error (a missing or
+malformed field of a config or certificate, or a params key outside the
+command's table, reported with its path, e.g. `generators[1].a`), 3 search
+exhaustion (including a Newton/bisection inverse solve that fails to
+converge, circle_maps.ConvergenceFailure).
 """
 
 from __future__ import annotations
@@ -31,7 +34,18 @@ from .certifier import (
     find_universal_word,
     perturb_map,
 )
-from .circle_maps import Arc, ConvergenceFailure, map_from_json
+from .circle_maps import (
+    _REQUIRED,
+    Arc,
+    ConvergenceFailure,
+    _array,
+    _FieldError,
+    _finite,
+    _integer,
+    _object,
+    _parsed,
+    map_from_json,
+)
 from .ifs_core import IFS, minimality_estimate, orbit_to_csv_rows
 from .periodic_points import (
     HorizonExceeded,
@@ -40,7 +54,7 @@ from .periodic_points import (
     find_contracted_fixed_arc,
     periodic_in_interval,
 )
-from .symbolic import InvalidModel, SequenceModel, _rng, model_from_json
+from .symbolic import SequenceModel, _rng, model_from_json
 from .synchronization import (
     START_LEVEL,
     CoverSearchExhausted,
@@ -52,10 +66,6 @@ from .synchronization import (
 )
 
 SCHEMA_VERSION = 1
-
-
-class ConfigError(ValueError):
-    """Config violation, reported with the offending field path."""
 
 
 # ---------------------------------------------------------------------------
@@ -100,86 +110,42 @@ def _emit(text: str, out: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _field(cfg: dict, key: str, path: str, required: bool = True, default=None):
-    if key not in cfg:
-        if required:
-            raise ConfigError(f"{path}{key}: missing required field")
-        return default
-    return cfg[key]
-
-
-def load_config(path: str) -> dict:
+def _read_json(path: str, name: str) -> dict:
     try:
         raw = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"config: {exc}") from exc
+        raise _FieldError(name, str(exc)) from exc
     if not isinstance(raw, dict):
-        raise ConfigError("config: top level must be an object")
-    schema = _field(raw, "schema", "")
+        raise _FieldError(name, "top level must be an object")
+    return raw
+
+
+def load_config(path: str) -> dict:
+    raw = _read_json(path, "config")
+    schema = _parsed(raw, "schema", lambda v: v)
     if schema != SCHEMA_VERSION:
-        raise ConfigError(f"schema: expected {SCHEMA_VERSION}, got {schema!r}")
-    gens = _field(raw, "generators", "")
-    if not isinstance(gens, list) or not gens:
-        raise ConfigError("generators: must be a non-empty array of map objects")
-    for i, g in enumerate(gens):
-        try:
-            map_from_json(g)
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ConfigError(f"generators[{i}]: {exc}") from exc
-    if "model" in raw:
-        try:
-            model_from_json(raw["model"])
-        except (InvalidModel, KeyError, TypeError) as exc:
-            raise ConfigError(f"model: {exc}") from exc
+        raise _FieldError("schema", f"expected {SCHEMA_VERSION}, got {schema!r}")
+    if not _parsed(raw, "generators", _array(map_from_json)):
+        raise _FieldError("generators", "must be a non-empty array of map objects")
+    _parsed(raw, "model", model_from_json, None)
     seed = raw.get("seed", 0)
     if type(seed) is not int or seed < 0:
-        raise ConfigError("seed: must be a non-negative integer")
-    params = raw.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError("params: must be an object")
+        raise _FieldError("seed", "must be a non-negative integer")
+    _parsed(raw, "params", _object, None)
     return raw
 
 
 def _ifs_of(cfg: dict) -> IFS:
-    return IFS(
-        [map_from_json(g) for g in cfg["generators"]], label=cfg.get("label", "")
-    )
+    return IFS([map_from_json(g) for g in cfg["generators"]], label=cfg.get("label", ""))
 
 
 def _model_of(cfg: dict) -> SequenceModel:
-    if "model" not in cfg:
-        raise ConfigError("model: required by this command")
-    return model_from_json(cfg["model"])
+    return _parsed(cfg, "model", model_from_json)
 
 
-def _param(params: dict, key: str, cast, default):
-    """params[key] (or default) converted by cast; bad values are config errors."""
-    value = params.get(key, default)
-    try:
-        return cast(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"params.{key}: {exc}") from exc
-
-
-def _at_least(lo: int, hi: int | None = None):
-    """Cast an int, or an integral float, to an integer >= lo (and <= hi
-    when given).  Bools, strings and non-integral floats are rejected."""
-
-    def cast(value) -> int:
-        n = int(value) if type(value) in (int, float) else None
-        if n is None or n != value or n < lo or (hi is not None and n > hi):
-            bound = f">= {lo}" if hi is None else f"in {lo}..{hi}"
-            raise ValueError(f"must be an integer {bound}, got {value!r}")
-        return n
-
-    return cast
-
-
-def _finite(value) -> float:
-    """Cast a finite int or float (not a bool or a string) to float."""
-    if type(value) not in (int, float) or not math.isfinite(value):
-        raise ValueError(f"must be a finite number, got {value!r}")
-    return float(value)
+_COUNT = _integer(1)
+# detect_repellers refines from START_LEVEL and needs START_LEVEL + 3 levels.
+_M_LEVELS = _integer(START_LEVEL + 3)
 
 
 def _non_negative(value) -> float:
@@ -203,24 +169,63 @@ def _bool(value) -> bool:
     return value
 
 
-# detect_repellers refines from START_LEVEL and needs START_LEVEL + 3 levels.
-_M_LEVELS = _at_least(START_LEVEL + 3)
-
-
 def _n_grid(value) -> list[int] | None:
-    if value is not None and not (
-        isinstance(value, list) and value and all(type(n) is int and n >= 1 for n in value)
-    ):
-        raise ValueError(f"must be a non-empty list of integers >= 1, got {value!r}")
+    grid = None if value is None else _array(_COUNT)(value)
+    if grid == []:
+        raise ValueError("must be a non-empty array")
+    return grid
+
+
+def _perturbable(value) -> str:
+    if value not in [name for name in HANDLERS if name != "perturb"]:
+        raise ValueError(f"unknown or non-perturbable {value!r}")
     return value
 
 
-def _arc_param(params: dict, key: str, path: str) -> Arc:
-    obj = _field(params, key, path)
+# command -> {params key: (cast, default)}; _REQUIRED marks a key without one.
+PARAMS = {
+    "simulate-orbit": {"length": (_integer(0), 1000), "x": (_finite, 0.0)},
+    "estimate-minimality": {
+        "eps": (_positive, 0.01), "start_grid": (_COUNT, 16), "depth": (_COUNT, 10_000),
+    },
+    "classify": {
+        "n_pairs": (_COUNT, 500), "sync_horizon": (_COUNT, 2000), "tol_sync": (_positive, 1e-3),
+        "n_seeds": (_COUNT, 20), "word_length": (_COUNT, 5000), "m_levels": (_M_LEVELS, 10),
+        "check_minimality": (_bool, False),
+    },
+    "detect-repellers": {"word_length": (_COUNT, 5000), "m_levels": (_M_LEVELS, 12)},
+    "tail-bound": {
+        "target": (Arc.from_json, _REQUIRED), "x": (_finite, 0.0), "n_grid": (_n_grid, None),
+        "n_trials": (_COUNT, 10_000), "minimal_index": (_integer(0), 0),
+    },
+    "certify": {
+        "n_max": (_COUNT, 10_000), "deriv_margin": (_finite, 0.01),
+        "min_margin": (_non_negative, 1e-4),
+    },
+    "universal-word": {
+        "target": (Arc.from_json, _REQUIRED), "z_grid": (_COUNT, 1000), "max_len": (_COUNT, 500),
+    },
+    "find-periodic": {"horizon": (_COUNT, 512), "target": (Arc.from_json, _REQUIRED)},
+    "density-sweep": {"mesh": (_COUNT, 20), "horizon": (_COUNT, 512)},
+    "perturb": {
+        "size": (_non_negative, _REQUIRED), "command": (_perturbable, _REQUIRED),
+        "perturb_seed": (_integer(0), 0), "params": (_object, {}),
+    },
+}
+
+
+def _params(cfg: dict, command: str) -> dict:
+    """The params of `command`, each cast by its PARAMS entry or defaulted;
+    a key missing from the command's table is a config error."""
+    table = PARAMS[command]
+    params = cfg.get("params", {})
+    for key in params:
+        if key not in table:
+            raise _FieldError(f"params.{key}", f"not a parameter of {command}")
     try:
-        return Arc(_finite(obj["start"]), _finite(obj["length"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}{key}: {exc}") from exc
+        return {key: _parsed(params, key, *entry) for key, entry in table.items()}
+    except _FieldError as exc:
+        raise _FieldError(f"params.{exc.path}", exc.reason) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -229,108 +234,60 @@ def _arc_param(params: dict, key: str, path: str) -> Arc:
 
 
 def _cmd_simulate_orbit(cfg: dict, seed: int) -> tuple[str, int]:
-    params = cfg.get("params", {})
+    p = _params(cfg, "simulate-orbit")
     ifs = _ifs_of(cfg)
-    model = _model_of(cfg)
-    length = _param(params, "length", _at_least(0), 1000)
-    x = _param(params, "x", _finite, 0.0)
-    letters = model.sample_matrix(1, length, seed)[0].tolist()
-    points = orbit_to_csv_rows(ifs, letters, x)
-    return csv_text(["n", "letter", "point"], [range(1, length + 1), letters, points]), 0
+    letters = _model_of(cfg).sample_matrix(1, p["length"], seed)[0].tolist()
+    points = orbit_to_csv_rows(ifs, letters, p["x"])
+    return csv_text(["n", "letter", "point"], [range(1, p["length"] + 1), letters, points]), 0
 
 
 def _cmd_estimate_minimality(cfg: dict, seed: int) -> tuple[str, int]:
-    params = cfg.get("params", {})
+    kwargs = _params(cfg, "estimate-minimality")
     ifs = _ifs_of(cfg)
-    kwargs = dict(
-        eps=_param(params, "eps", _positive, 0.01),
-        start_grid=_param(params, "start_grid", _at_least(1), 16),
-        depth=_param(params, "depth", _at_least(1), 10_000),
-    )
-    fwd = minimality_estimate(ifs, **kwargs)
-    bwd = minimality_estimate(ifs.inverse_ifs(), **kwargs)
     out = {
         "label": cfg.get("label", ""),
         "params": kwargs,
-        "forward": fwd.to_json(),
-        "backward": bwd.to_json(),
+        "forward": minimality_estimate(ifs, **kwargs).to_json(),
+        "backward": minimality_estimate(ifs.inverse_ifs(), **kwargs).to_json(),
     }
     return canonical_json(out), 0
 
 
 def _cmd_classify(cfg: dict, seed: int) -> tuple[str, int]:
-    params = cfg.get("params", {})
-    result = antonov_classify(
-        _ifs_of(cfg),
-        _model_of(cfg),
-        n_pairs=_param(params, "n_pairs", _at_least(1), 500),
-        sync_horizon=_param(params, "sync_horizon", _at_least(1), 2000),
-        tol_sync=_param(params, "tol_sync", _positive, 1e-3),
-        n_seeds=_param(params, "n_seeds", _at_least(1), 20),
-        word_length=_param(params, "word_length", _at_least(1), 5000),
-        m_levels=_param(params, "m_levels", _M_LEVELS, 10),
-        seed=seed,
-        check_minimality=_param(params, "check_minimality", _bool, False),
-    )
+    result = antonov_classify(_ifs_of(cfg), _model_of(cfg), seed=seed, **_params(cfg, "classify"))
     return canonical_json(result.to_json()), 0
 
 
 def _cmd_detect_repellers(cfg: dict, seed: int) -> tuple[str, int]:
-    params = cfg.get("params", {})
-    model = _model_of(cfg)
-    word = model.sample(_param(params, "word_length", _at_least(1), 5000), seed)
-    est = detect_repellers(
-        _ifs_of(cfg), word, m_levels=_param(params, "m_levels", _M_LEVELS, 12)
-    )
+    p = _params(cfg, "detect-repellers")
+    word = _model_of(cfg).sample(p["word_length"], seed)
+    est = detect_repellers(_ifs_of(cfg), word, m_levels=p["m_levels"])
     return canonical_json(est.to_json()), 0
 
 
 def _cmd_tail_bound(cfg: dict, seed: int) -> tuple[str, int]:
-    params = cfg.get("params", {})
+    p = _params(cfg, "tail-bound")
     ifs = _ifs_of(cfg)
-    report = hitting_tail_check(
-        ifs,
-        _model_of(cfg),
-        _arc_param(params, "target", "params."),
-        x=_param(params, "x", _finite, 0.0),
-        n_grid=_param(params, "n_grid", _n_grid, None),
-        n_trials=_param(params, "n_trials", _at_least(1), 10_000),
-        seed=seed,
-        minimal_index=_param(params, "minimal_index", _at_least(0, ifs.k - 1), 0),
-    )
-    text = csv_text(
-        ["n", "empirical_miss", "bound", "stderr"], report.to_csv_columns()
-    )
+    if p["minimal_index"] >= ifs.k:  # k comes from the config
+        raise _FieldError("params.minimal_index", f"must be in 0..{ifs.k - 1}")
+    report = hitting_tail_check(ifs, _model_of(cfg), seed=seed, **p)
+    text = csv_text(["n", "empirical_miss", "bound", "stderr"], report.to_csv_columns())
     return text, 0 if report.dominated else 2
 
 
 def _cmd_certify(cfg: dict, seed: int) -> tuple[str, int]:
-    params = cfg.get("params", {})
+    p = _params(cfg, "certify")
     gens = [map_from_json(g) for g in cfg["generators"]]
     if len(gens) != 2:
-        raise ConfigError("generators: certify expects exactly two maps")
-    pair = certify_robust_minimality(
-        gens[0],
-        gens[1],
-        n_max=_param(params, "n_max", _at_least(1), 10_000),
-        deriv_margin=_param(params, "deriv_margin", _finite, 0.01),
-        min_margin=_param(params, "min_margin", _non_negative, 1e-4),
-        label=cfg.get("label", ""),
-    )
+        raise _FieldError("generators", "certify expects exactly two maps")
+    pair = certify_robust_minimality(*gens, label=cfg.get("label", ""), **p)
     return canonical_json(pair.to_json()), 0
 
 
 def _cmd_certify_check(path: str) -> tuple[str, int]:
-    try:
-        blob = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"certificate: {exc}") from exc
-    if not isinstance(blob, dict):
-        raise ConfigError("certificate: top level must be an object")
-    try:
-        pair = CertificatePair.from_json(blob)
-    except ValueError as exc:
-        raise ConfigError(f"certificate.{exc}") from exc
+    # Read as the field "certificate", so every path starts with that name.
+    blob = {"certificate": _read_json(path, "certificate")}
+    pair = _parsed(blob, "certificate", CertificatePair.from_json)
     ok_f, rev_f = check_certificate(pair.forward)
     ok_b, rev_b = check_certificate(pair.backward)
     out = {
@@ -342,13 +299,7 @@ def _cmd_certify_check(path: str) -> tuple[str, int]:
 
 
 def _cmd_universal_word(cfg: dict, seed: int) -> tuple[str, int]:
-    params = cfg.get("params", {})
-    res = find_universal_word(
-        _ifs_of(cfg),
-        _arc_param(params, "target", "params."),
-        z_grid=_param(params, "z_grid", _at_least(1), 1000),
-        max_len=_param(params, "max_len", _at_least(1), 500),
-    )
+    res = find_universal_word(_ifs_of(cfg), **_params(cfg, "universal-word"))
     out = {
         "word": res.word.to_json(),
         "length": len(res.word),
@@ -362,53 +313,37 @@ def _cmd_universal_word(cfg: dict, seed: int) -> tuple[str, int]:
 
 
 def _cmd_find_periodic(cfg: dict, seed: int) -> tuple[str, int]:
-    params = cfg.get("params", {})
+    p = _params(cfg, "find-periodic")
     ifs = _ifs_of(cfg)
-    model = _model_of(cfg)
-    attractor = find_contracted_fixed_arc(
-        ifs, model, seed, horizon=_param(params, "horizon", _at_least(1), 512)
-    )
-    rec = periodic_in_interval(ifs, _arc_param(params, "target", "params."), attractor)
+    attractor = find_contracted_fixed_arc(ifs, _model_of(cfg), seed, horizon=p["horizon"])
+    rec = periodic_in_interval(ifs, p["target"], attractor)
     return canonical_json(rec.to_json()), 0
 
 
 def _cmd_density_sweep(cfg: dict, seed: int) -> tuple[str, int]:
-    params = cfg.get("params", {})
     report = density_sweep(
-        _ifs_of(cfg),
-        _param(params, "mesh", _at_least(1), 20),
-        _model_of(cfg),
-        seed,
-        horizon=_param(params, "horizon", _at_least(1), 512),
+        _ifs_of(cfg), model=_model_of(cfg), seed=seed, **_params(cfg, "density-sweep")
     )
-    text = csv_text(
-        ["arc_index", "stability", "found", "word_length", "residual", "multiplier"],
-        report.to_csv_columns(),
-    )
-    return text, 0
+    header = ["arc_index", "stability", "found", "word_length", "residual", "multiplier"]
+    return csv_text(header, report.to_csv_columns()), 0
 
 
 def _cmd_perturb(cfg: dict, seed: int) -> tuple[str, int]:
-    params = cfg.get("params", {})
-    size = _param(params, "size", _non_negative, None)
-    inner_name = _field(params, "command", "params.")
-    if inner_name not in HANDLERS or inner_name == "perturb":
-        raise ConfigError(f"params.command: unknown or non-perturbable {inner_name!r}")
-    perturb_seed = _param(params, "perturb_seed", _at_least(0), 0)
-    inner_params = params.get("params", {})
-    if not isinstance(inner_params, dict):
-        raise ConfigError(f"params.params: must be an object, got {inner_params!r}")
+    p = _params(cfg, "perturb")
     new_gens = []
     for i, gj in enumerate(cfg["generators"]):
-        rng = _rng(perturb_seed, 7000 + i)
+        rng = _rng(p["perturb_seed"], 7000 + i)
         try:
-            new_gens.append(perturb_map(map_from_json(gj), size, rng).to_json())
+            new_gens.append(perturb_map(map_from_json(gj), p["size"], rng).to_json())
         except ValueError as exc:  # a bump too large for a diffeomorphism
-            raise ConfigError(f"params.size: {exc}") from exc
-    inner_cfg = dict(cfg)
-    inner_cfg["generators"] = new_gens
-    inner_cfg["params"] = inner_params
-    return HANDLERS[inner_name](inner_cfg, seed)
+            raise _FieldError("params.size", str(exc)) from exc
+    inner_cfg = dict(cfg, generators=new_gens, params=p["params"])
+    try:
+        return HANDLERS[p["command"]](inner_cfg, seed)
+    except _FieldError as exc:  # the inner params sit at params.params
+        if exc.path.startswith("params."):
+            raise _FieldError(f"params.{exc.path}", exc.reason) from exc
+        raise
 
 
 HANDLERS = {
@@ -425,20 +360,12 @@ HANDLERS = {
 }
 
 _EXHAUSTION = (
-    SearchExhausted,
-    StageExhausted,
-    HorizonExceeded,
-    LengthExceeded,
-    CoverSearchExhausted,
+    SearchExhausted, StageExhausted, HorizonExceeded, LengthExceeded, CoverSearchExhausted,
     ConvergenceFailure,
 )
+# A model that breaks its invariant (InvalidModel) is a config error of `model`.
 _VERIFICATION = (
-    ContractionFails,
-    NoAttractingSide,
-    RationalRotation,
-    NoMinimalGenerator,
-    Unpolarized,
-    InvalidModel,
+    ContractionFails, NoAttractingSide, RationalRotation, NoMinimalGenerator, Unpolarized,
 )
 
 
@@ -465,11 +392,11 @@ def main(argv: list[str] | None = None) -> int:
             text, code = _cmd_certify_check(args.check)
         else:
             if args.config is None:
-                raise ConfigError("config: --config is required")
+                raise _FieldError("config", "--config is required")
             cfg = load_config(args.config)
             seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
             text, code = HANDLERS[args.command](cfg, seed)
-    except ConfigError as exc:
+    except _FieldError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2
     except _EXHAUSTION as exc:

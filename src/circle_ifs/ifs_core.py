@@ -13,7 +13,7 @@ from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from .circle_maps import CirclePoint, LiftMap, circle_distance_array, map_from_json
+from .circle_maps import CirclePoint, LiftMap, circle_distance_array
 from .symbolic import Word
 
 WordLike = Union[Word, Sequence[int]]
@@ -60,13 +60,6 @@ class IFS:
         """The IFS of the inverse maps (semigroup of inverses)."""
         lbl = f"{self.label}^-1" if self.label else ""
         return IFS([g.inverse() for g in self.generators], label=lbl)
-
-    def to_json(self) -> dict:
-        return {"label": self.label, "generators": [g.to_json() for g in self.generators]}
-
-    @staticmethod
-    def from_json(obj: dict) -> "IFS":
-        return IFS([map_from_json(g) for g in obj["generators"]], obj.get("label", ""))
 
 
 @dataclass(frozen=True)
@@ -125,16 +118,21 @@ def branch_lift_array(ifs: IFS, w: WordLike, xs: np.ndarray) -> np.ndarray:
         walked, where = keys.view(float), merged[where]
         if len(walked) <= SCALAR_VALUES:
             rest = letters[start:]
-            out = []
-            for v in walked.tolist():
-                for a in rest:
-                    v = lifts[a](v)
-                out.append(v)
-            walked = np.array(out, dtype=float)
+            walked = np.array([_word_lift(ifs, rest, v) for v in walked.tolist()], dtype=float)
             break
         for a in letters[start : start + SYNC_CHECK]:
             walked = lifts[a](walked)
     return walked[where].reshape(vals.shape)
+
+
+def _word_lift(ifs: IFS, letters: Sequence[int], x: float) -> float:
+    """f_{w_n} o ... o f_{w_1} on the lift at one point, without mod: x is
+    coerced to a Python float once, and every generator lift keeps it one."""
+    lifts = (None, *(g.lift for g in ifs.generators))  # indexed by letter 1..k
+    x = float(x)
+    for a in letters:
+        x = lifts[a](x)
+    return x
 
 
 def _walk_step(gens: Sequence[LiftMap], pos: np.ndarray, col: np.ndarray) -> None:

@@ -32,7 +32,7 @@ from .circle_maps import (
     circle_distance,
     find_fixed_points,
 )
-from .ifs_core import IFS, branch_deriv
+from .ifs_core import IFS, _word_lift, branch_deriv
 from .symbolic import SequenceModel, Word
 from .synchronization import Unpolarized, detect_repellers, repeller_bracket_arcs
 
@@ -92,12 +92,6 @@ class Attractor:
     multiplier: float
 
 
-def _word_lift(ifs: IFS, letters: Sequence[int], x: float) -> float:
-    for a in letters:
-        x = float(ifs.generators[a - 1].lift(x))
-    return x
-
-
 def _residual(ifs: IFS, letters: Sequence[int], q: float) -> float:
     return circle_distance(_word_lift(ifs, letters, q) % 1.0, q)
 
@@ -112,13 +106,15 @@ def _bisect_fixed_point(ifs: IFS, letters: Sequence[int], lo: float, hi: float) 
     and needs no inverse solve, so the sign tests run on x - h^-1(x) - k
     with k = floor(lo - h^-1(lo)); otherwise they run on h(x) - k - x with
     k = floor(h(lo) - lo).  Both give the same signs, hence the same
-    "interval is not mapped into itself" condition.
+    "interval is not mapped into itself" condition.  h^-1 is the reversed
+    word on `ifs.inverse_ifs()`, exactly (Rotation(-a).lift(y) is y - a).
     """
     if all(isinstance(g, Inverse) or g.as_translation() is not None for g in ifs.generators):
-        k = np.floor(lo - _inverse_word_lift(ifs, letters, lo))
+        inverse, reversed_letters = ifs.inverse_ifs(), letters[::-1]
+        k = np.floor(lo - _word_lift(inverse, reversed_letters, lo))
 
         def disp(x: float) -> float:
-            return x - _inverse_word_lift(ifs, letters, x) - k
+            return x - _word_lift(inverse, reversed_letters, x) - k
 
     else:
         k = np.floor(_word_lift(ifs, letters, lo) - lo)
@@ -405,6 +401,7 @@ def periodic_in_interval(ifs: IFS, target: Arc, attractor: Attractor) -> Periodi
     a = float(attractor.point)
     basin = attractor.basin
     g_letters = attractor.word.letters
+    inverse = ifs.inverse_ifs()  # F^-1 is the reversed word on it
     min_overlap = max(1e-6, 0.02 * target.length)
 
     f_tried = 0
@@ -429,8 +426,8 @@ def periodic_in_interval(ifs: IFS, target: Arc, attractor: Attractor) -> Periodi
         if c_lo_lift < lo:
             c_lo_lift += 1.0
         c_hi_lift = c_lo_lift + core.length
-        v_lo = _inverse_word_lift(ifs, f_word, c_lo_lift)
-        v_hi = _inverse_word_lift(ifs, f_word, c_hi_lift)
+        v_lo = _word_lift(inverse, f_word[::-1], c_lo_lift)
+        v_hi = _word_lift(inverse, f_word[::-1], c_hi_lift)
         if not (
             target.start - 1e-9 <= v_lo < v_hi <= target.start + target.length + 1e-9
         ):
@@ -470,12 +467,6 @@ def periodic_in_interval(ifs: IFS, target: Arc, attractor: Attractor) -> Periodi
         if not g_found_any:
             stage, detail = "G", "the attractor's orbit never entered V"
     raise StageExhausted(stage, detail)
-
-
-def _inverse_word_lift(ifs: IFS, letters: Sequence[int], y: float) -> float:
-    for a in reversed(letters):
-        y = float(ifs.generators[a - 1].inverse_lift(y))
-    return y
 
 
 def _delta_for(

@@ -20,6 +20,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .circle_maps import _array, _finite, _object, _parsed
+
 
 class InvalidModel(ValueError):
     """Weights or transition rows violate the floor-p invariant."""
@@ -273,11 +275,14 @@ class MarkovMinorizedModel(SequenceModel):
 
 
 def model_from_json(obj: dict) -> SequenceModel:
-    kind = obj.get("kind")
+    """The model of a JSON descriptor; `weights`, `rows` and `initial` are
+    arrays of finite numbers (a bad entry's path reads e.g. `rows[1][0]`)."""
+    kind = _object(obj).get("kind")
     if kind == "bernoulli":
-        return BernoulliModel(obj["weights"])
+        return BernoulliModel(_parsed(obj, "weights", _array(_finite)))
     if kind == "markov":
-        return MarkovMinorizedModel(obj["rows"], obj.get("initial"))
+        rows = _parsed(obj, "rows", _array(_array(_finite)))
+        return MarkovMinorizedModel(rows, _parsed(obj, "initial", _array(_finite), None))
     raise InvalidModel(f"unknown model kind: {kind!r}")
 
 

@@ -13,6 +13,13 @@ from circle_ifs.cli import csv_text, main
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 TARGET = {"start": 0.3, "length": 0.05}
+SINE = {"kind": "sine", "a": 0.0, "b": -0.5}
+
+
+def golden_basin(**arc_b):
+    """The forward basin of the golden certificate, with arc_B fields replaced."""
+    basin = json.loads((GOLDEN_DIR / "certify_seed7.json").read_text())["forward"]["basin"]
+    return dict(basin, arc_B=dict(basin["arc_B"], **arc_b))
 
 
 def base_config(**params):
@@ -142,12 +149,40 @@ class TestConfigValidation:
         ("universal-word", {"target": {"start": True, "length": 0.05}}, "target"),
         ("tail-bound", {"target": {"start": float("nan"), "length": 0.05}}, "target"),
         ("find-periodic", {"target": {"start": 0.3, "length": "0.05"}}, "target"),
+        ("simulate-orbit", {"lenght": 3}, "lenght"),
+        ("classify", {"mesh": 20}, "mesh"),
     ])
     def test_malformed_param_exits_2_with_path(self, write_config, capsys, command, params, key):
         code, out, err = run_cli(capsys, command, "--config", write_config(base_config(**params)))
         assert code == 2
         assert out == ""
         assert f"params.{key}" in err
+
+    @pytest.mark.parametrize("section, key, value, path", [
+        ("generators", 0, {"kind": "rotation", "alpha": True}, "generators[0].alpha"),
+        ("generators", 0, {"kind": "rotation", "alpha": float("nan")}, "generators[0].alpha"),
+        ("generators", 0, {"kind": "rotation", "alpha": 10**400}, "generators[0].alpha"),
+        ("generators", 1, {"kind": "sine", "a": "0.25", "b": -0.5}, "generators[1].a"),
+        ("generators", 1, dict(SINE, harmonics=2.7), "generators[1].harmonics"),
+        ("generators", 1, {"kind": "power", "base": SINE, "exponent": 2.5}, "generators[1].exponent"),
+        ("model", "weights", ["0.5", 0.5], "model.weights[0]"),
+    ])
+    def test_malformed_generator_or_model_exits_2_with_path(
+        self, write_config, capsys, section, key, value, path
+    ):
+        cfg = base_config(length=3)
+        cfg[section][key] = value
+        code, out, err = run_cli(capsys, "simulate-orbit", "--config", write_config(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"config error: {path}: ")
+
+    def test_perturb_checks_inner_params_against_inner_command(self, write_config, capsys):
+        cfg = base_config(size=0, command="detect-repellers", params={"lenght": 3})
+        code, out, err = run_cli(capsys, "perturb", "--config", write_config(cfg))
+        assert code == 2
+        assert out == ""
+        assert err == "config error: params.params.lenght: not a parameter of detect-repellers\n"
 
 
 class TestExitCodes:
@@ -227,6 +262,9 @@ class TestCertifyCommand:
         ("forward", "margins", [1.0, 2.0], "forward.margins"),
         ("forward", "basin", {"p": 0.5}, "forward.basin.eps"),
         ("forward", None, 3, "forward"),
+        ("forward", "lambda", "0.5", "forward.lambda"),
+        ("forward", "radius", True, "forward.radius"),
+        ("forward", "basin", golden_basin(start="0.5"), "forward.basin.arc_B.start"),
     ])
     def test_malformed_certificate_exits_2_with_path(self, capsys, tmp_path, side, key, value, path):
         blob = json.loads((GOLDEN_DIR / "certify_seed7.json").read_text())

@@ -4,7 +4,7 @@ import pytest
 
 from circle_ifs import periodic_points
 from circle_ifs.circle_maps import Arc, LiftMap, Rotation, SinePerturbed, circle_distance
-from circle_ifs.ifs_core import IFS, branch_apply, branch_deriv
+from circle_ifs.ifs_core import IFS, _word_lift, branch_apply, branch_deriv
 from circle_ifs.periodic_points import (
     HorizonExceeded,
     StageExhausted,
@@ -54,9 +54,9 @@ def inverse_records(golden_sine_ifs, fair_coin):
 def reference_bisection(ifs, letters, lo, hi):
     """Bisection on the direct displacement h(x) - k - x."""
     def disp(x):
-        return periodic_points._word_lift(ifs, letters, x) - k - x
+        return _word_lift(ifs, letters, x) - k - x
 
-    k = math.floor(periodic_points._word_lift(ifs, letters, lo) - lo)
+    k = math.floor(_word_lift(ifs, letters, lo) - lo)
     if disp(lo) < 0.0 or disp(hi) > 0.0:
         raise ValueError("interval is not mapped into itself")
     while hi - lo > 1e-13:
