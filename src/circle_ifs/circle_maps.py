@@ -52,6 +52,7 @@ MAX_INVERSE_ITER = 200
 # Below this, finite-precision derivative estimates cannot separate a
 # multiplier from 1, so fixed points are tagged neutral.
 TOL_NEUTRAL = 1e-6
+MAX_POWER = 10_000  # largest |exponent| a JSON power map may have; a lift loops that often
 
 
 class ConvergenceFailure(RuntimeError):
@@ -117,14 +118,14 @@ def _finite(value) -> float:
     return float(value)
 
 
-def _integer(lo: int | None = None) -> Callable[[object], int]:
-    """Cast an int, or an integral float, to an integer, >= lo unless lo is
-    None.  Bools, strings and non-integral floats are rejected."""
-    bound = "" if lo is None else f" >= {lo}"
+def _integer(lo: int | None = None, hi: int | None = None) -> Callable[[object], int]:
+    """Cast an int, or an integral float, to an integer >= lo and <= hi (a
+    None bound is open).  Bools, strings and non-integral floats are rejected."""
+    bound = "" if lo is None else f" >= {lo}" if hi is None else f" in {lo}..{hi}"
 
     def cast(value) -> int:
         n = int(value) if type(value) in (int, float) else None
-        if n is None or n != value or (lo is not None and n < lo):
+        if n is None or n != value or (lo is not None and n < lo) or (hi is not None and n > hi):
             raise ValueError(f"must be an integer{bound}, got {value!r}")
         return n
 
@@ -616,7 +617,8 @@ def map_from_json(obj: dict) -> LiftMap:
     if kind == "composition":
         return Composition(_parsed(obj, "maps", _array(map_from_json)))
     if kind == "power":
-        return Power(_parsed(obj, "base", map_from_json), _parsed(obj, "exponent", _integer()))
+        exponent = _parsed(obj, "exponent", _integer(-MAX_POWER, MAX_POWER))
+        return Power(_parsed(obj, "base", map_from_json), exponent)
     if kind == "inverse":
         return Inverse(_parsed(obj, "base", map_from_json))
     raise ValueError(f"unknown map kind: {kind!r}")

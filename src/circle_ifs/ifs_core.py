@@ -26,7 +26,8 @@ ORBIT_CAP = 1_000_000
 FRONTIER_CAP = 50_000
 
 # branch_lift_array merges bitwise-equal points before every SYNC_CHECK-th
-# letter and walks on Python floats once SCALAR_VALUES or fewer remain.
+# letter and walks on Python floats once SCALAR_VALUES or fewer remain;
+# synchronization.sync_fraction drops its merged pairs at the same letters.
 # A merge costs one sort of the walked values; a value on the float path
 # costs one Python call per letter, so that path is kept for a few values.
 SYNC_CHECK = 64
@@ -60,21 +61,6 @@ class IFS:
         """The IFS of the inverse maps (semigroup of inverses)."""
         lbl = f"{self.label}^-1" if self.label else ""
         return IFS([g.inverse() for g in self.generators], label=lbl)
-
-
-@dataclass(frozen=True)
-class OrbitalBranch:
-    """The branch along a fixed word prefix."""
-
-    ifs: IFS
-    word: Word
-
-    def apply(self, x: float) -> CirclePoint:
-        return branch_apply(self.ifs, self.word, x)
-
-    def hat_apply(self, x: float) -> CirclePoint:
-        """Hat composition: letters applied in reverse order."""
-        return branch_apply(self.ifs, self.word.reversed(), x)
 
 
 def branch_apply(
@@ -137,7 +123,7 @@ def _word_lift(ifs: IFS, letters: Sequence[int], x: float) -> float:
 
 def _walk_step(gens: Sequence[LiftMap], pos: np.ndarray, col: np.ndarray) -> None:
     """One step of a batch of random walks: pos[i] moves in place by the
-    generator of letter col[i] (letters 1..k; letter 0 leaves it put).
+    generator of letter col[i] (letters 1..k).
 
     pos may carry a trailing axis of points that share their row's letter.
     Each generator is evaluated once per step, on the rows it moves.

@@ -52,9 +52,6 @@ class Word:
             return Word(self.letters[i], self.k)
         return self.letters[i]
 
-    def concat(self, other: "Word") -> "Word":
-        return Word(self.letters + other.letters, max(self.k, other.k))
-
     def reversed(self) -> "Word":
         return Word(self.letters[::-1], self.k)
 
@@ -305,21 +302,3 @@ def is_prefix_dense(w: Word, depth: int) -> bool:
         if len(seen) == needed:
             return True
     return False
-
-
-def all_words_concatenated(k: int, depth: int) -> Word:
-    """Concatenation of every word of length <= depth, in lexicographic order.
-
-    Prefix-dense to `depth` by construction; handy for building test
-    sequences with a dense shift orbit prefix.
-    """
-    letters: list[int] = []
-    for n in range(1, depth + 1):
-        for idx in range(k**n):
-            digits = []
-            v = idx
-            for _ in range(n):
-                digits.append(v % k + 1)
-                v //= k
-            letters.extend(reversed(digits))
-    return Word(tuple(letters), k)

@@ -23,7 +23,8 @@ from typing import Sequence
 import numpy as np
 
 from .circle_maps import Arc, CirclePoint, LiftMap, circle_distance_array, find_fixed_points
-from .ifs_core import IFS, WordLike, _letters, _walk_step, branch_lift_array, orbit_to_csv_rows
+from .ifs_core import (IFS, SYNC_CHECK, WordLike, _letters, _walk_step,
+                       branch_lift_array, orbit_to_csv_rows)
 from .symbolic import SequenceModel, Word, _rng
 
 # Polarization threshold: an arc counts as growing when its image length
@@ -114,16 +115,19 @@ def sync_fraction(
     model (stream 0); with n = 0 this is just the empirical mass of pairs
     that start within tol_sync, the no-dynamics baseline (about 2*tol for
     uniform pairs).
+
+    A pair whose two points are bitwise equal before a SYNC_CHECK-th letter
+    stops walking: lifts are elementwise, so it would stay at distance 0.0.
+    Inverse generators are the exception: their array Newton loop stops when
+    the whole batch has converged, so the last digits of the pairs still
+    walked may move with the batch (merged pairs stay exact).
     """
     if tol_sync <= 0.0:
         raise ValueError("tol_sync must be positive")
     pair_rng = _rng(seed, 1)
     # One row per pair: column 0 holds x, column 1 holds y.
     pairs = np.column_stack([pair_rng.random(n_pairs), pair_rng.random(n_pairs)])
-    letters = model.sample_matrix(n_pairs, n, seed)
-    for step in range(n):
-        _walk_step(ifs.generators, pairs, letters[:, step])
-    dist = circle_distance_array(pairs[:, 0], pairs[:, 1])
+    dist = _final_distances(ifs.generators, pairs, model.sample_matrix(n_pairs, n, seed))
     return SyncReport(
         ifs_label=ifs.label,
         model=model.to_json(),
@@ -133,6 +137,22 @@ def sync_fraction(
         median_final_distance=float(np.median(dist)),
         seed=seed,
     )
+
+
+def _final_distances(gens: Sequence[LiftMap], pairs: np.ndarray, letters: np.ndarray) -> np.ndarray:
+    """Circle distance between the two points of each row of `pairs` after
+    its row of `letters`; merged rows are dropped as in `sync_fraction`."""
+    dist = np.zeros(len(pairs))
+    live = np.arange(len(pairs))  # the row of each pair still walked
+    for start in range(0, letters.shape[1], SYNC_CHECK):
+        apart = np.not_equal(*pairs.view(np.int64).T)  # compare bit patterns
+        pairs, live = pairs[apart], live[apart]
+        if not len(live):
+            break
+        for col in letters[live, start : start + SYNC_CHECK].T:
+            _walk_step(gens, pairs, col)
+    dist[live] = circle_distance_array(pairs[:, 0], pairs[:, 1])
+    return dist
 
 
 # ---------------------------------------------------------------------------
@@ -459,6 +479,10 @@ def hitting_tail_check(
     supplies the word of a composite h, in which case s = |word| and
     ell = r*s counts letters.  Raises NoMinimalGenerator when the designated
     map has a fixed point.
+
+    A trial stops walking once it has hit the target.  As in
+    `sync_fraction`, Inverse generators depend on the batch, so the last
+    digits of the trials still walked, and their hit times, may move.
     """
     if minimal_word is not None:
         from .circle_maps import Composition
@@ -487,18 +511,7 @@ def hitting_tail_check(
         )
         return TailBoundReport(rows, ell, r, s, model.p, n_trials, seed)
 
-    letters = model.sample_matrix(n_trials, horizon, seed)
-    pos = np.full(n_trials, float(x) % 1.0)
-    hit_time = np.full(n_trials, np.iinfo(np.int64).max, dtype=np.int64)
-    alive = hit_time == np.iinfo(np.int64).max
-    for step in range(1, horizon + 1):
-        # Rows that have hit get letter 0 and stay put.
-        _walk_step(ifs.generators, pos, np.where(alive, letters[:, step - 1], 0))
-        hits = alive & target.contains_array(pos)
-        hit_time[hits] = step
-        alive &= ~hits
-        if not np.any(alive):
-            break
+    hit_time = _hit_times(ifs.generators, model.sample_matrix(n_trials, horizon, seed), x, target)
     rows = []
     for n in n_grid:
         miss = float(np.mean(hit_time > n))
@@ -506,3 +519,20 @@ def hitting_tail_check(
         stderr = math.sqrt(miss * (1.0 - miss) / n_trials)
         rows.append(TailBoundRow(n, miss, bound, stderr))
     return TailBoundReport(tuple(rows), ell, r, s, model.p, n_trials, seed)
+
+
+def _hit_times(gens: Sequence[LiftMap], letters: np.ndarray, x: float, target: Arc) -> np.ndarray:
+    """First step at which the walk from x along each row of `letters` lies
+    in target (int64 max if none); a row stops walking once it has hit."""
+    pos = np.full(len(letters), float(x) % 1.0)
+    hit_time = np.full(len(letters), np.iinfo(np.int64).max, dtype=np.int64)
+    live = np.arange(len(letters))  # the row of each entry of `pos`
+    for step in range(1, letters.shape[1] + 1):
+        if not len(live):
+            break
+        _walk_step(gens, pos, letters[live, step - 1])
+        hits = target.contains_array(pos)
+        if np.any(hits):
+            hit_time[live[hits]] = step
+            pos, live = pos[~hits], live[~hits]
+    return hit_time

@@ -21,13 +21,14 @@ from circle_ifs.circle_maps import Arc, Rotation, SinePerturbed
 from circle_ifs.cli import main as cli_main
 from circle_ifs.ifs_core import IFS, branch_apply, minimality_estimate
 from circle_ifs.periodic_points import density_sweep
-from circle_ifs.symbolic import Word, all_words_concatenated, is_prefix_dense
+from circle_ifs.symbolic import Word, is_prefix_dense
 from circle_ifs.synchronization import (
     Unpolarized,
     detect_repellers,
     hitting_tail_check,
     sync_fraction,
 )
+from word_helpers import all_words_concatenated, concat
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -170,7 +171,7 @@ def test_criterion_08_universal_word(golden_sine_ifs, fair_coin):
         rng = random.Random(208)
         for k in range(20):
             prefix = fair_coin.sample(rng.randint(1, 80), seed=800 + k)
-            omega = prefix.concat(res.word).concat(tail)
+            omega = concat(prefix, res.word, tail)
             assert is_prefix_dense(omega, 8)
             x = rng.random()
             z = branch_apply(golden_sine_ifs, prefix, x)

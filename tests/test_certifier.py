@@ -25,7 +25,7 @@ from circle_ifs.certifier import (
 )
 from circle_ifs.circle_maps import Arc, LiftMap, Rotation, SinePerturbed
 from circle_ifs.ifs_core import IFS, branch_apply
-from circle_ifs.symbolic import all_words_concatenated
+from word_helpers import all_words_concatenated, concat
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 TWO_PI = 2.0 * math.pi
@@ -458,7 +458,7 @@ class TestUniversalWord:
         res = find_universal_word(golden_sine_ifs, target, z_grid=500, max_len=500)
         prefix = fair_coin.sample(37, seed=5)
         tail = all_words_concatenated(2, 8)
-        omega = prefix.concat(res.word).concat(tail)
+        omega = concat(prefix, res.word, tail)
         x = 0.123
         z = branch_apply(golden_sine_ifs, prefix, x)
         t = res.capture_time_for(golden_sine_ifs, float(z))

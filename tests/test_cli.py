@@ -165,6 +165,8 @@ class TestConfigValidation:
         ("generators", 1, {"kind": "sine", "a": "0.25", "b": -0.5}, "generators[1].a"),
         ("generators", 1, dict(SINE, harmonics=2.7), "generators[1].harmonics"),
         ("generators", 1, {"kind": "power", "base": SINE, "exponent": 2.5}, "generators[1].exponent"),
+        ("generators", 1, {"kind": "power", "base": SINE, "exponent": 10**12}, "generators[1].exponent"),
+        ("generators", 1, {"kind": "power", "base": SINE, "exponent": -10**12}, "generators[1].exponent"),
         ("model", "weights", ["0.5", 0.5], "model.weights[0]"),
     ])
     def test_malformed_generator_or_model_exits_2_with_path(
@@ -396,6 +398,18 @@ class TestDeterminism:
         )
         assert code == 0
         assert out == (GOLDEN_DIR / "classify_seed7.json").read_text()
+
+    def test_markov_classify_matches_golden_bytes(self, capsys):
+        # The reference bytes come from walking every sync pair through all
+        # letters; walks that drop merged pairs must reproduce them exactly.
+        # Keying Markov rows apart (sync pairs against letter rows) will
+        # change these bytes.
+        code, out, _ = run_cli(
+            capsys, "classify", "--config",
+            str(GOLDEN_DIR / "golden_sine_markov_n_seeds5_seed7.json"),
+        )
+        assert code == 0
+        assert out == (GOLDEN_DIR / "classify_markov_seed7.json").read_text()
 
     def test_half_turn_classify_matches_golden_bytes(self, capsys):
         # ell = 2: the reference bytes come from walking all 129 points

@@ -14,7 +14,6 @@ from circle_ifs.circle_maps import (
 )
 from circle_ifs.ifs_core import (
     IFS,
-    OrbitalBranch,
     branch_apply,
     branch_deriv,
     branch_lift_array,
@@ -68,10 +67,6 @@ class TestBranchApply:
         traj = branch_apply(golden_sine, Word((1, 2, 1), 2), 0.2, return_trajectory=True)
         assert len(traj) == 3
         assert traj[-1] == branch_apply(golden_sine, Word((1, 2, 1), 2), 0.2)
-
-    def test_hat_apply_reverses_order(self, golden_sine):
-        b = OrbitalBranch(golden_sine, Word((1, 2), 2))
-        assert b.hat_apply(0.1) == branch_apply(golden_sine, Word((2, 1), 2), 0.1)
 
     @pytest.mark.parametrize("inverse", [False, True])
     def test_bit_identical_to_per_letter_loop(self, golden_sine, inverse):

@@ -6,11 +6,12 @@ import pytest
 from circle_ifs import synchronization
 from circle_ifs.circle_maps import Arc, CirclePoint, Rotation, SinePerturbed
 from circle_ifs.ifs_core import IFS, branch_lift_array
-from circle_ifs.symbolic import BernoulliModel, MarkovMinorizedModel, Word
+from circle_ifs.symbolic import BernoulliModel, MarkovMinorizedModel, Word, _rng
 from circle_ifs.synchronization import (
     PARTITION_OFFSET,
     NoMinimalGenerator,
     RepellerEstimate,
+    SyncReport,
     Unpolarized,
     antonov_classify,
     covering_count,
@@ -315,3 +316,132 @@ class TestHittingTail:
         rep2 = sync_fraction(golden_sine, markov, n=2000, n_pairs=200, tol_sync=1e-3, seed=3)
         assert rep == rep2
         assert rep.sync_fraction >= 0.9
+
+
+def reference_walk_step(gens, pos, col):
+    """Per-generator masked step; letter 0 matches no generator and stays put."""
+    for a, g in enumerate(gens, start=1):
+        mask = col == a
+        if np.any(mask):
+            pos[mask] = np.mod(g.lift(pos[mask]), 1.0)
+
+
+def reference_sync_fraction(ifs, model, n, n_pairs, tol_sync, seed):
+    """The sync walk before merged pairs were dropped: every pair steps every
+    letter.  Returns the report and the final distances."""
+    pair_rng = _rng(seed, 1)
+    pairs = np.column_stack([pair_rng.random(n_pairs), pair_rng.random(n_pairs)])
+    letters = model.sample_matrix(n_pairs, n, seed)
+    for step in range(n):
+        reference_walk_step(ifs.generators, pairs, letters[:, step])
+    dist = synchronization.circle_distance_array(pairs[:, 0], pairs[:, 1])
+    report = SyncReport(
+        ifs.label, model.to_json(), n_pairs, n,
+        float(np.mean(dist < tol_sync)), float(np.median(dist)), seed,
+    )
+    return report, dist
+
+
+def reference_hit_times(gens, letters, x, target):
+    """The tail walk before hit trials were dropped: a trial that has hit
+    gets letter 0 and stays put."""
+    n_trials, horizon = letters.shape
+    pos = np.full(n_trials, float(x) % 1.0)
+    hit_time = np.full(n_trials, np.iinfo(np.int64).max, dtype=np.int64)
+    alive = np.ones(n_trials, dtype=bool)
+    for step in range(1, horizon + 1):
+        reference_walk_step(gens, pos, np.where(alive, letters[:, step - 1], 0))
+        hits = alive & target.contains_array(pos)
+        hit_time[hits] = step
+        alive &= ~hits
+        if not np.any(alive):
+            break
+    return hit_time
+
+
+LIVE_ROW_MODELS = {
+    "bernoulli": BernoulliModel([0.5, 0.5]),
+    "markov": MarkovMinorizedModel([[0.7, 0.3], [0.4, 0.6]]),
+}
+
+
+class TestLiveRowWalks:
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 1000, 2000])
+    @pytest.mark.parametrize("model", sorted(LIVE_ROW_MODELS))
+    @pytest.mark.parametrize("label", sorted(EQUIVALENCE_IFS))
+    def test_sync_fraction_matches_all_rows_walk(self, label, model, n, monkeypatch):
+        ifs = IFS(EQUIVALENCE_IFS[label], label=label)
+        chain = LIVE_ROW_MODELS[model]
+        walked = []
+        final_distances = synchronization._final_distances
+
+        def recording(*args):
+            walked.append(final_distances(*args))
+            return walked[-1]
+
+        monkeypatch.setattr(synchronization, "_final_distances", recording)
+        for seed in (0, 5, 7):
+            for n_pairs in (1, 500):
+                ref, ref_dist = reference_sync_fraction(ifs, chain, n, n_pairs, 1e-3, seed)
+                got = sync_fraction(ifs, chain, n, n_pairs, 1e-3, seed)
+                assert walked.pop().tobytes() == ref_dist.tobytes()
+                assert got == ref
+                assert got.median_final_distance.hex() == ref.median_final_distance.hex()
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 1000, 2000])
+    @pytest.mark.parametrize("model", sorted(LIVE_ROW_MODELS))
+    @pytest.mark.parametrize("label", sorted(EQUIVALENCE_IFS))
+    def test_hit_times_match_letter_zero_walk(self, label, model, n):
+        gens = EQUIVALENCE_IFS[label]
+        chain = LIVE_ROW_MODELS[model]
+        for seed in (0, 5, 7):
+            for n_trials in (1, 500):
+                letters = chain.sample_matrix(n_trials, n, seed)
+                got = synchronization._hit_times(gens, letters, 0.1, Arc(0.9, 0.01))
+                ref = reference_hit_times(gens, letters, 0.1, Arc(0.9, 0.01))
+                assert got.tobytes() == ref.tobytes()
+
+    def test_pair_that_starts_equal_ends_at_distance_zero(self, golden_sine, rotations):
+        letters = LIVE_ROW_MODELS["markov"].sample_matrix(3, 100, 4)
+        pairs = np.array([[0.25, 0.25], [0.1, 0.6], [0.7, 0.7]])
+        for ifs in (golden_sine, rotations):
+            dist = synchronization._final_distances(ifs.generators, pairs.copy(), letters)
+            ref = pairs.copy()
+            for col in letters.T:
+                reference_walk_step(ifs.generators, ref, col)
+            ref_dist = synchronization.circle_distance_array(ref[:, 0], ref[:, 1])
+            assert dist.tobytes() == ref_dist.tobytes()
+            assert dist[0] == dist[2] == 0.0 < dist[1]
+
+    def test_merged_pairs_stop_walking(self, golden_sine, fair_coin, monkeypatch):
+        sizes = []
+        step = synchronization._walk_step
+
+        def counting(gens, pos, col):
+            sizes.append(len(pos))
+            step(gens, pos, col)
+
+        monkeypatch.setattr(synchronization, "_walk_step", counting)
+        rep = sync_fraction(golden_sine, fair_coin, 2000, 500, 1e-3, seed=7)
+        assert rep.sync_fraction == 1.0
+        assert sizes[0] == 500
+        assert sizes == sorted(sizes, reverse=True)
+        assert len(sizes) < 2000  # every pair merged before the last letter
+
+    def test_hit_trials_stop_walking(self, golden_sine, monkeypatch):
+        sizes = []
+        step = synchronization._walk_step
+
+        def counting(gens, pos, col):
+            sizes.append(len(pos))
+            step(gens, pos, col)
+
+        monkeypatch.setattr(synchronization, "_walk_step", counting)
+        letters = LIVE_ROW_MODELS["bernoulli"].sample_matrix(500, 2000, 7)
+        hit_time = synchronization._hit_times(
+            golden_sine.generators, letters, 0.1, Arc(0.3, 0.05)
+        )
+        assert sizes[0] == 500
+        assert sizes == sorted(sizes, reverse=True)
+        assert len(sizes) == hit_time.max()
+
