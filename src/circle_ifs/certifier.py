@@ -33,6 +33,7 @@ from .circle_maps import (
     Arc,
     CirclePoint,
     Composition,
+    Inverse,
     LiftMap,
     Power,
     Rotation,
@@ -57,6 +58,7 @@ COVER_WINDOW_FRAC = 0.05  # edge padding of the return window for cover exponent
 RATIONAL_Q_MAX, RATIONAL_TOL = 64, 1e-9
 CHECK_TOL = 1e-12  # stored against recomputed margins in check_certificate
 C1_GRID = 512  # grid points of the C^1 gauge
+PRUNE_SLACK_MAX = 1e-3  # largest rounding slack at which reverify_certificate prunes its grid
 # Universal-word search: target shrink fraction, suffix BFS depth and
 # node budget, fine-grid refinement factor and verification rounds.
 UNIVERSAL_SHRINK = 0.1
@@ -551,6 +553,22 @@ def _overlaps(spans: Sequence[tuple[float, float]]) -> list[float]:
     return [end - start for (_, end), (start, _) in zip(spans, spans[1:])]
 
 
+def _spans(ends, origin: float) -> list[tuple[float, float]]:
+    """(start, end) of each (lo, hi) pair of lifted arc ends, start taken mod 1 from origin."""
+    return [((lo - origin) % 1.0, (lo - origin) % 1.0 + (hi - lo)) for lo, hi in ends]
+
+
+def _factor_count(f: LiftMap) -> int:
+    """Number m of non-translation factors one `f.lift_deriv` multiplies."""
+    if f.as_translation() is not None:
+        return 0
+    if isinstance(f, Composition):
+        return sum(map(_factor_count, f.maps))
+    if isinstance(f, Power):
+        return abs(f.exponent) * _factor_count(f.base)
+    return _factor_count(f.base) if isinstance(f, Inverse) else 1
+
+
 def reverify_certificate(
     cert: Certificate,
     f1: LiftMap | None = None,
@@ -568,16 +586,27 @@ def reverify_certificate(
     the certificate survives.
 
     One f1 chain (`_power_chain`) carries f2(B ends), the D ends, the B
-    ends and f2 of the contraction grid on (p + delta, p + eps), up to the
-    largest cover or global forward exponent.  Each step is one
-    `f1.lift_deriv`, whose derivative multiplies the grid's running
-    D(f1^n o f2).  At each cover exponent n the chain gives the ends of
+    ends and f2 of the contraction-grid points that can hold the grid
+    maximum of Dh_n, one `f1.lift_deriv` per step up to the largest cover or
+    global forward exponent.  At each cover exponent n it gives the ends of
     h_n(B) and f1^n(D) and the grid maximum of Dh_n; at each global forward
-    exponent it gives the ends of f1^n(B).  Only the f1^-1 images of B for
-    condition (4) take a chain of their own, so the cost is linear in the
-    largest exponent.  Where f1 contains an inverse, its array Newton solve
-    stops when every point of the chain has converged, so the last digits
-    of an end can depend on the points solved with it.
+    exponent, the ends of f1^n(B).  Only the f1^-1 images of B for
+    condition (4) take a chain of their own.
+
+    Pruning: with g = Df2 on the grid, (lo, hi) = f1.deriv_bounds() and N
+    the largest cover exponent, point i walks only if g_i >= max(g)
+    (lo/hi)^N (1 - s)/(1 + s), which keeps the candidates of every smaller
+    exponent too.  s = 4(m + 1)Nu, with u = 2^-53 and m = `_factor_count(f1)`,
+    covers rounding: a computed factor lies in its own bounds by monotone
+    rounding (1 + b cos(wx) in [1 - |b|, 1 + |b|], 1/Df in [1/hi, 1/lo]),
+    up to 2(m - 1) roundings from a composite's reordered product, and the
+    running product adds one per step.  A dropped point and the argmax of g
+    drift (4m - 2)N roundings, the test adds N + 6, and (1 + s)/(1 - s) holds
+    8(m + 1)N, also covering second-order terms while s <= PRUNE_SLACK_MAX;
+    otherwise, or if the bounds are not positive and finite, the full grid
+    walks.  Lifts are elementwise, so lambda, every margin and `valid` equal
+    the full grid's bit for bit, except in last digits where f1 contains an
+    inverse, whose array Newton solve stops when its whole batch has converged.
     """
     s1, s2 = cert.generator_maps()
     f1 = s1 if f1 is None else f1
@@ -589,29 +618,27 @@ def reverify_certificate(
     rb1 = rb0 + basin.arc_B.length
     b_ends = np.array([basin.arc_B.start, basin.arc_B.start + basin.arc_B.length])
 
-    # One f1 chain whose first six points are the f2(B), D and B ends.
+    # One f1 chain: the f2(B), D and B ends, then the grid points that pass.
     b_img = np.asarray(f2.lift(np.array([p + rb0, p + rb1])), dtype=float)
     xs = p + np.linspace(delta, eps, CONTRACTION_GRID + 1)
-    grid_pos, grid_deriv = f2.lift_deriv(xs)
-    pos = np.concatenate([b_img, [p, p + d_len], b_ends, np.asarray(grid_pos, dtype=float)])
-    deriv = np.concatenate([np.ones(6), np.asarray(grid_deriv, dtype=float)])
+    grid_pos, grid_deriv = (np.asarray(v, dtype=float) for v in f2.lift_deriv(xs))
+    (lo, hi), n = f1.deriv_bounds(), max(cert.cover_exponents)
+    s = 2.0 * (_factor_count(f1) + 1) * n * np.finfo(float).eps
+    keep = np.full(len(xs), True)
+    if 0.0 < lo <= hi < math.inf and s <= PRUNE_SLACK_MAX:
+        keep = grid_deriv >= np.max(grid_deriv) * (lo / hi) ** n * ((1 - s) / (1 + s))
+    pos = np.concatenate([b_img, [p, p + d_len], b_ends, grid_pos[keep]])
+    deriv = np.concatenate([np.ones(6), grid_deriv[keep]])
     chain = _power_chain(f1, pos, deriv, [*cert.cover_exponents, *cert.global_forward_exponents])
     worst = max(float(np.max(chain[n][1][6:])) for n in cert.cover_exponents)
 
     # (1) closure(B) covered by h_i = f1^{n_i} o f2 images, in stored order.
-    spans = []
-    for n in cert.cover_exponents:
-        lo, hi = chain[n][0][:2]
-        start = (lo - p) % 1.0
-        spans.append((start, start + (hi - lo)))
+    spans = _spans([chain[n][0][:2] for n in cert.cover_exponents], p)
     m1 = min([rb0 - spans[0][0], *_overlaps(spans), spans[-1][1] - rb1])
 
     # (2) rotated closure(D) inside (p + delta, p + eps).
-    m2 = math.inf
-    for n in cert.cover_exponents:
-        lo, hi = chain[n][0][2:4]
-        start = (lo - p) % 1.0
-        m2 = min(m2, start - delta, eps - (start + (hi - lo)))
+    d_spans = _spans([chain[n][0][2:4] for n in cert.cover_exponents], p)
+    m2 = min(min(start - delta, eps - end) for start, end in d_spans)
 
     # (3) contraction on (p + delta, p + eps), Lipschitz-inflated.
     c_bound = max(
@@ -628,18 +655,10 @@ def reverify_certificate(
         [chain[m][0][4:6] for m in cert.global_forward_exponents],
         [backward[m][0] for m in cert.global_backward_exponents],
     ):
-        spans = []
-        for lo, hi in ends:
-            start = (lo - ends[0][0]) % 1.0
-            spans.append((start, start + (hi - lo)))
+        spans = _spans(ends, ends[0][0])
         m4 = min(m4, min([*_overlaps(spans), spans[-1][1] - 1.0]))
 
-    margins = {
-        "cover_overlap": float(m1),
-        "return_window": float(m2),
-        "contraction": float(m3),
-        "circle_cover": float(m4),
-    }
+    margins = dict(zip(MARGIN_KEYS, map(float, (m1, m2, m3, m4))))
     valid = bool(all(v > 0.0 for v in margins.values()))
     return Reverification(margins, float(lam), valid)
 
@@ -733,17 +752,6 @@ class UniversalWordResult:
     shrunk_target: Arc
     z_grid: int
     fine_verified: bool
-
-    def capture_time_for(self, ifs: IFS, z: float) -> int | None:
-        """First t <= |word| with the prefix branch sending z into the target."""
-        pos = float(z) % 1.0
-        if self.target.contains(pos):
-            return 0
-        for t, a in enumerate(self.word.letters, start=1):
-            pos = float(ifs.generators[a - 1].lift(pos)) % 1.0
-            if self.target.contains(pos):
-                return t
-        return None
 
 
 def _largest_cluster(sorted_pos: np.ndarray, span_cap: float) -> tuple[float, float]:

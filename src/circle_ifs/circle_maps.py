@@ -184,12 +184,6 @@ class Arc:
     def contains_array(self, xs: FloatLike) -> np.ndarray:
         return np.mod(np.asarray(xs, dtype=float) - self.start, 1.0) < self.length
 
-    def contains_arc(self, other: "Arc") -> bool:
-        if self.length >= 1.0:
-            return True
-        offset = (other.start - self.start) % 1.0
-        return offset + other.length <= self.length
-
     def shrunk(self, margin: float) -> "Arc":
         if 2.0 * margin >= self.length:
             raise ValueError("margin swallows the arc")
@@ -280,7 +274,8 @@ class LiftMap:
                 break
             x = np.clip(x - fx / self.deriv(x), lo, hi)
             iters += 1
-        fx = self.lift(x) - yy
+        else:
+            fx = self.lift(x) - yy
         bad = np.abs(fx) > 0.5 * TOL_INV
         if np.any(bad):
             blo, bhi = lo[bad], hi[bad]
@@ -312,7 +307,9 @@ class LiftMap:
                 break
             x = min(max(x - fx / float(self.deriv(x)), lo), hi)
             iters += 1
-        if abs(float(self.lift(x)) - y) > 0.5 * TOL_INV:
+        else:
+            fx = float(self.lift(x)) - y
+        if abs(fx) > 0.5 * TOL_INV:
             while iters < MAX_INVERSE_ITER and hi - lo > 0.25 * TOL_INV:
                 mid = 0.5 * (lo + hi)
                 if float(self.lift(mid)) < y:
@@ -326,9 +323,6 @@ class LiftMap:
                     f"inverse residual above {TOL_INV} after {iters} iterations"
                 )
         return x
-
-    def inverse_eval(self, y: FloatLike) -> FloatLike:
-        return self.inverse_lift(y) % 1.0
 
     # -- serialization -------------------------------------------------------
 

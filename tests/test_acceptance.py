@@ -28,7 +28,7 @@ from circle_ifs.synchronization import (
     hitting_tail_check,
     sync_fraction,
 )
-from word_helpers import all_words_concatenated, concat
+from word_helpers import all_words_concatenated, capture_time, concat
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -175,7 +175,7 @@ def test_criterion_08_universal_word(golden_sine_ifs, fair_coin):
             assert is_prefix_dense(omega, 8)
             x = rng.random()
             z = branch_apply(golden_sine_ifs, prefix, x)
-            t = res.capture_time_for(golden_sine_ifs, float(z))
+            t = capture_time(res, golden_sine_ifs, float(z))
             assert t is not None and t <= len(res.word)
             hit = branch_apply(golden_sine_ifs, omega[: len(prefix) + t], x)
             assert target.contains(float(hit))

@@ -23,9 +23,9 @@ from circle_ifs.certifier import (
     search_cover_words,
     verify_global_cover,
 )
-from circle_ifs.circle_maps import Arc, LiftMap, Rotation, SinePerturbed
+from circle_ifs.circle_maps import Arc, Composition, LiftMap, Power, Rotation, SinePerturbed
 from circle_ifs.ifs_core import IFS, branch_apply
-from word_helpers import all_words_concatenated, concat
+from word_helpers import all_words_concatenated, capture_time, concat, contains_arc
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 TWO_PI = 2.0 * math.pi
@@ -40,12 +40,14 @@ def c2_draws(golden_rotation, sine_map, size):
 
 
 class CountingMap(LiftMap):
-    """Delegates to `base`, counting lift and lift_deriv calls."""
+    """Delegates to `base`, counting lift and lift_deriv calls and recording
+    the number of points of each lift_deriv batch."""
 
     def __init__(self, base):
         self.base = base
         self.lifts = 0
         self.steps = 0
+        self.sizes = []
 
     def lift(self, x):
         self.lifts += 1
@@ -53,6 +55,7 @@ class CountingMap(LiftMap):
 
     def lift_deriv(self, x):
         self.steps += 1
+        self.sizes.append(np.size(x))
         return self.base.lift_deriv(x)
 
     def inverse(self):
@@ -63,6 +66,65 @@ class CountingMap(LiftMap):
 
     def second_deriv_bound(self):
         return self.base.second_deriv_bound()
+
+
+def reference_reverify(cert, f1, f2):
+    """The full-grid evaluator: every contraction-grid point walks the f1
+    chain.  `reverify_certificate` walks only the points that can hold the
+    grid maximum and must return the same bits."""
+    basin = cert.basin
+    p, eps, delta = basin.p, basin.eps, basin.delta
+    d_len = basin.arc_D.length
+    rb0 = (basin.arc_B.start - p) % 1.0
+    rb1 = rb0 + basin.arc_B.length
+    b_ends = np.array([basin.arc_B.start, basin.arc_B.start + basin.arc_B.length])
+    b_img = np.asarray(f2.lift(np.array([p + rb0, p + rb1])), dtype=float)
+    xs = p + np.linspace(delta, eps, certifier.CONTRACTION_GRID + 1)
+    grid_pos, grid_deriv = f2.lift_deriv(xs)
+    pos = np.concatenate([b_img, [p, p + d_len], b_ends, np.asarray(grid_pos, dtype=float)])
+    deriv = np.concatenate([np.ones(6), np.asarray(grid_deriv, dtype=float)])
+    chain = certifier._power_chain(
+        f1, pos, deriv, [*cert.cover_exponents, *cert.global_forward_exponents]
+    )
+    worst = max(float(np.max(chain[n][1][6:])) for n in cert.cover_exponents)
+    spans = []
+    for n in cert.cover_exponents:
+        lo, hi = chain[n][0][:2]
+        start = (lo - p) % 1.0
+        spans.append((start, start + (hi - lo)))
+    m1 = min([rb0 - spans[0][0], *certifier._overlaps(spans), spans[-1][1] - rb1])
+    m2 = math.inf
+    for n in cert.cover_exponents:
+        lo, hi = chain[n][0][2:4]
+        start = (lo - p) % 1.0
+        m2 = min(m2, start - delta, eps - (start + (hi - lo)))
+    c_bound = max(
+        Composition([Power(f1, n), f2]).second_deriv_bound() for n in cert.cover_exponents
+    )
+    lam = worst + 0.5 * c_bound * (eps - delta) / certifier.CONTRACTION_GRID
+    m3 = 1.0 - lam
+    backward = certifier._power_chain(
+        f1.inverse(), b_ends, np.ones(2), cert.global_backward_exponents
+    )
+    m4 = math.inf
+    for ends in (
+        [chain[m][0][4:6] for m in cert.global_forward_exponents],
+        [backward[m][0] for m in cert.global_backward_exponents],
+    ):
+        spans = []
+        for lo, hi in ends:
+            start = (lo - ends[0][0]) % 1.0
+            spans.append((start, start + (hi - lo)))
+        m4 = min(m4, min([*certifier._overlaps(spans), spans[-1][1] - 1.0]))
+    margins = {
+        "cover_overlap": float(m1),
+        "return_window": float(m2),
+        "contraction": float(m3),
+        "circle_cover": float(m4),
+    }
+    return certifier.Reverification(
+        margins, float(lam), bool(all(v > 0.0 for v in margins.values()))
+    )
 
 
 class TestLocateBasin:
@@ -90,8 +152,8 @@ class TestLocateBasin:
     def test_basin_inclusion_invariant(self, sine_map):
         basin = locate_basin(sine_map)
         window = Arc(basin.p + basin.delta, basin.eps - basin.delta)
-        assert window.contains_arc(basin.arc_B)
-        assert basin.arc_A.contains_arc(basin.arc_B)
+        assert contains_arc(window, basin.arc_B)
+        assert contains_arc(basin.arc_A, basin.arc_B)
 
 
 class TestSearchCoverWords:
@@ -116,7 +178,7 @@ class TestSearchCoverWords:
         for h in cert.h_maps():
             lo = float(h.lift(basin.arc_B.start))
             hi = float(h.lift(basin.arc_B.start + basin.arc_B.length))
-            assert window.contains_arc(Arc(lo % 1.0, hi - lo))
+            assert contains_arc(window, Arc(lo % 1.0, hi - lo))
 
 
 def reference_interval_cover(ns, starts, ends, b0, b1, overlap_demand, bucket, min_margin):
@@ -369,6 +431,100 @@ class TestCertifyEndToEnd:
         assert isinstance(rev.valid, bool)
 
 
+@pytest.fixture(scope="module")
+def sine_pairs(golden_rotation):
+    return {b: certify_robust_minimality(golden_rotation, SinePerturbed(0.0, b)) for b in (-0.5, 0.5)}
+
+
+class TestPrunedGrid:
+    """The contraction grid walks only the points that can hold the maximum."""
+
+    @pytest.mark.parametrize("b", [-0.5, 0.5])
+    @pytest.mark.parametrize("size", ["radius/2", "10*radius", 1e-6, 1e-5, 1e-4])
+    def test_equals_full_grid_bit_for_bit(self, sine_pairs, golden_rotation, b, size):
+        pair = sine_pairs[b]
+        if isinstance(size, str):
+            size = {"radius/2": 0.5, "10*radius": 10.0}[size] * pair.radius
+        g2 = SinePerturbed(0.0, b)
+        outcomes = []
+        for i in range(10):
+            rng = np.random.Generator(np.random.Philox(key=np.array([31, i], dtype=np.uint64)))
+            f1, f2 = perturb_map(golden_rotation, size, rng), perturb_map(g2, size, rng)
+            for cert, h1, h2 in (
+                (pair.forward, f1, f2),
+                (pair.backward, f1.inverse(), f2.inverse()),
+            ):
+                rev = reverify_certificate(cert, h1, h2)
+                ref = reference_reverify(cert, h1, h2)
+                assert rev.lam == ref.lam
+                assert rev.margins == ref.margins
+                assert rev.valid == ref.valid
+                outcomes.append(rev.valid)
+        if size >= 1e-5:
+            assert not all(outcomes)  # invalid draws are compared too
+
+    def test_inverse_chain_moves_only_last_digits(self, sine_pairs, golden_rotation):
+        # A backward f1 contains an inverse, whose array Newton solve stops
+        # when its whole batch has converged; at 3e-4 draw 6 stops earlier
+        # on the pruned batch.  The forward chain stays exact.
+        for b, pair in sine_pairs.items():
+            rng = np.random.Generator(np.random.Philox(key=np.array([31, 6], dtype=np.uint64)))
+            f1 = perturb_map(golden_rotation, 3e-4, rng)
+            f2 = perturb_map(SinePerturbed(0.0, b), 3e-4, rng)
+            assert reverify_certificate(pair.forward, f1, f2) == reference_reverify(
+                pair.forward, f1, f2
+            )
+            rev = reverify_certificate(pair.backward, f1.inverse(), f2.inverse())
+            ref = reference_reverify(pair.backward, f1.inverse(), f2.inverse())
+            assert rev.lam == pytest.approx(ref.lam, rel=0.0, abs=1e-14)
+            for k, v in ref.margins.items():
+                assert rev.margins[k] == pytest.approx(v, rel=0.0, abs=1e-11)
+
+    @pytest.mark.parametrize("b1", [1e-4, 1e-5])
+    def test_kept_points_hold_a_moved_maximum(self, certificate_pair, b1):
+        # Df2 peaks mid-grid where Df1 has its steepest slope, so the maximum
+        # of Dh_n sits off the argmax of Df2; at b1 = 1e-5 the rule also drops
+        # about half of the grid.
+        cert = certificate_pair.forward
+        basin = cert.basin
+        mid = basin.p + 0.5 * (basin.delta + basin.eps)
+        f2 = Composition([Rotation(mid), SinePerturbed(0.0, 0.3), Rotation(-mid)])
+        f1 = Composition([Rotation(mid - 0.25), SinePerturbed(0.0, b1), Rotation(0.25 - mid)])
+        xs = basin.p + np.linspace(basin.delta, basin.eps, certifier.CONTRACTION_GRID + 1)
+        grid_pos, grid_deriv = f2.lift_deriv(xs)
+        n = max(cert.cover_exponents)
+        chain = certifier._power_chain(f1, grid_pos, grid_deriv, [n])
+        assert np.argmax(chain[n][1]) != np.argmax(grid_deriv)
+        counting = CountingMap(f1)
+        assert reverify_certificate(cert, counting, f2) == reference_reverify(cert, f1, f2)
+        if b1 == 1e-5:
+            assert max(counting.sizes) < 6 + certifier.CONTRACTION_GRID // 2
+
+    def test_golden_sine_walks_at_most_eight_grid_points(
+        self, certificate_pair, golden_rotation, sine_map
+    ):
+        for f1, f2 in c2_draws(golden_rotation, sine_map, certificate_pair.radius / 2.0):
+            for cert, h1, h2 in (
+                (certificate_pair.forward, f1, f2),
+                (certificate_pair.backward, f1.inverse(), f2.inverse()),
+            ):
+                counting = CountingMap(h1)
+                assert reverify_certificate(cert, counting, h2) == reference_reverify(cert, h1, h2)
+                assert counting.steps > 0
+                assert max(counting.sizes) <= 6 + 8
+
+    def test_wide_bound_f1_keeps_full_grid(self, certificate_pair, sine_map):
+        f1 = SinePerturbed(0.3, 0.5)
+        for cert, h1, h2 in (
+            (certificate_pair.forward, f1, sine_map),
+            (certificate_pair.backward, f1.inverse(), sine_map.inverse()),
+        ):
+            counting = CountingMap(h1)
+            rev = reverify_certificate(cert, counting, h2)
+            assert set(counting.sizes) == {6 + certifier.CONTRACTION_GRID + 1}
+            assert rev == reference_reverify(cert, h1, h2)
+
+
 class TestClaimInvariants:
     def test_random_h_words_stay_in_window(self, certificate_pair):
         # Arbitrary compositions of the h_i keep B inside (p+delta, p+eps).
@@ -385,7 +541,7 @@ class TestClaimInvariants:
             for _ in range(length):
                 h = h_maps[rng.randrange(len(h_maps))]
                 lo, hi = float(h.lift(lo)), float(h.lift(hi))
-            assert window.contains_arc(Arc(lo % 1.0, hi - lo))
+            assert contains_arc(window, Arc(lo % 1.0, hi - lo))
 
     def test_nested_diameter_decay(self, certificate_pair):
         cert = certificate_pair.forward
@@ -461,7 +617,7 @@ class TestUniversalWord:
         omega = concat(prefix, res.word, tail)
         x = 0.123
         z = branch_apply(golden_sine_ifs, prefix, x)
-        t = res.capture_time_for(golden_sine_ifs, float(z))
+        t = capture_time(res, golden_sine_ifs, float(z))
         assert t is not None and t <= len(res.word)
         hit = branch_apply(golden_sine_ifs, omega[: len(prefix) + t], x)
         assert target.contains(float(hit))

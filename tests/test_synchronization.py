@@ -21,6 +21,7 @@ from circle_ifs.synchronization import (
     repeller_bracket_arcs,
     sync_fraction,
 )
+from word_helpers import contains_arc
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -125,7 +126,7 @@ class TestDetectRepellers:
         (arc_f,) = repeller_bracket_arcs(fine)
         assert arc_c.contains(float(coarse.points[0]))
         assert arc_f.contains(float(fine.points[0]))
-        assert arc_c.contains_arc(arc_f)
+        assert contains_arc(arc_c, arc_f)
 
     def test_antipodal_pair_detected(self):
         # Generators commuting with the half turn: repellers come in
