@@ -604,9 +604,8 @@ def reverify_certificate(
     drift (4m - 2)N roundings, the test adds N + 6, and (1 + s)/(1 - s) holds
     8(m + 1)N, also covering second-order terms while s <= PRUNE_SLACK_MAX;
     otherwise, or if the bounds are not positive and finite, the full grid
-    walks.  Lifts are elementwise, so lambda, every margin and `valid` equal
-    the full grid's bit for bit, except in last digits where f1 contains an
-    inverse, whose array Newton solve stops when its whole batch has converged.
+    walks.  Lifts and inverse solves are elementwise, so lambda, every
+    margin and `valid` equal the full grid's bit for bit.
     """
     s1, s2 = cert.generator_maps()
     f1 = s1 if f1 is None else f1

@@ -255,9 +255,12 @@ class LiftMap:
     def inverse_lift(self, y: FloatLike) -> FloatLike:
         """Solve F(x) = y on the lift by bracketed Newton + bisection.
 
-        A 0-d input (float, numpy scalar or 0-d array) runs the scalar loop
-        and comes back as a Python float; arrays are solved elementwise in
-        one vectorized loop.  Both paths perform the same float operations.
+        Each point is solved on its own: a converged point stops moving and
+        a bracket stops halving once it is narrow, so an array entry equals
+        the scalar solve of that entry bit for bit, whatever else shares
+        the array.  A 0-d input (float, numpy scalar or 0-d array) runs the
+        same loop on Python floats, the fast path for single solves, and
+        comes back as a Python float.
         """
         if np.ndim(y) == 0:
             return self._inverse_lift_scalar(float(y))
@@ -270,9 +273,10 @@ class LiftMap:
         # Newton phase; derivative is bounded away from 0 for all families.
         for _ in range(12):
             fx = self.lift(x) - yy
-            if np.all(np.abs(fx) <= 0.5 * TOL_INV):
+            done = np.abs(fx) <= 0.5 * TOL_INV
+            if np.all(done):
                 break
-            x = np.clip(x - fx / self.deriv(x), lo, hi)
+            x = np.where(done, x, np.clip(x - fx / self.deriv(x), lo, hi))
             iters += 1
         else:
             fx = self.lift(x) - yy
@@ -280,11 +284,13 @@ class LiftMap:
         if np.any(bad):
             blo, bhi = lo[bad], hi[bad]
             yb = yy[bad]
-            while iters < MAX_INVERSE_ITER and np.max(bhi - blo) > 0.25 * TOL_INV:
+            wide = bhi - blo > 0.25 * TOL_INV
+            while iters < MAX_INVERSE_ITER and np.any(wide):
                 mid = 0.5 * (blo + bhi)
                 too_low = self.lift(mid) < yb
-                blo = np.where(too_low, mid, blo)
-                bhi = np.where(too_low, bhi, mid)
+                blo = np.where(wide & too_low, mid, blo)
+                bhi = np.where(wide & ~too_low, mid, bhi)
+                wide = bhi - blo > 0.25 * TOL_INV
                 iters += 1
             x[bad] = 0.5 * (blo + bhi)
             if np.any(np.abs(self.lift(x[bad]) - yb) > 10.0 * TOL_INV):

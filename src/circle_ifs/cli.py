@@ -46,7 +46,7 @@ from .circle_maps import (
     _parsed,
     map_from_json,
 )
-from .ifs_core import IFS, minimality_estimate, orbit_to_csv_rows
+from .ifs_core import IFS, ORBIT_CAP, minimality_estimate, orbit_to_csv_rows
 from .periodic_points import (
     HorizonExceeded,
     StageExhausted,
@@ -162,6 +162,15 @@ def _positive(value) -> float:
     return float(value)
 
 
+def _orbit_eps(value) -> float:
+    """A positive eps that an orbit of ORBIT_CAP points can pass: each point
+    lies within eps of at most 5 targets of the eps/2 grid."""
+    eps = _positive(value)
+    if eps < 2.0 / (5 * ORBIT_CAP):
+        raise ValueError(f"must be >= {2.0 / (5 * ORBIT_CAP)!r}, got {value!r}")
+    return eps
+
+
 def _bool(value) -> bool:
     """Accept only true or false (not a number or a string)."""
     if type(value) is not bool:
@@ -186,7 +195,7 @@ def _perturbable(value) -> str:
 PARAMS = {
     "simulate-orbit": {"length": (_integer(0), 1000), "x": (_finite, 0.0)},
     "estimate-minimality": {
-        "eps": (_positive, 0.01), "start_grid": (_COUNT, 16), "depth": (_COUNT, 10_000),
+        "eps": (_orbit_eps, 0.01), "start_grid": (_COUNT, 16), "depth": (_COUNT, 10_000),
     },
     "classify": {
         "n_pairs": (_COUNT, 500), "sync_horizon": (_COUNT, 2000), "tol_sync": (_positive, 1e-3),

@@ -88,11 +88,9 @@ def branch_lift_array(ifs: IFS, w: WordLike, xs: np.ndarray) -> np.ndarray:
     walked values are merged by bit pattern; once at most SCALAR_VALUES
     remain (ell + 1 when a synchronizing branch has contracted onto
     ell <= 3 repellers), the rest of the word runs on Python floats.  Every
-    lift is elementwise, so equal points stay equal and the result is the
-    per-letter array loop's bit for bit, given that scalar sine lifts match
-    numpy's (see circle_maps).  Inverse generators are the exception: their
-    array Newton loop stops when the whole batch has converged, so last
-    digits depend on which points are walked together.
+    lift and inverse solve is elementwise, so equal points stay equal and
+    the result is the per-letter array loop's bit for bit, given that scalar
+    sine lifts match numpy's (see circle_maps).
     """
     vals = np.asarray(xs, dtype=float)
     walked = vals.ravel()

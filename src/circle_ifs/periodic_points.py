@@ -48,7 +48,6 @@ MILD_BAND = (0.02, 0.9)  # multipliers accepted for a short attracting prefix
 MIN_BASIN = 0.05  # shortest attracted interval of such a prefix
 BANACH_ROUNDS = 80
 NEWTON_ROUNDS = 12
-NEIGHBOR_ULPS = 4  # float64 neighbors re-evaluated on each side after Newton
 
 
 class HorizonExceeded(RuntimeError):
@@ -153,9 +152,7 @@ def _newton_polish(ifs: IFS, letters: Sequence[int], q: float) -> float:
     about D * ulp, so the iteration stops at that noise floor: after
     NEWTON_ROUNDS steps, on a zero derivative, or before taking a step
     above 0.1 (no convergence) or one that fails to halve the step before
-    (float64 noise).  The point and its float64 neighbors within
-    NEIGHBOR_ULPS ulp, center first, are then re-evaluated and the one
-    with the smallest residual is returned.
+    (float64 noise).
     """
     prev = math.inf
     for _ in range(NEWTON_ROUNDS):
@@ -169,13 +166,7 @@ def _newton_polish(ifs: IFS, letters: Sequence[int], q: float) -> float:
             break
         q -= step
         prev = abs(step)
-    candidates = [q % 1.0]
-    down = up = candidates[0]
-    for _ in range(NEIGHBOR_ULPS):
-        down = math.nextafter(down, -math.inf)
-        up = math.nextafter(up, math.inf)
-        candidates += [down, up]
-    return min(candidates, key=lambda x: _residual(ifs, letters, x))
+    return q % 1.0
 
 
 def _record(
@@ -236,6 +227,7 @@ def find_contracted_fixed_arc(
     if lengths[-1] < horizon:
         lengths.append(horizon)
     last_error = "branch never polarized"
+    mild_checked = False  # its arguments do not depend on n
     for n in lengths:
         prefix = w_full[:n]
         try:
@@ -243,9 +235,11 @@ def find_contracted_fixed_arc(
         except Unpolarized as exc:
             last_error = str(exc)
             continue
-        mild = _mild_prefix_attractor(ifs, w_full)
-        if mild is not None:
-            return mild
+        if not mild_checked:
+            mild_checked = True
+            mild = _mild_prefix_attractor(ifs, w_full)
+            if mild is not None:
+                return mild
         brackets = repeller_bracket_arcs(est)
         for u_arc in _complement_components(brackets):
             u_arc = u_arc.shrunk(min(1e-3, 0.05 * u_arc.length))

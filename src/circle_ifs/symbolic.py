@@ -2,14 +2,19 @@
 
 Sequence models carry a probability floor p in (0, 1/k]: every conditional
 next-letter probability is >= p regardless of the past.  Sampling uses a
-counter-based generator (Philox) keyed by [seed, stream] mod 2**64, so
-distinct streams are non-overlapping and every draw is reproducible.  Each
-model samples through one method, `sample_matrix`; `sample` is its first
-row.  A Markov matrix draws row r from stream `stream + r`, so its letters
-are fixed by (seed, stream) alone, whatever the shape asked for.  The
-chain is walked in chunks of about sqrt(length) letters from every state
-at once, so besides one re-keying per row the Python-level loop runs
-about 2 sqrt(length) times per block of rows rather than once per letter.
+counter-based generator (Philox): stream s of a seed is the key [seed, s]
+mod 2**64, and row r of a stream starts at counter [0, r, 0, 0], so
+distinct (stream, row) pairs never share a draw and every draw is
+reproducible.  The streams in use are 0 (letter rows), 1 (sync-pair
+points, and the backward attractor word of a density sweep), 100 + s
+(the detection word of seed s) and 7000 + i (the bump of generator i
+under `perturb`).  Each model samples through one method,
+`sample_matrix`; `sample` is its first row.  A Markov matrix draws row r
+from row r of its stream, so its letters are fixed by (seed, stream)
+alone, whatever the shape asked for.  The chain is walked in chunks of
+about sqrt(length) letters from every state at once, so besides one
+counter reset per row the Python-level loop runs about 2 sqrt(length)
+times per block of rows rather than once per letter.
 """
 
 from __future__ import annotations
@@ -70,33 +75,25 @@ class Cylinder:
     word: Word
 
 
-def _philox_keys(seed: int, stream: int, n: int = 1) -> np.ndarray:
-    """(n, 2) Philox keys; row r is [seed, stream + r], both mod 2**64."""
-    keys = np.empty((n, 2), dtype=np.uint64)
-    keys[:, 0] = seed % (1 << 64)
-    keys[:, 1] = np.arange(n, dtype=np.uint64) + np.uint64(stream % (1 << 64))
-    return keys
-
-
 def _rng(seed: int, stream: int = 0) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=_philox_keys(seed, stream)[0]))
+    """Row 0 of stream `stream`: a Philox keyed [seed, stream] mod 2**64."""
+    key = np.array([seed % (1 << 64), stream % (1 << 64)], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
-def _stream_uniforms(n_rows: int, length: int, seed: int, stream: int) -> np.ndarray:
-    """(n_rows >= 1, length) uniforms; row r is `_rng(seed, stream + r).random(length)`.
+def _stream_uniforms(n_rows: int, length: int, seed: int, stream: int, row: int) -> np.ndarray:
+    """(n_rows, length) uniforms; line i is row `row + i` of the stream.
 
-    One Philox is re-keyed per row by resetting its state, which draws the
-    same numbers as a fresh generator at less than half the cost.
+    One Philox has its counter reset per row, which draws the same numbers
+    as a fresh generator advanced by (row + i) * 2**64 at less cost.
     """
     u = np.empty((n_rows, length))
-    keys = _philox_keys(seed, stream, n_rows)
-    bitgen = np.random.Philox(key=keys[0])
-    gen = np.random.Generator(bitgen)
-    fresh = bitgen.state
-    for r in range(n_rows):
-        fresh["state"]["key"] = keys[r]
-        bitgen.state = fresh
-        gen.random(out=u[r])
+    gen = _rng(seed, stream)
+    fresh = gen.bit_generator.state
+    for i in range(n_rows):
+        fresh["state"]["counter"][1] = row + i
+        gen.bit_generator.state = fresh
+        gen.random(out=u[i])
     return u
 
 
@@ -181,8 +178,8 @@ class BernoulliModel(SequenceModel):
 class MarkovMinorizedModel(SequenceModel):
     """One-step Markov chain whose transition entries all stay >= p > 0.
 
-    Row r of `sample_matrix` is the chain driven by the uniforms of stream
-    `stream + r`: u_0 picks the first state from `initial`, and u_i picks
+    Row r of `sample_matrix` is the chain driven by the uniforms of row r
+    of stream `stream`: u_0 picks the first state from `initial`, and u_i picks
     state i from the transition row of state i-1.  A block of rows is
     walked together in chunks of C = isqrt(length) letters: each chunk is
     walked from every one of the k states at once, the chunks are joined
@@ -214,12 +211,12 @@ class MarkovMinorizedModel(SequenceModel):
         self._init_cum = np.cumsum(init)
 
     def sample_matrix(self, n_rows: int, length: int, seed: int, stream: int = 0) -> np.ndarray:
-        """(n_rows, length) letter matrix; row r is drawn from stream + r."""
+        """(n_rows, length) letter matrix; row r is row r of the stream."""
         out = np.empty((n_rows, length), dtype=_letter_dtype(self.k))
         block = max(1, _BLOCK_LETTERS // max(length, 1))
         for r in range(0, n_rows, block):
             rows = min(block, n_rows - r)
-            out[r : r + rows] = self._chain_letters(_stream_uniforms(rows, length, seed, stream + r))
+            out[r : r + rows] = self._chain_letters(_stream_uniforms(rows, length, seed, stream, r))
         return out
 
     def _chain_letters(self, u: np.ndarray) -> np.ndarray:

@@ -117,10 +117,8 @@ def sync_fraction(
     uniform pairs).
 
     A pair whose two points are bitwise equal before a SYNC_CHECK-th letter
-    stops walking: lifts are elementwise, so it would stay at distance 0.0.
-    Inverse generators are the exception: their array Newton loop stops when
-    the whole batch has converged, so the last digits of the pairs still
-    walked may move with the batch (merged pairs stay exact).
+    stops walking: lifts and inverse solves are elementwise, so it would
+    stay at distance 0.0.
     """
     if tol_sync <= 0.0:
         raise ValueError("tol_sync must be positive")
@@ -198,10 +196,7 @@ def detect_repellers(ifs: IFS, w: WordLike, m_levels: int = 12) -> RepellerEstim
     The walk (`branch_lift_array`) carries only the distinct values: on a
     synchronizing branch the endpoints merge into ell + 1 values within a
     few hundred letters, and the rest of the word runs on Python floats.
-    Each point's image does not depend on the points walked with it, except
-    through Inverse generators: their array Newton loop stops when every
-    point has converged, so last digits depend on the batch, and merging
-    changes the batch.
+    Each point's image does not depend on the points walked with it.
 
     Returns one bracketing midpoint per kept arc at the finest level; the
     residual is the final arc length 2^-m_levels.
@@ -480,9 +475,7 @@ def hitting_tail_check(
     ell = r*s counts letters.  Raises NoMinimalGenerator when the designated
     map has a fixed point.
 
-    A trial stops walking once it has hit the target.  As in
-    `sync_fraction`, Inverse generators depend on the batch, so the last
-    digits of the trials still walked, and their hit times, may move.
+    A trial stops walking once it has hit the target.
     """
     if minimal_word is not None:
         from .circle_maps import Composition

@@ -440,7 +440,9 @@ class TestPrunedGrid:
     """The contraction grid walks only the points that can hold the maximum."""
 
     @pytest.mark.parametrize("b", [-0.5, 0.5])
-    @pytest.mark.parametrize("size", ["radius/2", "10*radius", 1e-6, 1e-5, 1e-4])
+    # At 3e-4, key [31, 6] gives backward inverse solves whose points
+    # converge at different Newton rounds within one array.
+    @pytest.mark.parametrize("size", ["radius/2", "10*radius", 1e-6, 1e-5, 1e-4, 3e-4])
     def test_equals_full_grid_bit_for_bit(self, sine_pairs, golden_rotation, b, size):
         pair = sine_pairs[b]
         if isinstance(size, str):
@@ -462,23 +464,6 @@ class TestPrunedGrid:
                 outcomes.append(rev.valid)
         if size >= 1e-5:
             assert not all(outcomes)  # invalid draws are compared too
-
-    def test_inverse_chain_moves_only_last_digits(self, sine_pairs, golden_rotation):
-        # A backward f1 contains an inverse, whose array Newton solve stops
-        # when its whole batch has converged; at 3e-4 draw 6 stops earlier
-        # on the pruned batch.  The forward chain stays exact.
-        for b, pair in sine_pairs.items():
-            rng = np.random.Generator(np.random.Philox(key=np.array([31, 6], dtype=np.uint64)))
-            f1 = perturb_map(golden_rotation, 3e-4, rng)
-            f2 = perturb_map(SinePerturbed(0.0, b), 3e-4, rng)
-            assert reverify_certificate(pair.forward, f1, f2) == reference_reverify(
-                pair.forward, f1, f2
-            )
-            rev = reverify_certificate(pair.backward, f1.inverse(), f2.inverse())
-            ref = reference_reverify(pair.backward, f1.inverse(), f2.inverse())
-            assert rev.lam == pytest.approx(ref.lam, rel=0.0, abs=1e-14)
-            for k, v in ref.margins.items():
-                assert rev.margins[k] == pytest.approx(v, rel=0.0, abs=1e-11)
 
     @pytest.mark.parametrize("b1", [1e-4, 1e-5])
     def test_kept_points_hold_a_moved_maximum(self, certificate_pair, b1):

@@ -139,6 +139,7 @@ class TestConfigValidation:
         ("tail-bound", {"target": TARGET, "minimal_index": -1}, "minimal_index"),
         ("tail-bound", {"target": TARGET, "minimal_index": True}, "minimal_index"),
         ("estimate-minimality", {"eps": float("inf")}, "eps"),
+        ("estimate-minimality", {"eps": 1e-300}, "eps"),
         ("classify", {"tol_sync": float("inf")}, "tol_sync"),
         ("perturb", {"size": float("nan"), "command": "detect-repellers"}, "size"),
         ("perturb", {"size": float("inf"), "command": "detect-repellers"}, "size"),
@@ -350,7 +351,8 @@ class TestDeterminism:
     def test_density_sweep_matches_golden_bytes(self, capsys):
         # The reference bytes come from vectorized inverse solves and
         # direct-displacement bisection; the scalar solves and forward-map
-        # bisection must reproduce them exactly.
+        # bisection must reproduce them exactly.  Repelling residuals are
+        # those of the point the Newton polish stops at.
         code, out, _ = run_cli(
             capsys, "density-sweep", "--config", str(GOLDEN_DIR / "density_sweep_mesh4_seed7.json")
         )
@@ -402,8 +404,8 @@ class TestDeterminism:
     def test_markov_classify_matches_golden_bytes(self, capsys):
         # The reference bytes come from walking every sync pair through all
         # letters; walks that drop merged pairs must reproduce them exactly.
-        # Keying Markov rows apart (sync pairs against letter rows) will
-        # change these bytes.
+        # Every pair synchronizes, so the verdict does not depend on which
+        # draws a Markov letter row gets.
         code, out, _ = run_cli(
             capsys, "classify", "--config",
             str(GOLDEN_DIR / "golden_sine_markov_n_seeds5_seed7.json"),
@@ -445,6 +447,15 @@ class TestDeterminism:
         )
         assert code == 0
         assert out == (GOLDEN_DIR / f"simulate_orbit_{model}_seed7.csv").read_text()
+
+    def test_perturb_matches_golden_bytes(self, capsys):
+        # The bumps draw from streams 7000 + i and the orbit from row 0 of a
+        # Markov stream; neither may move a byte.
+        code, out, _ = run_cli(
+            capsys, "perturb", "--config", str(GOLDEN_DIR / "perturb_markov_seed7.json")
+        )
+        assert code == 0
+        assert out == (GOLDEN_DIR / "perturb_markov_seed7.csv").read_text()
 
     def test_tail_bound_matches_golden_bytes(self, capsys):
         code, out, _ = run_cli(

@@ -98,26 +98,23 @@ class TestBisectFixedPoint:
 
 
 class TestNewtonPolish:
-    def test_best_float64_neighbor(self, golden_sine_ifs, inverse_records, monkeypatch):
-        # The returned point beats every float64 within +-4 ulp of the point
-        # the Newton iteration stopped at (the polish without neighbor search).
+    def test_newton_point_sits_at_noise_floor(self, golden_sine_ifs, inverse_records):
+        # The polish returns the point Newton stopped at; no float64 within
+        # +-4 ulp of it has a residual more than 10% smaller, so a scan of
+        # the neighbors would only pick among rounding noise.
         def resid(letters, x):
             return periodic_points._residual(golden_sine_ifs, letters, x)
 
         for rec in inverse_records:
             letters = rec.word.letters[::-1]
             q = periodic_points._newton_polish(golden_sine_ifs, letters, float(rec.point))
-            with monkeypatch.context() as mp:
-                mp.setattr(periodic_points, "NEIGHBOR_ULPS", 0)
-                center = periodic_points._newton_polish(golden_sine_ifs, letters, float(rec.point))
-            window = [center]
+            window = [q]
             for direction in (-math.inf, math.inf):
-                x = center
+                x = q
                 for _ in range(4):
                     x = math.nextafter(x, direction)
                     window.append(x)
-            assert q in window
-            assert resid(letters, q) == min(resid(letters, x) for x in window)
+            assert resid(letters, q) <= 1.1 * min(resid(letters, x) for x in window)
             assert resid(letters, q) < 1e-11
 
 

@@ -38,11 +38,14 @@ def reference_markov_letters(model, u):
 
 
 def reference_markov_sample_matrix(model, n_rows, length, seed, stream=0):
-    """Row r from a fresh Philox keyed [seed, stream + r] mod 2**64."""
+    """Row r from a fresh Philox keyed [seed, stream] mod 2**64 and advanced
+    by r * 2**64, which puts r in the second word of its counter."""
     u = np.empty((n_rows, length))
+    key = np.array([seed % 2**64, stream % 2**64], dtype=np.uint64)
     for r in range(n_rows):
-        key = np.array([seed % 2**64, (stream + r) % 2**64], dtype=np.uint64)
-        u[r] = np.random.Generator(np.random.Philox(key=key)).random(length)
+        bitgen = np.random.Philox(key=key)
+        bitgen.advance(r * 2**64)
+        u[r] = np.random.Generator(bitgen).random(length)
     return reference_markov_letters(model, u)
 
 
@@ -126,15 +129,26 @@ class TestSampling:
             row = model.sample_matrix(1, 300, 9, stream)[0]
             assert model.sample(300, 9, stream).letters == tuple(row.tolist())
 
-    def test_markov_matrix_rows_are_streams(self):
+    def test_markov_matrix_rows_are_counter_rows(self):
         rows = [[0.5, 0.3, 0.2], [0.2, 0.2, 0.6], [0.1, 0.1, 0.8]]
         initial = [0.2, 0.3, 0.5]
         m = MarkovMinorizedModel(rows, initial)
         mat = m.sample_matrix(6, 200, seed=4)
         assert mat.shape == (6, 200)
-        for r in range(6):
-            assert tuple(mat[r].tolist()) == m.sample(200, seed=4, stream=r).letters
+        assert tuple(mat[0].tolist()) == m.sample(200, seed=4).letters
+        for n_rows in (1, 4):
+            assert np.array_equal(m.sample_matrix(n_rows, 200, seed=4), mat[:n_rows])
         assert np.array_equal(mat, reference_markov_sample_matrix(m, 6, 200, 4))
+
+    def test_markov_rows_share_no_stream(self):
+        # Row r lives in the counter, so the letter rows of stream 0 are
+        # neither the detection words of streams 100 + s nor the sync-pair
+        # points drawn from stream 1.
+        m = MarkovMinorizedModel([[0.7, 0.3], [0.4, 0.6]])
+        mat = m.sample_matrix(500, 2000, 7)
+        assert tuple(mat[100].tolist()) != m.sample(5000, 7, stream=100).letters[:2000]
+        row_1 = symbolic._stream_uniforms(1, 2000, 7, 0, 1)[0]
+        assert not np.array_equal(symbolic._rng(7, 1).random(500), row_1[:500])
 
     @pytest.mark.parametrize("model", [
         BernoulliModel([0.3, 0.7]),
