@@ -11,7 +11,8 @@ prescribed arc J comes from the three-stage composition G o g^m o F:
 
 so the composite maps V into itself and has a fixed point there.  Running
 the same construction on the inverse IFS and reversing the word yields
-repelling periodic points of the forward system.
+repelling periodic points of the forward system; the point is polished
+once, by Newton on the reversed (expanding) forward word.
 """
 
 from __future__ import annotations
@@ -384,13 +385,20 @@ def _arc_intersection(a: Arc, b: Arc) -> Arc | None:
     return Arc(a.start + lo, hi - lo)
 
 
-def periodic_in_interval(ifs: IFS, target: Arc, attractor: Attractor) -> PeriodicPointRecord:
+def periodic_in_interval(
+    ifs: IFS, target: Arc, attractor: Attractor, *, forward: IFS | None = None
+) -> PeriodicPointRecord:
     """Fixed point of G o g^m o F inside the target arc.
 
     F and G are found by breadth-first search (empty word allowed, so arcs
     already meeting the basin need no transport); m is the smallest
     iterate pulling F(V) into the delta-neighborhood of the attractor, plus
     two for safety.  Stage failures raise StageExhausted with the stage name.
+
+    With `forward` (the IFS whose inverse is `ifs`), the bisection point is
+    recorded as a repelling point of the reversed word on `forward`, by
+    Newton alone; a residual above TOL_FIX raises StageExhausted("polish")
+    at once, without trying further candidates.
     """
     a = float(attractor.point)
     basin = attractor.basin
@@ -454,6 +462,8 @@ def periodic_in_interval(ifs: IFS, target: Arc, attractor: Attractor) -> Periodi
             except ValueError:
                 stage, detail = "m", "composite failed to map V into itself"
                 continue
+            if forward is not None:
+                return _record(forward, letters[::-1], q, "polish", expanding=True)
             try:
                 return _record(ifs, letters, q, "m", expanding=False)
             except StageExhausted as exc:
@@ -534,36 +544,6 @@ class SweepReport:
             for r in self.rows
         )))
 
-    def to_json(self) -> dict:
-        return {
-            "mesh": self.mesh,
-            "coverage": {
-                "attracting": self.coverage("attracting"),
-                "repelling": self.coverage("repelling"),
-            },
-            "rows": [
-                {
-                    "arc_index": r.arc_index,
-                    "stability": r.stability,
-                    "found": r.found,
-                    "word_length": r.word_length,
-                    "residual": r.residual,
-                    "multiplier": r.multiplier,
-                    "error": r.error,
-                }
-                for r in self.rows
-            ],
-        }
-
-
-def _as_forward_repeller(ifs: IFS, record: PeriodicPointRecord) -> PeriodicPointRecord:
-    """Convert an attracting record of the inverse IFS into a repelling
-    record of the forward IFS: reverse the word, then Newton-polish the
-    point on the expanding composition (float64 Newton plus best-neighbor
-    selection keeps the re-evaluated residual at the ulp scale).  A
-    residual above TOL_FIX raises StageExhausted("polish", ...)."""
-    return _record(ifs, record.word.letters[::-1], float(record.point), "polish", expanding=True)
-
 
 def density_sweep(
     ifs: IFS,
@@ -575,34 +555,27 @@ def density_sweep(
 ) -> SweepReport:
     """Run the periodic-point construction on every arc of a mesh partition,
     both for the forward IFS (attracting records) and, through the inverse
-    IFS with reversed words, for repelling records.  Per-arc failures are
-    recorded, not raised."""
-    inverse = ifs.inverse_ifs()
-    try:
-        attractor_f = find_contracted_fixed_arc(ifs, model, seed, horizon=horizon, stream=0)
-        attractor_b = find_contracted_fixed_arc(inverse, model, seed, horizon=horizon, stream=1)
-    except HorizonExceeded as exc:
-        # No synchronizing branch: no hyperbolic periodic points to find.
-        rows = tuple(
-            SweepRow(i, side, False, 0, float("nan"), float("nan"), str(exc))
-            for side in ("attracting", "repelling")
-            for i in range(mesh)
-        )
-        return SweepReport(mesh=mesh, rows=rows, records=())
-
+    IFS with reversed words, for repelling records, each Newton-polished
+    once on the forward IFS.  Per-arc failures are recorded, not raised; a
+    side whose attractor search exceeds the horizon fails all its own rows."""
     rows: list[SweepRow] = []
     records: list[PeriodicPointRecord] = []
-    for side in ("attracting", "repelling"):
+    for side, system, stream, forward in (
+        ("attracting", ifs, 0, None),
+        ("repelling", ifs.inverse_ifs(), 1, ifs),
+    ):
+        try:
+            attractor = find_contracted_fixed_arc(system, model, seed, horizon=horizon, stream=stream)
+        except HorizonExceeded as exc:
+            # No contracted arc within the horizon: none of this side can be built.
+            rows += [SweepRow(i, side, False, 0, math.nan, math.nan, str(exc)) for i in range(mesh)]
+            continue
         for i in range(mesh):
             arc = Arc(i / mesh, 1.0 / mesh)
             try:
-                if side == "attracting":
-                    rec = periodic_in_interval(ifs, arc, attractor_f)
-                else:
-                    inv_rec = periodic_in_interval(inverse, arc, attractor_b)
-                    rec = _as_forward_repeller(ifs, inv_rec)
-            except (StageExhausted, HorizonExceeded) as exc:
-                rows.append(SweepRow(i, side, False, 0, float("nan"), float("nan"), str(exc)))
+                rec = periodic_in_interval(system, arc, attractor, forward=forward)
+            except StageExhausted as exc:
+                rows.append(SweepRow(i, side, False, 0, math.nan, math.nan, str(exc)))
                 continue
             rows.append(SweepRow(i, side, True, len(rec.word), rec.residual, rec.multiplier))
             records.append(rec)

@@ -396,26 +396,6 @@ class TailBoundReport:
     def to_csv_columns(self) -> list[tuple]:
         return list(zip(*((r.n, r.empirical_miss, r.bound, r.stderr) for r in self.rows)))
 
-    def to_json(self) -> dict:
-        return {
-            "ell": self.ell,
-            "cover_count": self.cover_count,
-            "word_length": self.word_length,
-            "p": self.p,
-            "n_trials": self.n_trials,
-            "seed": self.seed,
-            "dominated": self.dominated,
-            "rows": [
-                {
-                    "n": r.n,
-                    "empirical_miss": r.empirical_miss,
-                    "bound": r.bound,
-                    "stderr": r.stderr,
-                }
-                for r in self.rows
-            ],
-        }
-
 
 def covering_count(h: LiftMap, target: Arc) -> int:
     """Smallest r with S^1 = union of h^{-1}(target), ..., h^{-r}(target).

@@ -44,8 +44,10 @@ def inverse_composites(golden_sine_ifs, fair_coin):
 
 @pytest.fixture(scope="module")
 def inverse_records(golden_sine_ifs, fair_coin):
-    """Attracting records of the inverse IFS on the arcs of a mesh-4 sweep:
-    reversed, they are what the repelling side hands to the Newton polish."""
+    """Attracting records of the inverse IFS on the arcs of a mesh-4 sweep.
+    Their reversed words are the sweep's repelling words, and their points
+    lie within 1e-13 of the bisection points the repelling side starts its
+    Newton polish from, so they serve as Newton starts here."""
     inv = golden_sine_ifs.inverse_ifs()
     att = find_contracted_fixed_arc(inv, fair_coin, seed=7, stream=1)
     return [periodic_in_interval(inv, Arc(i / 4, 1 / 4), att) for i in range(4)]
@@ -194,7 +196,7 @@ class TestDensitySweep:
         assert sweep.coverage("repelling") == 1.0
 
     def test_seed42_every_arc_at_ulp_scale(self, golden_sine_ifs, fair_coin):
-        # Float64 Newton plus the +-4 ulp neighbor search: every arc found,
+        # Float64 Newton from the bisection point: every arc found,
         # repelling residuals far below TOL_FIX.
         report = density_sweep(golden_sine_ifs, 20, fair_coin, seed=42)
         assert all(row.found for row in report.rows)
@@ -262,6 +264,35 @@ class TestDensitySweep:
     def test_mesh_one_trivial(self, golden_sine_ifs, fair_coin):
         report = density_sweep(golden_sine_ifs, 1, fair_coin, seed=3)
         assert report.coverage("attracting") == 1.0
+
+    def test_one_side_beyond_horizon_fails_only_its_rows(self, golden_sine_ifs, fair_coin):
+        # At seed 0 and horizon 32 only the forward branch fails to
+        # polarize; the repelling side still constructs every arc.
+        report = density_sweep(golden_sine_ifs, 4, fair_coin, seed=0, horizon=32)
+        attracting = [r for r in report.rows if r.stability == "attracting"]
+        repelling = [r for r in report.rows if r.stability == "repelling"]
+        assert all(not r.found and r.error.startswith("within horizon 32") for r in attracting)
+        assert [r.word_length for r in repelling] == [53, 34, 41, 61]
+        assert all(r.found and r.residual < 1e-9 for r in repelling)
+        assert [rec.stability for rec in report.records] == ["repelling"] * 4
+
+    def test_every_record_is_made_on_the_forward_ifs(self, golden_sine_ifs, fair_coin, monkeypatch):
+        # The repelling side polishes once, on the reversed forward word; no
+        # record (and no Banach polish) runs on the inverse IFS.
+        seen = []
+        record = periodic_points._record
+
+        def recording(ifs, letters, q, stage, *, expanding):
+            seen.append((ifs, stage, expanding))
+            return record(ifs, letters, q, stage, expanding=expanding)
+
+        monkeypatch.setattr(periodic_points, "_record", recording)
+        report = density_sweep(golden_sine_ifs, 2, fair_coin, seed=3)
+        assert all(row.found for row in report.rows)
+        assert all(ifs is golden_sine_ifs for ifs, _, _ in seen)
+        assert [(stage, expanding) for _, stage, expanding in seen] == (
+            [("m", False)] * 2 + [("polish", True)] * 2
+        )
 
     def test_repeller_above_tolerance_is_not_found(self, golden_sine_ifs, fair_coin, monkeypatch):
         # A polish that leaves the point 1e-6 off the fixed point: the
