@@ -528,19 +528,22 @@ class Reverification:
 
 
 def _power_chain(
-    f: LiftMap, pos: np.ndarray, deriv: np.ndarray, exponents: Sequence[int]
-) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    f: LiftMap, pos: np.ndarray | float, deriv: np.ndarray | None, exponents: Sequence[int]
+) -> dict[int, tuple[np.ndarray | float, np.ndarray | None]]:
     """(f^n(pos), deriv * Df^n(pos)) for every requested n >= 0, one
-    `f.lift_deriv` per step of a single chain up to max(exponents).  A
-    translation f just shifts pos and leaves deriv as it is."""
+    `f.lift_deriv` per step of a single chain up to max(exponents), or one
+    `f.lift` if deriv is None.  A translation f just shifts pos."""
     t = f.as_translation()
-    out: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    out: dict[int, tuple[np.ndarray | float, np.ndarray | None]] = {}
     done = 0
     for n in sorted(set(exponents)):
         if t is None:
             for _ in range(n - done):
-                pos, d = f.lift_deriv(pos)
-                deriv = deriv * d
+                if deriv is None:
+                    pos = f.lift(pos)
+                else:
+                    pos, d = f.lift_deriv(pos)
+                    deriv = deriv * d
             out[n] = (pos, deriv)
         else:
             out[n] = (pos + n * t, deriv)
@@ -590,8 +593,8 @@ def reverify_certificate(
     maximum of Dh_n, one `f1.lift_deriv` per step up to the largest cover or
     global forward exponent.  At each cover exponent n it gives the ends of
     h_n(B) and f1^n(D) and the grid maximum of Dh_n; at each global forward
-    exponent, the ends of f1^n(B).  Only the f1^-1 images of B for
-    condition (4) take a chain of their own.
+    exponent, the ends of f1^n(B).  The f1^-1 images of B for condition
+    (4) take two chains of lifts only, one Python float per end of B.
 
     Pruning: with g = Df2 on the grid, (lo, hi) = f1.deriv_bounds() and N
     the largest cover exponent, point i walks only if g_i >= max(g)
@@ -648,11 +651,12 @@ def reverify_certificate(
     m3 = 1.0 - lam
 
     # (4) circle covers in stored order, forward and inverse families.
-    backward = _power_chain(f1.inverse(), b_ends, np.ones(2), cert.global_backward_exponents)
+    inv, exps = f1.inverse(), cert.global_backward_exponents
+    backward = [_power_chain(inv, end, None, exps) for end in b_ends.tolist()]
     m4 = math.inf
     for ends in (
         [chain[m][0][4:6] for m in cert.global_forward_exponents],
-        [backward[m][0] for m in cert.global_backward_exponents],
+        [[b[m][0] for b in backward] for m in exps],
     ):
         spans = _spans(ends, ends[0][0])
         m4 = min(m4, min([*_overlaps(spans), spans[-1][1] - 1.0]))

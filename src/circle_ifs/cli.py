@@ -333,6 +333,8 @@ def _cmd_density_sweep(cfg: dict, seed: int) -> tuple[str, int]:
     report = density_sweep(
         _ifs_of(cfg), model=_model_of(cfg), seed=seed, **_params(cfg, "density-sweep")
     )
+    errors = (f"arc {r.arc_index} {r.stability}: {r.error}\n" for r in report.rows if r.error)
+    sys.stderr.writelines(errors)
     header = ["arc_index", "stability", "found", "word_length", "residual", "multiplier"]
     return csv_text(header, report.to_csv_columns()), 0
 

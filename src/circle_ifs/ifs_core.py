@@ -8,6 +8,7 @@ letter is applied first.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
@@ -26,10 +27,10 @@ ORBIT_CAP = 1_000_000
 FRONTIER_CAP = 50_000
 
 # branch_lift_array merges bitwise-equal points before every SYNC_CHECK-th
-# letter and walks on Python floats once SCALAR_VALUES or fewer remain;
+# letter, and once SCALAR_VALUES or fewer remain walks each on Python floats
+# (one Python call per letter) until it meets a walked one at such a letter;
 # synchronization.sync_fraction drops its merged pairs at the same letters.
-# A merge costs one sort of the walked values; a value on the float path
-# costs one Python call per letter, so that path is kept for a few values.
+# A merge costs one sort of the walked values.
 SYNC_CHECK = 64
 SCALAR_VALUES = 4
 
@@ -77,7 +78,7 @@ def branch_apply(
     return CirclePoint(points[-1] if points else x)
 
 
-def branch_lift_array(ifs: IFS, w: WordLike, xs: np.ndarray) -> np.ndarray:
+def branch_lift_array(ifs: IFS, w: WordLike, xs: np.ndarray, memo: dict | None = None) -> np.ndarray:
     """Vectorized branch application on the lift (no mod), preserving order
     and shape.
 
@@ -86,12 +87,15 @@ def branch_lift_array(ifs: IFS, w: WordLike, xs: np.ndarray) -> np.ndarray:
 
     Only distinct values are walked.  Before every SYNC_CHECK-th letter the
     walked values are merged by bit pattern; once at most SCALAR_VALUES
-    remain (ell + 1 when a synchronizing branch has contracted onto
-    ell <= 3 repellers), the rest of the word runs on Python floats.  Every
-    lift and inverse solve is elementwise, so equal points stay equal and
-    the result is the per-letter array loop's bit for bit, given that scalar
-    sine lifts match numpy's (see circle_maps).
+    remain (a synchronizing branch contracts onto ell <= 3 repellers), the
+    rest of the word runs on Python floats, one SYNC_CHECK block at a time.
+    `memo` (fresh if omitted; one per (ifs, w)) maps every (block offset,
+    bit pattern) that a float tail passed to its final lift, so a tail that
+    meets a walked one stops.  Every lift and inverse solve is elementwise,
+    so equal points stay equal and the result is the per-letter array
+    loop's bit for bit, given that scalar sine lifts match numpy's.
     """
+    memo = {} if memo is None else memo
     vals = np.asarray(xs, dtype=float)
     walked = vals.ravel()
     where = np.arange(walked.size)  # index into `walked` of each input point
@@ -101,12 +105,24 @@ def branch_lift_array(ifs: IFS, w: WordLike, xs: np.ndarray) -> np.ndarray:
         keys, merged = np.unique(walked.view(np.int64), return_inverse=True)
         walked, where = keys.view(float), merged[where]
         if len(walked) <= SCALAR_VALUES:
-            rest = letters[start:]
-            walked = np.array([_word_lift(ifs, rest, v) for v in walked.tolist()], dtype=float)
+            walked = np.array([_float_tail(ifs, letters, start, v, memo) for v in walked.tolist()])
             break
         for a in letters[start : start + SYNC_CHECK]:
             walked = lifts[a](walked)
     return walked[where].reshape(vals.shape)
+
+
+def _float_tail(ifs: IFS, letters: tuple[int, ...], start: int, x: float, memo: dict) -> float:
+    """`_word_lift` of letters[start:] at x, block by block, until memo knows the tail."""
+    visited = []
+    for at in range(start, len(letters), SYNC_CHECK):
+        if (key := (at, struct.pack("<d", x))) in memo:
+            x = memo[key]
+            break
+        visited.append(key)
+        x = _word_lift(ifs, letters[at : at + SYNC_CHECK], x)
+    memo.update(dict.fromkeys(visited, x))
+    return x
 
 
 def _word_lift(ifs: IFS, letters: Sequence[int], x: float) -> float:

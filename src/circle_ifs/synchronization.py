@@ -194,8 +194,9 @@ def detect_repellers(ifs: IFS, w: WordLike, m_levels: int = 12) -> RepellerEstim
     descendant of the kept arcs, down to the deepest level (at most m_levels)
     with no more than WALK_POINTS arcs, so the next levels read the cache.
     The walk (`branch_lift_array`) carries only the distinct values: on a
-    synchronizing branch the endpoints merge into ell + 1 values within a
-    few hundred letters, and the rest of the word runs on Python floats.
+    synchronizing branch the endpoints merge into a few values within a
+    few hundred letters, and the rest of the word runs on Python floats;
+    all walks share one memo, so no float tail is walked twice.
     Each point's image does not depend on the points walked with it.
 
     Returns one bracketing midpoint per kept arc at the finest level; the
@@ -205,6 +206,7 @@ def detect_repellers(ifs: IFS, w: WordLike, m_levels: int = 12) -> RepellerEstim
     if m_levels < START_LEVEL + 3:
         raise ValueError("m_levels must exceed START_LEVEL + 2")
     cache: dict[float, float] = {}
+    memo: dict = {}  # float tails of `word`, shared by every walk
 
     # Domain coordinates live on the lift in [offset, offset + 1].  Arc i at
     # level j has the same endpoint floats as its halves at level j + 1,
@@ -223,7 +225,7 @@ def detect_repellers(ifs: IFS, w: WordLike, m_levels: int = 12) -> RepellerEstim
             {endpoint(i * span + j, level + depth) for i in kept for j in range(span + 1)}
             - cache.keys()
         )
-        vals = branch_lift_array(ifs, word, np.array(fresh))
+        vals = branch_lift_array(ifs, word, np.array(fresh), memo)
         cache.update(zip(fresh, vals.tolist()))
 
     kept: list[int] = list(range(1 << START_LEVEL))  # arc indices at current level
@@ -386,8 +388,6 @@ class TailBoundReport:
     cover_count: int
     word_length: int
     p: float
-    n_trials: int
-    seed: int
 
     @property
     def dominated(self) -> bool:
@@ -482,7 +482,7 @@ def hitting_tail_check(
             TailBoundRow(n, 0.0, (1.0 - model.p**ell) ** (1 + n // ell), 0.0)
             for n in n_grid
         )
-        return TailBoundReport(rows, ell, r, s, model.p, n_trials, seed)
+        return TailBoundReport(rows, ell, r, s, model.p)
 
     hit_time = _hit_times(ifs.generators, model.sample_matrix(n_trials, horizon, seed), x, target)
     rows = []
@@ -491,7 +491,7 @@ def hitting_tail_check(
         bound = (1.0 - model.p**ell) ** (1 + n // ell)
         stderr = math.sqrt(miss * (1.0 - miss) / n_trials)
         rows.append(TailBoundRow(n, miss, bound, stderr))
-    return TailBoundReport(tuple(rows), ell, r, s, model.p, n_trials, seed)
+    return TailBoundReport(tuple(rows), ell, r, s, model.p)
 
 
 def _hit_times(gens: Sequence[LiftMap], letters: np.ndarray, x: float, target: Arc) -> np.ndarray:

@@ -359,6 +359,19 @@ class TestDeterminism:
         assert code == 0
         assert out == (GOLDEN_DIR / "density_sweep_mesh4_seed7.csv").read_text()
 
+    def test_density_sweep_reports_failed_arcs_on_stderr(self, write_config, capsys):
+        # At seed 0 and horizon 32 the forward branch never polarizes: the
+        # attracting rows print found 0 on stdout and their reason on stderr.
+        cfg = json.loads((GOLDEN_DIR / "density_sweep_mesh4_seed7.json").read_text())
+        cfg["seed"], cfg["params"] = 0, {"mesh": 4, "horizon": 32}
+        code, out, err = run_cli(capsys, "density-sweep", "--config", write_config(cfg))
+        assert code == 0
+        assert [line.split(",")[1:3] for line in out.splitlines()[1:5]] == [["attracting", "0"]] * 4
+        lines = err.splitlines()
+        assert len(lines) == 4
+        assert all(line.startswith(f"arc {i} attracting: within horizon 32")
+                   for i, line in enumerate(lines))
+
     def test_find_periodic_matches_golden_bytes(self, capsys):
         # The reference bytes come from the attracting construction before
         # the Newton polish moved to float64; it must not move a byte.
@@ -393,6 +406,16 @@ class TestDeterminism:
         )
         assert code == 0
         assert out == (GOLDEN_DIR / "detect_repellers_seed7.json").read_text()
+
+    def test_half_turn_detect_repellers_matches_golden_bytes(self, capsys):
+        # ell = 2: the reference bytes come from walks in which every float
+        # tail ran to the end of the word; tails that stop on a known tail
+        # must reproduce them exactly.
+        code, out, _ = run_cli(
+            capsys, "detect-repellers", "--config", str(GOLDEN_DIR / "half_turn_seed7.json")
+        )
+        assert code == 0
+        assert out == (GOLDEN_DIR / "detect_repellers_half_turn_seed7.json").read_text()
 
     def test_classify_matches_golden_bytes(self, capsys):
         code, out, _ = run_cli(

@@ -137,6 +137,33 @@ class TestBranchLiftArray:
         assert got.shape == ref.shape
         assert got.tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize("model", sorted(LIFT_MODELS))
+    @pytest.mark.parametrize("label", sorted(LIFT_IFS))
+    def test_second_walk_with_the_first_walks_memo(self, label, model):
+        # detect_repellers' two walks of one word: the level-7 endpoints, then
+        # finer points whose float tails may end on the first walk's.
+        ifs = LIFT_IFS[label]
+        w = LIFT_MODELS[model].sample(5000, seed=3, stream=5)
+        memo = {}
+        for xs in (ENDPOINTS[:129], ENDPOINTS[:7] + 1 / 1024):
+            got = branch_lift_array(ifs, w, xs, memo)
+            assert got.tobytes() == reference_branch_lift_array(ifs, w, xs).tobytes()
+
+    def test_memo_keys_carry_offset_and_sign(self):
+        # 0.5 is at 16.5 after letter 64 and back at 0.5 after letter 128,
+        # but a walk from 16.5 at letter 0 ends elsewhere; and Rotation(-0.0)
+        # keeps 0.0 and -0.0 apart, so their tails differ in the sign bit.
+        ifs = IFS([Rotation(0.25), Rotation(-0.25)])
+        w = [1] * 64 + [2] * 64 + [1] * 64
+        memo = {}
+        for xs in (np.array([0.5]), np.array([16.5])):
+            got = branch_lift_array(ifs, w, xs, memo)
+            assert got.tobytes() == reference_branch_lift_array(ifs, w, xs).tobytes()
+        signed = IFS([Rotation(-0.0)])
+        xs = np.array([0.0, -0.0])
+        got = branch_lift_array(signed, [1] * 100, xs)
+        assert got.tobytes() == reference_branch_lift_array(signed, [1] * 100, xs).tobytes()
+
     @pytest.mark.parametrize("label", sorted(LIFT_IFS))
     def test_two_dimensional_input_with_repeats(self, label):
         ifs = LIFT_IFS[label]

@@ -221,17 +221,29 @@ class TestSharedWalks:
 
     def test_golden_sine_at_ten_levels_walks_twice(self, golden_sine, fair_coin, monkeypatch):
         calls = []
+        scalar_lifts = []  # scalar sine lifts made by each walk
+        lift = SinePerturbed.lift
 
-        def counting(ifs, w, xs):
+        def counting_lift(self, x):
+            if np.ndim(x) == 0 and scalar_lifts:
+                scalar_lifts[-1] += 1
+            return lift(self, x)
+
+        def counting(ifs, w, xs, memo=None):
             calls.append(len(xs))
-            return branch_lift_array(ifs, w, xs)
+            scalar_lifts.append(0)
+            return branch_lift_array(ifs, w, xs, memo)
 
+        monkeypatch.setattr(SinePerturbed, "lift", counting_lift)
         monkeypatch.setattr(synchronization, "branch_lift_array", counting)
         w = fair_coin.sample(5000, seed=0, stream=0)
         est = detect_repellers(golden_sine, w, m_levels=10)
         assert est.ell_hat == 1
         assert len(calls) == 2
         assert calls[0] == (1 << 7) + 1  # every level-7 endpoint in the first walk
+        # The second walk's float tail meets the first walk's; walked to the
+        # end on its own it would make 4,250 scalar sine lifts.
+        assert scalar_lifts[1] < 1000
         calls.clear()
         detect_repellers_per_level(golden_sine, w, m_levels=10)
         assert len(calls) == 8
