@@ -1,4 +1,9 @@
-"""Simulation and certification toolkit for IFSs of circle homeomorphisms."""
+"""Simulation and certification toolkit for IFSs of circle homeomorphisms.
+
+Each exported name is reached by the CLI or by another module of the
+package, except three library functions that no command runs:
+`nested_limit`, `random_orbit_density` and `branch_apply`.
+"""
 
 from .certifier import (
     BasinData,
@@ -26,14 +31,12 @@ from .circle_maps import (
     circle_distance,
     find_fixed_points,
     map_from_json,
-    rotation_number,
 )
 from .ifs_core import (
     IFS,
     branch_apply,
     minimality_estimate,
     random_orbit_density,
-    semigroup_orbit,
 )
 from .periodic_points import (
     PeriodicPointRecord,
@@ -43,10 +46,8 @@ from .periodic_points import (
 )
 from .symbolic import (
     BernoulliModel,
-    Cylinder,
     MarkovMinorizedModel,
     Word,
-    is_prefix_dense,
     model_from_json,
 )
 from .synchronization import (
@@ -55,7 +56,6 @@ from .synchronization import (
     antonov_classify,
     detect_repellers,
     hitting_tail_check,
-    pair_distance_trajectory,
     sync_fraction,
 )
 
@@ -67,7 +67,6 @@ __all__ = [
     "CertificatePair",
     "CirclePoint",
     "Composition",
-    "Cylinder",
     "IFS",
     "Inverse",
     "LiftMap",
@@ -90,20 +89,16 @@ __all__ = [
     "find_fixed_points",
     "find_universal_word",
     "hitting_tail_check",
-    "is_prefix_dense",
     "locate_basin",
     "map_from_json",
     "minimality_estimate",
     "model_from_json",
     "nested_limit",
-    "pair_distance_trajectory",
     "periodic_in_interval",
     "perturb_map",
     "random_orbit_density",
     "reverify_certificate",
-    "rotation_number",
     "search_cover_words",
-    "semigroup_orbit",
     "sync_fraction",
     "verify_global_cover",
 ]

@@ -24,6 +24,7 @@ pipeline applied to (g1^-1, g2^-1) yields the backward certificate.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -710,6 +711,8 @@ def nested_limit(
     break toward the lowest index); the returned error is certified to be
     at most lambda^n * |B|.  Each level adds one inverse evaluation, so the
     containment test is inflated by a matching multiple of TOL_INV.
+    Library API: the paper's approximation of points of B, which no CLI
+    command runs.
     """
     arc_b = basin.arc_B
     images = []
@@ -775,8 +778,6 @@ def _bfs_arc_to_target(ifs: IFS, lo: float, span: float, goal: Arc) -> tuple[int
     pruning only; the goal test always uses the exact tracked endpoints, so
     any returned word is valid.
     """
-    from collections import deque
-
     def is_goal(state_lo: float, state_span: float) -> bool:
         return (state_lo - goal.start) % 1.0 + state_span <= goal.length
 

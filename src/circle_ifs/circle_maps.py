@@ -171,10 +171,6 @@ class Arc:
         object.__setattr__(self, "length", float(self.length))
 
     @property
-    def end(self) -> float:
-        return (self.start + self.length) % 1.0
-
-    @property
     def midpoint(self) -> CirclePoint:
         return CirclePoint(self.start + 0.5 * self.length)
 
@@ -627,28 +623,6 @@ def map_from_json(obj: dict) -> LiftMap:
 # ---------------------------------------------------------------------------
 # Map-level operations
 # ---------------------------------------------------------------------------
-
-
-class RotationNumberEstimate(NamedTuple):
-    value: float
-    n_iters: int
-
-
-def rotation_number(f: LiftMap, n_iters: int) -> RotationNumberEstimate:
-    """Mean lift displacement (F^n(0) - 0) / n.
-
-    Error is O(1/n) for circle homeomorphisms.  Maps built purely from
-    rotations short-circuit to their exact translation amount.
-    """
-    if n_iters < 1:
-        raise ValueError("n_iters must be >= 1")
-    t = f.as_translation()
-    if t is not None:
-        return RotationNumberEstimate(t, n_iters)
-    x = 0.0
-    for _ in range(n_iters):
-        x = f.lift(x)
-    return RotationNumberEstimate(x / n_iters, n_iters)
 
 
 class FixedPoint(NamedTuple):

@@ -128,9 +128,7 @@ def load_config(path: str) -> dict:
     if not _parsed(raw, "generators", _array(map_from_json)):
         raise _FieldError("generators", "must be a non-empty array of map objects")
     _parsed(raw, "model", model_from_json, None)
-    seed = raw.get("seed", 0)
-    if type(seed) is not int or seed < 0:
-        raise _FieldError("seed", "must be a non-negative integer")
+    _parsed(raw, "seed", _seed, None)
     _parsed(raw, "params", _object, None)
     return raw
 
@@ -141,6 +139,24 @@ def _ifs_of(cfg: dict) -> IFS:
 
 def _model_of(cfg: dict) -> SequenceModel:
     return _parsed(cfg, "model", model_from_json)
+
+
+def _seed(value) -> int:
+    """The one seed rule (config `seed`, --seed, `params.perturb_seed`): an
+    int that fits one 64-bit Philox key word (not a bool, a float or a string)."""
+    if type(value) is not int or value < 0:
+        raise ValueError("must be a non-negative integer")
+    if value >= 1 << 64:
+        raise ValueError(f"must be below 2**64, got {value!r}")
+    return value
+
+
+def _seed_option(text: str) -> int:
+    """--seed, cast by the seed rule."""
+    try:
+        return _seed(int(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer in 0..2**64-1, got {text!r}") from None
 
 
 _COUNT = _integer(1)
@@ -218,7 +234,7 @@ PARAMS = {
     "density-sweep": {"mesh": (_COUNT, 20), "horizon": (_COUNT, 512)},
     "perturb": {
         "size": (_non_negative, _REQUIRED), "command": (_perturbable, _REQUIRED),
-        "perturb_seed": (_integer(0), 0), "params": (_object, {}),
+        "perturb_seed": (_seed, 0), "params": (_object, {}),
     },
 }
 
@@ -389,7 +405,7 @@ def main(argv: list[str] | None = None) -> int:
     for name in HANDLERS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="experiment config JSON")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
+        p.add_argument("--seed", type=_seed_option, default=None, help="override config seed")
         p.add_argument("--threads", type=int, default=1,
                        help="accepted for compatibility and ignored (runs on one thread)")
         p.add_argument("--out", default=None, help="output path (default stdout)")
@@ -405,7 +421,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.config is None:
                 raise _FieldError("config", "--config is required")
             cfg = load_config(args.config)
-            seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+            seed = args.seed if args.seed is not None else cfg.get("seed", 0)
             text, code = HANDLERS[args.command](cfg, seed)
     except _FieldError as exc:
         sys.stderr.write(f"config error: {exc}\n")

@@ -1,9 +1,7 @@
 """IFS orbital branches, semigroup orbits, and density estimation.
 
 Composition convention: a word w = (w_1, ..., w_n) acts by applying the
-generator for w_1 first, i.e. the branch is f_{w_n} o ... o f_{w_1}.  The
-hat composition reverses the order: f_{w_1} o ... o f_{w_n}, so the last
-letter is applied first.
+generator for w_1 first, i.e. the branch is f_{w_n} o ... o f_{w_1}.
 """
 
 from __future__ import annotations
@@ -22,8 +20,9 @@ WordLike = Union[Word, Sequence[int]]
 # Orbit points closer than this are merged during breadth-first enumeration;
 # far below every epsilon of interest, prevents exponential blowup.
 DEDUP_RES = 1e-9
+# An orbit of _orbit_levels holds at most ORBIT_CAP points, its start
+# included, and keeps at most FRONTIER_CAP frontier points per level.
 ORBIT_CAP = 1_000_000
-# minimality_estimate keeps at most this many frontier points per level.
 FRONTIER_CAP = 50_000
 
 # branch_lift_array merges bitwise-equal points before every SYNC_CHECK-th
@@ -64,17 +63,12 @@ class IFS:
         return IFS([g.inverse() for g in self.generators], label=lbl)
 
 
-def branch_apply(
-    ifs: IFS, w: WordLike, x: float, return_trajectory: bool = False
-) -> CirclePoint | list[CirclePoint]:
-    """Apply f_{w_n} o ... o f_{w_1} to x (first letter first).
-
-    With return_trajectory=True, returns the n intermediate points
-    [f^1(x), ..., f^n(x)].  Both modes walk `orbit_to_csv_rows`.
+def branch_apply(ifs: IFS, w: WordLike, x: float) -> CirclePoint:
+    """Apply f_{w_n} o ... o f_{w_1} to x (first letter first), on the walk
+    of `orbit_to_csv_rows`.  Library API: nothing in the package calls it;
+    it replays a record's word on a point.
     """
     points = orbit_to_csv_rows(ifs, w, x)
-    if return_trajectory:
-        return [CirclePoint(p) for p in points]
     return CirclePoint(points[-1] if points else x)
 
 
@@ -169,21 +163,19 @@ def _quantize(xs: np.ndarray) -> np.ndarray:
     return np.round(np.mod(xs, 1.0) / DEDUP_RES).astype(np.int64) % m
 
 
-def _orbit_levels(
-    ifs: IFS, x: float, depth: int, cap: int, frontier_cap: int | None
-) -> Iterator[np.ndarray]:
+def _orbit_levels(ifs: IFS, x: float, depth: int) -> Iterator[np.ndarray]:
     """Yield the fresh points of each breadth-first level of the orbit of x.
 
     Generators expand in index order; within a level the first occurrence of
     a duplicated point wins, which makes the enumeration deterministic.  At
-    most `cap` points are yielded in total; `frontier_cap`, unless None, bounds
-    the per-level frontier, keeping lexicographically earliest nodes (so
-    pure first-generator words always survive).  Stops early when a level
-    brings nothing new.
+    most ORBIT_CAP - 1 points are yielded in total (with x, ORBIT_CAP);
+    FRONTIER_CAP bounds the per-level frontier, keeping lexicographically
+    earliest nodes (so pure first-generator words always survive).  Stops
+    early when a level brings nothing new.
     """
     frontier = np.array([float(x) % 1.0])
     seen: set[int] = set()
-    total = 0
+    total = 1  # x counts towards ORBIT_CAP
     for _ in range(depth):
         children = np.concatenate(
             [np.mod(g.lift(frontier), 1.0) for g in ifs.generators]
@@ -199,27 +191,12 @@ def _orbit_levels(
         if len(children) == 0:
             return
         seen.update(keys.tolist())
-        children = children[: cap - total]
+        children = children[: ORBIT_CAP - total]
         total += len(children)
         yield children
-        if total >= cap:
+        if total >= ORBIT_CAP:
             return
-        frontier = children[:frontier_cap]
-
-
-def semigroup_orbit(ifs: IFS, x: float, depth: int) -> np.ndarray:
-    """Breadth-first orbit {h(x) : h a word of length 1..depth}, deduplicated
-    at DEDUP_RES.
-
-    Enumeration order and truncation at ORBIT_CAP points are those of
-    `_orbit_levels`; the frontier is unbounded.
-    """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    collected = list(_orbit_levels(ifs, x, depth, ORBIT_CAP, None))
-    if not collected:
-        return np.empty(0, dtype=float)
-    return np.concatenate(collected)
+        frontier = children[:FRONTIER_CAP]
 
 
 @dataclass(frozen=True)
@@ -255,8 +232,8 @@ def minimality_estimate(
 ) -> MinimalityEstimate:
     """Empirical minimality: from every start on a grid, the semigroup orbit
     must come within eps of every point of an eps/2-grid.  Each orbit is
-    that of `_orbit_levels`, with at most ORBIT_CAP points (the start
-    included) and FRONTIER_CAP frontier points per level.
+    the start point and the levels of `_orbit_levels`: at most ORBIT_CAP
+    points, and FRONTIER_CAP frontier points per level.
 
     Returns the worst covering gap over all starts and a failing start point
     if any.  Backward minimality is the same call on ifs.inverse_ifs().
@@ -272,8 +249,7 @@ def minimality_estimate(
         start = i / start_grid
         points = [np.array([start])]
         covered = np.zeros(n_targets, dtype=bool)
-        # The start point counts towards the cap.
-        for children in _orbit_levels(ifs, start, depth, ORBIT_CAP - 1, FRONTIER_CAP):
+        for children in _orbit_levels(ifs, start, depth):
             points.append(children)
             srt = np.sort(children)
             todo = np.flatnonzero(~covered)
@@ -296,14 +272,6 @@ class DensityReport:
     n_samples: int
     seed: int
 
-    def to_json(self) -> dict:
-        return {
-            "fraction": self.fraction,
-            "stderr": self.stderr,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-        }
-
 
 def random_orbit_density(
     ifs: IFS,
@@ -318,7 +286,8 @@ def random_orbit_density(
 
     Density is measured against a fixed eps/2-grid (orbit within eps of every
     grid point).  Monte Carlo with binomial standard error; deterministic for
-    a fixed seed.
+    a fixed seed.  Library API: the title theorem's quantity, which no CLI
+    command reports yet.
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
@@ -345,8 +314,8 @@ def random_orbit_density(
 
 def orbit_to_csv_rows(ifs: IFS, w: WordLike, x: float) -> list[float]:
     """The point column [f^1(x), ..., f^n(x)] of an orbit dump along w, as
-    Python floats in [0, 1).  The one scalar walk: `branch_apply` and
-    `pair_distance_trajectory` run on it too."""
+    Python floats in [0, 1).  The one scalar walk: `branch_apply` runs on
+    it too."""
     lifts = (None, *(g.lift for g in ifs.generators))  # indexed by letter 1..k
     pos = float(x) % 1.0
     letters = w.letters if isinstance(w, Word) else w

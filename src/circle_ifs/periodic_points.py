@@ -534,10 +534,6 @@ class SweepReport:
     rows: tuple[SweepRow, ...]
     records: tuple[PeriodicPointRecord, ...]
 
-    def coverage(self, stability: str) -> float:
-        hits = sum(1 for r in self.rows if r.stability == stability and r.found)
-        return hits / self.mesh
-
     def to_csv_columns(self) -> list[tuple]:
         return list(zip(*(
             (r.arc_index, r.stability, int(r.found), r.word_length, r.residual, r.multiplier)

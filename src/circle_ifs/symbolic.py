@@ -1,4 +1,4 @@
-"""Finite words, cylinders, and random sequence models on {1..k}^N.
+"""Finite words and random sequence models on {1..k}^N.
 
 Sequence models carry a probability floor p in (0, 1/k]: every conditional
 next-letter probability is >= p regardless of the past.  Sampling uses a
@@ -57,22 +57,8 @@ class Word:
             return Word(self.letters[i], self.k)
         return self.letters[i]
 
-    def reversed(self) -> "Word":
-        return Word(self.letters[::-1], self.k)
-
     def to_json(self) -> list[int]:
         return list(self.letters)
-
-    @staticmethod
-    def from_json(letters: Sequence[int], k: int) -> "Word":
-        return Word(tuple(int(a) for a in letters), k)
-
-
-@dataclass(frozen=True)
-class Cylinder:
-    """C_sigma = set of infinite sequences starting with the word sigma."""
-
-    word: Word
 
 
 def _rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -135,10 +121,6 @@ class SequenceModel:
         row = self.sample_matrix(1, length, seed, stream)[0]
         return Word(tuple(row.tolist()), self.k)
 
-    def cylinder_measure(self, c: Cylinder) -> float:
-        """Exact product of conditional probabilities; always >= p^|sigma|."""
-        raise NotImplementedError
-
     def to_json(self) -> dict:
         raise NotImplementedError
 
@@ -164,12 +146,6 @@ class BernoulliModel(SequenceModel):
         u = _rng(seed, stream).random((n_rows, length))
         idx = np.minimum(np.searchsorted(self._cum, u.ravel(), side="right"), self.k - 1)
         return (idx.reshape(n_rows, length) + 1).astype(_letter_dtype(self.k))
-
-    def cylinder_measure(self, c: Cylinder) -> float:
-        out = 1.0
-        for a in c.word:
-            out *= self.weights[a - 1]
-        return out
 
     def to_json(self) -> dict:
         return {"kind": "bernoulli", "weights": list(self.weights)}
@@ -251,15 +227,6 @@ class MarkovMinorizedModel(SequenceModel):
         states = states.reshape(chunk, n_rows, n_chunks).transpose(1, 2, 0).reshape(n_rows, -1)
         return states[:, :length] + 1
 
-    def cylinder_measure(self, c: Cylinder) -> float:
-        if len(c.word) == 0:
-            return 1.0
-        letters = c.word.letters
-        out = self.initial[letters[0] - 1]
-        for prev, nxt in zip(letters, letters[1:]):
-            out *= self.rows[prev - 1][nxt - 1]
-        return out
-
     def to_json(self) -> dict:
         return {
             "kind": "markov",
@@ -279,23 +246,3 @@ def model_from_json(obj: dict) -> SequenceModel:
         return MarkovMinorizedModel(rows, _parsed(obj, "initial", _array(_finite), None))
     raise InvalidModel(f"unknown model kind: {kind!r}")
 
-
-def is_prefix_dense(w: Word, depth: int) -> bool:
-    """True iff every word of length <= depth over {1..k} occurs as a factor.
-
-    Checking length exactly `depth` suffices: any shorter word extends to a
-    length-`depth` word, and factors of factors are factors.  This is the
-    finite-depth proxy for having a dense orbit under the one-sided shift.
-    """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    if len(w) < depth:
-        return False
-    needed = w.k**depth
-    seen: set[tuple[int, ...]] = set()
-    letters = w.letters
-    for i in range(len(letters) - depth + 1):
-        seen.add(letters[i : i + depth])
-        if len(seen) == needed:
-            return True
-    return False

@@ -22,9 +22,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .circle_maps import Arc, CirclePoint, LiftMap, circle_distance_array, find_fixed_points
+from .circle_maps import (Arc, CirclePoint, Composition, LiftMap, circle_distance_array,
+                          find_fixed_points)
 from .ifs_core import (IFS, SYNC_CHECK, WordLike, _letters, _walk_step,
-                       branch_lift_array, orbit_to_csv_rows)
+                       branch_lift_array, minimality_estimate)
 from .symbolic import SequenceModel, Word, _rng
 
 # Polarization threshold: an arc counts as growing when its image length
@@ -68,15 +69,6 @@ class CoverSearchExhausted(RuntimeError):
 # ---------------------------------------------------------------------------
 # Pairwise synchronization
 # ---------------------------------------------------------------------------
-
-
-def pair_distance_trajectory(
-    ifs: IFS, w: WordLike, x: float, y: float
-) -> list[float]:
-    """d(f^n(x), f^n(y)) for n = 0..|w| along the branch of w."""
-    xs = [float(x) % 1.0, *orbit_to_csv_rows(ifs, w, x)]
-    ys = [float(y) % 1.0, *orbit_to_csv_rows(ifs, w, y)]
-    return [float(circle_distance_array(px, py)) for px, py in zip(xs, ys)]
 
 
 @dataclass(frozen=True)
@@ -328,8 +320,6 @@ def antonov_classify(
     """
     warnings: list[str] = []
     if check_minimality:
-        from .ifs_core import minimality_estimate
-
         fwd = minimality_estimate(ifs, eps=0.05, start_grid=4, depth=3000)
         bwd = minimality_estimate(ifs.inverse_ifs(), eps=0.05, start_grid=4, depth=3000)
         if not (fwd.minimal and bwd.minimal):
@@ -458,8 +448,6 @@ def hitting_tail_check(
     A trial stops walking once it has hit the target.
     """
     if minimal_word is not None:
-        from .circle_maps import Composition
-
         h: LiftMap = Composition(
             [ifs.generators[a - 1] for a in reversed(minimal_word.letters)]
         )

@@ -21,14 +21,14 @@ from circle_ifs.circle_maps import Arc, Rotation, SinePerturbed
 from circle_ifs.cli import main as cli_main
 from circle_ifs.ifs_core import IFS, branch_apply, minimality_estimate
 from circle_ifs.periodic_points import density_sweep
-from circle_ifs.symbolic import Word, is_prefix_dense
+from circle_ifs.symbolic import Word
 from circle_ifs.synchronization import (
     Unpolarized,
     detect_repellers,
     hitting_tail_check,
     sync_fraction,
 )
-from word_helpers import all_words_concatenated, capture_time, concat
+from word_helpers import all_words_concatenated, capture_time, concat, coverage, is_prefix_dense
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -184,8 +184,8 @@ def test_criterion_08_universal_word(golden_sine_ifs, fair_coin):
 def test_criterion_09_periodic_density(golden_sine_ifs, fair_coin):
     with _report("C9 periodic-point density sweep") as rep:
         report = density_sweep(golden_sine_ifs, 20, fair_coin, seed=209)
-        assert report.coverage("attracting") == 1.0
-        assert report.coverage("repelling") == 1.0
+        assert coverage(report, "attracting") == 1.0
+        assert coverage(report, "repelling") == 1.0
         for row in report.rows:
             assert row.found
             assert row.residual < 1e-9

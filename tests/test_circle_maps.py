@@ -16,10 +16,9 @@ from circle_ifs.circle_maps import (
     circle_distance,
     find_fixed_points,
     map_from_json,
-    rotation_number,
 )
 from circle_ifs.certifier import perturb_map
-from word_helpers import contains_arc, inverse_eval
+from word_helpers import contains_arc, inverse_eval, rotation_number
 
 TWO_PI = 2.0 * math.pi
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0

@@ -82,6 +82,32 @@ class TestConfigValidation:
         assert out == ""
         assert err == "config error: seed: must be a non-negative integer\n"
 
+    def test_seed_beyond_64_bits_rejected(self, write_config, capsys):
+        # Philox keys by seed mod 2**64, so 2**64 would replay seed 0.
+        cfg = base_config(length=3)
+        cfg["seed"] = 2**64
+        code, out, err = run_cli(capsys, "simulate-orbit", "--config", write_config(cfg))
+        assert code == 2
+        assert out == ""
+        assert err == "config error: seed: must be below 2**64, got 18446744073709551616\n"
+
+    @pytest.mark.parametrize("flag", ["-1", str(2**64), "7.0", "seven"])
+    def test_seed_flag_outside_64_bits_exits_2(self, write_config, capsys, flag):
+        # -1 would replay seed 2**64 - 1, and 2**64 seed 0.
+        path = write_config(base_config(length=3))
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate-orbit", "--config", path, "--seed", flag])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert f"argument --seed: must be an integer in 0..2**64-1, got '{flag}'" in captured.err
+
+    def test_largest_seed_accepted(self, write_config, capsys):
+        path = write_config(base_config(length=3))
+        code, out, _ = run_cli(capsys, "simulate-orbit", "--config", path, "--seed", str(2**64 - 1))
+        assert code == 0
+        assert len(out.splitlines()) == 4
+
     def test_bad_model_reports_path(self, write_config, capsys):
         cfg = base_config()
         cfg["model"] = {"kind": "bernoulli", "weights": [1.0, 0.0]}
@@ -134,6 +160,8 @@ class TestConfigValidation:
         ("perturb", {"size": 0, "command": "detect-repellers", "perturb_seed": True}, "perturb_seed"),
         ("perturb", {"size": 0, "command": "detect-repellers", "perturb_seed": "3"}, "perturb_seed"),
         ("perturb", {"size": 0, "command": "detect-repellers", "perturb_seed": 1.5}, "perturb_seed"),
+        ("perturb", {"size": 0, "command": "detect-repellers", "perturb_seed": 3.0}, "perturb_seed"),
+        ("perturb", {"size": 0, "command": "detect-repellers", "perturb_seed": 2**64}, "perturb_seed"),
         ("tail-bound", {"target": TARGET, "minimal_index": 5}, "minimal_index"),
         ("tail-bound", {"target": TARGET, "minimal_index": 2}, "minimal_index"),
         ("tail-bound", {"target": TARGET, "minimal_index": -1}, "minimal_index"),

@@ -20,10 +20,9 @@ from circle_ifs.ifs_core import (
     minimality_estimate,
     orbit_to_csv_rows,
     random_orbit_density,
-    semigroup_orbit,
 )
 from circle_ifs.symbolic import BernoulliModel, MarkovMinorizedModel, Word
-from circle_ifs.synchronization import pair_distance_trajectory
+from word_helpers import pair_distance_trajectory, semigroup_orbit
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -64,7 +63,7 @@ class TestBranchApply:
             assert float(branch_apply(golden_sine, w, x)) == manual
 
     def test_trajectory_prefix(self, golden_sine):
-        traj = branch_apply(golden_sine, Word((1, 2, 1), 2), 0.2, return_trajectory=True)
+        traj = orbit_to_csv_rows(golden_sine, Word((1, 2, 1), 2), 0.2)
         assert len(traj) == 3
         assert traj[-1] == branch_apply(golden_sine, Word((1, 2, 1), 2), 0.2)
 
@@ -89,9 +88,6 @@ class TestBranchApply:
             end = branch_apply(ifs, w, x)
             assert type(end) is CirclePoint
             assert end.hex() == CirclePoint(pos).hex()
-            got = branch_apply(ifs, w, x, return_trajectory=True)
-            assert all(type(p) is CirclePoint for p in got)
-            assert [p.hex() for p in got] == [p.hex() for p in traj]
             points = orbit_to_csv_rows(ifs, list(w), x)
             assert all(type(p) is float for p in points)
             assert [p.hex() for p in points] == [p.hex() for p in traj]

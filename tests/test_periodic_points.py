@@ -13,6 +13,7 @@ from circle_ifs.periodic_points import (
     periodic_in_interval,
 )
 from circle_ifs.symbolic import BernoulliModel
+from word_helpers import coverage, reversed_word
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -192,8 +193,8 @@ class TestPeriodicInInterval:
 
 class TestDensitySweep:
     def test_full_coverage_both_classes(self, sweep):
-        assert sweep.coverage("attracting") == 1.0
-        assert sweep.coverage("repelling") == 1.0
+        assert coverage(sweep, "attracting") == 1.0
+        assert coverage(sweep, "repelling") == 1.0
 
     def test_seed42_every_arc_at_ulp_scale(self, golden_sine_ifs, fair_coin):
         # Float64 Newton from the bisection point: every arc found,
@@ -234,7 +235,7 @@ class TestDensitySweep:
                 checked_a += 1
             if rec.stability == "repelling" and checked_r < 4:
                 inv = golden_sine_ifs.inverse_ifs()
-                inv_word = rec.word.reversed()
+                inv_word = reversed_word(rec.word)
                 for x0 in (q - 1e-4, q + 1e-4):
                     x = x0 % 1.0
                     for _ in range(200):
@@ -249,7 +250,7 @@ class TestDensitySweep:
         inv = golden_sine_ifs.inverse_ifs()
         rec = next(r for r in sweep.records if r.stability == "repelling")
         q = float(rec.point)
-        inv_word = rec.word.reversed()
+        inv_word = reversed_word(rec.word)
         image = float(branch_apply(inv, inv_word, q))
         assert circle_distance(image, q) < 1e-8
         inv_mult = branch_deriv(inv, inv_word, q)
@@ -258,12 +259,12 @@ class TestDensitySweep:
     def test_rotations_cover_nothing(self, fair_coin):
         ifs = IFS([Rotation(GOLDEN), Rotation(0.3)])
         report = density_sweep(ifs, 4, fair_coin, seed=1, horizon=128)
-        assert report.coverage("attracting") == 0.0
-        assert report.coverage("repelling") == 0.0
+        assert coverage(report, "attracting") == 0.0
+        assert coverage(report, "repelling") == 0.0
 
     def test_mesh_one_trivial(self, golden_sine_ifs, fair_coin):
         report = density_sweep(golden_sine_ifs, 1, fair_coin, seed=3)
-        assert report.coverage("attracting") == 1.0
+        assert coverage(report, "attracting") == 1.0
 
     def test_one_side_beyond_horizon_fails_only_its_rows(self, golden_sine_ifs, fair_coin):
         # At seed 0 and horizon 32 only the forward branch fails to
@@ -306,5 +307,5 @@ class TestDensitySweep:
         for row in repelling:
             assert not row.found
             assert row.error.startswith("[stage polish] residual ")
-        assert report.coverage("repelling") == 0.0
+        assert coverage(report, "repelling") == 0.0
         assert all(rec.stability != "repelling" for rec in report.records)

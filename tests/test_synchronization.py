@@ -17,11 +17,10 @@ from circle_ifs.synchronization import (
     covering_count,
     detect_repellers,
     hitting_tail_check,
-    pair_distance_trajectory,
     repeller_bracket_arcs,
     sync_fraction,
 )
-from word_helpers import contains_arc
+from word_helpers import contains_arc, pair_distance_trajectory
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
