@@ -118,6 +118,13 @@ def _finite(value) -> float:
     return float(value)
 
 
+def _string(value) -> str:
+    """Cast a JSON string (not a number, an array or null) to str."""
+    if not isinstance(value, str):
+        raise ValueError(f"must be a string, got {value!r}")
+    return value
+
+
 def _integer(lo: int | None = None, hi: int | None = None) -> Callable[[object], int]:
     """Cast an int, or an integral float, to an integer >= lo and <= hi (a
     None bound is open).  Bools, strings and non-integral floats are rejected."""

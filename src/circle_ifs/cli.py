@@ -44,6 +44,7 @@ from .circle_maps import (
     _integer,
     _object,
     _parsed,
+    _string,
     map_from_json,
 )
 from .ifs_core import IFS, ORBIT_CAP, minimality_estimate, orbit_to_csv_rows
@@ -54,7 +55,7 @@ from .periodic_points import (
     find_contracted_fixed_arc,
     periodic_in_interval,
 )
-from .symbolic import SequenceModel, _rng, model_from_json
+from .symbolic import SequenceModel, _rng, _seed, model_from_json
 from .synchronization import (
     START_LEVEL,
     CoverSearchExhausted,
@@ -130,25 +131,16 @@ def load_config(path: str) -> dict:
     _parsed(raw, "model", model_from_json, None)
     _parsed(raw, "seed", _seed, None)
     _parsed(raw, "params", _object, None)
+    raw["label"] = _parsed(raw, "label", _string, "")
     return raw
 
 
 def _ifs_of(cfg: dict) -> IFS:
-    return IFS([map_from_json(g) for g in cfg["generators"]], label=cfg.get("label", ""))
+    return IFS([map_from_json(g) for g in cfg["generators"]], label=cfg["label"])
 
 
 def _model_of(cfg: dict) -> SequenceModel:
     return _parsed(cfg, "model", model_from_json)
-
-
-def _seed(value) -> int:
-    """The one seed rule (config `seed`, --seed, `params.perturb_seed`): an
-    int that fits one 64-bit Philox key word (not a bool, a float or a string)."""
-    if type(value) is not int or value < 0:
-        raise ValueError("must be a non-negative integer")
-    if value >= 1 << 64:
-        raise ValueError(f"must be below 2**64, got {value!r}")
-    return value
 
 
 def _seed_option(text: str) -> int:
@@ -270,7 +262,7 @@ def _cmd_estimate_minimality(cfg: dict, seed: int) -> tuple[str, int]:
     kwargs = _params(cfg, "estimate-minimality")
     ifs = _ifs_of(cfg)
     out = {
-        "label": cfg.get("label", ""),
+        "label": cfg["label"],
         "params": kwargs,
         "forward": minimality_estimate(ifs, **kwargs).to_json(),
         "backward": minimality_estimate(ifs.inverse_ifs(), **kwargs).to_json(),
@@ -305,7 +297,7 @@ def _cmd_certify(cfg: dict, seed: int) -> tuple[str, int]:
     gens = [map_from_json(g) for g in cfg["generators"]]
     if len(gens) != 2:
         raise _FieldError("generators", "certify expects exactly two maps")
-    pair = certify_robust_minimality(*gens, label=cfg.get("label", ""), **p)
+    pair = certify_robust_minimality(*gens, label=cfg["label"], **p)
     return canonical_json(pair.to_json()), 0
 
 

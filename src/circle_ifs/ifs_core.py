@@ -29,9 +29,15 @@ FRONTIER_CAP = 50_000
 # letter, and once SCALAR_VALUES or fewer remain walks each on Python floats
 # (one Python call per letter) until it meets a walked one at such a letter;
 # synchronization.sync_fraction drops its merged pairs at the same letters.
-# A merge costs one sort of the walked values.
+# A merge costs one sort of the walked values.  SCALAR_VALUES is where one
+# array lift's fixed cost meets that many scalar lifts: on a 2-vCPU Xeon,
+# perfbench's L0 block reads about 130 ns per scalar sine lift
+# (`sine.lift.ns_per_point.scalar`), while an array sine lift on 1 to 16
+# points takes about 2.5 us, nearly all of it fixed (`.array` reads about
+# 12 ns a point at 1024 points).  Tails that meet merge through the memo at
+# block boundaries, so walking 16 values on floats loses no merging.
 SYNC_CHECK = 64
-SCALAR_VALUES = 4
+SCALAR_VALUES = 16
 
 
 def _letters(w: WordLike) -> tuple[int, ...]:
@@ -81,7 +87,8 @@ def branch_lift_array(ifs: IFS, w: WordLike, xs: np.ndarray, memo: dict | None =
 
     Only distinct values are walked.  Before every SYNC_CHECK-th letter the
     walked values are merged by bit pattern; once at most SCALAR_VALUES
-    remain (a synchronizing branch contracts onto ell <= 3 repellers), the
+    remain (a synchronizing branch contracts onto its ell repellers, and
+    fewer points than SCALAR_VALUES cost less as floats than as arrays), the
     rest of the word runs on Python floats, one SYNC_CHECK block at a time.
     `memo` (fresh if omitted; one per (ifs, w)) maps every (block offset,
     bit pattern) that a float tail passed to its final lift, so a tail that
@@ -134,12 +141,15 @@ def _walk_step(gens: Sequence[LiftMap], pos: np.ndarray, col: np.ndarray) -> Non
     generator of letter col[i] (letters 1..k).
 
     pos may carry a trailing axis of points that share their row's letter.
-    Each generator is evaluated once per step, on the rows it moves.
+    Each generator is evaluated once per step, on the rows it moves.  Its
+    rows are found once and gathered and scattered by index; a boolean mask
+    moves the same values in the same order but scans itself in `np.any`,
+    the gather and the scatter.
     """
     for a, g in enumerate(gens, start=1):
-        mask = col == a
-        if np.any(mask):
-            pos[mask] = np.mod(g.lift(pos[mask]), 1.0)
+        rows = (col == a).nonzero()[0]
+        if rows.size:
+            pos[rows] = np.mod(g.lift(pos.take(rows, axis=0)), 1.0)
 
 
 def branch_deriv(ifs: IFS, w: WordLike, x: float) -> float:

@@ -2,10 +2,10 @@
 
 Sequence models carry a probability floor p in (0, 1/k]: every conditional
 next-letter probability is >= p regardless of the past.  Sampling uses a
-counter-based generator (Philox): stream s of a seed is the key [seed, s]
-mod 2**64, and row r of a stream starts at counter [0, r, 0, 0], so
-distinct (stream, row) pairs never share a draw and every draw is
-reproducible.  The streams in use are 0 (letter rows), 1 (sync-pair
+counter-based generator (Philox): stream s of a seed is the key [seed, s],
+both ints in 0..2**64-1, and row r of a stream starts at counter
+[0, r, 0, 0], so distinct (stream, row) pairs never share a draw and every
+draw is reproducible.  The streams in use are 0 (letter rows), 1 (sync-pair
 points, and the backward attractor word of a density sweep), 100 + s
 (the detection word of seed s) and 7000 + i (the bump of generator i
 under `perturb`).  Each model samples through one method,
@@ -61,9 +61,24 @@ class Word:
         return list(self.letters)
 
 
+def _seed(value) -> int:
+    """The one seed rule (config `seed`, --seed, `params.perturb_seed`, and
+    every Philox key word): an int that fits one 64-bit key word (not a
+    bool, a float or a string)."""
+    if type(value) is not int or value < 0:
+        raise ValueError("must be a non-negative integer")
+    if value >= 1 << 64:
+        raise ValueError(f"must be below 2**64, got {value!r}")
+    return value
+
+
 def _rng(seed: int, stream: int = 0) -> np.random.Generator:
-    """Row 0 of stream `stream`: a Philox keyed [seed, stream] mod 2**64."""
-    key = np.array([seed % (1 << 64), stream % (1 << 64)], dtype=np.uint64)
+    """Row 0 of stream `stream`: a Philox keyed [seed, stream].  Both follow
+    `_seed`, so no two (seed, stream) pairs share a key."""
+    try:
+        key = np.array([_seed(seed), _seed(stream)], dtype=np.uint64)
+    except ValueError as exc:
+        raise ValueError(f"seed {seed!r}, stream {stream!r}: {exc}") from None
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -84,7 +99,8 @@ def _stream_uniforms(n_rows: int, length: int, seed: int, stream: int, row: int)
 
 
 def _add_next_states(u: np.ndarray, cum: np.ndarray, out: np.ndarray) -> None:
-    """Add to `out` the inverse-CDF index of each uniform, capped at k - 1.
+    """Add to `out` the inverse-CDF index of each uniform, capped at k - 1;
+    both samplers pick letters by this rule.
 
     sum_{j < k-1} [u >= cum[j]] equals min(searchsorted(cum, u, "right"),
     k - 1) for any nondecreasing cum, zero-probability letters included.
@@ -144,8 +160,9 @@ class BernoulliModel(SequenceModel):
     def sample_matrix(self, n_rows: int, length: int, seed: int, stream: int = 0) -> np.ndarray:
         """(n_rows, length) letter matrix; all rows share one stream, row-major."""
         u = _rng(seed, stream).random((n_rows, length))
-        idx = np.minimum(np.searchsorted(self._cum, u.ravel(), side="right"), self.k - 1)
-        return (idx.reshape(n_rows, length) + 1).astype(_letter_dtype(self.k))
+        out = np.ones((n_rows, length), dtype=_letter_dtype(self.k))
+        _add_next_states(u, self._cum, out)
+        return out
 
     def to_json(self) -> dict:
         return {"kind": "bernoulli", "weights": list(self.weights)}

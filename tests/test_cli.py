@@ -108,6 +108,22 @@ class TestConfigValidation:
         assert code == 0
         assert len(out.splitlines()) == 4
 
+    @pytest.mark.parametrize("label", [[1, 2], 7, None])
+    def test_non_string_label_exits_2(self, write_config, capsys, label):
+        cfg = base_config(eps=0.05)
+        cfg["label"] = label
+        code, out, err = run_cli(capsys, "estimate-minimality", "--config", write_config(cfg))
+        assert code == 2
+        assert out == ""
+        assert err == f"config error: label: must be a string, got {label!r}\n"
+
+    def test_absent_label_reads_empty(self, write_config, capsys):
+        cfg = base_config(eps=0.05)
+        del cfg["label"]
+        code, out, _ = run_cli(capsys, "estimate-minimality", "--config", write_config(cfg))
+        assert code == 0
+        assert json.loads(out)["label"] == ""
+
     def test_bad_model_reports_path(self, write_config, capsys):
         cfg = base_config()
         cfg["model"] = {"kind": "bernoulli", "weights": [1.0, 0.0]}
@@ -463,6 +479,16 @@ class TestDeterminism:
         )
         assert code == 0
         assert out == (GOLDEN_DIR / "classify_markov_seed7.json").read_text()
+
+    def test_inverse_classify_matches_golden_bytes(self, capsys):
+        # Every generator of golden_sine_n_seeds5_seed7.json wrapped as an
+        # inverse: the walks step array Newton solves.
+        code, out, _ = run_cli(
+            capsys, "classify", "--config",
+            str(GOLDEN_DIR / "golden_sine_inverse_n_seeds5_seed7.json"),
+        )
+        assert code == 0
+        assert out == (GOLDEN_DIR / "classify_inverse_seed7.json").read_text()
 
     def test_half_turn_classify_matches_golden_bytes(self, capsys):
         # ell = 2: the reference bytes come from walking all 129 points

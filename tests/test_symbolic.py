@@ -41,11 +41,19 @@ def reference_markov_letters(model, u):
     return out + 1
 
 
+def reference_bernoulli_letters(model, u):
+    """Letters of the uniforms u by the sampler's former rule: searchsorted
+    over the cumulative weights, capped at the last letter."""
+    cum = np.cumsum(model.weights)
+    idx = np.minimum(np.searchsorted(cum, u.ravel(), side="right"), model.k - 1)
+    return (idx.reshape(u.shape) + 1).astype(_letter_dtype(model.k))
+
+
 def reference_markov_sample_matrix(model, n_rows, length, seed, stream=0):
-    """Row r from a fresh Philox keyed [seed, stream] mod 2**64 and advanced
-    by r * 2**64, which puts r in the second word of its counter."""
+    """Row r from a fresh Philox keyed [seed, stream] and advanced by
+    r * 2**64, which puts r in the second word of its counter."""
     u = np.empty((n_rows, length))
-    key = np.array([seed % 2**64, stream % 2**64], dtype=np.uint64)
+    key = np.array([seed, stream], dtype=np.uint64)
     for r in range(n_rows):
         bitgen = np.random.Philox(key=key)
         bitgen.advance(r * 2**64)
@@ -177,8 +185,8 @@ class TestSampling:
         hyp = pytest.importorskip("hypothesis")
         st = hyp.strategies
         edges = st.integers(1, 24).flatmap(lambda c: st.sampled_from([c * c - 1, c * c, c * c + 1]))
-        near_wrap = st.integers(2**64 - 10, 2**64 + 10)
-        keys = st.one_of(st.integers(0, 2**64 - 1), near_wrap)
+        near_top = st.integers(2**64 - 10, 2**64 - 1)
+        keys = st.one_of(st.integers(0, 2**64 - 1), near_top)
 
         @hyp.settings(max_examples=150, deadline=None, derandomize=True, database=None)
         @hyp.given(
@@ -224,6 +232,50 @@ class TestSampling:
             assert np.array_equal(model._chain_letters(u), reference_markov_letters(model, u))
 
         check()
+
+    @pytest.mark.parametrize("weights", [
+        [1.0],
+        [1.0 - 1e-10],
+        [0.5, 0.5],
+        [0.3, 0.7 - 1e-10],
+        [0.2, 0.3, 0.5],
+        [0.2, 0.3, 0.5 - 2e-10],
+    ])
+    def test_bernoulli_matches_searchsorted_rule(self, weights, monkeypatch):
+        model = BernoulliModel(weights)
+        for seed, stream in ((0, 0), (7, 3), (2**64 - 1, 100)):
+            key = np.array([seed, stream], dtype=np.uint64)
+            u = np.random.Generator(np.random.Philox(key=key)).random((40, 257))
+            mat = model.sample_matrix(40, 257, seed, stream)
+            ref = reference_bernoulli_letters(model, u)
+            assert mat.dtype == ref.dtype
+            assert np.array_equal(mat, ref)
+        # Uniforms on, and next to, each cumulative sum; those at or above
+        # a last sum below 1.0 are capped at letter k.
+        cum = np.cumsum(weights)
+        near = np.concatenate([cum, np.nextafter(cum, 0.0), np.nextafter(cum, 1.0)])
+        u = np.array([0.0, np.nextafter(1.0, 0.0), *near])
+        u = u[u < 1.0]
+        assert (cum[-1] == 1.0) or np.any(u >= cum[-1])
+
+        class Uniforms:
+            def random(self, shape):
+                return u.reshape(shape)
+
+        monkeypatch.setattr(symbolic, "_rng", lambda seed, stream: Uniforms())
+        mat = model.sample_matrix(1, len(u), 0)
+        assert np.array_equal(mat, reference_bernoulli_letters(model, u.reshape(1, -1)))
+
+    @pytest.mark.parametrize("seed, stream", [
+        (-1, 0), (2**64, 0), (0, -1), (0, 2**64), (True, 0), (1.0, 0), (0, 1.0),
+    ])
+    def test_keys_outside_64_bits_rejected(self, seed, stream):
+        # Keyed mod 2**64, seed -1 would replay seed 2**64 - 1, and 2**64 seed 0.
+        with pytest.raises(ValueError, match="stream"):
+            symbolic._rng(seed, stream)
+        for model in (BernoulliModel([0.5, 0.5]), MarkovMinorizedModel([[0.5, 0.5]] * 2)):
+            with pytest.raises(ValueError):
+                model.sample_matrix(1, 8, seed, stream)
 
     def test_shift_compatibility(self):
         # Dropping the first letter leaves the Bernoulli distribution intact.

@@ -3,8 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from circle_ifs import synchronization
-from circle_ifs.circle_maps import Arc, CirclePoint, Rotation, SinePerturbed
+from circle_ifs import ifs_core, synchronization
+from circle_ifs.circle_maps import (
+    Arc,
+    CirclePoint,
+    Composition,
+    Inverse,
+    Power,
+    Rotation,
+    SinePerturbed,
+)
 from circle_ifs.ifs_core import IFS, branch_lift_array
 from circle_ifs.symbolic import BernoulliModel, MarkovMinorizedModel, Word, _rng
 from circle_ifs.synchronization import (
@@ -229,7 +237,7 @@ class TestSharedWalks:
             return lift(self, x)
 
         def counting(ifs, w, xs, memo=None):
-            calls.append(len(xs))
+            calls.append(xs.copy())
             scalar_lifts.append(0)
             return branch_lift_array(ifs, w, xs, memo)
 
@@ -239,10 +247,12 @@ class TestSharedWalks:
         est = detect_repellers(golden_sine, w, m_levels=10)
         assert est.ell_hat == 1
         assert len(calls) == 2
-        assert calls[0] == (1 << 7) + 1  # every level-7 endpoint in the first walk
-        # The second walk's float tail meets the first walk's; walked to the
-        # end on its own it would make 4,250 scalar sine lifts.
-        assert scalar_lifts[1] < 1000
+        assert len(calls[0]) == (1 << 7) + 1  # every level-7 endpoint in the first walk
+        # The second walk's float tail meets the first walk's memo: the same
+        # walk with a fresh memo walks its tail to the end on its own.
+        scalar_lifts.append(0)
+        branch_lift_array(golden_sine, w, calls[1], {})
+        assert scalar_lifts[1] < scalar_lifts[2]
         calls.clear()
         detect_repellers_per_level(golden_sine, w, m_levels=10)
         assert len(calls) == 8
@@ -336,6 +346,35 @@ def reference_walk_step(gens, pos, col):
         mask = col == a
         if np.any(mask):
             pos[mask] = np.mod(g.lift(pos[mask]), 1.0)
+
+
+WALK_STEP_GENERATORS = {
+    "rotation": Rotation(GOLDEN),
+    "sine": SinePerturbed(0.0, -0.5),
+    "inverse-sine": Inverse(SinePerturbed(0.0, -0.5)),
+    "power": Power(SinePerturbed(0.1, 0.3), 3),
+    "composition": Composition([Rotation(0.3), SinePerturbed(0.0, -0.5, harmonics=2)]),
+}
+
+
+class TestWalkStep:
+    @pytest.mark.parametrize("shape", [(1,), (300,), (1, 2), (300, 2)])
+    @pytest.mark.parametrize("label", sorted(WALK_STEP_GENERATORS))
+    def test_matches_masked_reference(self, label, shape):
+        # Letter 1 is the generator under test; letters 2 and 3 move the rest.
+        gens = [WALK_STEP_GENERATORS[label], SinePerturbed(0.2, 0.4), Rotation(0.3)]
+        rng = _rng(11, 0)
+        pos = rng.random(shape)
+        ref = pos.copy()
+        cols = rng.integers(1, 4, size=(40, shape[0])).astype(np.int8)
+        cols[1::4][cols[1::4] == 1] = 2  # letter 1 has no rows
+        cols[2::4][cols[2::4] == 3] = 1  # letter 3 has no rows
+        cols[3::4] = 1  # only letter 1 has rows
+        assert any(not np.any(col == 1) for col in cols)
+        for col in cols:
+            ifs_core._walk_step(gens, pos, col)
+            reference_walk_step(gens, ref, col)
+            assert pos.tobytes() == ref.tobytes()
 
 
 def reference_sync_fraction(ifs, model, n, n_pairs, tol_sync, seed):
