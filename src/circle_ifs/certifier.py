@@ -41,8 +41,10 @@ from .circle_maps import (
     SinePerturbed,
     TOL_INV,
     _array,
+    _FieldError,
     _finite,
     _parsed,
+    _string,
     circle_distance,
     find_fixed_points,
     map_from_json,
@@ -330,6 +332,13 @@ def verify_global_cover(
 # ---------------------------------------------------------------------------
 
 MARGIN_KEYS = ("cover_overlap", "return_window", "contraction", "circle_cover")
+DIRECTIONS = ("forward", "backward")  # a certificate's sides, as keys and `direction`
+
+
+def _direction(value) -> str:
+    if value not in DIRECTIONS:
+        raise ValueError(f"must be 'forward' or 'backward', got {value!r}")
+    return value
 
 
 def _generator_pair(value) -> tuple[dict, dict]:
@@ -386,8 +395,8 @@ class Certificate:
     def from_json(obj: dict) -> "Certificate":
         """Parse and check one side; a bad field raises ValueError("<path>: ...")."""
         return Certificate(
-            direction=_parsed(obj, "direction", str),
-            label=obj.get("label", ""),
+            direction=_parsed(obj, "direction", _direction),
+            label=_parsed(obj, "label", _string, ""),
             generators=_parsed(obj, "generators", _generator_pair),
             basin=_parsed(obj, "basin", BasinData.from_json),
             cover_exponents=_parsed(obj, "cover_exponents", _exponents),
@@ -419,11 +428,13 @@ class CertificatePair:
 
     @staticmethod
     def from_json(obj: dict) -> "CertificatePair":
-        """Parse both sides; a bad field raises ValueError("<side>.<path>: ...")."""
-        return CertificatePair(
-            _parsed(obj, "forward", Certificate.from_json),
-            _parsed(obj, "backward", Certificate.from_json),
-        )
+        """Parse both sides; a bad field raises ValueError("<side>.<path>: ...").
+        Each side's `direction` must be its key."""
+        sides = {k: _parsed(obj, k, Certificate.from_json) for k in DIRECTIONS}
+        for side, cert in sides.items():
+            if cert.direction != side:
+                raise _FieldError(f"{side}.direction", f"must be {side!r}, got {cert.direction!r}")
+        return CertificatePair(**sides)
 
 
 def _perturbation_radius(

@@ -206,8 +206,9 @@ class Arc:
 
 
 def _ones(x: FloatLike) -> FloatLike:
-    """The derivative of a translation: 1.0, or ones shaped like an array x."""
-    return 1.0 if np.ndim(x) == 0 else np.ones(np.shape(x))
+    """The derivative of a translation: 1.0, or ones shaped like an array x.
+    A Python float is tested first, so the scalar path makes no numpy call."""
+    return 1.0 if type(x) is float or np.ndim(x) == 0 else np.ones(np.shape(x))
 
 
 class LiftMap:
@@ -263,9 +264,10 @@ class LiftMap:
         the scalar solve of that entry bit for bit, whatever else shares
         the array.  A 0-d input (float, numpy scalar or 0-d array) runs the
         same loop on Python floats, the fast path for single solves, and
-        comes back as a Python float.
+        comes back as a Python float; a Python float is tested before
+        `np.ndim`, whose dispatch costs more than a scalar lift.
         """
-        if np.ndim(y) == 0:
+        if type(y) is float or np.ndim(y) == 0:
             return self._inverse_lift_scalar(float(y))
         yy = np.asarray(y, dtype=float)
         d = self.displacement_bound()

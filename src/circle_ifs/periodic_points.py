@@ -22,8 +22,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-import numpy as np
-
 from .circle_maps import (
     Arc,
     CirclePoint,
@@ -111,13 +109,13 @@ def _bisect_fixed_point(ifs: IFS, letters: Sequence[int], lo: float, hi: float) 
     """
     if all(isinstance(g, Inverse) or g.as_translation() is not None for g in ifs.generators):
         inverse, reversed_letters = ifs.inverse_ifs(), letters[::-1]
-        k = np.floor(lo - _word_lift(inverse, reversed_letters, lo))
+        k = math.floor(lo - _word_lift(inverse, reversed_letters, lo))
 
         def disp(x: float) -> float:
             return x - _word_lift(inverse, reversed_letters, x) - k
 
     else:
-        k = np.floor(_word_lift(ifs, letters, lo) - lo)
+        k = math.floor(_word_lift(ifs, letters, lo) - lo)
 
         def disp(x: float) -> float:
             return _word_lift(ifs, letters, x) - k - x
@@ -424,7 +422,7 @@ def periodic_in_interval(
         core = overlap.shrunk(0.25 * overlap.length)
         # Lift representatives of the core endpoints inside [lo, hi], then
         # V = F^{-1}(core), a closed subarc of the target.
-        c_lo_lift = core.start + np.floor(lo - core.start)
+        c_lo_lift = core.start + math.floor(lo - core.start)
         if c_lo_lift < lo:
             c_lo_lift += 1.0
         c_hi_lift = c_lo_lift + core.length

@@ -312,6 +312,11 @@ class TestCertifyCommand:
         ("forward", "lambda", "0.5", "forward.lambda"),
         ("forward", "radius", True, "forward.radius"),
         ("forward", "basin", golden_basin(start="0.5"), "forward.basin.arc_B.start"),
+        ("forward", "label", [1, 2], "forward.label"),
+        ("backward", "label", None, "backward.label"),
+        ("backward", "direction", 7, "backward.direction"),
+        ("forward", "direction", "sideways", "forward.direction"),
+        ("backward", "direction", "forward", "backward.direction"),
     ])
     def test_malformed_certificate_exits_2_with_path(self, capsys, tmp_path, side, key, value, path):
         blob = json.loads((GOLDEN_DIR / "certify_seed7.json").read_text())
@@ -402,6 +407,28 @@ class TestDeterminism:
         )
         assert code == 0
         assert out == (GOLDEN_DIR / "density_sweep_mesh4_seed7.csv").read_text()
+
+    @pytest.mark.parametrize("command, config, golden", [
+        ("density-sweep", "density_sweep_mesh4_seed7.json", "density_sweep_mesh4_seed7.csv"),
+        ("find-periodic", "golden_sine_target_seed7.json", "find_periodic_seed7.json"),
+        ("certify", "golden_sine_seed7.json", "certify_seed7.json"),
+    ])
+    def test_scalar_paths_hand_ndim_no_python_float(
+        self, capsys, monkeypatch, command, config, golden
+    ):
+        # np.ndim's dispatch costs more than a scalar lift, so `_ones` and
+        # `inverse_lift` test for a Python float first and never call it.
+        ndim, floats = np.ndim, []
+
+        def counting_ndim(x):
+            if type(x) is float:
+                floats.append(x)
+            return ndim(x)
+
+        monkeypatch.setattr(np, "ndim", counting_ndim)
+        code, out, _ = run_cli(capsys, command, "--config", str(GOLDEN_DIR / config))
+        assert (code, len(floats)) == (0, 0)
+        assert out == (GOLDEN_DIR / golden).read_text()
 
     def test_density_sweep_reports_failed_arcs_on_stderr(self, write_config, capsys):
         # At seed 0 and horizon 32 the forward branch never polarizes: the

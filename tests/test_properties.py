@@ -1,6 +1,7 @@
 """Property tests for the lift invariants over random nested maps, for the
-scalar sine path against numpy's, for certificate JSON round trips, and for
-the column-wise CSV writer against the per-row writer it replaced.
+scalar sine path against numpy's, for the float-in, float-out scalar paths
+of every map kind, for certificate JSON round trips, and for the
+column-wise CSV writer against the per-row writer it replaced.
 
 Maps are trees of depth <= 2 over rotations and sine maps, whose inner
 nodes compose two maps, raise one to a power |n| <= 2 or invert it.  A
@@ -10,6 +11,7 @@ inside every tolerance used here.
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,15 +38,9 @@ from circle_ifs.cli import canonical_json, csv_text  # noqa: E402
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
-leaves = st.one_of(
-    st.builds(Rotation, st.floats(-1.0, 1.0)),
-    st.builds(
-        SinePerturbed,
-        st.floats(-0.5, 0.5),
-        st.floats(-0.5, 0.5),
-        st.integers(1, 2),
-    ),
-)
+rotations = st.builds(Rotation, st.floats(-1.0, 1.0))
+sines = st.builds(SinePerturbed, st.floats(-0.5, 0.5), st.floats(-0.5, 0.5), st.integers(1, 2))
+leaves = st.one_of(rotations, sines)
 
 
 def trees(depth):
@@ -116,6 +112,44 @@ def test_scalar_sine_matches_one_element_array(f, x):
     assert _bits(f.deriv(x)) == _bits(f.deriv(xs)[0]) == _bits(d) == _bits(ds[0])
 
 
+# Each map kind with a scalar path, translation and sine bases for Power.
+scalar_maps = st.one_of(
+    rotations,
+    sines,
+    st.lists(maps, min_size=1, max_size=2).map(Composition),
+    st.builds(Power, rotations, st.integers(-2, 2)),
+    st.builds(Power, sines, st.integers(-2, 2)),
+    st.builds(Inverse, maps),
+)
+translations = st.one_of(
+    rotations,
+    st.lists(rotations, min_size=1, max_size=3).map(Composition),
+    st.builds(Power, rotations, st.integers(-2, 2)),
+    st.builds(Inverse, rotations),
+)
+
+
+@PROPERTY
+@given(scalar_maps, points)
+def test_python_float_stays_a_python_float(f, x):
+    # A Python float takes the scalar path and comes back as one; numpy
+    # scalars and 0-d arrays reach the same bits by their own path.
+    y = f.inverse_lift(x)
+    assert type(f.deriv(x)) is type(f.lift_deriv(x)[1]) is type(y) is float
+    assert _bits(y) == _bits(f.inverse_lift(np.float64(x))) == _bits(f.inverse_lift(np.array(x)))
+
+
+@PROPERTY
+@given(translations, points, st.lists(points, min_size=1, max_size=6))
+def test_translation_deriv_is_exactly_one(f, x, xs):
+    for v in (x, np.float64(x), np.array(x)):
+        d = f.deriv(v)
+        assert type(d) is float and d == 1.0
+    for arr in (np.array(xs), np.array(xs).reshape(-1, 1)):
+        d = f.deriv(arr)
+        assert d.shape == arr.shape and np.array_equal(d, np.ones(arr.shape))
+
+
 reals = st.floats(allow_nan=False, allow_infinity=False)
 exponents = st.lists(st.integers(0, 10**6), min_size=1, max_size=20).map(tuple)
 arcs = st.builds(
@@ -154,11 +188,18 @@ def test_certificate_json_round_trip(cert):
 @PROPERTY
 @given(certificates, certificates)
 def test_certificate_pair_json_round_trip(forward, backward):
-    pair = CertificatePair(forward, backward)
+    pair = CertificatePair(
+        replace(forward, direction="forward"), replace(backward, direction="backward")
+    )
     text = canonical_json(pair.to_json())
     back = CertificatePair.from_json(json.loads(text))
     assert back == pair
     assert canonical_json(back.to_json()) == text
+    # Each side's direction must be its key, so swapped sides are rejected.
+    swapped = json.loads(text)
+    swapped["forward"], swapped["backward"] = swapped["backward"], swapped["forward"]
+    with pytest.raises(ValueError, match=r"^forward\.direction: "):
+        CertificatePair.from_json(swapped)
 
 
 def reference_csv_text(header, rows):
