@@ -38,6 +38,7 @@ from .circle_maps import (
     LiftMap,
     Power,
     Rotation,
+    SCALAR_VALUES,
     SinePerturbed,
     TOL_INV,
     _array,
@@ -429,12 +430,31 @@ class CertificatePair:
     @staticmethod
     def from_json(obj: dict) -> "CertificatePair":
         """Parse both sides; a bad field raises ValueError("<side>.<path>: ...").
-        Each side's `direction` must be its key."""
+
+        The pair must be what `to_json` writes for one system: `schema` 1,
+        each side's `direction` its key, backward generators the inverses
+        of the forward ones (compared as JSON), one `label` at the top and
+        on both sides, and the top `radius` the smaller side radius."""
+        schema = _parsed(obj, "schema", lambda v: v)
+        if schema != 1:
+            raise _FieldError("schema", f"must be 1, got {schema!r}")
         sides = {k: _parsed(obj, k, Certificate.from_json) for k in DIRECTIONS}
         for side, cert in sides.items():
             if cert.direction != side:
                 raise _FieldError(f"{side}.direction", f"must be {side!r}, got {cert.direction!r}")
-        return CertificatePair(**sides)
+        pair = CertificatePair(**sides)
+        inverses = [map_from_json(g).inverse().to_json() for g in pair.forward.generators]
+        if list(pair.backward.generators) != inverses:
+            raise _FieldError(
+                "backward.generators", "must be the inverses of forward.generators"
+            )
+        label = _parsed(obj, "label", _string)
+        if not label == pair.forward.label == pair.backward.label:
+            raise _FieldError("label", f"must equal both sides' labels, got {label!r}")
+        radius = _parsed(obj, "radius", _finite)
+        if radius != pair.radius:
+            raise _FieldError("radius", f"must be {pair.radius!r}, the smaller side radius")
+        return pair
 
 
 def _perturbation_radius(
@@ -540,11 +560,28 @@ class Reverification:
 
 
 def _power_chain(
-    f: LiftMap, pos: np.ndarray | float, deriv: np.ndarray | None, exponents: Sequence[int]
-) -> dict[int, tuple[np.ndarray | float, np.ndarray | None]]:
+    f: LiftMap, pos: np.ndarray | float, deriv: np.ndarray | float | None,
+    exponents: Sequence[int],
+) -> dict[int, tuple[np.ndarray | float, np.ndarray | float | None]]:
     """(f^n(pos), deriv * Df^n(pos)) for every requested n >= 0, one
     `f.lift_deriv` per step of a single chain up to max(exponents), or one
-    `f.lift` if deriv is None.  A translation f just shifts pos."""
+    `f.lift` if deriv is None.  A translation f just shifts pos.
+
+    An array of at most SCALAR_VALUES points walks point by point on Python
+    floats, one chain each, and the results are stacked back into arrays.
+    Lifts and inverse solves are elementwise and a scalar sine lift matches
+    numpy's, so this equals the array walk bit for bit at a fraction of its
+    per-step dispatch cost."""
+    if isinstance(pos, np.ndarray) and len(pos) <= SCALAR_VALUES:
+        derivs = [None] * len(pos) if deriv is None else deriv.tolist()
+        walks = [_power_chain(f, x, d, exponents) for x, d in zip(pos.tolist(), derivs)]
+        return {
+            n: (
+                np.array([w[n][0] for w in walks]),
+                None if deriv is None else np.array([w[n][1] for w in walks]),
+            )
+            for n in set(exponents)
+        }
     t = f.as_translation()
     out: dict[int, tuple[np.ndarray | float, np.ndarray | None]] = {}
     done = 0
@@ -602,11 +639,15 @@ def reverify_certificate(
 
     One f1 chain (`_power_chain`) carries f2(B ends), the D ends, the B
     ends and f2 of the contraction-grid points that can hold the grid
-    maximum of Dh_n, one `f1.lift_deriv` per step up to the largest cover or
-    global forward exponent.  At each cover exponent n it gives the ends of
-    h_n(B) and f1^n(D) and the grid maximum of Dh_n; at each global forward
-    exponent, the ends of f1^n(B).  The f1^-1 images of B for condition
-    (4) take two chains of lifts only, one Python float per end of B.
+    maximum of Dh_n up to the largest cover or global forward exponent.
+    When pruning leaves at most SCALAR_VALUES points, as on small
+    perturbations, each walks on Python floats, one scalar
+    `f1.lift_deriv` per step and point; otherwise one array
+    `f1.lift_deriv` per step.  At each cover exponent n the chain gives the
+    ends of h_n(B) and f1^n(D) and the grid maximum of Dh_n; at each global
+    forward exponent, the ends of f1^n(B).  The f1^-1 images of B for
+    condition (4) take a chain of lifts only, on the two ends of B as
+    Python floats.
 
     Pruning: with g = Df2 on the grid, (lo, hi) = f1.deriv_bounds() and N
     the largest cover exponent, point i walks only if g_i >= max(g)
@@ -663,12 +704,12 @@ def reverify_certificate(
     m3 = 1.0 - lam
 
     # (4) circle covers in stored order, forward and inverse families.
-    inv, exps = f1.inverse(), cert.global_backward_exponents
-    backward = [_power_chain(inv, end, None, exps) for end in b_ends.tolist()]
+    exps = cert.global_backward_exponents
+    backward = _power_chain(f1.inverse(), b_ends, None, exps)
     m4 = math.inf
     for ends in (
         [chain[m][0][4:6] for m in cert.global_forward_exponents],
-        [[b[m][0] for b in backward] for m in exps],
+        [backward[m][0] for m in exps],
     ):
         spans = _spans(ends, ends[0][0])
         m4 = min(m4, min([*_overlaps(spans), spans[-1][1] - 1.0]))

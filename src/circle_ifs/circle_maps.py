@@ -53,6 +53,14 @@ MAX_INVERSE_ITER = 200
 # multiplier from 1, so fixed points are tagged neutral.
 TOL_NEUTRAL = 1e-6
 MAX_POWER = 10_000  # largest |exponent| a JSON power map may have; a lift loops that often
+# Batches of SCALAR_VALUES points or fewer are cheaper walked one Python float
+# at a time than as numpy arrays (ifs_core.branch_lift_array's float tails,
+# certifier._power_chain).  It is where one array lift's fixed cost meets that
+# many scalar lifts: on a 2-vCPU Xeon, perfbench's L0 block reads about 130 ns
+# per scalar sine lift (`sine.lift.ns_per_point.scalar`), while an array sine
+# lift on 1 to 16 points takes about 2.5 us, nearly all of it fixed (`.array`
+# reads about 12 ns a point at 1024 points).
+SCALAR_VALUES = 16
 
 
 class ConvergenceFailure(RuntimeError):
@@ -216,8 +224,10 @@ class LiftMap:
 
     Subclasses implement `lift` and either `deriv` or `lift_deriv`;
     everything else (circle evaluation, inverses, bounds) is generic.
-    Instances are immutable and all operations are pure (no caches), so maps
-    can be shared freely.
+    Instances are immutable and all operations are pure, so maps can be
+    shared freely.  What a constructor derives from the parameters (a sine
+    map's frequency, a composition's step table) is computed once and never
+    changes, so it is not a cache.
     """
 
     def lift(self, x: FloatLike) -> FloatLike:
@@ -449,26 +459,34 @@ def _flatten(maps: Sequence[LiftMap]) -> tuple[LiftMap, ...]:
 class Composition(LiftMap):
     """maps[0] o maps[1] o ... o maps[-1]; the last entry is applied first.
 
-    Nested compositions are flattened at construction.
+    Nested compositions are flattened at construction, which also builds
+    the step table `_steps`: per factor in application order, its bound
+    `lift` and its bound `lift_deriv`, or None for a translation.
     """
 
     maps: tuple[LiftMap, ...]
 
     def __init__(self, maps: Sequence[LiftMap]):
-        object.__setattr__(self, "maps", _flatten(maps))
+        flat = _flatten(maps)
+        object.__setattr__(self, "maps", flat)
+        steps = tuple(
+            (m.lift, None if m.as_translation() is not None else m.lift_deriv)
+            for m in reversed(flat)
+        )
+        object.__setattr__(self, "_steps", steps)
 
     def lift(self, x: FloatLike) -> FloatLike:
-        for m in reversed(self.maps):
-            x = m.lift(x)
+        for lift, _ in self._steps:
+            x = lift(x)
         return x
 
     def lift_deriv(self, x: FloatLike) -> tuple[FloatLike, FloatLike]:
         total = None
-        for m in reversed(self.maps):
-            if m.as_translation() is not None:
-                x = m.lift(x)
+        for lift, lift_deriv in self._steps:
+            if lift_deriv is None:
+                x = lift(x)
                 continue
-            x, d = m.lift_deriv(x)
+            x, d = lift_deriv(x)
             total = d if total is None else total * d
         return x, _ones(x) if total is None else total
 

@@ -12,7 +12,7 @@ from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from .circle_maps import CirclePoint, LiftMap, circle_distance_array
+from .circle_maps import SCALAR_VALUES, CirclePoint, LiftMap, circle_distance_array
 from .symbolic import Word
 
 WordLike = Union[Word, Sequence[int]]
@@ -26,18 +26,13 @@ ORBIT_CAP = 1_000_000
 FRONTIER_CAP = 50_000
 
 # branch_lift_array merges bitwise-equal points before every SYNC_CHECK-th
-# letter, and once SCALAR_VALUES or fewer remain walks each on Python floats
-# (one Python call per letter) until it meets a walked one at such a letter;
-# synchronization.sync_fraction drops its merged pairs at the same letters.
-# A merge costs one sort of the walked values.  SCALAR_VALUES is where one
-# array lift's fixed cost meets that many scalar lifts: on a 2-vCPU Xeon,
-# perfbench's L0 block reads about 130 ns per scalar sine lift
-# (`sine.lift.ns_per_point.scalar`), while an array sine lift on 1 to 16
-# points takes about 2.5 us, nearly all of it fixed (`.array` reads about
-# 12 ns a point at 1024 points).  Tails that meet merge through the memo at
-# block boundaries, so walking 16 values on floats loses no merging.
+# letter, and once circle_maps.SCALAR_VALUES or fewer remain walks each on
+# Python floats (one Python call per letter) until it meets a walked one at
+# such a letter; synchronization.sync_fraction drops its merged pairs at the
+# same letters.  A merge costs one sort of the walked values.  Tails that
+# meet merge through the memo at block boundaries, so walking 16 values on
+# floats loses no merging.
 SYNC_CHECK = 64
-SCALAR_VALUES = 16
 
 
 def _letters(w: WordLike) -> tuple[int, ...]:

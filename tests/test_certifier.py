@@ -409,15 +409,62 @@ class TestCertifyEndToEnd:
                 }
                 assert got == expected[side]
 
-    def test_one_lift_deriv_per_exponent_step(self, certificate_pair, golden_rotation, sine_map):
+    def test_one_lift_deriv_per_step_per_walked_point(
+        self, certificate_pair, golden_rotation, sine_map
+    ):
         f1, f2 = next(c2_draws(golden_rotation, sine_map, certificate_pair.radius / 2.0))
         cert = certificate_pair.forward
         counting = CountingMap(f1)
         rev = reverify_certificate(cert, counting, f2)
         assert rev == reverify_certificate(cert, f1, f2)
-        # One f1 chain serves conditions (1)-(3) and the forward family of (4).
-        assert counting.steps == max(cert.cover_exponents + cert.global_forward_exponents)
+        # One f1 chain serves conditions (1)-(3) and the forward family of
+        # (4).  Its six arc ends and the one grid point that pruning keeps
+        # walk on Python floats, one scalar lift_deriv per step and point.
+        n = max(cert.cover_exponents + cert.global_forward_exponents)
+        assert counting.steps == n * (6 + 1)
+        assert counting.sizes == [1] * counting.steps
         assert counting.lifts == 0
+
+    def test_golden_sine_draws_walk_at_most_eight_grid_points_on_floats(
+        self, certificate_pair, golden_rotation, sine_map
+    ):
+        # Each walked point makes one lift_deriv per step, so the summed
+        # batch sizes count the points whichever way they walk.
+        for f1, f2 in c2_draws(golden_rotation, sine_map, certificate_pair.radius / 2.0):
+            for cert, h1, h2 in (
+                (certificate_pair.forward, f1, f2),
+                (certificate_pair.backward, f1.inverse(), f2.inverse()),
+            ):
+                counting = CountingMap(h1)
+                reverify_certificate(cert, counting, h2)
+                n = max(cert.cover_exponents + cert.global_forward_exponents)
+                assert n * 7 <= sum(counting.sizes) <= n * (6 + 8)
+                assert set(counting.sizes) == {1}
+
+    @pytest.mark.parametrize("side", ["forward", "backward"])
+    @pytest.mark.parametrize("with_deriv", [True, False])
+    def test_scalar_chain_equals_array_chain(
+        self, certificate_pair, golden_rotation, sine_map, side, with_deriv
+    ):
+        # Seven points walk on Python floats; the same seven among 17 points
+        # walk as one array.  The backward f1 holds an Inverse factor, so
+        # its steps are Newton solves.
+        f1, _ = next(c2_draws(golden_rotation, sine_map, certificate_pair.radius / 2.0))
+        cert = getattr(certificate_pair, side)
+        f1 = f1 if side == "forward" else f1.inverse()
+        assert certifier.SCALAR_VALUES < 17
+        pos = cert.basin.p + np.linspace(0.0, 1.0, 17)
+        deriv = np.linspace(0.5, 1.5, 17) if with_deriv else None
+        exps = [*cert.cover_exponents, *cert.global_forward_exponents]
+        short = certifier._power_chain(f1, pos[:7], None if deriv is None else deriv[:7], exps)
+        full = certifier._power_chain(f1, pos, deriv, exps)
+        assert sorted(short) == sorted(full) == sorted(set(exps))
+        for n in exps:
+            assert short[n][0].tobytes() == full[n][0][:7].tobytes()
+            if with_deriv:
+                assert short[n][1].tobytes() == full[n][1][:7].tobytes()
+            else:
+                assert short[n][1] is full[n][1] is None
 
     def test_ten_radius_perturbation_reattempted(
         self, certificate_pair, golden_rotation, sine_map

@@ -331,6 +331,42 @@ class TestCertifyCommand:
         assert out == ""
         assert err.startswith(f"config error: certificate.{path}: ")
 
+    @pytest.mark.parametrize("key, value, path", [
+        ("schema", 99, "schema"),
+        ("schema", None, "schema"),
+        ("label", [1, 2], "label"),
+        ("label", "golden-sine-2", "label"),
+        ("radius", "x", "radius"),
+        ("radius", 1.0, "radius"),
+    ])
+    def test_bad_top_level_field_exits_2_with_path(self, capsys, tmp_path, key, value, path):
+        blob = json.loads((GOLDEN_DIR / "certify_seed7.json").read_text())
+        blob[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(blob))
+        code, out, err = run_cli(capsys, "certify", "--check", str(bad))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"config error: certificate.{path}: ")
+
+    def test_spliced_backward_side_exits_2(self, write_config, capsys, tmp_path):
+        # The backward side of a b = -0.4 certificate checks on its own, so
+        # only the pairing of the two sides can reject it.
+        cfg = base_config()
+        cfg["generators"][1]["b"] = -0.4
+        other = tmp_path / "other.json"
+        code, _, _ = run_cli(capsys, "certify", "--config", write_config(cfg), "--out", str(other))
+        assert code == 0
+        blob = json.loads((GOLDEN_DIR / "certify_seed7.json").read_text())
+        blob["backward"] = json.loads(other.read_text())["backward"]
+        blob["radius"] = min(blob["forward"]["radius"], blob["backward"]["radius"])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(blob))
+        code, out, err = run_cli(capsys, "certify", "--check", str(bad))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error: certificate.backward.generators: ")
+
     def test_certify_rejects_rotation_pair(self, write_config, capsys):
         cfg = base_config()
         cfg["generators"] = [

@@ -1,7 +1,8 @@
 """Property tests for the lift invariants over random nested maps, for the
 scalar sine path against numpy's, for the float-in, float-out scalar paths
-of every map kind, for certificate JSON round trips, and for the
-column-wise CSV writer against the per-row writer it replaced.
+of every map kind, for a composition's step table against the per-factor
+loop, for certificate JSON round trips, and for the column-wise CSV
+writer against the per-row writer it replaced.
 
 Maps are trees of depth <= 2 over rotations and sine maps, whose inner
 nodes compose two maps, raise one to a power |n| <= 2 or invert it.  A
@@ -33,6 +34,7 @@ from circle_ifs.circle_maps import (  # noqa: E402
     Power,
     Rotation,
     SinePerturbed,
+    map_from_json,
 )
 from circle_ifs.cli import canonical_json, csv_text  # noqa: E402
 
@@ -139,6 +141,34 @@ def test_python_float_stays_a_python_float(f, x):
     assert _bits(y) == _bits(f.inverse_lift(np.float64(x))) == _bits(f.inverse_lift(np.array(x)))
 
 
+def reference_composition_lift_deriv(f, x):
+    """`Composition.lift_deriv` as a loop over its factors, last first,
+    asking each factor at every call whether it is a translation."""
+    total = None
+    for m in reversed(f.maps):
+        if m.as_translation() is not None:
+            x = m.lift(x)
+            continue
+        x, d = m.lift_deriv(x)
+        total = d if total is None else total * d
+    return x, (1.0 if np.ndim(x) == 0 else np.ones(np.shape(x))) if total is None else total
+
+
+@PROPERTY
+@given(st.lists(st.one_of(maps, translations), min_size=1, max_size=5).map(Composition),
+       points, st.lists(points, min_size=1, max_size=6))
+def test_composition_step_table_equals_factor_loop(f, x, xs):
+    # `translations` mixes rotations, Power(Rotation, n) and
+    # Inverse(Rotation) in among the sine and nested factors.
+    for v in (x, np.array(xs)):
+        value, d = f.lift_deriv(v)
+        ref_value, ref_d = reference_composition_lift_deriv(f, v)
+        assert type(value) is type(ref_value) and type(d) is type(ref_d)
+        assert np.asarray(value).tobytes() == np.asarray(ref_value).tobytes()
+        assert np.asarray(d).tobytes() == np.asarray(ref_d).tobytes()
+        assert np.asarray(f.lift(v)).tobytes() == np.asarray(ref_value).tobytes()
+
+
 @PROPERTY
 @given(translations, points, st.lists(points, min_size=1, max_size=6))
 def test_translation_deriv_is_exactly_one(f, x, xs):
@@ -188,8 +218,12 @@ def test_certificate_json_round_trip(cert):
 @PROPERTY
 @given(certificates, certificates)
 def test_certificate_pair_json_round_trip(forward, backward):
+    # A pair certifies one system: the backward side carries the inverses
+    # of the forward generators and the forward label.
+    inverses = tuple(map_from_json(g).inverse().to_json() for g in forward.generators)
     pair = CertificatePair(
-        replace(forward, direction="forward"), replace(backward, direction="backward")
+        replace(forward, direction="forward"),
+        replace(backward, direction="backward", generators=inverses, label=forward.label),
     )
     text = canonical_json(pair.to_json())
     back = CertificatePair.from_json(json.loads(text))
