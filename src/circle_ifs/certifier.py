@@ -60,7 +60,7 @@ BASIN_MIN_EPS = 1e-3  # shortest admissible basin
 COVER_WINDOW_FRAC = 0.05  # edge padding of the return window for cover exponents
 # A rotation number within RATIONAL_TOL of p/q, q <= RATIONAL_Q_MAX, is rational.
 RATIONAL_Q_MAX, RATIONAL_TOL = 64, 1e-9
-CHECK_TOL = 1e-12  # stored against recomputed margins in check_certificate
+CHECK_TOL = 1e-12  # stored against recomputed margins (absolute) and radius (relative)
 C1_GRID = 512  # grid points of the C^1 gauge
 PRUNE_SLACK_MAX = 1e-3  # largest rounding slack at which reverify_certificate prunes its grid
 # Universal-word search: target shrink fraction, suffix BFS depth and
@@ -720,13 +720,22 @@ def reverify_certificate(
 
 
 def check_certificate(cert: Certificate) -> tuple[bool, Reverification]:
-    """Recompute margins from the stored generators and compare to the
-    stored values.  Fails when a margin drifts beyond CHECK_TOL or is not
-    positive."""
+    """Recompute margins and the radius from the stored generators and
+    compare to the stored values.  Fails when a margin drifts beyond
+    CHECK_TOL or is not positive, or when the stored radius exceeds the
+    recomputed one by more than a relative CHECK_TOL (a smaller radius is
+    conservative, so it passes)."""
     rev = reverify_certificate(cert)
     ok = rev.valid and abs(rev.lam - cert.lam) <= CHECK_TOL
     for k in MARGIN_KEYS:
         ok = ok and abs(rev.margins[k] - cert.margins[k]) <= CHECK_TOL
+    radius = _perturbation_radius(
+        rev.margins,
+        cert.cover_exponents,
+        cert.global_forward_exponents + cert.global_backward_exponents,
+        *cert.generator_maps(),
+    )
+    ok = ok and cert.radius <= radius * (1.0 + CHECK_TOL)
     return bool(ok), rev
 
 

@@ -11,15 +11,13 @@ families:
                                  |b| < 1, harmonic count f >= 1
     Composition([m1, ..., mk])   m1 o m2 o ... o mk  (mk applied first)
     Power(base, n)               n-fold composition, n may be negative
-    Inverse(base)                lazily inverted by bracketed Newton/bisection
+    Inverse(base)                F^-1, evaluated by base.inverse_lift
 
-Inverses have no closed form in the sine family, so inverse evaluation solves
-F(x) = y by monotone bisection on a bracketing window refined with Newton
-steps.  All evaluation methods accept plain floats or numpy arrays.  A scalar
-(0-d) input to an inverse solve runs the same loop on Python floats, with the
-same floating-point operations, so it returns exactly the array path's value
-without the cost of 1-element arrays.  Likewise a Python float given to a
-sine map's `lift`, `deriv` or `lift_deriv` is evaluated with `math.sin` and
+Only the sine family has no closed-form inverse: `SinePerturbed.inverse_lift`
+solves F(x) = y by bracketed Newton steps and bisection; the other maps
+invert in closed form or factor by factor.  All evaluation methods accept
+plain floats or numpy arrays.  A Python float given to a sine map's `lift`,
+`deriv`, `lift_deriv` or `inverse_lift` is evaluated with `math.sin` and
 `math.cos` instead of numpy's: the same operations in the same order, so the
 bits match as long as numpy's float64 sin and cos agree with the platform
 libm (a property test checks this on every host that runs the suite).
@@ -222,15 +220,20 @@ def _ones(x: FloatLike) -> FloatLike:
 class LiftMap:
     """Base class: an orientation-preserving circle homeomorphism.
 
-    Subclasses implement `lift` and either `deriv` or `lift_deriv`;
-    everything else (circle evaluation, inverses, bounds) is generic.
-    Instances are immutable and all operations are pure, so maps can be
-    shared freely.  What a constructor derives from the parameters (a sine
-    map's frequency, a composition's step table) is computed once and never
-    changes, so it is not a cache.
+    Subclasses implement `lift`, `inverse_lift`, `deriv` or `lift_deriv`,
+    the derivative bounds and `to_json`; only circle evaluation and the
+    defaults of `inverse` and `as_translation` are generic.  Instances are
+    immutable and all operations are pure, so maps can be shared freely.
+    What a constructor derives from the parameters (a sine map's frequency,
+    a composition's step table, a power's factor) is computed once and
+    never changes, so it is not a cache.
     """
 
     def lift(self, x: FloatLike) -> FloatLike:
+        raise NotImplementedError
+
+    def inverse_lift(self, y: FloatLike) -> FloatLike:
+        """The x with F(x) = y, on the lift."""
         raise NotImplementedError
 
     def deriv(self, x: FloatLike) -> FloatLike:
@@ -252,10 +255,6 @@ class LiftMap:
         """Exact translation amount when the map is built from rotations only."""
         return None
 
-    def displacement_bound(self) -> float:
-        """Bound on sup |F(x) - x|, used to bracket inverse evaluations."""
-        raise NotImplementedError
-
     def deriv_bounds(self) -> tuple[float, float]:
         """(lower, upper) bounds on the derivative over the whole circle."""
         raise NotImplementedError
@@ -263,87 +262,6 @@ class LiftMap:
     def second_deriv_bound(self) -> float:
         """Bound on sup |F''|, used for Lipschitz inflation of grid maxima."""
         raise NotImplementedError
-
-    # -- inverse evaluation --------------------------------------------------
-
-    def inverse_lift(self, y: FloatLike) -> FloatLike:
-        """Solve F(x) = y on the lift by bracketed Newton + bisection.
-
-        Each point is solved on its own: a converged point stops moving and
-        a bracket stops halving once it is narrow, so an array entry equals
-        the scalar solve of that entry bit for bit, whatever else shares
-        the array.  A 0-d input (float, numpy scalar or 0-d array) runs the
-        same loop on Python floats, the fast path for single solves, and
-        comes back as a Python float; a Python float is tested before
-        `np.ndim`, whose dispatch costs more than a scalar lift.
-        """
-        if type(y) is float or np.ndim(y) == 0:
-            return self._inverse_lift_scalar(float(y))
-        yy = np.asarray(y, dtype=float)
-        d = self.displacement_bound()
-        lo = yy - d - 1e-9
-        hi = yy + d + 1e-9
-        x = yy.copy()
-        iters = 0
-        # Newton phase; derivative is bounded away from 0 for all families.
-        for _ in range(12):
-            fx = self.lift(x) - yy
-            done = np.abs(fx) <= 0.5 * TOL_INV
-            if np.all(done):
-                break
-            x = np.where(done, x, np.clip(x - fx / self.deriv(x), lo, hi))
-            iters += 1
-        else:
-            fx = self.lift(x) - yy
-        bad = np.abs(fx) > 0.5 * TOL_INV
-        if np.any(bad):
-            blo, bhi = lo[bad], hi[bad]
-            yb = yy[bad]
-            wide = bhi - blo > 0.25 * TOL_INV
-            while iters < MAX_INVERSE_ITER and np.any(wide):
-                mid = 0.5 * (blo + bhi)
-                too_low = self.lift(mid) < yb
-                blo = np.where(wide & too_low, mid, blo)
-                bhi = np.where(wide & ~too_low, mid, bhi)
-                wide = bhi - blo > 0.25 * TOL_INV
-                iters += 1
-            x[bad] = 0.5 * (blo + bhi)
-            if np.any(np.abs(self.lift(x[bad]) - yb) > 10.0 * TOL_INV):
-                raise ConvergenceFailure(
-                    f"inverse residual above {TOL_INV} after {iters} iterations"
-                )
-        return x
-
-    def _inverse_lift_scalar(self, y: float) -> float:
-        """`inverse_lift` for one Python float: the same Newton steps,
-        clipping and bisection as the array loop, without numpy arrays."""
-        d = self.displacement_bound()
-        lo = y - d - 1e-9
-        hi = y + d + 1e-9
-        x = y
-        iters = 0
-        for _ in range(12):
-            fx = float(self.lift(x)) - y
-            if abs(fx) <= 0.5 * TOL_INV:
-                break
-            x = min(max(x - fx / float(self.deriv(x)), lo), hi)
-            iters += 1
-        else:
-            fx = float(self.lift(x)) - y
-        if abs(fx) > 0.5 * TOL_INV:
-            while iters < MAX_INVERSE_ITER and hi - lo > 0.25 * TOL_INV:
-                mid = 0.5 * (lo + hi)
-                if float(self.lift(mid)) < y:
-                    lo = mid
-                else:
-                    hi = mid
-                iters += 1
-            x = 0.5 * (lo + hi)
-            if abs(float(self.lift(x)) - y) > 10.0 * TOL_INV:
-                raise ConvergenceFailure(
-                    f"inverse residual above {TOL_INV} after {iters} iterations"
-                )
-        return x
 
     # -- serialization -------------------------------------------------------
 
@@ -369,9 +287,6 @@ class Rotation(LiftMap):
 
     def as_translation(self) -> float | None:
         return self.alpha
-
-    def displacement_bound(self) -> float:
-        return abs(self.alpha)
 
     def deriv_bounds(self) -> tuple[float, float]:
         return (1.0, 1.0)
@@ -404,6 +319,7 @@ class SinePerturbed(LiftMap):
         w = 2.0 * math.pi * self.harmonics
         object.__setattr__(self, "_w", w)
         object.__setattr__(self, "_bw", self.b / w)
+        object.__setattr__(self, "_d", abs(self.a) + abs(self.b) / w)  # sup |F(x) - x|
 
     def lift(self, x: FloatLike) -> FloatLike:
         sin = math.sin if type(x) is float else np.sin
@@ -418,8 +334,61 @@ class SinePerturbed(LiftMap):
         wx = self._w * x
         return x + self.a + self._bw * sin(wx), 1.0 + self.b * cos(wx)
 
-    def displacement_bound(self) -> float:
-        return abs(self.a) + abs(self.b) / self._w
+    def inverse_lift(self, y: FloatLike) -> FloatLike:
+        """Solve F(x) = y by Newton steps clipped to the bracket y +- (sup
+        |F(x) - x| + 1e-9), then bisect the points Newton leaves unsolved.
+
+        Each point is solved on its own: a converged point stops moving and
+        a bracket stops halving once it is narrow, so an array entry equals
+        the solve of that entry alone bit for bit, whatever else shares the
+        array.  A 0-d input (float, numpy scalar or 0-d array) takes the
+        Newton steps on Python floats, the fast path for single solves, and
+        comes back as a Python float; a Python float is tested before
+        `np.ndim`, whose dispatch costs more than a scalar lift.  The rare
+        point those steps leave unsolved is solved again as a 1-element
+        array, so there is one bisection.
+        """
+        if type(y) is float or np.ndim(y) == 0:
+            y = float(y)
+            lo, hi = y - self._d - 1e-9, y + self._d + 1e-9
+            x = y
+            for _ in range(12):
+                fx = self.lift(x) - y
+                if abs(fx) <= 0.5 * TOL_INV:
+                    return x
+                x = min(max(x - fx / self.deriv(x), lo), hi)
+            if abs(self.lift(x) - y) <= 0.5 * TOL_INV:
+                return x
+            return float(self.inverse_lift(np.array([y]))[0])
+        yy = np.asarray(y, dtype=float)
+        lo, hi = yy - self._d - 1e-9, yy + self._d + 1e-9
+        x = yy.copy()
+        iters = 0
+        # Newton phase; the derivative 1 + b cos(w x) is at least 1 - |b| > 0.
+        for _ in range(12):
+            fx = self.lift(x) - yy
+            done = np.abs(fx) <= 0.5 * TOL_INV
+            if np.all(done):
+                return x
+            x = np.where(done, x, np.clip(x - fx / self.deriv(x), lo, hi))
+            iters += 1
+        bad = np.abs(self.lift(x) - yy) > 0.5 * TOL_INV
+        if np.any(bad):
+            lo, hi, yb = lo[bad], hi[bad], yy[bad]
+            wide = hi - lo > 0.25 * TOL_INV
+            while iters < MAX_INVERSE_ITER and np.any(wide):
+                mid = 0.5 * (lo + hi)
+                too_low = self.lift(mid) < yb
+                lo = np.where(wide & too_low, mid, lo)
+                hi = np.where(wide & ~too_low, mid, hi)
+                wide = hi - lo > 0.25 * TOL_INV
+                iters += 1
+            x[bad] = 0.5 * (lo + hi)
+            if np.any(np.abs(self.lift(x[bad]) - yb) > 10.0 * TOL_INV):
+                raise ConvergenceFailure(
+                    f"inverse residual above {TOL_INV} after {iters} iterations"
+                )
+        return x
 
     def deriv_bounds(self) -> tuple[float, float]:
         return (1.0 - abs(self.b), 1.0 + abs(self.b))
@@ -507,9 +476,6 @@ class Composition(LiftMap):
             total += t
         return total
 
-    def displacement_bound(self) -> float:
-        return sum(m.displacement_bound() for m in self.maps)
-
     def deriv_bounds(self) -> tuple[float, float]:
         lo = hi = 1.0
         for m in self.maps:
@@ -529,28 +495,34 @@ class Composition(LiftMap):
 
 @dataclass(frozen=True)
 class Power(LiftMap):
+    """base^exponent.  Construction stores the factor applied |exponent|
+    times (base, or base.inverse() for a negative exponent) and, for a
+    translation base, the shift exponent * t."""
+
     base: LiftMap
     exponent: int
 
-    def _factor(self) -> LiftMap:
-        return self.base if self.exponent >= 0 else self.base.inverse()
+    def __post_init__(self) -> None:
+        t = self.base.as_translation()
+        object.__setattr__(self, "_shift", None if t is None else self.exponent * t)
+        factor = self.base if self.exponent >= 0 else self.base.inverse()
+        object.__setattr__(self, "_factor", factor)
 
     def lift(self, x: FloatLike) -> FloatLike:
-        t = self.base.as_translation()
-        if t is not None:
-            return x + self.exponent * t
-        f = self._factor()
+        if self._shift is not None:
+            return x + self._shift
+        lift = self._factor.lift
         for _ in range(abs(self.exponent)):
-            x = f.lift(x)
+            x = lift(x)
         return x
 
     def lift_deriv(self, x: FloatLike) -> tuple[FloatLike, FloatLike]:
-        if self.base.as_translation() is not None:
+        if self._shift is not None:
             return self.lift(x), _ones(x)
-        f = self._factor()
+        lift_deriv = self._factor.lift_deriv
         total = None
         for _ in range(abs(self.exponent)):
-            x, d = f.lift_deriv(x)
+            x, d = lift_deriv(x)
             total = d if total is None else total * d
         return x, _ones(x) if total is None else total
 
@@ -558,29 +530,24 @@ class Power(LiftMap):
         return Power(self.base, -self.exponent)
 
     def inverse_lift(self, y: FloatLike) -> FloatLike:
-        t = self.base.as_translation()
-        if t is not None:
-            return y - self.exponent * t
-        f = self._factor()
+        if self._shift is not None:
+            return y - self._shift
+        inverse_lift = self._factor.inverse_lift
         for _ in range(abs(self.exponent)):
-            y = f.inverse_lift(y)
+            y = inverse_lift(y)
         return y
 
     def as_translation(self) -> float | None:
-        t = self.base.as_translation()
-        return None if t is None else self.exponent * t
-
-    def displacement_bound(self) -> float:
-        return abs(self.exponent) * self.base.displacement_bound()
+        return self._shift
 
     def deriv_bounds(self) -> tuple[float, float]:
-        lo, hi = self._factor().deriv_bounds()
+        lo, hi = self._factor.deriv_bounds()
         n = abs(self.exponent)
         return (lo**n, hi**n)
 
     def second_deriv_bound(self) -> float:
         # The n-fold Composition fold, over a table of the factor's maps.
-        f = self._factor()
+        f = self._factor
         table = [
             (m.second_deriv_bound(), m.deriv_bounds()[1])
             for m in reversed(f.maps if isinstance(f, Composition) else (f,))
@@ -611,9 +578,6 @@ class Inverse(LiftMap):
     def as_translation(self) -> float | None:
         t = self.base.as_translation()
         return None if t is None else -t
-
-    def displacement_bound(self) -> float:
-        return self.base.displacement_bound()
 
     def deriv_bounds(self) -> tuple[float, float]:
         lo, hi = self.base.deriv_bounds()

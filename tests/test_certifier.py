@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -355,6 +356,17 @@ class TestCertifyEndToEnd:
         blob["lambda"] = 1.01
         ok, _ = check_certificate(Certificate.from_json(blob))
         assert not ok
+
+    def test_radius_above_the_recomputed_one_fails_check(self, certificate_pair):
+        # The radius is re-derived from the re-verified margins; a larger
+        # stored radius claims more than the margins carry, a smaller one
+        # is conservative.
+        for cert in (certificate_pair.forward, certificate_pair.backward):
+            assert check_certificate(cert)[0]
+            assert not check_certificate(replace(cert, radius=0.5))[0]
+            assert not check_certificate(replace(cert, radius=cert.radius * (1.0 + 1e-9)))[0]
+            assert check_certificate(replace(cert, radius=cert.radius * (1.0 + 1e-13)))[0]
+            assert check_certificate(replace(cert, radius=0.5 * cert.radius))[0]
 
     def test_margins_reproduce_to_1e12(self, certificate_pair):
         rev = reverify_certificate(certificate_pair.forward)

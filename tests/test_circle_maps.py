@@ -133,7 +133,8 @@ def reference_deriv(f, x):
 def reference_power_second_deriv_bound(f):
     """Power.second_deriv_bound as the n-fold Composition fold."""
     n = abs(f.exponent)
-    return Composition([f._factor()] * n).second_deriv_bound() if n else 0.0
+    g = f.base if f.exponent >= 0 else f.base.inverse()
+    return Composition([g] * n).second_deriv_bound() if n else 0.0
 
 
 def lift_deriv_maps():
@@ -180,6 +181,22 @@ class TestLiftDeriv:
                             lambda self, y: calls.append(y) or solve(self, y))
         Inverse(base).lift_deriv(np.linspace(0.0, 1.0, 9))
         assert len(calls) == 1
+
+    def test_negative_power_is_the_power_of_the_inverse_built_once(self, monkeypatch):
+        c = Composition([Rotation(0.3), SinePerturbed(0.05, 0.6), Rotation(GOLDEN),
+                         SinePerturbed(0.0, -0.4, harmonics=2)])
+        neg, pos = Power(c, -3), Power(c.inverse(), 3)
+        calls = []
+        inverse = Composition.inverse
+        monkeypatch.setattr(Composition, "inverse", lambda self: calls.append(self) or inverse(self))
+        for x in (0.3, np.linspace(-1.5, 2.5, 33)):
+            assert same_bits(neg.lift(x), pos.lift(x))
+            assert same_bits(neg.deriv(x), pos.deriv(x))
+            assert all(map(same_bits, neg.lift_deriv(x), pos.lift_deriv(x)))
+            assert same_bits(neg.inverse_lift(x), pos.inverse_lift(x))
+        assert neg.deriv_bounds() == pos.deriv_bounds()
+        assert neg.second_deriv_bound() == pos.second_deriv_bound()
+        assert calls == []
 
     def test_power_second_deriv_bound_matches_composition_fold(self):
         word = Composition([Rotation(0.3), SinePerturbed(0.0, -0.5), Inverse(SinePerturbed(0.1, 0.4))])

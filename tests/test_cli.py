@@ -277,6 +277,26 @@ class TestSimulateOrbit:
         assert out_float == out_int
 
 
+class TestClassifyCommand:
+    @pytest.mark.parametrize("generators, warnings", [
+        (base_config()["generators"], []),
+        # Both sines fix 0 and 1/2, so neither direction is minimal.
+        ([{"kind": "sine", "a": 0.0, "b": -0.5}, {"kind": "sine", "a": 0.0, "b": -0.3}],
+         ["minimality estimate failed (forward=False, backward=False)"]),
+    ])
+    def test_check_minimality_reports_a_failed_estimate(
+        self, write_config, capsys, generators, warnings
+    ):
+        cfg = base_config(n_pairs=100, sync_horizon=400, n_seeds=3, word_length=1000,
+                          m_levels=8, check_minimality=True)
+        cfg["generators"] = generators
+        code, out, _ = run_cli(capsys, "classify", "--config", write_config(cfg))
+        assert code == 0
+        res = json.loads(out)
+        assert res["minimality_checked"] is True
+        assert res["warnings"] == warnings
+
+
 class TestCertifyCommand:
     def test_certify_then_check_round_trip(self, write_config, capsys, tmp_path):
         cfg_path = write_config(base_config())
@@ -297,6 +317,19 @@ class TestCertifyCommand:
         bad.write_text(json.dumps(blob))
         code, _, _ = run_cli(capsys, "certify", "--check", str(bad))
         assert code == 2
+
+    def test_inflated_radius_exits_2_with_the_same_margins(self, capsys, tmp_path):
+        blob = json.loads((GOLDEN_DIR / "certify_seed7.json").read_text())
+        blob["radius"] = blob["forward"]["radius"] = blob["backward"]["radius"] = 0.5
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(blob))
+        code, out, _ = run_cli(capsys, "certify", "--check", str(bad))
+        assert code == 2
+        want = json.loads((GOLDEN_DIR / "certify_check_seed7.json").read_text())
+        for side in ("forward", "backward"):
+            want[side]["ok"] = False
+        want["ok"] = False
+        assert json.loads(out) == want
 
     @pytest.mark.parametrize("side, key, value, path", [
         ("forward", "cover_exponents", [], "forward.cover_exponents"),

@@ -6,7 +6,6 @@ import pytest
 
 from circle_ifs.circle_maps import (
     CirclePoint,
-    LiftMap,
     Rotation,
     SinePerturbed,
     circle_distance,
@@ -210,8 +209,8 @@ class TestBranchDeriv:
                 pos = g.lift(pos) % 1.0
             expected.append(total)
         solves = []
-        solve = LiftMap._inverse_lift_scalar
-        monkeypatch.setattr(LiftMap, "_inverse_lift_scalar",
+        solve = SinePerturbed.inverse_lift
+        monkeypatch.setattr(SinePerturbed, "inverse_lift",
                             lambda self, y: solves.append(y) or solve(self, y))
         for (letters, x), want in zip(cases, expected):
             del solves[:]

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from circle_ifs import periodic_points
-from circle_ifs.circle_maps import Arc, LiftMap, Rotation, SinePerturbed, circle_distance
+from circle_ifs.circle_maps import Arc, Rotation, SinePerturbed, circle_distance
 from circle_ifs.ifs_core import IFS, _word_lift, branch_apply, branch_deriv
 from circle_ifs.periodic_points import (
     HorizonExceeded,
@@ -86,7 +86,7 @@ class TestBisectFixedPoint:
         def no_solve(self, y):
             raise AssertionError("inverse solve on the forward-map side")
 
-        monkeypatch.setattr(LiftMap, "inverse_lift", no_solve)
+        monkeypatch.setattr(SinePerturbed, "inverse_lift", no_solve)
         assert [periodic_points._bisect_fixed_point(inv, *c) for c in calls] == expected
 
     def test_interval_not_mapped_into_itself_raises(self, inverse_composites):
@@ -155,6 +155,30 @@ class TestContractedFixedArc:
         img_hi = float(branch_apply(golden_sine_ifs, att.word, hi))
         assert att.invariant_arc.contains(img_lo)
         assert att.invariant_arc.contains(img_hi)
+
+    def test_repeller_bracket_fallback(self, fair_coin, monkeypatch):
+        # No short prefix of this seed-0 word has a fixed point with
+        # multiplier in MILD_BAND and a long enough basin, so the arc is a
+        # complement component of the repeller brackets (the attractor
+        # found has multiplier about 9e-4).
+        ifs = IFS([Rotation(GOLDEN), SinePerturbed(0.0, -0.95, harmonics=2)])
+        mild, components = [], []
+        for name, log in (("_mild_prefix_attractor", mild), ("_complement_components", components)):
+            fn = getattr(periodic_points, name)
+            monkeypatch.setattr(periodic_points, name,
+                                lambda *a, fn=fn, log=log: log.append(fn(*a)) or log[-1])
+        att = find_contracted_fixed_arc(ifs, fair_coin, seed=0)
+        assert mild == [None]
+        lo = att.invariant_arc.start
+        hi = lo + att.invariant_arc.length
+        assert any((lo - c.start) % 1.0 + att.invariant_arc.length <= c.length
+                   for c in components[-1])
+        img_lo = _word_lift(ifs, att.word.letters, lo)
+        img_hi = _word_lift(ifs, att.word.letters, hi)
+        assert (img_lo - lo) % 1.0 + (img_hi - img_lo) <= att.invariant_arc.length
+        q = float(att.point)
+        assert circle_distance(_word_lift(ifs, att.word.letters, q) % 1.0, q) <= periodic_points.TOL_FIX
+        assert att.multiplier < 1.0
 
 
 class TestPeriodicInInterval:
