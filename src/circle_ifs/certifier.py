@@ -13,11 +13,12 @@ attracting fixed point p of g2 with one-sided basin A = (p, p + eps):
   (4) finitely many rotation images T_i(B) cover the circle, and so do
       inverse images S_i^{-1}(B).
 
-The searches only pick the words.  Every condition is then measured with
-an explicit arc-length margin (derivative margins are Lipschitz-inflated
-grid maxima, not formal interval bounds) by `reverify_certificate`, the one
-evaluator that `certify --check` and perturbed re-verification use too, and
-the margins convert into a conservative C^1 perturbation radius.  The same
+The searches only pick the words.  `reverify_certificate`, the one evaluator
+of every number a certificate stores, gives each condition an explicit
+arc-length margin (derivative margins are Lipschitz-inflated grid maxima,
+not formal interval bounds), then lambda and the conservative C^1
+perturbation radius the margins convert into; `certify`, `certify --check`
+and perturbed re-verification all take their numbers from it.  The same
 pipeline applied to (g1^-1, g2^-1) yields the backward certificate.
 """
 
@@ -36,6 +37,7 @@ from .circle_maps import (
     Composition,
     Inverse,
     LiftMap,
+    MAX_POWER,
     Power,
     Rotation,
     SCALAR_VALUES,
@@ -342,15 +344,18 @@ def _direction(value) -> str:
     return value
 
 
-def _generator_pair(value) -> tuple[dict, dict]:
-    if len(_array(map_from_json)(value)) != 2:
+def _generator_pair(value) -> tuple[LiftMap, LiftMap]:
+    maps = _array(map_from_json)(value)
+    if len(maps) != 2:
         raise ValueError(f"must be an array of two map objects, got {value!r}")
-    return value[0], value[1]
+    return maps[0], maps[1]
 
 
 def _exponents(value) -> tuple[int, ...]:
-    if not (isinstance(value, list) and value and all(type(n) is int and n >= 0 for n in value)):
-        raise ValueError(f"must be a non-empty array of integers >= 0, got {value!r}")
+    """Up to MAX_POWER: the evaluator walks and folds f1 that many times."""
+    if not (isinstance(value, list) and value
+            and all(type(n) is int and 0 <= n <= MAX_POWER for n in value)):
+        raise ValueError(f"must be a non-empty array of integers in 0..{MAX_POWER}, got {value!r}")
     return tuple(value)
 
 
@@ -362,7 +367,7 @@ def _margins(value) -> dict:
 class Certificate:
     direction: str  # "forward" | "backward"
     label: str
-    generators: tuple[dict, dict]  # JSON descriptors of the certified pair
+    generators: tuple[LiftMap, LiftMap]  # the pair the numbers below were evaluated on
     basin: BasinData
     cover_exponents: tuple[int, ...]
     lam: float
@@ -371,18 +376,20 @@ class Certificate:
     margins: dict
     radius: float
 
-    def generator_maps(self) -> tuple[LiftMap, LiftMap]:
-        return map_from_json(self.generators[0]), map_from_json(self.generators[1])
+    @property
+    def valid(self) -> bool:
+        """Every margin is positive."""
+        return all(self.margins[k] > 0.0 for k in MARGIN_KEYS)
 
     def h_maps(self) -> tuple[LiftMap, ...]:
-        g1, g2 = self.generator_maps()
+        g1, g2 = self.generators
         return tuple(Composition([Power(g1, n), g2]) for n in self.cover_exponents)
 
     def to_json(self) -> dict:
         return {
             "direction": self.direction,
             "label": self.label,
-            "generators": list(self.generators),
+            "generators": [g.to_json() for g in self.generators],
             "basin": self.basin.to_json(),
             "cover_exponents": list(self.cover_exponents),
             "lambda": self.lam,
@@ -433,7 +440,7 @@ class CertificatePair:
 
         The pair must be what `to_json` writes for one system: `schema` 1,
         each side's `direction` its key, backward generators the inverses
-        of the forward ones (compared as JSON), one `label` at the top and
+        of the forward ones (compared as the maps' `to_json`), one `label` at the top and
         on both sides, and the top `radius` the smaller side radius."""
         schema = _parsed(obj, "schema", lambda v: v)
         if schema != 1:
@@ -443,11 +450,9 @@ class CertificatePair:
             if cert.direction != side:
                 raise _FieldError(f"{side}.direction", f"must be {side!r}, got {cert.direction!r}")
         pair = CertificatePair(**sides)
-        inverses = [map_from_json(g).inverse().to_json() for g in pair.forward.generators]
-        if list(pair.backward.generators) != inverses:
-            raise _FieldError(
-                "backward.generators", "must be the inverses of forward.generators"
-            )
+        inverses = [g.inverse().to_json() for g in pair.forward.generators]
+        if [g.to_json() for g in pair.backward.generators] != inverses:
+            raise _FieldError("backward.generators", "must be the inverses of forward.generators")
         label = _parsed(obj, "label", _string)
         if not label == pair.forward.label == pair.backward.label:
             raise _FieldError("label", f"must equal both sides' labels, got {label!r}")
@@ -457,14 +462,9 @@ class CertificatePair:
         return pair
 
 
-def _perturbation_radius(
-    margins: dict,
-    cover_exponents: Sequence[int],
-    circle_exponents: Sequence[int],
-    g1: LiftMap,
-    g2: LiftMap,
-) -> float:
-    """Conservative C^1 radius keeping every margin positive.
+def _perturbation_radius(margins: dict, cert: Certificate, g1: LiftMap, g2: LiftMap) -> float:
+    """Conservative C^1 radius keeping every margin positive, for the words
+    of `cert` on the pair (g1, g2).
 
     A C^1 perturbation of size eta moves an L-letter composition by at most
     eta * L in C^0 (rotation factors have unit Lipschitz constant; the
@@ -473,7 +473,8 @@ def _perturbation_radius(
     bounds the generators' second derivatives.  Arc margins divide by the
     first amplification, the contraction margin by the second.
     """
-    l_max = max(max(cover_exponents) + 1, *circle_exponents)
+    l_max = max(max(cert.cover_exponents) + 1,
+                *cert.global_forward_exponents, *cert.global_backward_exponents)
     m2_bound = max(g1.second_deriv_bound(), g2.second_deriv_bound())
     a0 = float(l_max)
     a1 = l_max * (1.0 + 0.5 * m2_bound * l_max)
@@ -494,15 +495,15 @@ def _certify_direction(
     deriv_margin: float,
     min_margin: float,
 ) -> Certificate:
-    """Search the words, then take every margin and lambda from
-    `reverify_certificate` on the stored generators, as `--check` does."""
+    """Search the words, then return what `reverify_certificate` makes of
+    them on (g1, g2), as `--check` does; reject lambda >= 1 or a margin <= 0."""
     basin = locate_basin(g2, deriv_margin=deriv_margin)
     cover_exponents = search_cover_words(g1, g2, basin, n_max, min_margin)
     fwd, bwd = verify_global_cover(g1, basin.arc_B, n_max, min_margin)
-    cert = Certificate(
+    cert = reverify_certificate(Certificate(
         direction=direction,
         label=label,
-        generators=(g1.to_json(), g2.to_json()),
+        generators=(g1, g2),
         basin=basin,
         cover_exponents=cover_exponents,
         lam=math.nan,
@@ -510,15 +511,13 @@ def _certify_direction(
         global_backward_exponents=bwd,
         margins={},
         radius=math.nan,
-    )
-    rev = reverify_certificate(cert)
-    if not rev.lam < 1.0:
-        raise ContractionFails(f"inflated derivative bound {rev.lam:.6f} >= 1")
+    ))
+    if not cert.lam < 1.0:
+        raise ContractionFails(f"inflated derivative bound {cert.lam:.6f} >= 1")
     for key in MARGIN_KEYS:
-        if not rev.margins[key] > 0.0:
-            raise SearchExhausted(key, f"margin {rev.margins[key]:.3e} is not positive")
-    radius = _perturbation_radius(rev.margins, cover_exponents, fwd + bwd, g1, g2)
-    return replace(cert, lam=rev.lam, margins=rev.margins, radius=radius)
+        if not cert.margins[key] > 0.0:
+            raise SearchExhausted(key, f"margin {cert.margins[key]:.3e} is not positive")
+    return cert
 
 
 def certify_robust_minimality(
@@ -550,13 +549,6 @@ def certify_robust_minimality(
 # ---------------------------------------------------------------------------
 # Re-verification with frozen words
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Reverification:
-    margins: dict
-    lam: float
-    valid: bool
 
 
 def _power_chain(
@@ -625,17 +617,16 @@ def reverify_certificate(
     cert: Certificate,
     f1: LiftMap | None = None,
     f2: LiftMap | None = None,
-) -> Reverification:
-    """Re-evaluate conditions (1)-(4) with the certificate's frozen words.
+) -> Certificate:
+    """The certificate that the frozen words of `cert` give for (f1, f2).
 
-    This is the one evaluator of margins and lambda: `certify` stores what
-    it returns for the stored generators, and `certify --check` and
+    The one evaluator of lambda, the margins and the radius: `certify`
+    returns its output for the searched words, and `certify --check` and
     perturbed re-verification call it again.  With f1/f2 omitted the stored
-    generators are used, so a fresh certificate's margins are reproduced
-    exactly (`check_certificate` still allows CHECK_TOL for certificates
-    written by older versions).  Supplying perturbed maps re-checks the
-    same combinatorial data under perturbation; all margins positive means
-    the certificate survives.
+    generators are used, so a fresh certificate comes back equal to itself
+    (`check_certificate` still allows CHECK_TOL for certificates written by
+    older versions).  Perturbed maps re-check the same combinatorial data;
+    the result is `valid` when the certificate survives.
 
     One f1 chain (`_power_chain`) carries f2(B ends), the D ends, the B
     ends and f2 of the contraction-grid points that can hold the grid
@@ -662,8 +653,13 @@ def reverify_certificate(
     otherwise, or if the bounds are not positive and finite, the full grid
     walks.  Lifts and inverse solves are elementwise, so lambda, every
     margin and `valid` equal the full grid's bit for bit.
+
+    Condition (3) takes one second-derivative fold, that of f1^N o f2.  The
+    fold never decreases in n: every `deriv_bounds()[1]` is >= 1 and every
+    M2 is >= 0, so no `_m2_fold` step b -> M2 d^2 + b sup Df lowers b, and
+    rounding is monotone; it is the largest over the exponents, bit for bit.
     """
-    s1, s2 = cert.generator_maps()
+    s1, s2 = cert.generators
     f1 = s1 if f1 is None else f1
     f2 = s2 if f2 is None else f2
     basin = cert.basin
@@ -695,11 +691,8 @@ def reverify_certificate(
     d_spans = _spans([chain[n][0][2:4] for n in cert.cover_exponents], p)
     m2 = min(min(start - delta, eps - end) for start, end in d_spans)
 
-    # (3) contraction on (p + delta, p + eps), Lipschitz-inflated.
-    c_bound = max(
-        Composition([Power(f1, n), f2]).second_deriv_bound()
-        for n in cert.cover_exponents
-    )
+    # (3) contraction on (p + delta, p + eps), Lipschitz-inflated at N = n.
+    c_bound = Composition([Power(f1, n), f2]).second_deriv_bound()
     lam = worst + 0.5 * c_bound * (eps - delta) / CONTRACTION_GRID
     m3 = 1.0 - lam
 
@@ -715,28 +708,19 @@ def reverify_certificate(
         m4 = min(m4, min([*_overlaps(spans), spans[-1][1] - 1.0]))
 
     margins = dict(zip(MARGIN_KEYS, map(float, (m1, m2, m3, m4))))
-    valid = bool(all(v > 0.0 for v in margins.values()))
-    return Reverification(margins, float(lam), valid)
+    radius = _perturbation_radius(margins, cert, f1, f2)
+    return replace(cert, generators=(f1, f2), lam=float(lam), margins=margins, radius=radius)
 
 
-def check_certificate(cert: Certificate) -> tuple[bool, Reverification]:
-    """Recompute margins and the radius from the stored generators and
-    compare to the stored values.  Fails when a margin drifts beyond
-    CHECK_TOL or is not positive, or when the stored radius exceeds the
-    recomputed one by more than a relative CHECK_TOL (a smaller radius is
-    conservative, so it passes)."""
+def check_certificate(cert: Certificate) -> tuple[bool, Certificate]:
+    """Re-evaluate `cert` on its stored generators and compare.  Fails when
+    lambda or a margin drifts beyond CHECK_TOL or a margin is not positive,
+    or when the stored radius exceeds the re-evaluated one by more than a
+    relative CHECK_TOL (a smaller radius is conservative, so it passes)."""
     rev = reverify_certificate(cert)
-    ok = rev.valid and abs(rev.lam - cert.lam) <= CHECK_TOL
-    for k in MARGIN_KEYS:
-        ok = ok and abs(rev.margins[k] - cert.margins[k]) <= CHECK_TOL
-    radius = _perturbation_radius(
-        rev.margins,
-        cert.cover_exponents,
-        cert.global_forward_exponents + cert.global_backward_exponents,
-        *cert.generator_maps(),
-    )
-    ok = ok and cert.radius <= radius * (1.0 + CHECK_TOL)
-    return bool(ok), rev
+    drifts = [rev.lam - cert.lam, *(rev.margins[k] - cert.margins[k] for k in MARGIN_KEYS)]
+    ok = all(abs(d) <= CHECK_TOL for d in drifts) and cert.radius <= rev.radius * (1.0 + CHECK_TOL)
+    return rev.valid and ok, rev
 
 
 # ---------------------------------------------------------------------------
@@ -758,15 +742,10 @@ class NestedLimitResult:
 
 
 def nested_limit(
-    h_maps: Sequence[LiftMap],
-    basin: BasinData,
-    x: float,
-    n_levels: int,
-    lam: float,
-    y: float | None = None,
+    cert: Certificate, x: float, n_levels: int, y: float | None = None
 ) -> NestedLimitResult:
     """Select indices i_1..i_n with x in h_{i_1} o ... o h_{i_n}(B) and
-    return the approximant h_{i_1} o ... o h_{i_n}(y).
+    return the approximant h_{i_1} o ... o h_{i_n}(y), for the h_i of `cert`.
 
     The covering condition guarantees a valid index at every level (ties
     break toward the lowest index); the returned error is certified to be
@@ -775,7 +754,7 @@ def nested_limit(
     Library API: the paper's approximation of points of B, which no CLI
     command runs.
     """
-    arc_b = basin.arc_B
+    h_maps, arc_b, lam = cert.h_maps(), cert.basin.arc_B, cert.lam
     images = []
     for h in h_maps:
         lo = float(h.lift(arc_b.start))

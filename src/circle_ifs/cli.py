@@ -36,6 +36,7 @@ from .certifier import (
 )
 from .circle_maps import (
     _REQUIRED,
+    MAX_POWER,
     Arc,
     ConvergenceFailure,
     _array,
@@ -151,7 +152,11 @@ def _seed_option(text: str) -> int:
         raise argparse.ArgumentTypeError(f"must be an integer in 0..2**64-1, got {text!r}") from None
 
 
-_COUNT = _integer(1)
+# Largest count param (lengths, trials, grids, horizons).  A count sizes an
+# array or a loop, so a far larger one would fail on memory or time instead
+# of on its field; the largest in use is 200,000 letters.
+MAX_COUNT = 10**6
+_COUNT = _integer(1, MAX_COUNT)
 # detect_repellers refines from START_LEVEL and needs START_LEVEL + 3 levels.
 _M_LEVELS = _integer(START_LEVEL + 3)
 
@@ -201,7 +206,7 @@ def _perturbable(value) -> str:
 
 # command -> {params key: (cast, default)}; _REQUIRED marks a key without one.
 PARAMS = {
-    "simulate-orbit": {"length": (_integer(0), 1000), "x": (_finite, 0.0)},
+    "simulate-orbit": {"length": (_integer(0, MAX_COUNT), 1000), "x": (_finite, 0.0)},
     "estimate-minimality": {
         "eps": (_orbit_eps, 0.01), "start_grid": (_COUNT, 16), "depth": (_COUNT, 10_000),
     },
@@ -216,7 +221,7 @@ PARAMS = {
         "n_trials": (_COUNT, 10_000), "minimal_index": (_integer(0), 0),
     },
     "certify": {
-        "n_max": (_COUNT, 10_000), "deriv_margin": (_finite, 0.01),
+        "n_max": (_integer(1, MAX_POWER), 10_000), "deriv_margin": (_finite, 0.01),
         "min_margin": (_non_negative, 1e-4),
     },
     "universal-word": {

@@ -87,13 +87,12 @@ def test_criterion_03_nested_limit_bound(certificate_pair):
     with _report("C3 nested-limit error bound") as rep:
         cert = certificate_pair.forward
         b = cert.basin.arc_B
-        h_maps = cert.h_maps()
         bound = cert.lam**20 * b.length
         rng = random.Random(103)
         violations = 0
         for _ in range(100):
             x = b.start + rng.random() * b.length
-            res = nested_limit(h_maps, cert.basin, x, 20, cert.lam)
+            res = nested_limit(cert, x, 20)
             if res.error > bound:
                 violations += 1
         assert violations == 0

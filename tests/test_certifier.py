@@ -69,10 +69,17 @@ class CountingMap(LiftMap):
         return self.base.second_deriv_bound()
 
 
+def evaluated(cert):
+    """The numbers `reference_reverify` pins: lambda, the margins, validity."""
+    return cert.lam, cert.margins, cert.valid
+
+
 def reference_reverify(cert, f1, f2):
     """The full-grid evaluator: every contraction-grid point walks the f1
     chain.  `reverify_certificate` walks only the points that can hold the
-    grid maximum and must return the same bits."""
+    grid maximum and must return the same bits.  Condition (3) keeps the
+    largest of one fold per cover exponent, which the evaluator's single
+    fold at the largest exponent must equal."""
     basin = cert.basin
     p, eps, delta = basin.p, basin.eps, basin.delta
     d_len = basin.arc_D.length
@@ -123,9 +130,7 @@ def reference_reverify(cert, f1, f2):
         "contraction": float(m3),
         "circle_cover": float(m4),
     }
-    return certifier.Reverification(
-        margins, float(lam), bool(all(v > 0.0 for v in margins.values()))
-    )
+    return float(lam), margins, all(v > 0.0 for v in margins.values())
 
 
 class TestLocateBasin:
@@ -382,6 +387,14 @@ class TestCertifyEndToEnd:
             assert cert.margins == rev.margins
             assert cert.lam == rev.lam
 
+    @pytest.mark.parametrize("b", [-0.5, 0.5])
+    def test_a_fresh_certificate_reverifies_to_itself(self, sine_pairs, b):
+        # certify returns the evaluator's output, so re-evaluating either
+        # side on its stored generators gives every number back by bits,
+        # the radius included (b = -0.5 is golden-sine).
+        for cert in (sine_pairs[b].forward, sine_pairs[b].backward):
+            assert reverify_certificate(cert) == cert
+
     def test_negative_min_margin_raises(self, golden_rotation, sine_map):
         with pytest.raises(SearchExhausted) as info:
             certify_robust_minimality(golden_rotation, sine_map, min_margin=-1e-3)
@@ -428,7 +441,7 @@ class TestCertifyEndToEnd:
         cert = certificate_pair.forward
         counting = CountingMap(f1)
         rev = reverify_certificate(cert, counting, f2)
-        assert rev == reverify_certificate(cert, f1, f2)
+        assert replace(rev, generators=(f1, f2)) == reverify_certificate(cert, f1, f2)
         # One f1 chain serves conditions (1)-(3) and the forward family of
         # (4).  Its six arc ends and the one grid point that pruning keeps
         # walk on Python floats, one scalar lift_deriv per step and point.
@@ -516,10 +529,10 @@ class TestPrunedGrid:
                 (pair.backward, f1.inverse(), f2.inverse()),
             ):
                 rev = reverify_certificate(cert, h1, h2)
-                ref = reference_reverify(cert, h1, h2)
-                assert rev.lam == ref.lam
-                assert rev.margins == ref.margins
-                assert rev.valid == ref.valid
+                lam, margins, valid = reference_reverify(cert, h1, h2)
+                assert rev.lam == lam
+                assert rev.margins == margins
+                assert rev.valid == valid
                 outcomes.append(rev.valid)
         if size >= 1e-5:
             assert not all(outcomes)  # invalid draws are compared too
@@ -540,7 +553,7 @@ class TestPrunedGrid:
         chain = certifier._power_chain(f1, grid_pos, grid_deriv, [n])
         assert np.argmax(chain[n][1]) != np.argmax(grid_deriv)
         counting = CountingMap(f1)
-        assert reverify_certificate(cert, counting, f2) == reference_reverify(cert, f1, f2)
+        assert evaluated(reverify_certificate(cert, counting, f2)) == reference_reverify(cert, f1, f2)
         if b1 == 1e-5:
             assert max(counting.sizes) < 6 + certifier.CONTRACTION_GRID // 2
 
@@ -553,7 +566,8 @@ class TestPrunedGrid:
                 (certificate_pair.backward, f1.inverse(), f2.inverse()),
             ):
                 counting = CountingMap(h1)
-                assert reverify_certificate(cert, counting, h2) == reference_reverify(cert, h1, h2)
+                rev = reverify_certificate(cert, counting, h2)
+                assert evaluated(rev) == reference_reverify(cert, h1, h2)
                 assert counting.steps > 0
                 assert max(counting.sizes) <= 6 + 8
 
@@ -566,7 +580,7 @@ class TestPrunedGrid:
             counting = CountingMap(h1)
             rev = reverify_certificate(cert, counting, h2)
             assert set(counting.sizes) == {6 + certifier.CONTRACTION_GRID + 1}
-            assert rev == reference_reverify(cert, h1, h2)
+            assert evaluated(rev) == reference_reverify(cert, h1, h2)
 
 
 class TestClaimInvariants:
@@ -605,32 +619,31 @@ class TestNestedLimit:
     def test_zero_levels(self, certificate_pair):
         cert = certificate_pair.forward
         x = float(cert.basin.arc_B.midpoint)
-        res = nested_limit(cert.h_maps(), cert.basin, x, 0, cert.lam)
+        res = nested_limit(cert, x, 0)
         assert len(res.word) == 0
         assert res.bound == pytest.approx(cert.basin.arc_B.length)
 
     def test_midpoint_twenty_levels(self, certificate_pair):
         cert = certificate_pair.forward
         x = float(cert.basin.arc_B.midpoint)
-        res = nested_limit(cert.h_maps(), cert.basin, x, 20, cert.lam)
+        res = nested_limit(cert, x, 20)
         assert res.error <= cert.lam**20 * cert.basin.arc_B.length
 
     def test_hundred_random_points(self, certificate_pair):
         cert = certificate_pair.forward
         b = cert.basin.arc_B
-        h_maps = cert.h_maps()
         rng = random.Random(33)
         y = b.start + 0.25 * b.length
         bound = cert.lam**20 * b.length
         for _ in range(100):
             x = b.start + rng.random() * b.length
-            res = nested_limit(h_maps, cert.basin, x, 20, cert.lam, y=y)
+            res = nested_limit(cert, x, 20, y=y)
             assert res.error <= bound
 
     def test_outside_point_rejected(self, certificate_pair):
         cert = certificate_pair.forward
         with pytest.raises(ValueError):
-            nested_limit(cert.h_maps(), cert.basin, 0.9, 5, cert.lam)
+            nested_limit(cert, 0.9, 5)
 
 
 class TestUniversalWord:

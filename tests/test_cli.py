@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from circle_ifs import cli
-from circle_ifs.circle_maps import ConvergenceFailure
+from circle_ifs.circle_maps import MAX_POWER, ConvergenceFailure
 from circle_ifs.cli import csv_text, main
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -173,6 +173,10 @@ class TestConfigValidation:
         ("certify", {"n_max": 2.7}, "n_max"),
         ("certify", {"n_max": 0}, "n_max"),
         ("certify", {"n_max": True}, "n_max"),
+        # A certificate's exponents stop at MAX_POWER, and so does the search.
+        ("certify", {"n_max": MAX_POWER + 1}, "n_max"),
+        ("classify", {"n_pairs": cli.MAX_COUNT + 1}, "n_pairs"),
+        ("tail-bound", {"target": TARGET, "n_grid": [5, cli.MAX_COUNT + 1]}, "n_grid"),
         ("perturb", {"size": 0, "command": "detect-repellers", "perturb_seed": True}, "perturb_seed"),
         ("perturb", {"size": 0, "command": "detect-repellers", "perturb_seed": "3"}, "perturb_seed"),
         ("perturb", {"size": 0, "command": "detect-repellers", "perturb_seed": 1.5}, "perturb_seed"),
@@ -268,6 +272,21 @@ class TestSimulateOrbit:
         assert int(letter) in (1, 2)
         assert 0.0 <= float(point) < 1.0
 
+    @pytest.mark.parametrize("length", [2**63, 10**12])
+    def test_length_above_max_count_exits_2(self, capsys, tmp_path, length):
+        # Unbounded, numpy failed with exit 1: "Maximum allowed dimension
+        # exceeded" at 2**63, out of memory at 10**12.
+        cfg = json.loads((GOLDEN_DIR / "orbit_coin_seed7.json").read_text())
+        cfg["params"]["length"] = length
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, "simulate-orbit", "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"config error: params.length: must be an integer in 0..{cli.MAX_COUNT}, got {length}\n"
+        )
+
     def test_integral_float_length_is_an_integer(self, write_config, capsys):
         _, out_int, _ = run_cli(capsys, "simulate-orbit", "--config",
                                 write_config(base_config(length=25)))
@@ -335,6 +354,10 @@ class TestCertifyCommand:
         ("forward", "cover_exponents", [], "forward.cover_exponents"),
         ("backward", "global_forward_exponents", [], "backward.global_forward_exponents"),
         ("forward", "cover_exponents", [-3], "forward.cover_exponents"),
+        # The evaluator walks f1 up to the largest exponent, so 10**9 ran until killed.
+        ("forward", "cover_exponents", [10**9], "forward.cover_exponents"),
+        ("backward", "global_backward_exponents", [0, MAX_POWER + 1],
+         "backward.global_backward_exponents"),
         ("forward", "generators", [{"kind": "nope"}, {"kind": "sine", "a": 0.0, "b": -0.5}],
          "forward.generators[0]"),
         ("backward", "generators", [{"kind": "rotation", "alpha": 0.3}, {"kind": "sine", "a": 0.0, "b": 2}],
@@ -399,6 +422,18 @@ class TestCertifyCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("config error: certificate.backward.generators: ")
+
+    def test_explicit_default_harmonics_pass_check(self, capsys, tmp_path):
+        # Generators are compared as parsed maps, so a sine map that spells
+        # out "harmonics": 1 is the inverse of one that leaves it implicit.
+        blob = json.loads((GOLDEN_DIR / "certify_seed7.json").read_text())
+        blob["forward"]["generators"][1]["harmonics"] = 1
+        blob["backward"]["generators"][1]["base"]["harmonics"] = 1
+        path = tmp_path / "harmonics.json"
+        path.write_text(json.dumps(blob))
+        code, out, err = run_cli(capsys, "certify", "--check", str(path))
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN_DIR / "certify_check_seed7.json").read_text()
 
     def test_certify_rejects_rotation_pair(self, write_config, capsys):
         cfg = base_config()
