@@ -58,6 +58,7 @@ from .periodic_points import (
 )
 from .symbolic import SequenceModel, _rng, _seed, model_from_json
 from .synchronization import (
+    MAX_LEVEL,
     START_LEVEL,
     CoverSearchExhausted,
     NoMinimalGenerator,
@@ -89,14 +90,8 @@ def _cell(v) -> str:
 
 
 def csv_text(header: list[str], columns: list) -> str:
-    """CSV text of equally long columns under a header line.  Each column
-    gets one formatter: `str` if every cell is an int, `repr` if every cell
-    is a Python float, else `_cell`; all three give `_cell`'s bytes."""
-    cells = []
-    for col in columns:
-        kinds = set(map(type, col))
-        fmt = str if kinds <= {int} else repr if kinds <= {float} else _cell
-        cells.append(map(fmt, col))
+    """CSV text of equally long columns under a header line, each cell by `_cell`."""
+    cells = [map(_cell, col) for col in columns]
     return "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
 
 
@@ -157,8 +152,9 @@ def _seed_option(text: str) -> int:
 # of on its field; the largest in use is 200,000 letters.
 MAX_COUNT = 10**6
 _COUNT = _integer(1, MAX_COUNT)
-# detect_repellers refines from START_LEVEL and needs START_LEVEL + 3 levels.
-_M_LEVELS = _integer(START_LEVEL + 3)
+# detect_repellers refines from START_LEVEL and needs START_LEVEL + 3 levels;
+# past MAX_LEVEL the partition endpoints are no longer distinct floats.
+_M_LEVELS = _integer(START_LEVEL + 3, MAX_LEVEL)
 
 
 def _non_negative(value) -> float:
@@ -260,7 +256,11 @@ def _cmd_simulate_orbit(cfg: dict, seed: int) -> tuple[str, int]:
     ifs = _ifs_of(cfg)
     letters = _model_of(cfg).sample_matrix(1, p["length"], seed)[0].tolist()
     points = orbit_to_csv_rows(ifs, letters, p["x"])
-    return csv_text(["n", "letter", "point"], [range(1, p["length"] + 1), letters, points]), 0
+    # One f-string per row: repr of a Python float and the letter's ",a,"
+    # from a table give `csv_text`'s bytes at a fraction of its cost.
+    tag = [f",{a}," for a in range(ifs.k + 1)]
+    rows = [f"{n}{tag[a]}{x!r}\n" for n, a, x in zip(range(1, p["length"] + 1), letters, points)]
+    return "n,letter,point\n" + "".join(rows), 0
 
 
 def _cmd_estimate_minimality(cfg: dict, seed: int) -> tuple[str, int]:

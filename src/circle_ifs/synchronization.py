@@ -38,6 +38,9 @@ THETA_GROW = 0.9
 # detect_repellers starts from 2^START_LEVEL arcs and declares the branch
 # unpolarized when more than MAX_CANDIDATES arcs keep growing.
 START_LEVEL = 3
+# Deepest refinement level: the level-52 endpoints 1/3 + i/2^52 are distinct
+# float64 values, deeper ones collide.
+MAX_LEVEL = 52
 MAX_CANDIDATES = 64
 MAJORITY = 0.8  # share of antonov_classify's seeds that must agree on ell
 COVER_R_MAX = 10_000  # inverse iterates that covering_count tries
@@ -195,8 +198,8 @@ def detect_repellers(ifs: IFS, w: WordLike, m_levels: int = 12) -> RepellerEstim
     residual is the final arc length 2^-m_levels.
     """
     word = w if isinstance(w, Word) else Word(_letters(w), ifs.k)
-    if m_levels < START_LEVEL + 3:
-        raise ValueError("m_levels must exceed START_LEVEL + 2")
+    if not START_LEVEL + 3 <= m_levels <= MAX_LEVEL:
+        raise ValueError(f"m_levels must be in {START_LEVEL + 3}..{MAX_LEVEL}")
     cache: dict[float, float] = {}
     memo: dict = {}  # float tails of `word`, shared by every walk
 

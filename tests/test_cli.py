@@ -9,6 +9,7 @@ import pytest
 from circle_ifs import cli
 from circle_ifs.circle_maps import MAX_POWER, ConvergenceFailure
 from circle_ifs.cli import csv_text, main
+from circle_ifs.ifs_core import orbit_to_csv_rows
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -155,6 +156,11 @@ class TestConfigValidation:
         ("simulate-orbit", {"length": True}, "length"),
         ("simulate-orbit", {"length": "3"}, "length"),
         ("detect-repellers", {"m_levels": 6.5}, "m_levels"),
+        # Past MAX_LEVEL (52) the partition endpoints collide as floats.
+        ("detect-repellers", {"m_levels": 53}, "m_levels"),
+        ("detect-repellers", {"m_levels": 100_000}, "m_levels"),
+        ("classify", {"m_levels": 53}, "m_levels"),
+        ("classify", {"m_levels": 100_000}, "m_levels"),
         ("classify", {"n_pairs": False}, "n_pairs"),
         ("estimate-minimality", {"eps": True}, "eps"),
         ("estimate-minimality", {"eps": "0.1"}, "eps"),
@@ -286,6 +292,25 @@ class TestSimulateOrbit:
         assert err == (
             f"config error: params.length: must be an integer in 0..{cli.MAX_COUNT}, got {length}\n"
         )
+
+    @pytest.mark.parametrize("length", [0, 1, 2, 1000])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_rows_match_column_writer(self, write_config, capsys, k, length):
+        # The handler's one f-string per row against csv_text over the
+        # same columns, the writer it replaced.
+        generators = [
+            {"kind": "rotation", "alpha": GOLDEN},
+            {"kind": "inverse", "base": SINE},
+            {"kind": "power", "base": SINE, "exponent": 2},
+        ][:k]
+        cfg = dict(base_config(length=length, x=0.123), generators=generators,
+                   model={"kind": "bernoulli", "weights": [1.0 / k] * k})
+        code, out, _ = run_cli(capsys, "simulate-orbit", "--config", write_config(cfg))
+        assert code == 0
+        letters = cli._model_of(cfg).sample_matrix(1, length, 7)[0].tolist()
+        points = orbit_to_csv_rows(cli._ifs_of(cfg), letters, 0.123)
+        assert len(set(letters)) == min(k, length)
+        assert out == csv_text(["n", "letter", "point"], [range(1, length + 1), letters, points])
 
     def test_integral_float_length_is_an_integer(self, write_config, capsys):
         _, out_int, _ = run_cli(capsys, "simulate-orbit", "--config",
@@ -646,10 +671,11 @@ class TestDeterminism:
         assert code == 0
         assert out == (GOLDEN_DIR / "certify_check_seed7.json").read_text()
 
-    @pytest.mark.parametrize("model", ["coin", "markov"])
+    @pytest.mark.parametrize("model", ["coin", "markov", "kinds"])
     def test_simulate_orbit_matches_golden_bytes(self, capsys, model):
-        # The reference bytes come from per-row tuples formatted cell by
-        # cell; the column-wise writer must reproduce them exactly.
+        # The reference bytes come from the per-cell writers that the
+        # handler's one f-string per row replaced; it must reproduce them
+        # exactly.  "kinds" has three letters, an Inverse and a Power.
         code, out, _ = run_cli(
             capsys, "simulate-orbit", "--config", str(GOLDEN_DIR / f"orbit_{model}_seed7.json")
         )

@@ -16,6 +16,7 @@ from circle_ifs.circle_maps import (
 from circle_ifs.ifs_core import IFS, branch_lift_array
 from circle_ifs.symbolic import BernoulliModel, MarkovMinorizedModel, Word, _rng
 from circle_ifs.synchronization import (
+    MAX_LEVEL,
     PARTITION_OFFSET,
     NoMinimalGenerator,
     RepellerEstimate,
@@ -108,6 +109,12 @@ class TestDetectRepellers:
         assert len(est.points) == 1
         assert abs(float(est.points[0]) - 0.5) < 1e-6
         assert est.residual == 2.0**-22
+
+    @pytest.mark.parametrize("m_levels", [5, MAX_LEVEL + 1, 100_000])
+    def test_levels_outside_range_rejected(self, golden_sine, m_levels):
+        # Past MAX_LEVEL the partition endpoints collide as floats.
+        with pytest.raises(ValueError, match="m_levels"):
+            detect_repellers(golden_sine, Word((2,) * 50, 2), m_levels=m_levels)
 
     def test_all_rotations_raise_unpolarized(self, rotations):
         with pytest.raises(Unpolarized):
