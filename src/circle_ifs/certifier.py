@@ -818,10 +818,7 @@ def _bfs_arc_to_target(ifs: IFS, lo: float, span: float, goal: Arc) -> tuple[int
     pruning only; the goal test always uses the exact tracked endpoints, so
     any returned word is valid.
     """
-    def is_goal(state_lo: float, state_span: float) -> bool:
-        return (state_lo - goal.start) % 1.0 + state_span <= goal.length
-
-    if is_goal(lo, span):
+    if goal.contains_span(lo, span):
         return ()
     quantum = 1 << 21
     seen = {(round(lo * quantum), round(span * quantum))}
@@ -836,7 +833,7 @@ def _bfs_arc_to_target(ifs: IFS, lo: float, span: float, goal: Arc) -> tuple[int
             new_span = float(g.lift(cur_lo + cur_span)) - new_lo_lift
             new_lo = new_lo_lift % 1.0
             new_word = word + (a,)
-            if is_goal(new_lo, new_span):
+            if goal.contains_span(new_lo, new_span):
                 return new_word
             key = (round(new_lo * quantum), round(new_span * quantum))
             if key in seen:

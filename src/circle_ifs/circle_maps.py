@@ -193,6 +193,10 @@ class Arc:
     def contains_array(self, xs: FloatLike) -> np.ndarray:
         return np.mod(np.asarray(xs, dtype=float) - self.start, 1.0) < self.length
 
+    def contains_span(self, lo: float, length: float) -> bool:
+        """Whether the lifted span [lo, lo + length] lies inside the closed arc."""
+        return (lo - self.start) % 1.0 + length <= self.length
+
     def shrunk(self, margin: float) -> "Arc":
         if 2.0 * margin >= self.length:
             raise ValueError("margin swallows the arc")

@@ -152,6 +152,9 @@ def _seed_option(text: str) -> int:
 # of on its field; the largest in use is 200,000 letters.
 MAX_COUNT = 10**6
 _COUNT = _integer(1, MAX_COUNT)
+# Largest letter matrix sized by two counts (n_pairs x sync_horizon, n_trials
+# x max(n_grid)); 10^4 x 10^4 Bernoulli letters peak near 1 GB of memory.
+MAX_CELLS = 10**8
 # detect_repellers refines from START_LEVEL and needs START_LEVEL + 3 levels;
 # past MAX_LEVEL the partition endpoints are no longer distinct floats.
 _M_LEVELS = _integer(START_LEVEL + 3, MAX_LEVEL)
@@ -192,6 +195,12 @@ def _n_grid(value) -> list[int] | None:
     if grid == []:
         raise ValueError("must be a non-empty array")
     return grid
+
+
+def _bound_cells(p: dict, rows: str, columns: int) -> None:
+    """Reject p[rows] x columns letter cells above MAX_CELLS, at params.<rows>."""
+    if p[rows] * columns > MAX_CELLS:
+        raise _FieldError(f"params.{rows}", f"{p[rows]} x {columns} letters exceeds {MAX_CELLS} cells")
 
 
 def _perturbable(value) -> str:
@@ -276,7 +285,9 @@ def _cmd_estimate_minimality(cfg: dict, seed: int) -> tuple[str, int]:
 
 
 def _cmd_classify(cfg: dict, seed: int) -> tuple[str, int]:
-    result = antonov_classify(_ifs_of(cfg), _model_of(cfg), seed=seed, **_params(cfg, "classify"))
+    p = _params(cfg, "classify")
+    _bound_cells(p, "n_pairs", p["sync_horizon"])
+    result = antonov_classify(_ifs_of(cfg), _model_of(cfg), seed=seed, **p)
     return canonical_json(result.to_json()), 0
 
 
@@ -289,6 +300,8 @@ def _cmd_detect_repellers(cfg: dict, seed: int) -> tuple[str, int]:
 
 def _cmd_tail_bound(cfg: dict, seed: int) -> tuple[str, int]:
     p = _params(cfg, "tail-bound")
+    if p["n_grid"] is not None:
+        _bound_cells(p, "n_trials", max(p["n_grid"]))
     ifs = _ifs_of(cfg)
     if p["minimal_index"] >= ifs.k:  # k comes from the config
         raise _FieldError("params.minimal_index", f"must be in 0..{ifs.k - 1}")

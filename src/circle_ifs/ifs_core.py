@@ -12,7 +12,7 @@ from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from .circle_maps import SCALAR_VALUES, CirclePoint, LiftMap, circle_distance_array
+from .circle_maps import SCALAR_VALUES, CirclePoint, Composition, LiftMap, circle_distance_array
 from .symbolic import Word
 
 WordLike = Union[Word, Sequence[int]]
@@ -62,6 +62,10 @@ class IFS:
         """The IFS of the inverse maps (semigroup of inverses)."""
         lbl = f"{self.label}^-1" if self.label else ""
         return IFS([g.inverse() for g in self.generators], label=lbl)
+
+    def branch(self, letters: Sequence[int]) -> Composition:
+        """The branch map f_{w_n} o ... o f_{w_1} of a word (first letter first)."""
+        return Composition([self.generators[a - 1] for a in reversed(letters)])
 
 
 def branch_apply(ifs: IFS, w: WordLike, x: float) -> CirclePoint:

@@ -25,7 +25,6 @@ from typing import Iterator, Sequence
 from .circle_maps import (
     Arc,
     CirclePoint,
-    Composition,
     Inverse,
     _classify,
     circle_distance,
@@ -245,11 +244,7 @@ def find_contracted_fixed_arc(
             lo = u_arc.start
             hi = u_arc.start + u_arc.length
             img_lo = _word_lift(ifs, prefix.letters, lo)
-            img_hi = _word_lift(ifs, prefix.letters, hi)
-            img_len = img_hi - img_lo
-            rel = (img_lo - lo) % 1.0
-            inside = rel + img_len <= u_arc.length and img_len < u_arc.length
-            if not inside:
+            if not u_arc.contains_span(img_lo, _word_lift(ifs, prefix.letters, hi) - img_lo):
                 continue
             q = _bisect_fixed_point(ifs, prefix.letters, lo, hi)
             q = _banach_polish(ifs, prefix.letters, q)
@@ -281,8 +276,7 @@ def _mild_prefix_attractor(ifs: IFS, w_full: Word) -> Attractor | None:
         if j > len(w_full):
             break
         prefix = w_full[:j]
-        comp = Composition([ifs.generators[a - 1] for a in reversed(prefix.letters)])
-        fps = find_fixed_points(comp, 1024)
+        fps = find_fixed_points(ifs.branch(prefix.letters), 1024)
         for fp in fps:
             if fp.stability != "attracting" or not MILD_BAND[0] <= fp.derivative <= MILD_BAND[1]:
                 continue
@@ -292,12 +286,9 @@ def _mild_prefix_attractor(ifs: IFS, w_full: Word) -> Attractor | None:
             basin = _attracted_interval(ifs, prefix, q, Arc(q - 0.25, 0.5))
             if basin.length < MIN_BASIN:
                 continue
-            lo = basin.start
-            hi = basin.start + basin.length
-            img_lo = _word_lift(ifs, prefix.letters, lo)
-            img_hi = _word_lift(ifs, prefix.letters, hi)
-            rel = (img_lo - lo) % 1.0
-            if rel + (img_hi - img_lo) > basin.length:
+            img_lo = _word_lift(ifs, prefix.letters, basin.start)
+            img_hi = _word_lift(ifs, prefix.letters, basin.start + basin.length)
+            if not basin.contains_span(img_lo, img_hi - img_lo):
                 continue
             return Attractor(
                 word=prefix,
@@ -325,8 +316,7 @@ def _complement_components(brackets: list[Arc]) -> list[Arc]:
 def _attracted_interval(ifs: IFS, word: Word, q: float, fallback: Arc) -> Arc:
     """Open interval around q attracted to it under the word composition,
     bounded by the neighboring fixed points."""
-    comp = Composition([ifs.generators[a - 1] for a in reversed(word.letters)])
-    fps = find_fixed_points(comp, 2048)
+    fps = find_fixed_points(ifs.branch(word.letters), 2048)
     others = sorted(
         float(fp.point) for fp in fps if circle_distance(float(fp.point), q) > 1e-6
     )
@@ -412,7 +402,7 @@ def periodic_in_interval(
             break
         lo = _word_lift(ifs, f_word, target.start)
         hi = _word_lift(ifs, f_word, target.start + target.length)
-        if hi - lo >= 1.0:
+        if not 0.0 < hi - lo < 1.0:
             continue
         image = Arc(lo % 1.0, hi - lo)
         overlap = _arc_intersection(image, basin)
@@ -481,11 +471,8 @@ def _delta_for(
     delta = min(0.25 * v_arc.length, 0.5 * edge)
     for _ in range(40):
         lo = _word_lift(ifs, g_word, a - delta)
-        hi = _word_lift(ifs, g_word, a + delta)
-        if hi - lo < v_arc.length:
-            rel = (lo % 1.0 - v_arc.start) % 1.0
-            if rel + (hi - lo) <= v_arc.length:
-                return delta
+        if v_arc.contains_span(lo, _word_lift(ifs, g_word, a + delta) - lo):
+            return delta
         delta *= 0.5
         if delta < 1e-12:
             break
@@ -501,9 +488,9 @@ def _pull_in_iterations(
     delta: float,
 ) -> int | None:
     lo, hi = lo_lift, hi_lift
+    window = Arc(a - delta, 2.0 * delta)
     for m in range(M_CAP + 1):
-        rel = (lo % 1.0 - (a - delta)) % 1.0
-        if rel + (hi - lo) <= 2.0 * delta:
+        if window.contains_span(lo, hi - lo):
             return m
         lo = _word_lift(ifs, g_letters, lo)
         hi = _word_lift(ifs, g_letters, hi)

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .circle_maps import (Arc, CirclePoint, Composition, LiftMap, circle_distance_array,
+from .circle_maps import (Arc, CirclePoint, LiftMap, circle_distance_array,
                           find_fixed_points)
 from .ifs_core import (IFS, SYNC_CHECK, WordLike, _letters, _walk_step,
                        branch_lift_array, minimality_estimate)
@@ -451,9 +451,7 @@ def hitting_tail_check(
     A trial stops walking once it has hit the target.
     """
     if minimal_word is not None:
-        h: LiftMap = Composition(
-            [ifs.generators[a - 1] for a in reversed(minimal_word.letters)]
-        )
+        h: LiftMap = ifs.branch(minimal_word.letters)
         s = len(minimal_word)
     else:
         h = ifs.generators[minimal_index]

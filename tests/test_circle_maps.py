@@ -70,6 +70,27 @@ class TestArc:
         assert contains_arc(outer, Arc(0.95, 0.2))
         assert not contains_arc(outer, Arc(0.2, 0.2))
 
+    def test_contains_span_closed_ends(self):
+        arc = Arc(0.875, 0.25)  # dyadic endpoints: every sum below is exact
+        assert arc.contains_span(0.875, 0.25)  # ends exactly at the arc's end
+        assert arc.contains_span(0.875, 0.0)  # zero length at the start
+        assert not arc.contains_span(0.875, 0.25 + 2.0**-20)
+        assert not arc.contains_span(0.75, 0.125)  # ends at the arc's start
+
+    def test_contains_span_wrapping_past_one(self):
+        arc = Arc(0.875, 0.25)
+        assert arc.contains_span(0.9375, 0.1875)  # [0.9375, 1.125]
+        assert not arc.contains_span(0.9375, 0.25)
+        assert Arc(0.25, 0.5).contains_span(0.5, 0.25)
+        assert not Arc(0.25, 0.5).contains_span(0.9375, 0.125)  # [0.9375, 1.0625]
+
+    @pytest.mark.parametrize("turns", [-3, -1, 1, 4])
+    def test_contains_span_ignores_whole_turns(self, turns):
+        arc = Arc(0.875, 0.25)
+        assert arc.contains_span(0.9375 + turns, 0.1875)
+        assert arc.contains_span(0.875 + turns, 0.25)
+        assert not arc.contains_span(0.5 + turns, 0.125)
+
 
 class TestEval:
     def test_rotation_is_translation(self):

@@ -182,6 +182,13 @@ class TestConfigValidation:
         # A certificate's exponents stop at MAX_POWER, and so does the search.
         ("certify", {"n_max": MAX_POWER + 1}, "n_max"),
         ("classify", {"n_pairs": cli.MAX_COUNT + 1}, "n_pairs"),
+        # A product of two counts sizes one letter matrix: at most MAX_CELLS.
+        ("classify", {"n_pairs": 10**6, "sync_horizon": 10**6}, "n_pairs"),
+        ("classify", {"n_pairs": 10**4 + 1, "sync_horizon": 10**4}, "n_pairs"),
+        ("tail-bound", {"target": TARGET, "n_trials": 10**6, "n_grid": [10**6]}, "n_trials"),
+        ("tail-bound", {"target": TARGET, "n_trials": 10**4, "n_grid": [5, 10**4 + 1]}, "n_trials"),
+        ("perturb", {"size": 0, "command": "classify",
+                     "params": {"n_pairs": 10**6, "sync_horizon": 10**6}}, "params.n_pairs"),
         ("tail-bound", {"target": TARGET, "n_grid": [5, cli.MAX_COUNT + 1]}, "n_grid"),
         ("perturb", {"size": 0, "command": "detect-repellers", "perturb_seed": True}, "perturb_seed"),
         ("perturb", {"size": 0, "command": "detect-repellers", "perturb_seed": "3"}, "perturb_seed"),
@@ -241,8 +248,23 @@ class TestConfigValidation:
         assert out == ""
         assert err == "config error: params.params.lenght: not a parameter of detect-repellers\n"
 
+    def test_cell_bound_is_inclusive(self):
+        cli._bound_cells({"n_pairs": 10**4}, "n_pairs", cli.MAX_CELLS // 10**4)
+        with pytest.raises(ValueError, match="params.n_pairs"):
+            cli._bound_cells({"n_pairs": 10**4}, "n_pairs", cli.MAX_CELLS // 10**4 + 1)
+
 
 class TestExitCodes:
+    @pytest.mark.parametrize("length", [1e-15, 1e-16, 1e-300])
+    def test_find_periodic_on_a_tiny_target_exits_3(self, write_config, capsys, length):
+        # A contracting transport word maps both ends of such a target to
+        # one float; that image is skipped, not built as a zero-length arc.
+        cfg = json.loads((GOLDEN_DIR / "golden_sine_target_seed7.json").read_text())
+        cfg["params"]["target"]["length"] = length
+        code, out, err = run_cli(capsys, "find-periodic", "--config", write_config(cfg))
+        assert (code, out) == (3, "")
+        assert err == "search exhausted: [stage F] no image of the target met the basin\n"
+
     def test_convergence_failure_exits_3(self, write_config, capsys, monkeypatch):
         def failing(cfg, seed):
             raise ConvergenceFailure("inverse_lift did not converge")
@@ -530,12 +552,13 @@ class TestDeterminism:
         # The reference bytes come from vectorized inverse solves and
         # direct-displacement bisection; the scalar solves and forward-map
         # bisection must reproduce them exactly.  Repelling residuals are
-        # those of the point the Newton polish stops at.
-        code, out, _ = run_cli(
-            capsys, "density-sweep", "--config", str(GOLDEN_DIR / "density_sweep_mesh4_seed7.json")
-        )
-        assert code == 0
-        assert out == (GOLDEN_DIR / "density_sweep_mesh4_seed7.csv").read_text()
+        # those of the point the Newton polish stops at.  Mesh 20 is the
+        # benchmark's sweep.
+        for mesh in (4, 20):
+            name = f"density_sweep_mesh{mesh}_seed7"
+            code, out, _ = run_cli(capsys, "density-sweep", "--config", str(GOLDEN_DIR / f"{name}.json"))
+            assert code == 0
+            assert out == (GOLDEN_DIR / f"{name}.csv").read_text()
 
     @pytest.mark.parametrize("command, config, golden", [
         ("density-sweep", "density_sweep_mesh4_seed7.json", "density_sweep_mesh4_seed7.csv"),

@@ -1,8 +1,9 @@
 """Property tests for the lift invariants over random nested maps, for the
 scalar sine path against numpy's, for the float-in, float-out scalar paths
 of every map kind, for a composition's step table against the per-factor
-loop, for certificate JSON round trips, and for the column-wise CSV
-writer against the per-row writer it replaced.
+loop, for certificate JSON round trips, for the column-wise CSV writer
+against the per-row writer it replaced, and for `Arc.contains_span`
+against the arc-in-arc test of the tests.
 
 Maps are trees of depth <= 2 over rotations and sine maps, whose inner
 nodes compose two maps, raise one to a power |n| <= 2 or invert it.  A
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from circle_ifs.certifier import (  # noqa: E402
@@ -37,6 +38,7 @@ from circle_ifs.circle_maps import (  # noqa: E402
     SinePerturbed,
 )
 from circle_ifs.cli import canonical_json, csv_text  # noqa: E402
+from word_helpers import contains_arc  # noqa: E402
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -92,6 +94,19 @@ def test_lift_deriv_against_central_difference(f, x):
     values, ds = f.lift_deriv(xs)
     assert ds.shape == xs.shape
     assert np.array_equal(values, f.lift(xs))
+
+
+@PROPERTY
+@given(st.floats(0.0, 1.0, exclude_max=True), st.floats(0.01, 0.99),
+       st.floats(0.0, 1.0, exclude_max=True), st.floats(0.0, 1.0, exclude_min=True),
+       st.integers(-3, 3))
+def test_contains_span_matches_contains_arc(start, length, lo, span, turns):
+    # Any lift of the inner arc's start gives the same answer.  Near the
+    # boundary, or where the offset wraps, the two roundings may differ.
+    outer, inner = Arc(start, length), Arc(lo, span)
+    offset = (inner.start - outer.start) % 1.0
+    assume(min(offset, 1.0 - offset, abs(offset + span - length)) > 1e-12)
+    assert outer.contains_span(inner.start + turns, span) == contains_arc(outer, inner)
 
 
 def _bits(v):
