@@ -20,7 +20,12 @@ plain floats or numpy arrays.  A Python float given to a sine map's `lift`,
 `deriv`, `lift_deriv` or `inverse_lift` is evaluated with `math.sin` and
 `math.cos` instead of numpy's: the same operations in the same order, so the
 bits match as long as numpy's float64 sin and cos agree with the platform
-libm (a property test checks this on every host that runs the suite).
+libm (a property test checks this on every host that runs the suite).  The
+scalar word walks of `ifs_core` do not call these methods for a rotation or
+sine generator: they evaluate x + alpha, and x + a + (b/w) sin(w x) with
+derivative 1 + b cos(w x), inline from the IFS's step table, with the
+methods' operations in the same order on the same stored floats, so the bits
+are the methods' (a property test compares the walks letter by letter).
 
 `lift_deriv(x)` returns (F(x), DF(x)) from one pass and is the one chain-rule
 evaluator: `deriv` of a Composition, Power or Inverse is its second component.
@@ -53,11 +58,15 @@ TOL_NEUTRAL = 1e-6
 MAX_POWER = 10_000  # largest |exponent| a JSON power map may have; a lift loops that often
 # Batches of SCALAR_VALUES points or fewer are cheaper walked one Python float
 # at a time than as numpy arrays (ifs_core.branch_lift_array's float tails,
-# certifier._power_chain).  It is where one array lift's fixed cost meets that
-# many scalar lifts: on a 2-vCPU Xeon, perfbench's L0 block reads about 130 ns
-# per scalar sine lift (`sine.lift.ns_per_point.scalar`), while an array sine
-# lift on 1 to 16 points takes about 2.5 us, nearly all of it fixed (`.array`
-# reads about 12 ns a point at 1024 points).
+# certifier._power_chain).  On a 2-vCPU Xeon an array lift on 1 to 16 points
+# is nearly all fixed cost: about 2.6 us for a sine map and 0.7 us for a
+# rotation (perfbench's L0 `sine.lift.ns_per_point.array` reads about 12 ns a
+# point at 1024 points), so about 1.7 us a letter of a fair-coin golden-sine
+# word.  A float tail steps rotation and sine letters inline, at 75 to 85 ns a
+# letter per point, so the tails alone would break even near 20 points.  The
+# value stays 16 because the power chains share it and take no inline step:
+# they call each map's `lift` or `lift_deriv`, about 130 ns per scalar sine
+# lift (`sine.lift.ns_per_point.scalar`).
 SCALAR_VALUES = 16
 
 

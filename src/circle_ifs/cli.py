@@ -58,6 +58,7 @@ from .periodic_points import (
 )
 from .symbolic import SequenceModel, _rng, _seed, model_from_json
 from .synchronization import (
+    MAX_CELLS,
     MAX_LEVEL,
     START_LEVEL,
     CoverSearchExhausted,
@@ -152,9 +153,6 @@ def _seed_option(text: str) -> int:
 # of on its field; the largest in use is 200,000 letters.
 MAX_COUNT = 10**6
 _COUNT = _integer(1, MAX_COUNT)
-# Largest letter matrix sized by two counts (n_pairs x sync_horizon, n_trials
-# x max(n_grid)); 10^4 x 10^4 Bernoulli letters peak near 1 GB of memory.
-MAX_CELLS = 10**8
 # detect_repellers refines from START_LEVEL and needs START_LEVEL + 3 levels;
 # past MAX_LEVEL the partition endpoints are no longer distinct floats.
 _M_LEVELS = _integer(START_LEVEL + 3, MAX_LEVEL)
@@ -300,12 +298,14 @@ def _cmd_detect_repellers(cfg: dict, seed: int) -> tuple[str, int]:
 
 def _cmd_tail_bound(cfg: dict, seed: int) -> tuple[str, int]:
     p = _params(cfg, "tail-bound")
-    if p["n_grid"] is not None:
-        _bound_cells(p, "n_trials", max(p["n_grid"]))
     ifs = _ifs_of(cfg)
     if p["minimal_index"] >= ifs.k:  # k comes from the config
         raise _FieldError("params.minimal_index", f"must be in 0..{ifs.k - 1}")
-    report = hitting_tail_check(ifs, _model_of(cfg), seed=seed, **p)
+    # hitting_tail_check bounds n_trials x max(n_grid), at params.n_trials once ell is known.
+    try:
+        report = hitting_tail_check(ifs, _model_of(cfg), seed=seed, **p)
+    except _FieldError as exc:
+        raise _FieldError(f"params.{exc.path}", exc.reason) from exc
     text = csv_text(["n", "empirical_miss", "bound", "stderr"], report.to_csv_columns())
     return text, 0 if report.dominated else 2
 

@@ -6,13 +6,15 @@ generator for w_1 first, i.e. the branch is f_{w_n} o ... o f_{w_1}.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from .circle_maps import SCALAR_VALUES, CirclePoint, Composition, LiftMap, circle_distance_array
+from .circle_maps import (SCALAR_VALUES, CirclePoint, Composition, LiftMap, Rotation,
+                          SinePerturbed, circle_distance_array)
 from .symbolic import Word
 
 WordLike = Union[Word, Sequence[int]]
@@ -27,11 +29,11 @@ FRONTIER_CAP = 50_000
 
 # branch_lift_array merges bitwise-equal points before every SYNC_CHECK-th
 # letter, and once circle_maps.SCALAR_VALUES or fewer remain walks each on
-# Python floats (one Python call per letter) until it meets a walked one at
-# such a letter; synchronization.sync_fraction drops its merged pairs at the
-# same letters.  A merge costs one sort of the walked values.  Tails that
-# meet merge through the memo at block boundaries, so walking 16 values on
-# floats loses no merging.
+# Python floats (`_word_lift`, inline for rotation and sine letters) until it
+# meets a walked one at such a letter; synchronization.sync_fraction drops its
+# merged pairs at the same letters.  A merge costs one sort of the walked
+# values.  Tails that meet merge through the memo at block boundaries, so
+# walking 16 values on floats loses no merging.
 SYNC_CHECK = 64
 
 
@@ -41,9 +43,33 @@ def _letters(w: WordLike) -> tuple[int, ...]:
     return tuple(int(a) for a in w)
 
 
+def _scalar_step(g: LiftMap) -> tuple:
+    """g's entry (shift, bw, freq, b, other) in an IFS's scalar step table.
+
+    A rotation is (alpha, None, None, None, None) and a sine map
+    (a, b/w, w, b, None): the scalar walks step them inline with the
+    operations of `Rotation.lift` and `SinePerturbed.lift_deriv`, so the
+    bits are the methods'.  Any other kind is (None, None, None, None, g),
+    stepped by its own `lift` or `lift_deriv`; a composition of rotations
+    is not folded into one shift, since (x + b) + a is not x + (a + b).
+    A plain tuple: a NamedTuple unpacks through the iterator protocol,
+    which costs more than the step.
+    """
+    if type(g) is Rotation:
+        return (g.alpha, None, None, None, None)
+    if type(g) is SinePerturbed:
+        return (g.a, g._bw, g._w, g.b, None)
+    return (None, None, None, None, g)
+
+
 @dataclass(frozen=True)
 class IFS:
-    """Finitely many orientation-preserving circle homeomorphisms."""
+    """Finitely many orientation-preserving circle homeomorphisms.
+
+    Construction also builds the scalar step table `_steps`, one
+    `_scalar_step` per letter 1..k (entry 0 is None); the maps are
+    immutable, so it never changes.
+    """
 
     generators: tuple[LiftMap, ...]
     label: str = ""
@@ -53,6 +79,7 @@ class IFS:
         object.__setattr__(self, "label", label)
         if len(self.generators) < 1:
             raise ValueError("an IFS needs at least one generator")
+        object.__setattr__(self, "_steps", (None, *map(_scalar_step, self.generators)))
 
     @property
     def k(self) -> int:
@@ -92,14 +119,16 @@ def branch_lift_array(ifs: IFS, w: WordLike, xs: np.ndarray, memo: dict | None =
     `memo` (fresh if omitted; one per (ifs, w)) maps every (block offset,
     bit pattern) that a float tail passed to its final lift, so a tail that
     meets a walked one stops.  Every lift and inverse solve is elementwise,
-    so equal points stay equal and the result is the per-letter array
-    loop's bit for bit, given that scalar sine lifts match numpy's.
+    so equal points stay equal, and the float tails (`_word_lift`) step
+    rotations and sine maps inline with the operations of their `lift`: the
+    result is the per-letter array loop's bit for bit, given that scalar
+    sine lifts match numpy's.
     """
     memo = {} if memo is None else memo
     vals = np.asarray(xs, dtype=float)
     walked = vals.ravel()
     where = np.arange(walked.size)  # index into `walked` of each input point
-    lifts = (None, *(g.lift for g in ifs.generators))  # indexed by letter 1..k
+    gens = ifs.generators
     letters = _letters(w)
     for start in range(0, len(letters), SYNC_CHECK):
         keys, merged = np.unique(walked.view(np.int64), return_inverse=True)
@@ -108,7 +137,7 @@ def branch_lift_array(ifs: IFS, w: WordLike, xs: np.ndarray, memo: dict | None =
             walked = np.array([_float_tail(ifs, letters, start, v, memo) for v in walked.tolist()])
             break
         for a in letters[start : start + SYNC_CHECK]:
-            walked = lifts[a](walked)
+            walked = gens[a - 1].lift(walked)
     return walked[where].reshape(vals.shape)
 
 
@@ -127,11 +156,19 @@ def _float_tail(ifs: IFS, letters: tuple[int, ...], start: int, x: float, memo: 
 
 def _word_lift(ifs: IFS, letters: Sequence[int], x: float) -> float:
     """f_{w_n} o ... o f_{w_1} on the lift at one point, without mod: x is
-    coerced to a Python float once, and every generator lift keeps it one."""
-    lifts = (None, *(g.lift for g in ifs.generators))  # indexed by letter 1..k
+    coerced to a Python float once, and every step keeps it one.  Rotation
+    and sine letters are stepped inline from `ifs._steps`, with no Python
+    call but `math.sin`; any other letter calls its generator's `lift`."""
+    steps, sin = ifs._steps, math.sin
     x = float(x)
     for a in letters:
-        x = lifts[a](x)
+        shift, bw, freq, _, other = steps[a]
+        if bw is not None:
+            x = x + shift + bw * sin(freq * x)
+        elif other is None:
+            x = x + shift
+        else:
+            x = other.lift(x)
     return x
 
 
@@ -152,13 +189,25 @@ def _walk_step(gens: Sequence[LiftMap], pos: np.ndarray, col: np.ndarray) -> Non
 
 
 def branch_deriv(ifs: IFS, w: WordLike, x: float) -> float:
-    """Chain-rule derivative of the branch at x, one `lift_deriv` per letter."""
+    """Chain-rule derivative of the branch at x, reducing mod 1 after each
+    letter.  Rotation and sine letters are stepped inline from `ifs._steps`
+    (a rotation's derivative is 1 and leaves the product as it is); any
+    other letter calls its generator's `lift_deriv`."""
+    steps, sin, cos = ifs._steps, math.sin, math.cos
     pos = float(x) % 1.0
     total = 1.0
     for a in _letters(w):
-        lifted, d = ifs.generators[a - 1].lift_deriv(pos)
-        total *= float(d)
-        pos = lifted % 1.0
+        shift, bw, freq, b, other = steps[a]
+        if bw is not None:
+            wx = freq * pos
+            pos = (pos + shift + bw * sin(wx)) % 1.0
+            total *= 1.0 + b * cos(wx)
+        elif other is None:
+            pos = (pos + shift) % 1.0
+        else:
+            lifted, d = other.lift_deriv(pos)
+            total *= float(d)
+            pos = lifted % 1.0
     return total
 
 
@@ -323,9 +372,19 @@ def random_orbit_density(
 
 def orbit_to_csv_rows(ifs: IFS, w: WordLike, x: float) -> list[float]:
     """The point column [f^1(x), ..., f^n(x)] of an orbit dump along w, as
-    Python floats in [0, 1).  The one scalar walk: `branch_apply` runs on
-    it too."""
-    lifts = (None, *(g.lift for g in ifs.generators))  # indexed by letter 1..k
+    Python floats in [0, 1); `branch_apply` runs on it too.  Rotation and
+    sine letters are stepped inline from `ifs._steps`, as in `_word_lift`,
+    and the point is reduced mod 1 after each letter."""
+    steps, sin = ifs._steps, math.sin
     pos = float(x) % 1.0
-    letters = w.letters if isinstance(w, Word) else w
-    return [pos := float(lifts[a](pos)) % 1.0 for a in letters]
+    out = []
+    for a in w.letters if isinstance(w, Word) else w:
+        shift, bw, freq, _, other = steps[a]
+        if bw is not None:
+            pos = (pos + shift + bw * sin(freq * pos)) % 1.0
+        elif other is None:
+            pos = (pos + shift) % 1.0
+        else:
+            pos = float(other.lift(pos)) % 1.0
+        out.append(pos)
+    return out

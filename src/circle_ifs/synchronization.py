@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .circle_maps import (Arc, CirclePoint, LiftMap, circle_distance_array,
+from .circle_maps import (Arc, CirclePoint, LiftMap, _FieldError, circle_distance_array,
                           find_fixed_points)
 from .ifs_core import (IFS, SYNC_CHECK, WordLike, _letters, _walk_step,
                        branch_lift_array, minimality_estimate)
@@ -44,6 +44,9 @@ MAX_LEVEL = 52
 MAX_CANDIDATES = 64
 MAJORITY = 0.8  # share of antonov_classify's seeds that must agree on ell
 COVER_R_MAX = 10_000  # inverse iterates that covering_count tries
+# Largest letter matrix sized by two counts (n_pairs x sync_horizon, n_trials
+# x max(n_grid)); 10^4 x 10^4 Bernoulli letters peak near 1 GB of memory.
+MAX_CELLS = 10**8
 
 # Partition endpoints are offset by 1/3 so that dyadic repellers (such as a
 # fixed point at 1/2) stay interior to one arc at every refinement level.
@@ -446,9 +449,11 @@ def hitting_tail_check(
     The designated minimal map is a generator (s = 1) unless minimal_word
     supplies the word of a composite h, in which case s = |word| and
     ell = r*s counts letters.  Raises NoMinimalGenerator when the designated
-    map has a fixed point.
+    map has a fixed point.  The default grid is n = ell, 2 ell, ..., 10 ell.
 
-    A trial stops walking once it has hit the target.
+    The trials sample an n_trials x max(n_grid) letter matrix; one above
+    MAX_CELLS raises _FieldError at `n_trials` before any letter is
+    sampled.  A trial stops walking once it has hit the target.
     """
     if minimal_word is not None:
         h: LiftMap = ifs.branch(minimal_word.letters)
@@ -466,6 +471,8 @@ def hitting_tail_check(
     if not n_grid or n_grid[0] < 1:
         raise ValueError("n_grid entries must be >= 1")
     horizon = n_grid[-1]
+    if n_trials * horizon > MAX_CELLS:
+        raise _FieldError("n_trials", f"{n_trials} x {horizon} letters exceeds {MAX_CELLS} cells")
     if target.length >= 1.0:
         rows = tuple(
             TailBoundRow(n, 0.0, (1.0 - model.p**ell) ** (1 + n // ell), 0.0)

@@ -187,6 +187,8 @@ class TestConfigValidation:
         ("classify", {"n_pairs": 10**4 + 1, "sync_horizon": 10**4}, "n_pairs"),
         ("tail-bound", {"target": TARGET, "n_trials": 10**6, "n_grid": [10**6]}, "n_trials"),
         ("tail-bound", {"target": TARGET, "n_trials": 10**4, "n_grid": [5, 10**4 + 1]}, "n_trials"),
+        # The default grid reaches 10 ell = 15970 letters on a 1e-3 target.
+        ("tail-bound", {"target": {"start": 0.3, "length": 1e-3}, "n_trials": 10**6}, "n_trials"),
         ("perturb", {"size": 0, "command": "classify",
                      "params": {"n_pairs": 10**6, "sync_horizon": 10**6}}, "params.n_pairs"),
         ("tail-bound", {"target": TARGET, "n_grid": [5, cli.MAX_COUNT + 1]}, "n_grid"),

@@ -1,7 +1,8 @@
 """Property tests for the lift invariants over random nested maps, for the
 scalar sine path against numpy's, for the float-in, float-out scalar paths
 of every map kind, for a composition's step table against the per-factor
-loop, for certificate JSON round trips, for the column-wise CSV writer
+loop, for the scalar word walks of an IFS against per-letter method loops,
+for certificate JSON round trips, for the column-wise CSV writer
 against the per-row writer it replaced, and for `Arc.contains_span`
 against the arc-in-arc test of the tests.
 
@@ -38,6 +39,7 @@ from circle_ifs.circle_maps import (  # noqa: E402
     SinePerturbed,
 )
 from circle_ifs.cli import canonical_json, csv_text  # noqa: E402
+from circle_ifs.ifs_core import IFS, _word_lift, branch_deriv, orbit_to_csv_rows  # noqa: E402
 from word_helpers import contains_arc  # noqa: E402
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -193,6 +195,49 @@ def test_translation_deriv_is_exactly_one(f, x, xs):
     for arr in (np.array(xs), np.array(xs).reshape(-1, 1)):
         d = f.deriv(arr)
         assert d.shape == arr.shape and np.array_equal(d, np.ones(arr.shape))
+
+
+def reference_walks(gens, letters, x):
+    """`_word_lift`, `orbit_to_csv_rows` and `branch_deriv` as loops that
+    call each letter's `lift` and `lift_deriv`."""
+    lifted, pos, dpos, total = float(x), float(x) % 1.0, float(x) % 1.0, 1.0
+    rows = []
+    for a in letters:
+        g = gens[a - 1]
+        lifted = g.lift(lifted)
+        pos = float(g.lift(pos)) % 1.0
+        rows.append(pos)
+        value, d = g.lift_deriv(dpos)
+        total *= float(d)
+        dpos = value % 1.0
+    return lifted, rows, total
+
+
+# Every map kind, sine maps with b = 0 and two harmonics, and compositions
+# of rotations, which the walks must not fold into one shift.
+step_generators = st.one_of(
+    rotations,
+    sines,
+    st.builds(SinePerturbed, st.floats(-0.5, 0.5), st.just(0.0), st.just(2)),
+    st.lists(rotations, min_size=2, max_size=3).map(Composition),
+    maps,
+)
+
+
+@PROPERTY
+@given(st.lists(step_generators, min_size=1, max_size=4),
+       st.lists(st.integers(0, 99), max_size=24), points)
+# (0.7 + 0.2) + 0.1 is 0.9999999999999999, 0.7 + (0.1 + 0.2) is 1.0, and
+# (b / w) * w is not b at b = 0.4.
+@example([Composition([Rotation(0.1), Rotation(0.2)]), SinePerturbed(0.1, 0.0, 2),
+          SinePerturbed(0.05, 0.4)], [0, 1, 0, 1, 2, 2, 0, 2], 0.7)
+def test_scalar_walks_equal_per_letter_loops(gens, picks, x):
+    ifs = IFS(gens)
+    letters = [p % len(gens) + 1 for p in picks]
+    lifted, rows, total = reference_walks(gens, letters, x)
+    assert _bits(_word_lift(ifs, letters, x)) == _bits(lifted)
+    assert [_bits(v) for v in orbit_to_csv_rows(ifs, letters, x)] == [_bits(v) for v in rows]
+    assert _bits(branch_deriv(ifs, letters, x)) == _bits(total)
 
 
 reals = st.floats(allow_nan=False, allow_infinity=False)

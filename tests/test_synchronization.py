@@ -235,20 +235,19 @@ class TestSharedWalks:
 
     def test_golden_sine_at_ten_levels_walks_twice(self, golden_sine, fair_coin, monkeypatch):
         calls = []
-        scalar_lifts = []  # scalar sine lifts made by each walk
-        lift = SinePerturbed.lift
+        float_letters = []  # letters that each walk's float tails step
+        word_lift = ifs_core._word_lift
 
-        def counting_lift(self, x):
-            if np.ndim(x) == 0 and scalar_lifts:
-                scalar_lifts[-1] += 1
-            return lift(self, x)
+        def counting_word_lift(ifs, letters, x):
+            float_letters[-1] += len(letters)
+            return word_lift(ifs, letters, x)
 
         def counting(ifs, w, xs, memo=None):
             calls.append(xs.copy())
-            scalar_lifts.append(0)
+            float_letters.append(0)
             return branch_lift_array(ifs, w, xs, memo)
 
-        monkeypatch.setattr(SinePerturbed, "lift", counting_lift)
+        monkeypatch.setattr(ifs_core, "_word_lift", counting_word_lift)
         monkeypatch.setattr(synchronization, "branch_lift_array", counting)
         w = fair_coin.sample(5000, seed=0, stream=0)
         est = detect_repellers(golden_sine, w, m_levels=10)
@@ -257,9 +256,9 @@ class TestSharedWalks:
         assert len(calls[0]) == (1 << 7) + 1  # every level-7 endpoint in the first walk
         # The second walk's float tail meets the first walk's memo: the same
         # walk with a fresh memo walks its tail to the end on its own.
-        scalar_lifts.append(0)
+        float_letters.append(0)
         branch_lift_array(golden_sine, w, calls[1], {})
-        assert scalar_lifts[1] < scalar_lifts[2]
+        assert 0 < float_letters[1] < float_letters[2]
         calls.clear()
         detect_repellers_per_level(golden_sine, w, m_levels=10)
         assert len(calls) == 8
@@ -305,6 +304,18 @@ class TestHittingTail:
             hitting_tail_check(
                 golden_sine, fair_coin, Arc(0.3, 0.05), x=0.1, minimal_index=1
             )
+
+    def test_default_grid_above_max_cells_raises_before_sampling(
+        self, golden_sine, fair_coin, monkeypatch
+    ):
+        # ell = 1597 for a 1e-3 target, so the default grid reaches 15970
+        # letters and 10^6 trials would sample 1.6e10 cells.
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("letters sampled")
+
+        monkeypatch.setattr(fair_coin, "sample_matrix", no_sampling)
+        with pytest.raises(ValueError, match=r"^n_trials: 1000000 x 15970 letters exceeds"):
+            hitting_tail_check(golden_sine, fair_coin, Arc(0.3, 1e-3), x=0.1, n_trials=10**6)
 
     def test_full_circle_target_trivial(self, golden_sine, fair_coin):
         rep = hitting_tail_check(
