@@ -47,6 +47,7 @@ from .circle_maps import (
     _FieldError,
     _finite,
     _parsed,
+    _scalar_step,
     _string,
     circle_distance,
     find_fixed_points,
@@ -552,21 +553,27 @@ def certify_robust_minimality(
 
 
 def _power_chain(
-    f: LiftMap, pos: np.ndarray | float, deriv: np.ndarray | float | None,
-    exponents: Sequence[int],
-) -> dict[int, tuple[np.ndarray | float, np.ndarray | float | None]]:
-    """(f^n(pos), deriv * Df^n(pos)) for every requested n >= 0, one
-    `f.lift_deriv` per step of a single chain up to max(exponents), or one
-    `f.lift` if deriv is None.  A translation f just shifts pos.
+    f: LiftMap, pos: np.ndarray, deriv: np.ndarray | None, exponents: Sequence[int],
+) -> dict[int, tuple[np.ndarray, np.ndarray | None]]:
+    """(f^n(pos), deriv * Df^n(pos)) for every requested n >= 0, from a
+    single chain of steps up to max(exponents); lifts only if deriv is None.
+    A translation f just shifts pos.
 
-    An array of at most SCALAR_VALUES points walks point by point on Python
-    floats, one chain each, and the results are stacked back into arrays.
-    Lifts and inverse solves are elementwise and a scalar sine lift matches
-    numpy's, so this equals the array walk bit for bit at a fraction of its
-    per-step dispatch cost."""
-    if isinstance(pos, np.ndarray) and len(pos) <= SCALAR_VALUES:
+    At most SCALAR_VALUES points walk one by one on Python floats
+    (`_float_chain`) from f's factor table, built once per call: one
+    `_scalar_step` per factor of a Composition in application order, or
+    f's own.  More points walk as one array, one `f.lift_deriv` (or
+    `f.lift`) per step.  Lifts and inverse solves are elementwise and the
+    float walk takes the methods' operations in their order, so both walks
+    give the same bits, given that scalar sine lifts match numpy's."""
+    t = f.as_translation()
+    if t is not None:
+        return {n: (pos + n * t, deriv) for n in set(exponents)}
+    if len(pos) <= SCALAR_VALUES:
+        factors = reversed(f.maps) if isinstance(f, Composition) else (f,)
+        table = [_scalar_step(m) for m in factors]
         derivs = [None] * len(pos) if deriv is None else deriv.tolist()
-        walks = [_power_chain(f, x, d, exponents) for x, d in zip(pos.tolist(), derivs)]
+        walks = [_float_chain(table, x, d, exponents) for x, d in zip(pos.tolist(), derivs)]
         return {
             n: (
                 np.array([w[n][0] for w in walks]),
@@ -574,20 +581,58 @@ def _power_chain(
             )
             for n in set(exponents)
         }
-    t = f.as_translation()
-    out: dict[int, tuple[np.ndarray | float, np.ndarray | None]] = {}
+    out: dict[int, tuple[np.ndarray, np.ndarray | None]] = {}
     done = 0
     for n in sorted(set(exponents)):
-        if t is None:
-            for _ in range(n - done):
-                if deriv is None:
-                    pos = f.lift(pos)
+        for _ in range(n - done):
+            if deriv is None:
+                pos = f.lift(pos)
+            else:
+                pos, d = f.lift_deriv(pos)
+                deriv = deriv * d
+        out[n] = (pos, deriv)
+        done = n
+    return out
+
+
+def _float_chain(
+    table: Sequence[tuple], x: float, deriv: float | None, exponents: Sequence[int],
+) -> dict[int, tuple[float, float | None]]:
+    """`_power_chain` of one Python float x through the factor table of f.
+
+    Rotation and sine factors step inline with the operations of
+    `Rotation.lift` and `SinePerturbed.lift_deriv`; any other factor calls
+    its own `lift` or `lift_deriv`.  A step's derivative is the product of
+    its factors' from 1.0, and only then multiplies deriv: the grouping of
+    `Composition.lift_deriv`, since (deriv * d1) * d2 is another float.
+    With deriv None the steps are lifts and evaluate no cos."""
+    sin, cos = math.sin, math.cos
+    out: dict[int, tuple[float, float | None]] = {}
+    done = 0
+    for n in sorted(set(exponents)):
+        for _ in range(n - done):
+            if deriv is None:
+                for shift, bw, freq, _, other in table:
+                    if bw is not None:
+                        x = x + shift + bw * sin(freq * x)
+                    elif other is None:
+                        x = x + shift
+                    else:
+                        x = other.lift(x)
+                continue
+            total = 1.0
+            for shift, bw, freq, b, other in table:
+                if bw is not None:
+                    wx = freq * x
+                    x = x + shift + bw * sin(wx)
+                    total = total * (1.0 + b * cos(wx))
+                elif other is None:
+                    x = x + shift
                 else:
-                    pos, d = f.lift_deriv(pos)
-                    deriv = deriv * d
-            out[n] = (pos, deriv)
-        else:
-            out[n] = (pos + n * t, deriv)
+                    x, d = other.lift_deriv(x)
+                    total = total * d
+            deriv = deriv * total
+        out[n] = (x, deriv)
         done = n
     return out
 
@@ -632,8 +677,8 @@ def reverify_certificate(
     ends and f2 of the contraction-grid points that can hold the grid
     maximum of Dh_n up to the largest cover or global forward exponent.
     When pruning leaves at most SCALAR_VALUES points, as on small
-    perturbations, each walks on Python floats, one scalar
-    `f1.lift_deriv` per step and point; otherwise one array
+    perturbations, each walks on Python floats, stepping f1's rotation and
+    sine factors inline (`_float_chain`); otherwise one array
     `f1.lift_deriv` per step.  At each cover exponent n the chain gives the
     ends of h_n(B) and f1^n(D) and the grid maximum of Dh_n; at each global
     forward exponent, the ends of f1^n(B).  The f1^-1 images of B for

@@ -21,11 +21,14 @@ plain floats or numpy arrays.  A Python float given to a sine map's `lift`,
 `math.cos` instead of numpy's: the same operations in the same order, so the
 bits match as long as numpy's float64 sin and cos agree with the platform
 libm (a property test checks this on every host that runs the suite).  The
-scalar word walks of `ifs_core` do not call these methods for a rotation or
-sine generator: they evaluate x + alpha, and x + a + (b/w) sin(w x) with
-derivative 1 + b cos(w x), inline from the IFS's step table, with the
+scalar word walks of `ifs_core` and the float walks of the certificate power
+chains (`certifier._power_chain`) do not call these methods for a rotation or
+sine map: they evaluate x + alpha, and x + a + (b/w) sin(w x) with
+derivative 1 + b cos(w x), inline from a step table of `_scalar_step`
+entries (the IFS's generators, or the chain map's factors), with the
 methods' operations in the same order on the same stored floats, so the bits
-are the methods' (a property test compares the walks letter by letter).
+are the methods' (property tests compare the walks letter by letter and the
+chains step by step).
 
 `lift_deriv(x)` returns (F(x), DF(x)) from one pass and is the one chain-rule
 evaluator: `deriv` of a Composition, Power or Inverse is its second component.
@@ -64,9 +67,9 @@ MAX_POWER = 10_000  # largest |exponent| a JSON power map may have; a lift loops
 # point at 1024 points), so about 1.7 us a letter of a fair-coin golden-sine
 # word.  A float tail steps rotation and sine letters inline, at 75 to 85 ns a
 # letter per point, so the tails alone would break even near 20 points.  The
-# value stays 16 because the power chains share it and take no inline step:
-# they call each map's `lift` or `lift_deriv`, about 130 ns per scalar sine
-# lift (`sine.lift.ns_per_point.scalar`).
+# power chains step rotation and sine factors inline too
+# (`certifier._float_chain`).  The value stays 16 unless it is re-measured on
+# all four perfbench workloads, since the tails and the chains share it.
 SCALAR_VALUES = 16
 
 
@@ -355,8 +358,9 @@ class SinePerturbed(LiftMap):
         a bracket stops halving once it is narrow, so an array entry equals
         the solve of that entry alone bit for bit, whatever else shares the
         array.  A 0-d input (float, numpy scalar or 0-d array) takes the
-        Newton steps on Python floats, the fast path for single solves, and
-        comes back as a Python float; a Python float is tested before
+        Newton steps on Python floats, the fast path for single solves, with
+        the operations of `lift` and `deriv` inline and one w x per round,
+        and comes back as a Python float; a Python float is tested before
         `np.ndim`, whose dispatch costs more than a scalar lift.  The rare
         point those steps leave unsolved is solved again as a 1-element
         array, so there is one bisection.
@@ -364,12 +368,14 @@ class SinePerturbed(LiftMap):
         if type(y) is float or np.ndim(y) == 0:
             y = float(y)
             lo, hi = y - self._d - 1e-9, y + self._d + 1e-9
+            a, b, bw, w, sin, cos = self.a, self.b, self._bw, self._w, math.sin, math.cos
             x = y
             for _ in range(12):
-                fx = self.lift(x) - y
+                wx = w * x
+                fx = x + a + bw * sin(wx) - y
                 if abs(fx) <= 0.5 * TOL_INV:
                     return x
-                x = min(max(x - fx / self.deriv(x), lo), hi)
+                x = min(max(x - fx / (1.0 + b * cos(wx)), lo), hi)
             if abs(self.lift(x) - y) <= 0.5 * TOL_INV:
                 return x
             return float(self.inverse_lift(np.array([y]))[0])
@@ -414,6 +420,25 @@ class SinePerturbed(LiftMap):
         if self.harmonics != 1:
             out["harmonics"] = self.harmonics
         return out
+
+
+def _scalar_step(g: LiftMap) -> tuple:
+    """g's entry (shift, bw, freq, b, other) in an IFS's scalar step table.
+
+    A rotation is (alpha, None, None, None, None) and a sine map
+    (a, b/w, w, b, None): the scalar walks step them inline with the
+    operations of `Rotation.lift` and `SinePerturbed.lift_deriv`, so the
+    bits are the methods'.  Any other kind is (None, None, None, None, g),
+    stepped by its own `lift` or `lift_deriv`; a composition of rotations
+    is not folded into one shift, since (x + b) + a is not x + (a + b).
+    A plain tuple: a NamedTuple unpacks through the iterator protocol,
+    which costs more than the step.
+    """
+    if type(g) is Rotation:
+        return (g.alpha, None, None, None, None)
+    if type(g) is SinePerturbed:
+        return (g.a, g._bw, g._w, g.b, None)
+    return (None, None, None, None, g)
 
 
 def _m2_fold(pairs: Iterable[tuple[float, float]]) -> float:

@@ -367,6 +367,12 @@ def _cmd_density_sweep(cfg: dict, seed: int) -> tuple[str, int]:
 
 def _cmd_perturb(cfg: dict, seed: int) -> tuple[str, int]:
     p = _params(cfg, "perturb")
+    if p["command"] == "certify" and p["size"] > 0.0:
+        raise _FieldError(
+            "params.command",
+            "certify needs a rotation first generator, and a size > 0 perturbs it "
+            "into a composition",
+        )
     new_gens = []
     for i, gj in enumerate(cfg["generators"]):
         rng = _rng(p["perturb_seed"], 7000 + i)

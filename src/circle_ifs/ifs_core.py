@@ -13,8 +13,8 @@ from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from .circle_maps import (SCALAR_VALUES, CirclePoint, Composition, LiftMap, Rotation,
-                          SinePerturbed, circle_distance_array)
+from .circle_maps import (SCALAR_VALUES, CirclePoint, Composition, LiftMap, _scalar_step,
+                          circle_distance_array)
 from .symbolic import Word
 
 WordLike = Union[Word, Sequence[int]]
@@ -41,25 +41,6 @@ def _letters(w: WordLike) -> tuple[int, ...]:
     if isinstance(w, Word):
         return w.letters
     return tuple(int(a) for a in w)
-
-
-def _scalar_step(g: LiftMap) -> tuple:
-    """g's entry (shift, bw, freq, b, other) in an IFS's scalar step table.
-
-    A rotation is (alpha, None, None, None, None) and a sine map
-    (a, b/w, w, b, None): the scalar walks step them inline with the
-    operations of `Rotation.lift` and `SinePerturbed.lift_deriv`, so the
-    bits are the methods'.  Any other kind is (None, None, None, None, g),
-    stepped by its own `lift` or `lift_deriv`; a composition of rotations
-    is not folded into one shift, since (x + b) + a is not x + (a + b).
-    A plain tuple: a NamedTuple unpacks through the iterator protocol,
-    which costs more than the step.
-    """
-    if type(g) is Rotation:
-        return (g.alpha, None, None, None, None)
-    if type(g) is SinePerturbed:
-        return (g.a, g._bw, g._w, g.b, None)
-    return (None, None, None, None, g)
 
 
 @dataclass(frozen=True)

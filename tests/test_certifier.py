@@ -3,6 +3,7 @@ import math
 import random
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from circle_ifs.certifier import (
     search_cover_words,
     verify_global_cover,
 )
-from circle_ifs.circle_maps import Arc, Composition, LiftMap, Power, Rotation, SinePerturbed
+from circle_ifs.circle_maps import Arc, Composition, Power, Rotation, SinePerturbed
 from circle_ifs.ifs_core import IFS, branch_apply
 from word_helpers import all_words_concatenated, capture_time, concat, contains_arc
 
@@ -40,33 +41,33 @@ def c2_draws(golden_rotation, sine_map, size):
         yield perturb_map(golden_rotation, size, rng), perturb_map(sine_map, size, rng)
 
 
-class CountingMap(LiftMap):
-    """Delegates to `base`, counting lift and lift_deriv calls and recording
-    the number of points of each lift_deriv batch."""
+def walked(monkeypatch, cert, f1, f2):
+    """`reverify_certificate(cert, f1, f2)` and how its f1 chain walked: the
+    point count of each `_power_chain` call that carries a derivative, the
+    map of each lift-only call, and per point of the calls with a
+    derivative that walked on Python floats (`_float_chain`) its factor
+    table and its number of steps."""
+    walks = SimpleNamespace(sizes=[], lift_only=[], tables=[], steps=[])
+    power_chain, float_chain = certifier._power_chain, certifier._float_chain
 
-    def __init__(self, base):
-        self.base = base
-        self.lifts = 0
-        self.steps = 0
-        self.sizes = []
+    def spy_power_chain(f, pos, deriv, exponents):
+        if deriv is None:
+            walks.lift_only.append(f)
+        else:
+            walks.sizes.append(len(pos))
+        return power_chain(f, pos, deriv, exponents)
 
-    def lift(self, x):
-        self.lifts += 1
-        return self.base.lift(x)
+    def spy_float_chain(table, x, deriv, exponents):
+        if deriv is not None:
+            walks.tables.append(table)
+            walks.steps.append(max(exponents))
+        return float_chain(table, x, deriv, exponents)
 
-    def lift_deriv(self, x):
-        self.steps += 1
-        self.sizes.append(np.size(x))
-        return self.base.lift_deriv(x)
-
-    def inverse(self):
-        return self.base.inverse()
-
-    def deriv_bounds(self):
-        return self.base.deriv_bounds()
-
-    def second_deriv_bound(self):
-        return self.base.second_deriv_bound()
+    with monkeypatch.context() as patch:
+        patch.setattr(certifier, "_power_chain", spy_power_chain)
+        patch.setattr(certifier, "_float_chain", spy_float_chain)
+        rev = reverify_certificate(cert, f1, f2)
+    return rev, walks
 
 
 def evaluated(cert):
@@ -435,36 +436,34 @@ class TestCertifyEndToEnd:
                 assert got == expected[side]
 
     def test_one_lift_deriv_per_step_per_walked_point(
-        self, certificate_pair, golden_rotation, sine_map
+        self, certificate_pair, golden_rotation, sine_map, monkeypatch
     ):
         f1, f2 = next(c2_draws(golden_rotation, sine_map, certificate_pair.radius / 2.0))
         cert = certificate_pair.forward
-        counting = CountingMap(f1)
-        rev = reverify_certificate(cert, counting, f2)
-        assert replace(rev, generators=(f1, f2)) == reverify_certificate(cert, f1, f2)
+        _, walks = walked(monkeypatch, cert, f1, f2)
         # One f1 chain serves conditions (1)-(3) and the forward family of
-        # (4).  Its six arc ends and the one grid point that pruning keeps
-        # walk on Python floats, one scalar lift_deriv per step and point.
+        # (4): no lift-only chain walks f1 itself (the backward family walks
+        # f1.inverse()).  Its six arc ends and the one grid point that
+        # pruning keeps walk on Python floats, one step per exponent and
+        # point, with every rotation and sine factor of f1 stepped inline.
         n = max(cert.cover_exponents + cert.global_forward_exponents)
-        assert counting.steps == n * (6 + 1)
-        assert counting.sizes == [1] * counting.steps
-        assert counting.lifts == 0
+        assert not any(g is f1 for g in walks.lift_only)
+        assert walks.sizes == [6 + 1]
+        assert sum(walks.steps) == n * (6 + 1)
+        assert all(other is None for table in walks.tables for *_, other in table)
 
     def test_golden_sine_draws_walk_at_most_eight_grid_points_on_floats(
-        self, certificate_pair, golden_rotation, sine_map
+        self, certificate_pair, golden_rotation, sine_map, monkeypatch
     ):
-        # Each walked point makes one lift_deriv per step, so the summed
-        # batch sizes count the points whichever way they walk.
         for f1, f2 in c2_draws(golden_rotation, sine_map, certificate_pair.radius / 2.0):
             for cert, h1, h2 in (
                 (certificate_pair.forward, f1, f2),
                 (certificate_pair.backward, f1.inverse(), f2.inverse()),
             ):
-                counting = CountingMap(h1)
-                reverify_certificate(cert, counting, h2)
+                _, walks = walked(monkeypatch, cert, h1, h2)
                 n = max(cert.cover_exponents + cert.global_forward_exponents)
-                assert n * 7 <= sum(counting.sizes) <= n * (6 + 8)
-                assert set(counting.sizes) == {1}
+                assert n * 7 <= sum(walks.steps) <= n * (6 + 8)
+                assert walks.steps == [n] * sum(walks.sizes)
 
     @pytest.mark.parametrize("side", ["forward", "backward"])
     @pytest.mark.parametrize("with_deriv", [True, False])
@@ -538,7 +537,7 @@ class TestPrunedGrid:
             assert not all(outcomes)  # invalid draws are compared too
 
     @pytest.mark.parametrize("b1", [1e-4, 1e-5])
-    def test_kept_points_hold_a_moved_maximum(self, certificate_pair, b1):
+    def test_kept_points_hold_a_moved_maximum(self, certificate_pair, b1, monkeypatch):
         # Df2 peaks mid-grid where Df1 has its steepest slope, so the maximum
         # of Dh_n sits off the argmax of Df2; at b1 = 1e-5 the rule also drops
         # about half of the grid.
@@ -552,34 +551,34 @@ class TestPrunedGrid:
         n = max(cert.cover_exponents)
         chain = certifier._power_chain(f1, grid_pos, grid_deriv, [n])
         assert np.argmax(chain[n][1]) != np.argmax(grid_deriv)
-        counting = CountingMap(f1)
-        assert evaluated(reverify_certificate(cert, counting, f2)) == reference_reverify(cert, f1, f2)
+        rev, walks = walked(monkeypatch, cert, f1, f2)
+        assert evaluated(rev) == reference_reverify(cert, f1, f2)
         if b1 == 1e-5:
-            assert max(counting.sizes) < 6 + certifier.CONTRACTION_GRID // 2
+            assert max(walks.sizes) < 6 + certifier.CONTRACTION_GRID // 2
 
     def test_golden_sine_walks_at_most_eight_grid_points(
-        self, certificate_pair, golden_rotation, sine_map
+        self, certificate_pair, golden_rotation, sine_map, monkeypatch
     ):
         for f1, f2 in c2_draws(golden_rotation, sine_map, certificate_pair.radius / 2.0):
             for cert, h1, h2 in (
                 (certificate_pair.forward, f1, f2),
                 (certificate_pair.backward, f1.inverse(), f2.inverse()),
             ):
-                counting = CountingMap(h1)
-                rev = reverify_certificate(cert, counting, h2)
+                rev, walks = walked(monkeypatch, cert, h1, h2)
                 assert evaluated(rev) == reference_reverify(cert, h1, h2)
-                assert counting.steps > 0
-                assert max(counting.sizes) <= 6 + 8
+                assert len(walks.sizes) == 1
+                assert 0 < walks.sizes[0] <= 6 + 8
+                assert len(walks.steps) == walks.sizes[0]
 
-    def test_wide_bound_f1_keeps_full_grid(self, certificate_pair, sine_map):
+    def test_wide_bound_f1_keeps_full_grid(self, certificate_pair, sine_map, monkeypatch):
         f1 = SinePerturbed(0.3, 0.5)
         for cert, h1, h2 in (
             (certificate_pair.forward, f1, sine_map),
             (certificate_pair.backward, f1.inverse(), sine_map.inverse()),
         ):
-            counting = CountingMap(h1)
-            rev = reverify_certificate(cert, counting, h2)
-            assert set(counting.sizes) == {6 + certifier.CONTRACTION_GRID + 1}
+            rev, walks = walked(monkeypatch, cert, h1, h2)
+            assert walks.sizes == [6 + certifier.CONTRACTION_GRID + 1]
+            assert walks.steps == []
             assert evaluated(rev) == reference_reverify(cert, h1, h2)
 
 

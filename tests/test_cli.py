@@ -250,6 +250,24 @@ class TestConfigValidation:
         assert out == ""
         assert err == "config error: params.params.lenght: not a parameter of detect-repellers\n"
 
+    def test_perturb_rejects_certify_before_perturbing(self, write_config, capsys, monkeypatch):
+        # certify needs a rotation g1, and any size > 0 makes g1 a composition.
+        def unexpected(*args):
+            raise AssertionError("perturb_map called")
+
+        monkeypatch.setattr(cli, "perturb_map", unexpected)
+        cfg = base_config(size=1e-9, command="certify")
+        code, out, err = run_cli(capsys, "perturb", "--config", write_config(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error: params.command: ")
+        # Size 0 leaves every map as it is, so certify runs on the config's.
+        monkeypatch.undo()
+        cfg = base_config(size=0, command="certify")
+        code, out, _ = run_cli(capsys, "perturb", "--config", write_config(cfg))
+        assert code == 0
+        assert out == run_cli(capsys, "certify", "--config", write_config(base_config()))[1]
+
     def test_cell_bound_is_inclusive(self):
         cli._bound_cells({"n_pairs": 10**4}, "n_pairs", cli.MAX_CELLS // 10**4)
         with pytest.raises(ValueError, match="params.n_pairs"):

@@ -2,6 +2,8 @@
 scalar sine path against numpy's, for the float-in, float-out scalar paths
 of every map kind, for a composition's step table against the per-factor
 loop, for the scalar word walks of an IFS against per-letter method loops,
+for the float walk of a certificate power chain against the array chain and
+a per-step method loop,
 for certificate JSON round trips, for the column-wise CSV writer
 against the per-row writer it replaced, and for `Arc.contains_span`
 against the arc-in-arc test of the tests.
@@ -28,6 +30,7 @@ from circle_ifs.certifier import (  # noqa: E402
     BasinData,
     Certificate,
     CertificatePair,
+    _power_chain,
 )
 from circle_ifs.circle_maps import (  # noqa: E402
     Arc,
@@ -36,6 +39,7 @@ from circle_ifs.circle_maps import (  # noqa: E402
     MAX_POWER,
     Power,
     Rotation,
+    SCALAR_VALUES,
     SinePerturbed,
 )
 from circle_ifs.cli import canonical_json, csv_text  # noqa: E402
@@ -238,6 +242,62 @@ def test_scalar_walks_equal_per_letter_loops(gens, picks, x):
     assert _bits(_word_lift(ifs, letters, x)) == _bits(lifted)
     assert [_bits(v) for v in orbit_to_csv_rows(ifs, letters, x)] == [_bits(v) for v in rows]
     assert _bits(branch_deriv(ifs, letters, x)) == _bits(total)
+
+
+def reference_chain(f, x, deriv, exponents):
+    """`_power_chain` of one point as a loop of `f.lift_deriv`, or `f.lift`
+    if deriv is None, one per step."""
+    out = {}
+    for n in range(max(exponents) + 1):
+        if n in exponents:
+            out[n] = (x, deriv)
+        if deriv is None:
+            x = f.lift(x)
+        else:
+            x, d = f.lift_deriv(x)
+            deriv = deriv * d
+    return out
+
+
+# Rotations, sine maps (b = 0 and two harmonics too), Inverse(sine), Power
+# and rotation-only factors, alone or composed, so two sine factors meet.
+chain_factors = st.one_of(
+    rotations,
+    sines,
+    st.builds(SinePerturbed, st.floats(-0.5, 0.5), st.just(0.0), st.integers(1, 2)),
+    st.builds(Inverse, sines),
+    st.builds(Power, sines, st.integers(-2, 2)),
+    translations,
+)
+chain_maps = st.one_of(
+    chain_factors, st.lists(chain_factors, min_size=1, max_size=4).map(Composition)
+)
+
+
+@pytest.mark.parametrize("with_deriv", [True, False])
+@PROPERTY
+@given(chain_maps, st.lists(points, min_size=1, max_size=SCALAR_VALUES),
+       st.lists(st.floats(0.5, 1.5), min_size=SCALAR_VALUES, max_size=SCALAR_VALUES),
+       st.lists(st.integers(0, 6), min_size=1, max_size=4))
+# Two sine factors: deriv * (d1 * d2), the grouping of Composition.lift_deriv,
+# is not (deriv * d1) * d2 here.
+@example(Composition([SinePerturbed(0.1, 0.3), SinePerturbed(0.2, -0.4)]),
+         [0.3], [0.7] * SCALAR_VALUES, [1, 3])
+def test_float_chain_equals_array_chain_and_step_loop(with_deriv, f, xs, derivs, exponents):
+    assume(f.as_translation() is None)
+    k = len(xs)
+    pos = np.array(xs + [0.5] * (SCALAR_VALUES + 1 - k))  # past SCALAR_VALUES: the array chain
+    deriv = np.array(derivs + [1.0]) if with_deriv else None
+    short = _power_chain(f, pos[:k], None if deriv is None else deriv[:k], exponents)
+    full = _power_chain(f, pos, deriv, exponents)
+    for i, x in enumerate(xs):
+        ref = reference_chain(f, x, derivs[i] if with_deriv else None, exponents)
+        for n in exponents:
+            assert _bits(short[n][0][i]) == _bits(full[n][0][i]) == _bits(ref[n][0])
+            if with_deriv:
+                assert _bits(short[n][1][i]) == _bits(full[n][1][i]) == _bits(ref[n][1])
+            else:
+                assert short[n][1] is full[n][1] is ref[n][1] is None
 
 
 reals = st.floats(allow_nan=False, allow_infinity=False)
