@@ -35,15 +35,14 @@ from .circle_maps import (
     Arc,
     CirclePoint,
     Composition,
-    Inverse,
     LiftMap,
     MAX_POWER,
     Power,
     Rotation,
-    SCALAR_VALUES,
     SinePerturbed,
     TOL_INV,
     _array,
+    _factor_count,
     _FieldError,
     _finite,
     _parsed,
@@ -66,6 +65,13 @@ RATIONAL_Q_MAX, RATIONAL_TOL = 64, 1e-9
 CHECK_TOL = 1e-12  # stored against recomputed margins (absolute) and radius (relative)
 C1_GRID = 512  # grid points of the C^1 gauge
 PRUNE_SLACK_MAX = 1e-3  # largest rounding slack at which reverify_certificate prunes its grid
+# Power chains of SCALAR_VALUES points or fewer walk one Python float at a
+# time (`_float_chain`), stepping rotation and sine factors inline.  On a
+# 2-vCPU Xeon an array lift on 1 to 16 points is nearly all fixed cost: about
+# 2.6 us for a sine map and 0.7 us for a rotation.  The value stays 16 unless
+# it is re-measured on perfbench's certify workload, the one that runs the
+# chains.
+SCALAR_VALUES = 16
 # Universal-word search: target shrink fraction, suffix BFS depth and
 # node budget, fine-grid refinement factor and verification rounds.
 UNIVERSAL_SHRINK = 0.1
@@ -645,17 +651,6 @@ def _overlaps(spans: Sequence[tuple[float, float]]) -> list[float]:
 def _spans(ends, origin: float) -> list[tuple[float, float]]:
     """(start, end) of each (lo, hi) pair of lifted arc ends, start taken mod 1 from origin."""
     return [((lo - origin) % 1.0, (lo - origin) % 1.0 + (hi - lo)) for lo, hi in ends]
-
-
-def _factor_count(f: LiftMap) -> int:
-    """Number m of non-translation factors one `f.lift_deriv` multiplies."""
-    if f.as_translation() is not None:
-        return 0
-    if isinstance(f, Composition):
-        return sum(map(_factor_count, f.maps))
-    if isinstance(f, Power):
-        return abs(f.exponent) * _factor_count(f.base)
-    return _factor_count(f.base) if isinstance(f, Inverse) else 1
 
 
 def reverify_certificate(

@@ -58,19 +58,9 @@ MAX_INVERSE_ITER = 200
 # Below this, finite-precision derivative estimates cannot separate a
 # multiplier from 1, so fixed points are tagged neutral.
 TOL_NEUTRAL = 1e-6
-MAX_POWER = 10_000  # largest |exponent| a JSON power map may have; a lift loops that often
-# Batches of SCALAR_VALUES points or fewer are cheaper walked one Python float
-# at a time than as numpy arrays (ifs_core.branch_lift_array's float tails,
-# certifier._power_chain).  On a 2-vCPU Xeon an array lift on 1 to 16 points
-# is nearly all fixed cost: about 2.6 us for a sine map and 0.7 us for a
-# rotation (perfbench's L0 `sine.lift.ns_per_point.array` reads about 12 ns a
-# point at 1024 points), so about 1.7 us a letter of a fair-coin golden-sine
-# word.  A float tail steps rotation and sine letters inline, at 75 to 85 ns a
-# letter per point, so the tails alone would break even near 20 points.  The
-# power chains step rotation and sine factors inline too
-# (`certifier._float_chain`).  The value stays 16 unless it is re-measured on
-# all four perfbench workloads, since the tails and the chains share it.
-SCALAR_VALUES = 16
+# Largest |exponent| of a JSON power map, and largest `_factor_count` of one:
+# a lift steps through that many factors.
+MAX_POWER = 10_000
 
 
 class ConvergenceFailure(RuntimeError):
@@ -630,6 +620,17 @@ class Inverse(LiftMap):
         return {"kind": "inverse", "base": self.base.to_json()}
 
 
+def _factor_count(f: LiftMap) -> int:
+    """Number m of non-translation factors one `f.lift_deriv` multiplies."""
+    if f.as_translation() is not None:
+        return 0
+    if isinstance(f, Composition):
+        return sum(map(_factor_count, f.maps))
+    if isinstance(f, Power):
+        return abs(f.exponent) * _factor_count(f.base)
+    return _factor_count(f.base) if isinstance(f, Inverse) else 1
+
+
 def map_from_json(obj: dict) -> LiftMap:
     if not isinstance(obj, dict):
         raise TypeError(f"map must be an object, got {obj!r}")
@@ -643,7 +644,10 @@ def map_from_json(obj: dict) -> LiftMap:
         return Composition(_parsed(obj, "maps", _array(map_from_json)))
     if kind == "power":
         exponent = _parsed(obj, "exponent", _integer(-MAX_POWER, MAX_POWER))
-        return Power(_parsed(obj, "base", map_from_json), exponent)
+        power = Power(_parsed(obj, "base", map_from_json), exponent)
+        if (factors := _factor_count(power)) > MAX_POWER:
+            raise _FieldError("exponent", f"{factors} factors exceed {MAX_POWER}")
+        return power
     if kind == "inverse":
         return Inverse(_parsed(obj, "base", map_from_json))
     raise ValueError(f"unknown map kind: {kind!r}")

@@ -9,7 +9,8 @@ entry, each read by a strict cast or set to its default.
 
 Exit codes: 0 success, 2 verification failure or config error (a missing or
 malformed field of a config or certificate, or a params key outside the
-command's table, reported with its path, e.g. `generators[1].a`), 3 search
+command's table, reported with its path, e.g. `generators[1].a`, or an
+`--out` path that cannot be written, at `out`), 3 search
 exhaustion (including a Newton/bisection inverse solve that fails to
 converge, circle_maps.ConvergenceFailure).
 """
@@ -99,8 +100,11 @@ def csv_text(header: list[str], columns: list) -> str:
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out).write_text(text, newline="")
+    except OSError as exc:
+        raise _FieldError("out", str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +443,7 @@ def main(argv: list[str] | None = None) -> int:
             cfg = load_config(args.config)
             seed = args.seed if args.seed is not None else cfg.get("seed", 0)
             text, code = HANDLERS[args.command](cfg, seed)
+        _emit(text, args.out)
     except _FieldError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2
@@ -448,7 +453,6 @@ def main(argv: list[str] | None = None) -> int:
     except _VERIFICATION as exc:
         sys.stderr.write(f"verification failure: {exc}\n")
         return 2
-    _emit(text, args.out)
     return code
 
 

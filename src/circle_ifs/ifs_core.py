@@ -13,8 +13,7 @@ from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from .circle_maps import (SCALAR_VALUES, CirclePoint, Composition, LiftMap, _scalar_step,
-                          circle_distance_array)
+from .circle_maps import CirclePoint, Composition, LiftMap, _scalar_step, circle_distance_array
 from .symbolic import Word
 
 WordLike = Union[Word, Sequence[int]]
@@ -27,13 +26,10 @@ DEDUP_RES = 1e-9
 ORBIT_CAP = 1_000_000
 FRONTIER_CAP = 50_000
 
-# branch_lift_array merges bitwise-equal points before every SYNC_CHECK-th
-# letter, and once circle_maps.SCALAR_VALUES or fewer remain walks each on
-# Python floats (`_word_lift`, inline for rotation and sine letters) until it
-# meets a walked one at such a letter; synchronization.sync_fraction drops its
-# merged pairs at the same letters.  A merge costs one sort of the walked
-# values.  Tails that meet merge through the memo at block boundaries, so
-# walking 16 values on floats loses no merging.
+# branch_lift_array walks each value on Python floats, SYNC_CHECK letters at a
+# time, and its memo keys a tail by (block offset, bit pattern), so tails that
+# meet at a block boundary walk on as one; synchronization.sync_fraction drops
+# its bitwise-merged pairs before every SYNC_CHECK-th letter.
 SYNC_CHECK = 64
 
 
@@ -92,40 +88,27 @@ def branch_lift_array(ifs: IFS, w: WordLike, xs: np.ndarray, memo: dict | None =
     Lift differences of the output give exact image arc lengths for
     monotone inputs.
 
-    Only distinct values are walked.  Before every SYNC_CHECK-th letter the
-    walked values are merged by bit pattern; once at most SCALAR_VALUES
-    remain (a synchronizing branch contracts onto its ell repellers, and
-    fewer points than SCALAR_VALUES cost less as floats than as arrays), the
-    rest of the word runs on Python floats, one SYNC_CHECK block at a time.
-    `memo` (fresh if omitted; one per (ifs, w)) maps every (block offset,
-    bit pattern) that a float tail passed to its final lift, so a tail that
-    meets a walked one stops.  Every lift and inverse solve is elementwise,
-    so equal points stay equal, and the float tails (`_word_lift`) step
-    rotations and sine maps inline with the operations of their `lift`: the
-    result is the per-letter array loop's bit for bit, given that scalar
-    sine lifts match numpy's.
+    Every value walks on Python floats (`_float_tail`), one SYNC_CHECK
+    block at a time.  `memo` (fresh if omitted; one per (ifs, w)) maps every
+    (block offset, bit pattern) that a tail passed to its final lift, so a
+    tail that meets a walked one stops: equal points walk once, and on a
+    synchronizing branch, which contracts onto its ell repellers, the tails
+    merge within a few blocks.  The tails (`_word_lift`) step rotations and
+    sine maps inline with the operations of their `lift`: the result is the
+    per-letter array loop's bit for bit, given that scalar sine lifts match
+    numpy's.
     """
     memo = {} if memo is None else memo
     vals = np.asarray(xs, dtype=float)
-    walked = vals.ravel()
-    where = np.arange(walked.size)  # index into `walked` of each input point
-    gens = ifs.generators
     letters = _letters(w)
-    for start in range(0, len(letters), SYNC_CHECK):
-        keys, merged = np.unique(walked.view(np.int64), return_inverse=True)
-        walked, where = keys.view(float), merged[where]
-        if len(walked) <= SCALAR_VALUES:
-            walked = np.array([_float_tail(ifs, letters, start, v, memo) for v in walked.tolist()])
-            break
-        for a in letters[start : start + SYNC_CHECK]:
-            walked = gens[a - 1].lift(walked)
-    return walked[where].reshape(vals.shape)
+    walked = [_float_tail(ifs, letters, x, memo) for x in vals.ravel().tolist()]
+    return np.array(walked).reshape(vals.shape)
 
 
-def _float_tail(ifs: IFS, letters: tuple[int, ...], start: int, x: float, memo: dict) -> float:
-    """`_word_lift` of letters[start:] at x, block by block, until memo knows the tail."""
+def _float_tail(ifs: IFS, letters: tuple[int, ...], x: float, memo: dict) -> float:
+    """`_word_lift` of letters at x, block by block, until memo knows the tail."""
     visited = []
-    for at in range(start, len(letters), SYNC_CHECK):
+    for at in range(0, len(letters), SYNC_CHECK):
         if (key := (at, struct.pack("<d", x))) in memo:
             x = memo[key]
             break

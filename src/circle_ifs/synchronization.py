@@ -52,14 +52,6 @@ MAX_CELLS = 10**8
 # fixed point at 1/2) stay interior to one arc at every refinement level.
 PARTITION_OFFSET = 1.0 / 3.0
 
-# Point budget of one branch walk in detect_repellers: a walk pushes the
-# endpoints of the kept arcs' descendants down to the deepest level at which
-# they number at most WALK_POINTS arcs (WALK_POINTS + 1 endpoints when the
-# arcs are adjacent).  A walk's cost is mostly per-letter dispatch up to
-# about this many points, so one walk serves several refinement levels.
-WALK_POINTS = 128
-
-
 class Unpolarized(RuntimeError):
     """Arc-image lengths never polarized along the supplied word."""
 
@@ -187,15 +179,13 @@ def detect_repellers(ifs: IFS, w: WordLike, m_levels: int = 12) -> RepellerEstim
     must stabilize over the last three levels; all-rotation branches keep
     every arc, never stabilize, and raise Unpolarized.
 
-    Endpoint images are cached by domain point.  When a level needs one that
-    is missing, a single walk of the branch pushes the endpoints of every
-    descendant of the kept arcs, down to the deepest level (at most m_levels)
-    with no more than WALK_POINTS arcs, so the next levels read the cache.
-    The walk (`branch_lift_array`) carries only the distinct values: on a
-    synchronizing branch the endpoints merge into a few values within a
-    few hundred letters, and the rest of the word runs on Python floats;
-    all walks share one memo, so no float tail is walked twice.
-    Each point's image does not depend on the points walked with it.
+    Endpoint images are cached by domain point, and each level walks the
+    endpoints of its kept arcs that the cache lacks (`branch_lift_array`).
+    Every value walks on Python floats, and all walks share one memo, so a
+    float tail that meets one walked at an earlier level stops: on a
+    synchronizing branch the endpoints merge into a few values within a few
+    hundred letters.  Each point's image does not depend on the points
+    walked with it.
 
     Returns one bracketing midpoint per kept arc at the finest level; the
     residual is the final arc length 2^-m_levels.
@@ -212,24 +202,11 @@ def detect_repellers(ifs: IFS, w: WordLike, m_levels: int = 12) -> RepellerEstim
     def endpoint(i: int, level: int) -> float:
         return PARTITION_OFFSET + i / (1 << level)
 
-    def images(kept: list[int], level: int) -> None:
-        if all(endpoint(i, level) in cache and endpoint(i + 1, level) in cache for i in kept):
-            return
-        depth = 0
-        while level + depth < m_levels and len(kept) << (depth + 1) <= WALK_POINTS:
-            depth += 1
-        span = 1 << depth
-        fresh = sorted(
-            {endpoint(i * span + j, level + depth) for i in kept for j in range(span + 1)}
-            - cache.keys()
-        )
-        vals = branch_lift_array(ifs, word, np.array(fresh), memo)
-        cache.update(zip(fresh, vals.tolist()))
-
     kept: list[int] = list(range(1 << START_LEVEL))  # arc indices at current level
     counts: list[int] = []
     for level in range(START_LEVEL, m_levels + 1):
-        images(kept, level)
+        fresh = sorted({endpoint(i + j, level) for i in kept for j in (0, 1)} - cache.keys())
+        cache.update(zip(fresh, branch_lift_array(ifs, word, np.array(fresh), memo).tolist()))
         lengths = {
             i: cache[endpoint(i + 1, level)] - cache[endpoint(i, level)] for i in kept
         }

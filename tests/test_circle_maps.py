@@ -9,10 +9,13 @@ from circle_ifs.circle_maps import (
     CirclePoint,
     Composition,
     Inverse,
+    MAX_POWER,
     Power,
     Rotation,
     SinePerturbed,
     TOL_INV,
+    _factor_count,
+    _FieldError,
     circle_distance,
     find_fixed_points,
     map_from_json,
@@ -359,6 +362,26 @@ class TestSerialization:
             g = map_from_json(f.to_json())
             for x in (0.1, 0.6):
                 assert g(x) == pytest.approx(f(x), abs=1e-12)
+
+    def test_power_factor_count_is_bounded(self):
+        # A power may step at most MAX_POWER non-translation factors a lift,
+        # however it nests; a power of rotations shifts once, so any passes.
+        sine, rot = SinePerturbed(0.0, -0.5).to_json(), Rotation(0.3).to_json()
+
+        def power(base, n):
+            return {"kind": "power", "base": base, "exponent": n}
+
+        assert _factor_count(map_from_json(power(power(sine, -2), MAX_POWER // 2))) == MAX_POWER
+        assert _factor_count(map_from_json(power(power(rot, MAX_POWER), MAX_POWER))) == 0
+        for obj in (
+            power(power(sine, 2), MAX_POWER // 2 + 1),
+            power(power(sine, MAX_POWER), -MAX_POWER),
+            power({"kind": "composition", "maps": [sine, rot, sine]}, MAX_POWER // 2 + 1),
+            power({"kind": "inverse", "base": power(sine, 2)}, MAX_POWER // 2 + 1),
+        ):
+            with pytest.raises(_FieldError) as exc:
+                map_from_json(obj)
+            assert exc.value.path == "exponent"
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown map kind"):

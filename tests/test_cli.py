@@ -15,6 +15,7 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 TARGET = {"start": 0.3, "length": 0.05}
 SINE = {"kind": "sine", "a": 0.0, "b": -0.5}
+POWER = {"kind": "power", "base": SINE, "exponent": 10**4}
 
 
 def golden_basin(**arc_b):
@@ -231,6 +232,11 @@ class TestConfigValidation:
         ("generators", 1, {"kind": "power", "base": SINE, "exponent": 2.5}, "generators[1].exponent"),
         ("generators", 1, {"kind": "power", "base": SINE, "exponent": 10**12}, "generators[1].exponent"),
         ("generators", 1, {"kind": "power", "base": SINE, "exponent": -10**12}, "generators[1].exponent"),
+        # Nested powers multiply their factor counts: 10^8 sine lifts a letter.
+        ("generators", 1, {"kind": "power", "base": POWER, "exponent": 10**4}, "generators[1].exponent"),
+        ("generators", 1, {"kind": "power", "base": {"kind": "power", "base": dict(POWER, exponent=100),
+                                                     "exponent": 101}, "exponent": 1},
+         "generators[1].base.exponent"),
         ("model", "weights", ["0.5", 0.5], "model.weights[0]"),
     ])
     def test_malformed_generator_or_model_exits_2_with_path(
@@ -284,6 +290,15 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "find-periodic", "--config", write_config(cfg))
         assert (code, out) == (3, "")
         assert err == "search exhausted: [stage F] no image of the target met the basin\n"
+
+    @pytest.mark.parametrize("out", ["missing/orbit.csv", "."])
+    def test_unwritable_out_exits_2(self, write_config, capsys, tmp_path, out):
+        # A missing directory, and a directory in place of a file.
+        path = write_config(base_config(length=3))
+        code, stdout, err = run_cli(capsys, "simulate-orbit", "--config", path,
+                                    "--out", str(tmp_path / out))
+        assert (code, stdout) == (2, "")
+        assert err.startswith("config error: out: ")
 
     def test_convergence_failure_exits_3(self, write_config, capsys, monkeypatch):
         def failing(cfg, seed):
@@ -642,13 +657,26 @@ class TestDeterminism:
         assert out == (GOLDEN_DIR / "estimate_minimality_seed7.json").read_text()
 
     def test_detect_repellers_matches_golden_bytes(self, capsys):
-        # The reference bytes come from one branch walk per refinement
-        # level; walks shared across levels must reproduce them exactly.
+        # The reference bytes come from one array walk per refinement level;
+        # float tails that share one memo across levels must reproduce them
+        # exactly.
         code, out, _ = run_cli(
             capsys, "detect-repellers", "--config", str(GOLDEN_DIR / "golden_sine_seed7.json")
         )
         assert code == 0
         assert out == (GOLDEN_DIR / "detect_repellers_seed7.json").read_text()
+
+    @pytest.mark.parametrize("config, golden", [
+        ("golden_sine_levels52_seed7.json", "detect_repellers_levels52_seed7.json"),
+        ("golden_sine_markov_levels52_seed7.json", "detect_repellers_markov_levels52_seed7.json"),
+    ])
+    def test_deepest_level_detect_repellers_matches_golden_bytes(self, capsys, config, golden):
+        # m_levels = MAX_LEVEL, fair coin and Markov rows.  The reference
+        # bytes come from walks that pushed the endpoints of several levels
+        # at once; one walk per level must reproduce them exactly.
+        code, out, _ = run_cli(capsys, "detect-repellers", "--config", str(GOLDEN_DIR / config))
+        assert code == 0
+        assert out == (GOLDEN_DIR / golden).read_text()
 
     def test_half_turn_detect_repellers_matches_golden_bytes(self, capsys):
         # ell = 2: the reference bytes come from walks in which every float

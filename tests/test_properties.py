@@ -27,6 +27,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from circle_ifs.certifier import (  # noqa: E402
     MARGIN_KEYS,
+    SCALAR_VALUES,
     BasinData,
     Certificate,
     CertificatePair,
@@ -39,7 +40,6 @@ from circle_ifs.circle_maps import (  # noqa: E402
     MAX_POWER,
     Power,
     Rotation,
-    SCALAR_VALUES,
     SinePerturbed,
 )
 from circle_ifs.cli import canonical_json, csv_text  # noqa: E402

@@ -155,7 +155,7 @@ class TestDetectRepellers:
 
 def detect_repellers_per_level(ifs, w, m_levels):
     """Reference: one branch walk per refinement level, carrying only the
-    endpoints that level is missing (the detector before walks were shared)."""
+    endpoints that level is missing, each walk with a fresh memo."""
     theta_grow, start_level, max_candidates = 0.9, 3, 64
     letters = w.letters
     cache = {}
@@ -233,7 +233,9 @@ class TestSharedWalks:
                 x.hex() for x in ref.final_image_lengths
             ]
 
-    def test_golden_sine_at_ten_levels_walks_twice(self, golden_sine, fair_coin, monkeypatch):
+    def test_golden_sine_at_ten_levels_walks_once_per_level(
+        self, golden_sine, fair_coin, monkeypatch
+    ):
         calls = []
         float_letters = []  # letters that each walk's float tails step
         word_lift = ifs_core._word_lift
@@ -243,7 +245,7 @@ class TestSharedWalks:
             return word_lift(ifs, letters, x)
 
         def counting(ifs, w, xs, memo=None):
-            calls.append(xs.copy())
+            calls.append(xs.tolist())
             float_letters.append(0)
             return branch_lift_array(ifs, w, xs, memo)
 
@@ -252,16 +254,22 @@ class TestSharedWalks:
         w = fair_coin.sample(5000, seed=0, stream=0)
         est = detect_repellers(golden_sine, w, m_levels=10)
         assert est.ell_hat == 1
-        assert len(calls) == 2
-        assert len(calls[0]) == (1 << 7) + 1  # every level-7 endpoint in the first walk
-        # The second walk's float tail meets the first walk's memo: the same
-        # walk with a fresh memo walks its tail to the end on its own.
-        float_letters.append(0)
-        branch_lift_array(golden_sine, w, calls[1], {})
-        assert 0 < float_letters[1] < float_letters[2]
+        walks, shared = calls[:], float_letters[:]
+        assert len(walks) == 8  # levels 3..10
+        assert walks[0] == [PARTITION_OFFSET + i / 8 for i in range(9)]
+        # Each later walk holds only the endpoints its level lacks: those the
+        # per-level reference walks, none of them walked before.
         calls.clear()
         detect_repellers_per_level(golden_sine, w, m_levels=10)
-        assert len(calls) == 8
+        assert walks == calls
+        for j in range(1, len(walks)):
+            assert not set(walks[j]) & {x for walk in walks[:j] for x in walk}
+        # A later walk's float tails meet those of earlier levels in the
+        # shared memo: with a fresh memo each walks its tail further.
+        for xs, letters in zip(walks[1:], shared[1:]):
+            float_letters.append(0)
+            branch_lift_array(golden_sine, w, np.array(xs), {})
+            assert 0 < letters < float_letters[-1]
 
 
 class TestWordOfCaution:
