@@ -45,6 +45,7 @@ from .circle_maps import (
     _factor_count,
     _FieldError,
     _finite,
+    _frac,
     _parsed,
     _scalar_step,
     _string,
@@ -288,7 +289,7 @@ def search_cover_words(
             "cover_words", f"return window ({w_lo:.6f}, {w_hi:.6f}) is too thin"
         )
     ns = np.arange(1, n_max + 1)
-    betas = np.mod(ns * alpha, 1.0)
+    betas = _frac(ns * alpha)
     ok = (betas >= w_lo + pad) & (betas <= w_hi - pad)
     ns, betas = ns[ok], betas[ok]
     if len(ns) == 0:
@@ -313,7 +314,7 @@ def _circle_cover(offsets: np.ndarray, length: float, min_margin: float) -> tupl
     the picked indices, 0 first."""
     if length >= 1.0:
         return (0,)  # a full-circle arc covers unconditionally
-    rel = np.mod(offsets - offsets[0], 1.0)
+    rel = _frac(offsets - offsets[0])
     bucket = 0.25 * length
     close_by = max(min_margin, 0.5 * bucket)  # demanded closing overlap
     picks = _greedy_cover(
@@ -332,8 +333,8 @@ def verify_global_cover(
     `reverify_certificate` measures the overlaps."""
     alpha = _require_rotation(g1)
     ms = np.arange(0, n_max + 1)  # ms[i] == i, so the picks are the exponents
-    fwd = _circle_cover(np.mod(arc_b.start + ms * alpha, 1.0), arc_b.length, min_margin)
-    bwd = _circle_cover(np.mod(arc_b.start - ms * alpha, 1.0), arc_b.length, min_margin)
+    fwd = _circle_cover(_frac(arc_b.start + ms * alpha), arc_b.length, min_margin)
+    bwd = _circle_cover(_frac(arc_b.start - ms * alpha), arc_b.length, min_margin)
     return fwd, bwd
 
 
@@ -936,7 +937,7 @@ def find_universal_word(
             for a in suffix:
                 g = gens[a - 1]
                 alive = np.flatnonzero(caps < 0)
-                positions[alive] = np.mod(g.lift(positions[alive]), 1.0)
+                positions[alive] = _frac(g.lift(positions[alive]))
                 letters.append(a)
                 hit = alive[shrunk.contains_array(positions[alive])]
                 caps[hit] = len(letters)
@@ -950,7 +951,7 @@ def find_universal_word(
         entered = target.contains_array(fine_pos)
         cur = fine_pos.copy()
         for a in letters:
-            cur = np.mod(gens[a - 1].lift(cur), 1.0)
+            cur = _frac(gens[a - 1].lift(cur))
             entered |= target.contains_array(cur)
         missing = np.flatnonzero(~entered)
         if len(missing) == 0:

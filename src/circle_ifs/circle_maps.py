@@ -58,8 +58,8 @@ MAX_INVERSE_ITER = 200
 # Below this, finite-precision derivative estimates cannot separate a
 # multiplier from 1, so fixed points are tagged neutral.
 TOL_NEUTRAL = 1e-6
-# Largest |exponent| of a JSON power map, and largest `_factor_count` of one:
-# a lift steps through that many factors.
+# Largest |exponent| of a JSON power map, and largest `_factor_count` of a JSON
+# power or composition: a lift steps through that many factors.
 MAX_POWER = 10_000
 
 
@@ -163,8 +163,15 @@ def circle_distance(x: float, y: float) -> float:
     return min(d, 1.0 - d)
 
 
+def _frac(x: np.ndarray) -> np.ndarray:
+    """x mod 1 of a float array, bit for bit numpy's `mod` (each rounds the
+    exact fractional part at most once), without its float remainder loop.
+    Floats only: np.floor of an int array returns ints."""
+    return x - np.floor(x)
+
+
 def circle_distance_array(x: FloatLike, y: FloatLike) -> np.ndarray:
-    d = np.mod(np.asarray(x, dtype=float) - y, 1.0)
+    d = _frac(np.asarray(x, dtype=float) - y)
     return np.minimum(d, 1.0 - d)
 
 
@@ -193,7 +200,7 @@ class Arc:
         return (float(x) - self.start) % 1.0 < self.length
 
     def contains_array(self, xs: FloatLike) -> np.ndarray:
-        return np.mod(np.asarray(xs, dtype=float) - self.start, 1.0) < self.length
+        return _frac(np.asarray(xs, dtype=float) - self.start) < self.length
 
     def contains_span(self, lo: float, length: float) -> bool:
         """Whether the lifted span [lo, lo + length] lies inside the closed arc."""
@@ -640,17 +647,18 @@ def map_from_json(obj: dict) -> LiftMap:
     if kind == "sine":
         a, b = _parsed(obj, "a", _finite), _parsed(obj, "b", _finite)
         return SinePerturbed(a, b, _parsed(obj, "harmonics", _integer(1), 1))
-    if kind == "composition":
-        return Composition(_parsed(obj, "maps", _array(map_from_json)))
-    if kind == "power":
-        exponent = _parsed(obj, "exponent", _integer(-MAX_POWER, MAX_POWER))
-        power = Power(_parsed(obj, "base", map_from_json), exponent)
-        if (factors := _factor_count(power)) > MAX_POWER:
-            raise _FieldError("exponent", f"{factors} factors exceed {MAX_POWER}")
-        return power
     if kind == "inverse":
         return Inverse(_parsed(obj, "base", map_from_json))
-    raise ValueError(f"unknown map kind: {kind!r}")
+    if kind == "composition":
+        f, path = Composition(_parsed(obj, "maps", _array(map_from_json))), "maps"
+    elif kind == "power":
+        exponent = _parsed(obj, "exponent", _integer(-MAX_POWER, MAX_POWER))
+        f, path = Power(_parsed(obj, "base", map_from_json), exponent), "exponent"
+    else:
+        raise ValueError(f"unknown map kind: {kind!r}")
+    if (factors := _factor_count(f)) > MAX_POWER:
+        raise _FieldError(path, f"{factors} factors exceed {MAX_POWER}")
+    return f
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from .circle_maps import CirclePoint, Composition, LiftMap, _scalar_step, circle_distance_array
+from .circle_maps import (CirclePoint, Composition, LiftMap, _frac, _scalar_step,
+                          circle_distance_array)
 from .symbolic import Word
 
 WordLike = Union[Word, Sequence[int]]
@@ -29,7 +30,8 @@ FRONTIER_CAP = 50_000
 # branch_lift_array walks each value on Python floats, SYNC_CHECK letters at a
 # time, and its memo keys a tail by (block offset, bit pattern), so tails that
 # meet at a block boundary walk on as one; synchronization.sync_fraction drops
-# its bitwise-merged pairs before every SYNC_CHECK-th letter.
+# its bitwise-merged pairs before every SYNC_CHECK-th letter and walks its last
+# FLOAT_PAIRS pairs on Python floats, a block at a time.
 SYNC_CHECK = 64
 
 
@@ -149,7 +151,7 @@ def _walk_step(gens: Sequence[LiftMap], pos: np.ndarray, col: np.ndarray) -> Non
     for a, g in enumerate(gens, start=1):
         rows = (col == a).nonzero()[0]
         if rows.size:
-            pos[rows] = np.mod(g.lift(pos.take(rows, axis=0)), 1.0)
+            pos[rows] = _frac(g.lift(pos.take(rows, axis=0)))
 
 
 def branch_deriv(ifs: IFS, w: WordLike, x: float) -> float:
@@ -182,7 +184,7 @@ def branch_deriv(ifs: IFS, w: WordLike, x: float) -> float:
 
 def _quantize(xs: np.ndarray) -> np.ndarray:
     m = int(round(1.0 / DEDUP_RES))
-    return np.round(np.mod(xs, 1.0) / DEDUP_RES).astype(np.int64) % m
+    return np.round(_frac(xs) / DEDUP_RES).astype(np.int64) % m
 
 
 def _orbit_levels(ifs: IFS, x: float, depth: int) -> Iterator[np.ndarray]:
@@ -200,7 +202,7 @@ def _orbit_levels(ifs: IFS, x: float, depth: int) -> Iterator[np.ndarray]:
     total = 1  # x counts towards ORBIT_CAP
     for _ in range(depth):
         children = np.concatenate(
-            [np.mod(g.lift(frontier), 1.0) for g in ifs.generators]
+            [_frac(g.lift(frontier)) for g in ifs.generators]
         )
         keys = _quantize(children)
         _, first_idx = np.unique(keys, return_index=True)
@@ -336,9 +338,10 @@ def random_orbit_density(
 
 def orbit_to_csv_rows(ifs: IFS, w: WordLike, x: float) -> list[float]:
     """The point column [f^1(x), ..., f^n(x)] of an orbit dump along w, as
-    Python floats in [0, 1); `branch_apply` runs on it too.  Rotation and
-    sine letters are stepped inline from `ifs._steps`, as in `_word_lift`,
-    and the point is reduced mod 1 after each letter."""
+    Python floats in [0, 1); `branch_apply` and the last pairs of
+    `sync_fraction` run on it too.  Rotation and sine letters are stepped
+    inline from `ifs._steps`, as in `_word_lift`, and the point is reduced
+    mod 1 after each letter."""
     steps, sin = ifs._steps, math.sin
     pos = float(x) % 1.0
     out = []

@@ -42,9 +42,10 @@ class Word:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError("alphabet size k must be >= 1")
-        for a in self.letters:
-            if not 1 <= a <= self.k:
-                raise ValueError(f"letter {a} outside alphabet 1..{self.k}")
+        # Each distinct letter is checked once; the message names the first bad one.
+        if not all(1 <= a <= self.k for a in set(self.letters)):
+            bad = next(a for a in self.letters if not 1 <= a <= self.k)
+            raise ValueError(f"letter {bad} outside alphabet 1..{self.k}")
 
     def __len__(self) -> int:
         return len(self.letters)

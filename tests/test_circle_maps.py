@@ -383,6 +383,27 @@ class TestSerialization:
                 map_from_json(obj)
             assert exc.value.path == "exponent"
 
+    def test_composition_factor_count_is_bounded(self):
+        # A composition sums its maps' factor counts; bounded powers in one
+        # composition may not exceed MAX_POWER together.
+        sine, rot = SinePerturbed(0.0, -0.5).to_json(), Rotation(0.3).to_json()
+        power = {"kind": "power", "base": sine, "exponent": MAX_POWER // 2}
+
+        def composition(*maps):
+            return {"kind": "composition", "maps": list(maps)}
+
+        assert _factor_count(map_from_json(composition(power, rot, power))) == MAX_POWER
+        assert _factor_count(map_from_json(composition(*[rot] * (MAX_POWER + 1)))) == 0
+        for obj in (
+            composition(power, sine, power),
+            composition(*[dict(power, exponent=MAX_POWER)] * 1000),
+            composition(composition(power, power), sine),
+            composition(*[sine] * (MAX_POWER + 1)),
+        ):
+            with pytest.raises(_FieldError) as exc:
+                map_from_json(obj)
+            assert exc.value.path == "maps"
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown map kind"):
             map_from_json({"kind": "mystery"})

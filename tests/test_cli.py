@@ -237,6 +237,8 @@ class TestConfigValidation:
         ("generators", 1, {"kind": "power", "base": {"kind": "power", "base": dict(POWER, exponent=100),
                                                      "exponent": 101}, "exponent": 1},
          "generators[1].base.exponent"),
+        # Bounded powers in one composition: 10^7 sine lifts a letter.
+        ("generators", 1, {"kind": "composition", "maps": [POWER] * 1000}, "generators[1].maps"),
         ("model", "weights", ["0.5", 0.5], "model.weights[0]"),
     ])
     def test_malformed_generator_or_model_exits_2_with_path(
@@ -726,6 +728,18 @@ class TestDeterminism:
         )
         assert code == 0
         assert out == (GOLDEN_DIR / "classify_half_turn_seed7.json").read_text()
+
+    @pytest.mark.parametrize("config, golden", [
+        ("two_rotations_seed7.json", "classify_two_rotations_seed7.json"),
+        ("two_rotations_n_pairs40_seed7.json", "classify_two_rotations_n_pairs40_seed7.json"),
+    ])
+    def test_rotations_classify_matches_golden_bytes(self, capsys, config, golden):
+        # case1: no pair ever merges.  The reference bytes come from walking
+        # every pair on arrays; at the default 500 pairs they still do, and
+        # 40 pairs walk on Python floats from the first letter.
+        code, out, _ = run_cli(capsys, "classify", "--config", str(GOLDEN_DIR / config))
+        assert code == 0
+        assert out == (GOLDEN_DIR / golden).read_text()
 
     def test_certify_and_check_match_golden_bytes(self, capsys, tmp_path):
         # The reference bytes come from separate power chains for

@@ -5,8 +5,8 @@ loop, for the scalar word walks of an IFS against per-letter method loops,
 for the float walk of a certificate power chain against the array chain and
 a per-step method loop,
 for certificate JSON round trips, for the column-wise CSV writer
-against the per-row writer it replaced, and for `Arc.contains_span`
-against the arc-in-arc test of the tests.
+against the per-row writer it replaced, for `Arc.contains_span`
+against the arc-in-arc test of the tests, and for `_frac` against np.mod.
 
 Maps are trees of depth <= 2 over rotations and sine maps, whose inner
 nodes compose two maps, raise one to a power |n| <= 2 or invert it.  A
@@ -41,6 +41,7 @@ from circle_ifs.circle_maps import (  # noqa: E402
     Power,
     Rotation,
     SinePerturbed,
+    _frac,
 )
 from circle_ifs.cli import canonical_json, csv_text  # noqa: E402
 from circle_ifs.ifs_core import IFS, _word_lift, branch_deriv, orbit_to_csv_rows  # noqa: E402
@@ -407,3 +408,23 @@ def test_csv_text_matches_per_row_writer(columns):
 def test_array_inverse_equals_scalar_solves(f, ys):
     # Each entry is solved on its own, whatever else shares the array.
     assert f.inverse_lift(np.array(ys)).tolist() == [f.inverse_lift(y) for y in ys]
+
+
+# Negative values, signed zeros, subnormals, values next to an integer and
+# large magnitudes: every case where x mod 1 rounds or is exact.
+near_integers = st.builds(
+    lambda n, up: float(np.nextafter(float(n), np.inf if up else -np.inf)),
+    st.integers(-10**6, 10**6), st.booleans(),
+)
+frac_inputs = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+    st.floats(-1e6, 1e6), st.floats(-1e-300, 1e-300), near_integers,
+)
+
+
+@PROPERTY
+@given(st.lists(frac_inputs, min_size=1, max_size=50))
+@example([0.0, -0.0, 5e-324, -5e-324, -1e-17, -1.0, 1.0 - 2**-53, -(2.0**52) - 0.5, 1e308])
+def test_frac_equals_np_mod_bit_for_bit(xs):
+    x = np.array(xs)
+    assert _frac(x).tobytes() == np.mod(x, 1.0).tobytes()

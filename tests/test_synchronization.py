@@ -16,6 +16,7 @@ from circle_ifs.circle_maps import (
 from circle_ifs.ifs_core import IFS, branch_lift_array
 from circle_ifs.symbolic import BernoulliModel, MarkovMinorizedModel, Word, _rng
 from circle_ifs.synchronization import (
+    FLOAT_PAIRS,
     MAX_LEVEL,
     PARTITION_OFFSET,
     NoMinimalGenerator,
@@ -442,28 +443,53 @@ LIVE_ROW_MODELS = {
 }
 
 
+@pytest.fixture
+def walked(monkeypatch):
+    """The distances that each `_final_distances` call returns, in call order."""
+    out = []
+    final_distances = synchronization._final_distances
+
+    def recording(*args):
+        out.append(final_distances(*args))
+        return out[-1]
+
+    monkeypatch.setattr(synchronization, "_final_distances", recording)
+    return out
+
+
 class TestLiveRowWalks:
     @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 1000, 2000])
     @pytest.mark.parametrize("model", sorted(LIVE_ROW_MODELS))
     @pytest.mark.parametrize("label", sorted(EQUIVALENCE_IFS))
-    def test_sync_fraction_matches_all_rows_walk(self, label, model, n, monkeypatch):
+    def test_sync_fraction_matches_all_rows_walk(self, label, model, n, walked):
         ifs = IFS(EQUIVALENCE_IFS[label], label=label)
         chain = LIVE_ROW_MODELS[model]
-        walked = []
-        final_distances = synchronization._final_distances
-
-        def recording(*args):
-            walked.append(final_distances(*args))
-            return walked[-1]
-
-        monkeypatch.setattr(synchronization, "_final_distances", recording)
         for seed in (0, 5, 7):
-            for n_pairs in (1, 500):
+            # FLOAT_PAIRS pairs walk on floats from the first letter, one more
+            # walks its first block on arrays.
+            for n_pairs in (1, FLOAT_PAIRS, FLOAT_PAIRS + 1, 500):
                 ref, ref_dist = reference_sync_fraction(ifs, chain, n, n_pairs, 1e-3, seed)
                 got = sync_fraction(ifs, chain, n, n_pairs, 1e-3, seed)
                 assert walked.pop().tobytes() == ref_dist.tobytes()
                 assert got == ref
                 assert got.median_final_distance.hex() == ref.median_final_distance.hex()
+
+    @pytest.mark.parametrize("gens, n", [
+        ([Inverse(Rotation(GOLDEN)), Inverse(SinePerturbed(0.0, -0.5))], 500),
+        ([Rotation(GOLDEN), Composition([Rotation(0.3), SinePerturbed(0.1, 0.4)]),
+          Power(SinePerturbed(0.0, -0.5, harmonics=2), 2)], 300),
+    ], ids=["inverse-golden-sine", "composition-power"])
+    def test_float_pairs_match_all_rows_walk_on_other_map_kinds(self, gens, n, walked):
+        # The float walks step these letters by their generator's own lift;
+        # at horizon n some pairs have merged and some have not.
+        ifs = IFS(gens)
+        model = BernoulliModel([1.0 / len(gens)] * len(gens))
+        for n_pairs in (FLOAT_PAIRS, FLOAT_PAIRS + 1, 200):
+            ref, ref_dist = reference_sync_fraction(ifs, model, n, n_pairs, 1e-3, 7)
+            got = sync_fraction(ifs, model, n, n_pairs, 1e-3, 7)
+            assert walked.pop().tobytes() == ref_dist.tobytes()
+            assert got == ref
+            assert 0 < np.count_nonzero(ref_dist) < n_pairs
 
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 1000, 2000])
     @pytest.mark.parametrize("model", sorted(LIVE_ROW_MODELS))
@@ -482,7 +508,7 @@ class TestLiveRowWalks:
         letters = LIVE_ROW_MODELS["markov"].sample_matrix(3, 100, 4)
         pairs = np.array([[0.25, 0.25], [0.1, 0.6], [0.7, 0.7]])
         for ifs in (golden_sine, rotations):
-            dist = synchronization._final_distances(ifs.generators, pairs.copy(), letters)
+            dist = synchronization._final_distances(ifs, pairs.copy(), letters)
             ref = pairs.copy()
             for col in letters.T:
                 reference_walk_step(ifs.generators, ref, col)
@@ -504,6 +530,7 @@ class TestLiveRowWalks:
         assert sizes[0] == 500
         assert sizes == sorted(sizes, reverse=True)
         assert len(sizes) < 2000  # every pair merged before the last letter
+        assert sizes[-1] > FLOAT_PAIRS  # the last pairs walk on floats
 
     def test_hit_trials_stop_walking(self, golden_sine, monkeypatch):
         sizes = []
