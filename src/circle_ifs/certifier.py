@@ -186,6 +186,13 @@ def locate_basin(g2: LiftMap, deriv_margin: float = 0.01) -> BasinData:
             f"with derivative margin {deriv_margin}"
         )
     eps, p = best
+    return _basin_data(g2, p, eps, deriv_margin)
+
+
+def _basin_data(g2: LiftMap, p: float, eps: float, deriv_margin: float) -> BasinData:
+    """delta and the arcs A, B and D of g2's basin (p, p + eps)."""
+    if not 0.0 < eps <= 1.0:
+        raise NoAttractingSide(f"basin length {eps} is not in (0, 1]")
     local = _local_iterate(g2, p)
     d1 = local(eps)  # g2(p + eps) relative to p
     if not 0.0 < d1 < eps:
@@ -560,73 +567,56 @@ def certify_robust_minimality(
 
 
 def _power_chain(
-    f: LiftMap, pos: np.ndarray, deriv: np.ndarray | None, exponents: Sequence[int],
-) -> dict[int, tuple[np.ndarray, np.ndarray | None]]:
+    f: LiftMap, pos: np.ndarray, deriv: np.ndarray, exponents: Sequence[int],
+) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """(f^n(pos), deriv * Df^n(pos)) for every requested n >= 0, from a
-    single chain of steps up to max(exponents); lifts only if deriv is None.
-    A translation f just shifts pos.
+    single chain of steps up to max(exponents).  A translation f just shifts pos.
 
     At most SCALAR_VALUES points walk one by one on Python floats
     (`_float_chain`) from f's factor table, built once per call: one
     `_scalar_step` per factor of a Composition in application order, or
-    f's own.  More points walk as one array, one `f.lift_deriv` (or
-    `f.lift`) per step.  Lifts and inverse solves are elementwise and the
-    float walk takes the methods' operations in their order, so both walks
-    give the same bits, given that scalar sine lifts match numpy's."""
+    f's own; their walks become one array, viewed per exponent.  More
+    points walk as one array, one `f.lift_deriv` per step.  Lifts and
+    inverse solves are elementwise and the float walk takes the methods'
+    operations in their order, so both walks give the same bits, given
+    that scalar sine lifts match numpy's."""
     t = f.as_translation()
     if t is not None:
         return {n: (pos + n * t, deriv) for n in set(exponents)}
+    order = sorted(set(exponents))
     if len(pos) <= SCALAR_VALUES:
         factors = reversed(f.maps) if isinstance(f, Composition) else (f,)
         table = [_scalar_step(m) for m in factors]
-        derivs = [None] * len(pos) if deriv is None else deriv.tolist()
-        walks = [_float_chain(table, x, d, exponents) for x, d in zip(pos.tolist(), derivs)]
-        return {
-            n: (
-                np.array([w[n][0] for w in walks]),
-                None if deriv is None else np.array([w[n][1] for w in walks]),
-            )
-            for n in set(exponents)
-        }
-    out: dict[int, tuple[np.ndarray, np.ndarray | None]] = {}
+        walks = [_float_chain(table, x, d, order) for x, d in zip(pos.tolist(), deriv.tolist())]
+        xd = np.array(walks).reshape(len(pos), len(order), 2).transpose(2, 1, 0)
+        return {n: (xd[0, i], xd[1, i]) for i, n in enumerate(order)}
+    out: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     done = 0
-    for n in sorted(set(exponents)):
+    for n in order:
         for _ in range(n - done):
-            if deriv is None:
-                pos = f.lift(pos)
-            else:
-                pos, d = f.lift_deriv(pos)
-                deriv = deriv * d
+            pos, d = f.lift_deriv(pos)
+            deriv = deriv * d
         out[n] = (pos, deriv)
         done = n
     return out
 
 
 def _float_chain(
-    table: Sequence[tuple], x: float, deriv: float | None, exponents: Sequence[int],
-) -> dict[int, tuple[float, float | None]]:
-    """`_power_chain` of one Python float x through the factor table of f.
+    table: Sequence[tuple], x: float, deriv: float, order: Sequence[int],
+) -> list[tuple[float, float]]:
+    """`_power_chain` of one Python float x through the factor table of f,
+    as (f^n(x), deriv * Df^n(x)) for each n of the sorted exponents `order`.
 
     Rotation and sine factors step inline with the operations of
     `Rotation.lift` and `SinePerturbed.lift_deriv`; any other factor calls
-    its own `lift` or `lift_deriv`.  A step's derivative is the product of
-    its factors' from 1.0, and only then multiplies deriv: the grouping of
-    `Composition.lift_deriv`, since (deriv * d1) * d2 is another float.
-    With deriv None the steps are lifts and evaluate no cos."""
+    its own `lift_deriv`.  A step's derivative is the product of its
+    factors' from 1.0, and only then multiplies deriv: the grouping of
+    `Composition.lift_deriv`, since (deriv * d1) * d2 is another float."""
     sin, cos = math.sin, math.cos
-    out: dict[int, tuple[float, float | None]] = {}
+    out: list[tuple[float, float]] = []
     done = 0
-    for n in sorted(set(exponents)):
+    for n in order:
         for _ in range(n - done):
-            if deriv is None:
-                for shift, bw, freq, _, other in table:
-                    if bw is not None:
-                        x = x + shift + bw * sin(freq * x)
-                    elif other is None:
-                        x = x + shift
-                    else:
-                        x = other.lift(x)
-                continue
             total = 1.0
             for shift, bw, freq, b, other in table:
                 if bw is not None:
@@ -639,7 +629,7 @@ def _float_chain(
                     x, d = other.lift_deriv(x)
                     total = total * d
             deriv = deriv * total
-        out[n] = (x, deriv)
+        out.append((x, deriv))
         done = n
     return out
 
@@ -669,17 +659,17 @@ def reverify_certificate(
     older versions).  Perturbed maps re-check the same combinatorial data;
     the result is `valid` when the certificate survives.
 
-    One f1 chain (`_power_chain`) carries f2(B ends), the D ends, the B
-    ends and f2 of the contraction-grid points that can hold the grid
-    maximum of Dh_n up to the largest cover or global forward exponent.
-    When pruning leaves at most SCALAR_VALUES points, as on small
-    perturbations, each walks on Python floats, stepping f1's rotation and
-    sine factors inline (`_float_chain`); otherwise one array
-    `f1.lift_deriv` per step.  At each cover exponent n the chain gives the
-    ends of h_n(B) and f1^n(D) and the grid maximum of Dh_n; at each global
-    forward exponent, the ends of f1^n(B).  The f1^-1 images of B for
-    condition (4) take a chain of lifts only, on the two ends of B as
-    Python floats.
+    One `f2.lift_deriv` evaluates the B ends and the contraction grid.  One
+    f1 chain (`_power_chain`) carries f2(B ends), the D ends, the B ends
+    and f2 of the grid points that can hold the grid maximum of Dh_n up to
+    the largest cover or global forward exponent.  When pruning leaves at
+    most SCALAR_VALUES points, as on small perturbations, each walks on
+    Python floats, stepping f1's rotation and sine factors inline
+    (`_float_chain`); otherwise one array `f1.lift_deriv` per step.  At
+    each cover exponent n the chain gives the ends of h_n(B) and f1^n(D)
+    and the grid maximum of Dh_n; at each global forward exponent, the ends
+    of f1^n(B).  The f1^-1 images of B for condition (4) take an f1^-1
+    chain on the two ends of B, from unit derivatives.
 
     Pruning: with g = Df2 on the grid, (lo, hi) = f1.deriv_bounds() and N
     the largest cover exponent, point i walks only if g_i >= max(g)
@@ -711,12 +701,12 @@ def reverify_certificate(
     b_ends = np.array([basin.arc_B.start, basin.arc_B.start + basin.arc_B.length])
 
     # One f1 chain: the f2(B), D and B ends, then the grid points that pass.
-    b_img = np.asarray(f2.lift(np.array([p + rb0, p + rb1])), dtype=float)
-    xs = p + np.linspace(delta, eps, CONTRACTION_GRID + 1)
-    grid_pos, grid_deriv = (np.asarray(v, dtype=float) for v in f2.lift_deriv(xs))
+    xs = np.concatenate([[p + rb0, p + rb1], p + np.linspace(delta, eps, CONTRACTION_GRID + 1)])
+    f2_pos, f2_deriv = (np.asarray(v, dtype=float) for v in f2.lift_deriv(xs))
+    b_img, grid_pos, grid_deriv = f2_pos[:2], f2_pos[2:], f2_deriv[2:]
     (lo, hi), n = f1.deriv_bounds(), max(cert.cover_exponents)
     s = 2.0 * (_factor_count(f1) + 1) * n * np.finfo(float).eps
-    keep = np.full(len(xs), True)
+    keep = np.full(len(grid_pos), True)
     if 0.0 < lo <= hi < math.inf and s <= PRUNE_SLACK_MAX:
         keep = grid_deriv >= np.max(grid_deriv) * (lo / hi) ** n * ((1 - s) / (1 + s))
     pos = np.concatenate([b_img, [p, p + d_len], b_ends, grid_pos[keep]])
@@ -739,7 +729,7 @@ def reverify_certificate(
 
     # (4) circle covers in stored order, forward and inverse families.
     exps = cert.global_backward_exponents
-    backward = _power_chain(f1.inverse(), b_ends, None, exps)
+    backward = _power_chain(f1.inverse(), b_ends, np.ones(2), exps)
     m4 = math.inf
     for ends in (
         [chain[m][0][4:6] for m in cert.global_forward_exponents],
@@ -755,13 +745,19 @@ def reverify_certificate(
 
 def check_certificate(cert: Certificate) -> tuple[bool, Certificate]:
     """Re-evaluate `cert` on its stored generators and compare.  Fails when
-    lambda or a margin drifts beyond CHECK_TOL or a margin is not positive,
-    or when the stored radius exceeds the re-evaluated one by more than a
-    relative CHECK_TOL (a smaller radius is conservative, so it passes)."""
+    the basin rebuilt from the stored g2, p, eps and deriv_margin (a p that
+    is not a fixed point raises NoAttractingSide) is not the stored one,
+    when lambda or a margin drifts beyond CHECK_TOL or a margin is not
+    positive, or when the stored radius exceeds the re-evaluated one by more
+    than a relative CHECK_TOL (a smaller radius is conservative, so it
+    passes).  The derivative bound on A is a property of the grid search
+    and is not re-checked."""
+    basin = cert.basin
+    same_basin = _basin_data(cert.generators[1], basin.p, basin.eps, basin.deriv_margin) == basin
     rev = reverify_certificate(cert)
     drifts = [rev.lam - cert.lam, *(rev.margins[k] - cert.margins[k] for k in MARGIN_KEYS)]
     ok = all(abs(d) <= CHECK_TOL for d in drifts) and cert.radius <= rev.radius * (1.0 + CHECK_TOL)
-    return rev.valid and ok, rev
+    return same_basin and rev.valid and ok, rev
 
 
 # ---------------------------------------------------------------------------

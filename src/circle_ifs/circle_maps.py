@@ -151,7 +151,8 @@ class CirclePoint(float):
     """A point of R/Z.  Construction reduces mod 1, so 0 <= value < 1."""
 
     def __new__(cls, value: float) -> "CirclePoint":
-        return super().__new__(cls, float(value) % 1.0)
+        x = float(value) % 1.0  # 1.0 for values in [-2^-54, 0): the point 0.0
+        return super().__new__(cls, 0.0 if x == 1.0 else x)
 
     def __repr__(self) -> str:
         return f"CirclePoint({float(self)!r})"
@@ -189,7 +190,7 @@ class Arc:
     def __post_init__(self) -> None:
         if not 0.0 < self.length <= 1.0:
             raise ValueError(f"arc length must be in (0, 1], got {self.length}")
-        object.__setattr__(self, "start", float(self.start) % 1.0)
+        object.__setattr__(self, "start", float(CirclePoint(self.start)))
         object.__setattr__(self, "length", float(self.length))
 
     @property

@@ -25,7 +25,7 @@ from circle_ifs.certifier import (
     search_cover_words,
     verify_global_cover,
 )
-from circle_ifs.circle_maps import Arc, Composition, Power, Rotation, SinePerturbed
+from circle_ifs.circle_maps import Arc, Composition, Inverse, Power, Rotation, SinePerturbed
 from circle_ifs.ifs_core import IFS, branch_apply
 from word_helpers import all_words_concatenated, capture_time, concat, contains_arc
 
@@ -42,26 +42,22 @@ def c2_draws(golden_rotation, sine_map, size):
 
 
 def walked(monkeypatch, cert, f1, f2):
-    """`reverify_certificate(cert, f1, f2)` and how its f1 chain walked: the
-    point count of each `_power_chain` call that carries a derivative, the
-    map of each lift-only call, and per point of the calls with a
-    derivative that walked on Python floats (`_float_chain`) its factor
-    table and its number of steps."""
-    walks = SimpleNamespace(sizes=[], lift_only=[], tables=[], steps=[])
+    """`reverify_certificate(cert, f1, f2)` and how its chains walked: the
+    point count of each `_power_chain` call (the f1 chain, then the 2-point
+    f1^-1 chain of condition (4)'s inverse family), and per point that
+    walked on Python floats (`_float_chain`) its factor table and its
+    number of steps, in walk order."""
+    walks = SimpleNamespace(sizes=[], tables=[], steps=[])
     power_chain, float_chain = certifier._power_chain, certifier._float_chain
 
     def spy_power_chain(f, pos, deriv, exponents):
-        if deriv is None:
-            walks.lift_only.append(f)
-        else:
-            walks.sizes.append(len(pos))
+        walks.sizes.append(len(pos))
         return power_chain(f, pos, deriv, exponents)
 
-    def spy_float_chain(table, x, deriv, exponents):
-        if deriv is not None:
-            walks.tables.append(table)
-            walks.steps.append(max(exponents))
-        return float_chain(table, x, deriv, exponents)
+    def spy_float_chain(table, x, deriv, order):
+        walks.tables.append(table)
+        walks.steps.append(max(order))
+        return float_chain(table, x, deriv, order)
 
     with monkeypatch.context() as patch:
         patch.setattr(certifier, "_power_chain", spy_power_chain)
@@ -442,15 +438,19 @@ class TestCertifyEndToEnd:
         cert = certificate_pair.forward
         _, walks = walked(monkeypatch, cert, f1, f2)
         # One f1 chain serves conditions (1)-(3) and the forward family of
-        # (4): no lift-only chain walks f1 itself (the backward family walks
-        # f1.inverse()).  Its six arc ends and the one grid point that
-        # pruning keeps walk on Python floats, one step per exponent and
-        # point, with every rotation and sine factor of f1 stepped inline.
+        # (4); the inverse family walks the two ends of B through
+        # f1.inverse().  The f1 chain's six arc ends and the one grid point
+        # that pruning keeps walk on Python floats, one step per exponent
+        # and point, with every rotation and sine factor of f1 stepped
+        # inline; the f1^-1 steps call the inverse sine factor's own
+        # `lift_deriv`.
         n = max(cert.cover_exponents + cert.global_forward_exponents)
-        assert not any(g is f1 for g in walks.lift_only)
-        assert walks.sizes == [6 + 1]
-        assert sum(walks.steps) == n * (6 + 1)
-        assert all(other is None for table in walks.tables for *_, other in table)
+        nb = max(cert.global_backward_exponents)
+        assert walks.sizes == [6 + 1, 2]
+        assert walks.steps == [n] * (6 + 1) + [nb] * 2
+        assert all(other is None for table in walks.tables[:7] for *_, other in table)
+        for table in walks.tables[7:]:
+            assert [type(other) for *_, other in table if other is not None] == [Inverse]
 
     def test_golden_sine_draws_walk_at_most_eight_grid_points_on_floats(
         self, certificate_pair, golden_rotation, sine_map, monkeypatch
@@ -462,33 +462,36 @@ class TestCertifyEndToEnd:
             ):
                 _, walks = walked(monkeypatch, cert, h1, h2)
                 n = max(cert.cover_exponents + cert.global_forward_exponents)
-                assert n * 7 <= sum(walks.steps) <= n * (6 + 8)
-                assert walks.steps == [n] * sum(walks.sizes)
+                nb = max(cert.global_backward_exponents)
+                assert walks.sizes[1] == 2
+                assert 6 + 1 <= walks.sizes[0] <= 6 + 8
+                assert walks.steps == [n] * walks.sizes[0] + [nb] * 2
 
     @pytest.mark.parametrize("side", ["forward", "backward"])
-    @pytest.mark.parametrize("with_deriv", [True, False])
     def test_scalar_chain_equals_array_chain(
-        self, certificate_pair, golden_rotation, sine_map, side, with_deriv
+        self, certificate_pair, golden_rotation, sine_map, side
     ):
         # Seven points walk on Python floats; the same seven among 17 points
         # walk as one array.  The backward f1 holds an Inverse factor, so
-        # its steps are Newton solves.
+        # its steps are Newton solves.  Both give the positions of a plain
+        # `f1.lift` loop, which condition (4)'s inverse family reads.
         f1, _ = next(c2_draws(golden_rotation, sine_map, certificate_pair.radius / 2.0))
         cert = getattr(certificate_pair, side)
         f1 = f1 if side == "forward" else f1.inverse()
         assert certifier.SCALAR_VALUES < 17
         pos = cert.basin.p + np.linspace(0.0, 1.0, 17)
-        deriv = np.linspace(0.5, 1.5, 17) if with_deriv else None
+        deriv = np.linspace(0.5, 1.5, 17)
         exps = [*cert.cover_exponents, *cert.global_forward_exponents]
-        short = certifier._power_chain(f1, pos[:7], None if deriv is None else deriv[:7], exps)
+        short = certifier._power_chain(f1, pos[:7], deriv[:7], exps)
         full = certifier._power_chain(f1, pos, deriv, exps)
         assert sorted(short) == sorted(full) == sorted(set(exps))
+        lifted, x = {}, pos
+        for n in range(max(exps) + 1):
+            lifted[n] = x
+            x = f1.lift(x)
         for n in exps:
-            assert short[n][0].tobytes() == full[n][0][:7].tobytes()
-            if with_deriv:
-                assert short[n][1].tobytes() == full[n][1][:7].tobytes()
-            else:
-                assert short[n][1] is full[n][1] is None
+            assert short[n][0].tobytes() == full[n][0][:7].tobytes() == lifted[n][:7].tobytes()
+            assert short[n][1].tobytes() == full[n][1][:7].tobytes()
 
     def test_ten_radius_perturbation_reattempted(
         self, certificate_pair, golden_rotation, sine_map
@@ -566,9 +569,10 @@ class TestPrunedGrid:
             ):
                 rev, walks = walked(monkeypatch, cert, h1, h2)
                 assert evaluated(rev) == reference_reverify(cert, h1, h2)
-                assert len(walks.sizes) == 1
+                assert len(walks.sizes) == 2
                 assert 0 < walks.sizes[0] <= 6 + 8
-                assert len(walks.steps) == walks.sizes[0]
+                assert walks.sizes[1] == 2
+                assert len(walks.steps) == sum(walks.sizes)
 
     def test_wide_bound_f1_keeps_full_grid(self, certificate_pair, sine_map, monkeypatch):
         f1 = SinePerturbed(0.3, 0.5)
@@ -577,8 +581,10 @@ class TestPrunedGrid:
             (certificate_pair.backward, f1.inverse(), sine_map.inverse()),
         ):
             rev, walks = walked(monkeypatch, cert, h1, h2)
-            assert walks.sizes == [6 + certifier.CONTRACTION_GRID + 1]
-            assert walks.steps == []
+            # The f1 chain walks the full grid as arrays; only the two B
+            # ends of the inverse family walk on Python floats.
+            assert walks.sizes == [6 + certifier.CONTRACTION_GRID + 1, 2]
+            assert walks.steps == [max(cert.global_backward_exponents)] * 2
             assert evaluated(rev) == reference_reverify(cert, h1, h2)
 
 

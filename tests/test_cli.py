@@ -1,13 +1,15 @@
 import json
 import math
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from circle_ifs import cli
-from circle_ifs.circle_maps import MAX_POWER, ConvergenceFailure
+from circle_ifs.certifier import Certificate, reverify_certificate
+from circle_ifs.circle_maps import MAX_POWER, Arc, ConvergenceFailure
 from circle_ifs.cli import csv_text, main
 from circle_ifs.ifs_core import orbit_to_csv_rows
 
@@ -293,6 +295,13 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert err == "search exhausted: [stage F] no image of the target met the basin\n"
 
+    def test_universal_word_beyond_max_len_exits_3(self, write_config, capsys):
+        cfg = json.loads((GOLDEN_DIR / "golden_sine_target_seed7.json").read_text())
+        cfg["params"]["max_len"] = 10
+        code, out, err = run_cli(capsys, "universal-word", "--config", write_config(cfg))
+        assert (code, out) == (3, "")
+        assert err == "search exhausted: word exceeded max_len=10 with 386 survivors\n"
+
     @pytest.mark.parametrize("out", ["missing/orbit.csv", "."])
     def test_unwritable_out_exits_2(self, write_config, capsys, tmp_path, out):
         # A missing directory, and a directory in place of a file.
@@ -518,6 +527,48 @@ class TestCertifyCommand:
         code, out, err = run_cli(capsys, "certify", "--check", str(path))
         assert (code, err) == (0, "")
         assert out == (GOLDEN_DIR / "certify_check_seed7.json").read_text()
+
+    @pytest.mark.parametrize("side, edit", [
+        ("forward", lambda basin: basin.update(arc_A={"start": 0.9, "length": 0.01})),
+        ("backward", lambda basin: basin["arc_D"].update(start=0.6)),
+        ("forward", "shift_B"),
+    ], ids=["arc_A", "arc_D.start", "shifted_B"])
+    def test_basin_that_g2_does_not_build_exits_2(self, capsys, tmp_path, side, edit):
+        # Every number the evaluator reads stays consistent: for the shifted
+        # B (90% of its length, moved up by 5%), lambda, the margins and the
+        # radius are re-evaluated on it.  Only the rebuilt basin differs.
+        blob = json.loads((GOLDEN_DIR / "certify_seed7.json").read_text())
+        if edit == "shift_B":
+            cert = Certificate.from_json(blob[side])
+            b = cert.basin.arc_B
+            basin = replace(cert.basin, arc_B=Arc(b.start + 0.05 * b.length, 0.9 * b.length))
+            shifted = reverify_certificate(replace(cert, basin=basin))
+            assert shifted.valid
+            blob[side] = shifted.to_json()
+            blob["radius"] = min(blob["forward"]["radius"], blob["backward"]["radius"])
+        else:
+            edit(blob[side]["basin"])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(blob))
+        code, out, err = run_cli(capsys, "certify", "--check", str(bad))
+        assert (code, err) == (2, "")
+        res = json.loads(out)
+        assert res["ok"] is res[side]["ok"] is False
+        other = "backward" if side == "forward" else "forward"
+        assert res[other]["ok"] is True
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("p", 0.3, "0.3 is not a fixed point"),
+        ("eps", 1.5, "basin length 1.5 is not in (0, 1]"),
+    ])
+    def test_basin_that_g2_cannot_build_exits_2(self, capsys, tmp_path, key, value, message):
+        blob = json.loads((GOLDEN_DIR / "certify_seed7.json").read_text())
+        blob["forward"]["basin"][key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(blob))
+        code, out, err = run_cli(capsys, "certify", "--check", str(bad))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"verification failure: {message}")
 
     def test_certify_rejects_rotation_pair(self, write_config, capsys):
         cfg = base_config()

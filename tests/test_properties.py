@@ -6,7 +6,8 @@ for the float walk of a certificate power chain against the array chain and
 a per-step method loop,
 for certificate JSON round trips, for the column-wise CSV writer
 against the per-row writer it replaced, for `Arc.contains_span`
-against the arc-in-arc test of the tests, and for `_frac` against np.mod.
+against the arc-in-arc test of the tests, for `_frac` against np.mod, and
+for `CirclePoint` and `Arc` starts landing in [0, 1).
 
 Maps are trees of depth <= 2 over rotations and sine maps, whose inner
 nodes compose two maps, raise one to a power |n| <= 2 or invert it.  A
@@ -35,6 +36,7 @@ from circle_ifs.certifier import (  # noqa: E402
 )
 from circle_ifs.circle_maps import (  # noqa: E402
     Arc,
+    CirclePoint,
     Composition,
     Inverse,
     MAX_POWER,
@@ -246,17 +248,16 @@ def test_scalar_walks_equal_per_letter_loops(gens, picks, x):
 
 
 def reference_chain(f, x, deriv, exponents):
-    """`_power_chain` of one point as a loop of `f.lift_deriv`, or `f.lift`
-    if deriv is None, one per step."""
+    """`_power_chain` of one point as a loop of `f.lift_deriv`, one per
+    step, with the position of a plain `f.lift` loop as a third entry."""
     out = {}
+    y = x
     for n in range(max(exponents) + 1):
         if n in exponents:
-            out[n] = (x, deriv)
-        if deriv is None:
-            x = f.lift(x)
-        else:
-            x, d = f.lift_deriv(x)
-            deriv = deriv * d
+            out[n] = (x, deriv, y)
+        x, d = f.lift_deriv(x)
+        deriv = deriv * d
+        y = f.lift(y)
     return out
 
 
@@ -275,7 +276,6 @@ chain_maps = st.one_of(
 )
 
 
-@pytest.mark.parametrize("with_deriv", [True, False])
 @PROPERTY
 @given(chain_maps, st.lists(points, min_size=1, max_size=SCALAR_VALUES),
        st.lists(st.floats(0.5, 1.5), min_size=SCALAR_VALUES, max_size=SCALAR_VALUES),
@@ -284,21 +284,35 @@ chain_maps = st.one_of(
 # is not (deriv * d1) * d2 here.
 @example(Composition([SinePerturbed(0.1, 0.3), SinePerturbed(0.2, -0.4)]),
          [0.3], [0.7] * SCALAR_VALUES, [1, 3])
-def test_float_chain_equals_array_chain_and_step_loop(with_deriv, f, xs, derivs, exponents):
+def test_float_chain_equals_array_chain_and_step_loop(f, xs, derivs, exponents):
+    # The positions are also those of a plain `f.lift` loop: condition
+    # (4)'s inverse family reads only them.
     assume(f.as_translation() is None)
     k = len(xs)
     pos = np.array(xs + [0.5] * (SCALAR_VALUES + 1 - k))  # past SCALAR_VALUES: the array chain
-    deriv = np.array(derivs + [1.0]) if with_deriv else None
-    short = _power_chain(f, pos[:k], None if deriv is None else deriv[:k], exponents)
+    deriv = np.array(derivs + [1.0])
+    short = _power_chain(f, pos[:k], deriv[:k], exponents)
     full = _power_chain(f, pos, deriv, exponents)
     for i, x in enumerate(xs):
-        ref = reference_chain(f, x, derivs[i] if with_deriv else None, exponents)
+        ref = reference_chain(f, x, derivs[i], exponents)
         for n in exponents:
-            assert _bits(short[n][0][i]) == _bits(full[n][0][i]) == _bits(ref[n][0])
-            if with_deriv:
-                assert _bits(short[n][1][i]) == _bits(full[n][1][i]) == _bits(ref[n][1])
-            else:
-                assert short[n][1] is full[n][1] is ref[n][1] is None
+            assert (_bits(short[n][0][i]) == _bits(full[n][0][i]) == _bits(ref[n][0])
+                    == _bits(ref[n][2]))
+            assert _bits(short[n][1][i]) == _bits(full[n][1][i]) == _bits(ref[n][1])
+
+
+@pytest.mark.parametrize("k", [0, 3, SCALAR_VALUES + 1])  # no points, floats, arrays
+@pytest.mark.parametrize("f", [SinePerturbed(0.1, 0.3), Inverse(SinePerturbed(0.2, -0.4))])
+def test_power_chain_of_no_points_or_no_steps(f, k):
+    pos, deriv = np.linspace(0.1, 0.9, k), np.linspace(0.5, 1.5, k)
+    assert _power_chain(f, pos, deriv, []) == {}
+    chain = _power_chain(f, pos, deriv, [0, 0])
+    assert list(chain) == [0]
+    assert chain[0][0].tobytes() == pos.tobytes()
+    assert chain[0][1].tobytes() == deriv.tobytes()
+    chain = _power_chain(f, pos, deriv, [3, 0, 1])
+    assert sorted(chain) == [0, 1, 3]
+    assert all(x.shape == d.shape == (k,) for x, d in chain.values())
 
 
 reals = st.floats(allow_nan=False, allow_infinity=False)
@@ -428,3 +442,13 @@ frac_inputs = st.one_of(
 def test_frac_equals_np_mod_bit_for_bit(xs):
     x = np.array(xs)
     assert _frac(x).tobytes() == np.mod(x, 1.0).tobytes()
+
+
+@PROPERTY
+@given(frac_inputs, st.floats(-2.0**-52, 0.0))
+@example(-(2.0**-54), -5e-324)
+def test_circle_point_and_arc_start_lie_in_unit_interval(x, tiny):
+    # Python's % rounds values in [-2^-54, 0) up to 1.0, the point 0.0.
+    for value in (x, tiny):
+        assert 0.0 <= CirclePoint(value) < 1.0
+        assert 0.0 <= Arc(value, 0.5).start < 1.0

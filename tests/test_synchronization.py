@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -300,6 +301,30 @@ class TestAntonovClassify:
         res = antonov_classify(ifs, fair_coin, n_seeds=10, seed=1)
         assert res.case == "case3"
         assert res.ell == 2
+
+    @pytest.mark.parametrize(
+        "n_unpolarized, case, ell", [(10, "inconclusive", None), (2, "case2", 1)]
+    )
+    def test_unpolarized_seeds_are_counted_apart(
+        self, golden_sine, fair_coin, monkeypatch, n_unpolarized, case, ell
+    ):
+        # The first n_unpolarized seeds never polarize and the rest bracket
+        # one repeller; an unpolarized seed counts against the majority.
+        calls = []
+
+        def detect(ifs, w, m_levels):
+            calls.append(w)
+            if len(calls) <= n_unpolarized:
+                raise Unpolarized("never polarized")
+            return SimpleNamespace(ell_hat=1)
+
+        monkeypatch.setattr(synchronization, "detect_repellers", detect)
+        res = antonov_classify(golden_sine, fair_coin, n_pairs=50, sync_horizon=200,
+                               n_seeds=20, word_length=10, seed=1)
+        assert len(calls) == 20
+        assert (res.case, res.ell) == (case, ell)
+        assert res.n_unpolarized == n_unpolarized
+        assert res.ell_counts == {1: 20 - n_unpolarized}
 
 
 class TestHittingTail:
