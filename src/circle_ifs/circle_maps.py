@@ -180,8 +180,8 @@ def circle_distance_array(x: FloatLike, y: FloatLike) -> np.ndarray:
 class Arc:
     """Oriented arc traversed counterclockwise from `start`, length in (0, 1].
 
-    Length 1 is the full circle.  Membership is half open:
-    x in arc  iff  (x - start) mod 1 < length.
+    Length 1 is the full circle: it holds every point, also one whose
+    offset rounds up to 1.0.  Otherwise x in arc iff (x - start) mod 1 < length.
     """
 
     start: float
@@ -198,10 +198,11 @@ class Arc:
         return CirclePoint(self.start + 0.5 * self.length)
 
     def contains(self, x: float) -> bool:
-        return (float(x) - self.start) % 1.0 < self.length
+        return self.length == 1.0 or (float(x) - self.start) % 1.0 < self.length
 
     def contains_array(self, xs: FloatLike) -> np.ndarray:
-        return _frac(np.asarray(xs, dtype=float) - self.start) < self.length
+        d = _frac(np.asarray(xs, dtype=float) - self.start)
+        return d <= 1.0 if self.length == 1.0 else d < self.length
 
     def contains_span(self, lo: float, length: float) -> bool:
         """Whether the lifted span [lo, lo + length] lies inside the closed arc."""

@@ -340,8 +340,8 @@ def orbit_to_csv_rows(ifs: IFS, w: WordLike, x: float) -> list[float]:
     """The point column [f^1(x), ..., f^n(x)] of an orbit dump along w, as
     Python floats in [0, 1); `branch_apply` and the last pairs of
     `sync_fraction` run on it too.  Rotation and sine letters are stepped
-    inline from `ifs._steps`, as in `_word_lift`, and the point is reduced
-    mod 1 after each letter."""
+    inline from `ifs._steps`, as in `_word_lift`; the point is reduced mod 1
+    after each letter, a 1.0 (a lift just below an integer) to 0.0 as in `CirclePoint`."""
     steps, sin = ifs._steps, math.sin
     pos = float(x) % 1.0
     out = []
@@ -353,5 +353,7 @@ def orbit_to_csv_rows(ifs: IFS, w: WordLike, x: float) -> list[float]:
             pos = (pos + shift) % 1.0
         else:
             pos = float(other.lift(pos)) % 1.0
+        if pos == 1.0:
+            pos = 0.0
         out.append(pos)
     return out

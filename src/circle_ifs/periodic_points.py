@@ -79,14 +79,13 @@ class PeriodicPointRecord:
 
 @dataclass(frozen=True)
 class Attractor:
-    """An attracting fixed point a of the branch composition g, together
-    with the arc U it contracts and the interval attracted to a."""
+    """An attracting fixed point a of the branch composition g and the
+    interval attracted to a (its basin): all that `periodic_in_interval`
+    reads.  The multiplier is `branch_deriv(ifs, word.letters, point)`."""
 
     word: Word
     point: CirclePoint
-    invariant_arc: Arc
     basin: Arc
-    multiplier: float
 
 
 def _residual(ifs: IFS, letters: Sequence[int], q: float) -> float:
@@ -211,13 +210,13 @@ def find_contracted_fixed_arc(
     """Sample a branch, find a prefix length n and an arc U with
     branch(U) inside U, and solve the fixed point of the prefix composition.
 
-    U is the largest complement component of the detected repeller brackets,
-    shrunk slightly; the fixed point's attracted interval (between its
-    neighboring fixed points of the composition) becomes the basin.  Once
-    polarization confirms the synchronizing regime, a short prefix whose
-    composition has a mildly attracting fixed point is preferred: strong
-    contraction makes downstream composite fixed points unrepresentable in
-    float64 (their reversed words expand residuals past tolerance).
+    U is the largest complement component of the repeller brackets, shrunk
+    slightly, that the prefix maps into itself; the record keeps not U but
+    the fixed point's attracted interval (its basin).  Once polarization
+    confirms the synchronizing regime, a short prefix whose composition has
+    a mildly attracting fixed point is preferred: strong contraction makes
+    downstream composite fixed points unrepresentable in float64 (their
+    reversed words expand residuals past tolerance).
     """
     w_full = model.sample(horizon, seed, stream=stream)
     schedule = [16, 24, 32, 48, 64, 96, 128, 192, 256, 384]
@@ -250,15 +249,7 @@ def find_contracted_fixed_arc(
             q = _banach_polish(ifs, prefix.letters, q)
             if _residual(ifs, prefix.letters, q) > TOL_FIX:
                 continue
-            mult = branch_deriv(ifs, prefix.letters, q)
-            basin = _attracted_interval(ifs, prefix, q, u_arc)
-            return Attractor(
-                word=prefix,
-                point=CirclePoint(q),
-                invariant_arc=u_arc,
-                basin=basin,
-                multiplier=mult,
-            )
+            return Attractor(prefix, CirclePoint(q), _attracted_interval(ifs, prefix, q, u_arc))
         last_error = f"no self-mapped complement component at n={n}"
     raise HorizonExceeded(f"within horizon {horizon}: {last_error}")
 
@@ -269,8 +260,8 @@ def _mild_prefix_attractor(ifs: IFS, w_full: Word) -> Attractor | None:
     least MIN_BASIN.
 
     The attracted interval between neighboring fixed points is itself
-    invariant (points move monotonically toward the attractor), so it
-    doubles as the contracted arc U of the record.
+    invariant (points move monotonically toward the attractor); the prefix
+    must map it into itself, and it becomes the record's basin.
     """
     for j in (4, 6, 8, 10, 12, 16, 20, 24, 32, 40, 48):
         if j > len(w_full):
@@ -290,13 +281,7 @@ def _mild_prefix_attractor(ifs: IFS, w_full: Word) -> Attractor | None:
             img_hi = _word_lift(ifs, prefix.letters, basin.start + basin.length)
             if not basin.contains_span(img_lo, img_hi - img_lo):
                 continue
-            return Attractor(
-                word=prefix,
-                point=CirclePoint(q),
-                invariant_arc=basin,
-                basin=basin,
-                multiplier=branch_deriv(ifs, prefix.letters, q),
-            )
+            return Attractor(prefix, CirclePoint(q), basin)
     return None
 
 

@@ -137,7 +137,8 @@ def _final_distances(ifs: IFS, pairs: np.ndarray, letters: np.ndarray) -> np.nda
     Once at most FLOAT_PAIRS rows are live, each walks the rest of its row
     on `orbit_to_csv_rows` a SYNC_CHECK block at a time until its points are
     equal: the array walk's bits, as Python's % is numpy's mod, unless a
-    point is 1.0 (a lift just below an integer) at a block start."""
+    point reduces to 1.0 (a lift just below an integer), which the float
+    walk takes as 0.0 and the array walk keeps."""
     dist = np.zeros(len(pairs))
     live = np.arange(len(pairs))  # the row of each pair still walked
     for start in range(0, letters.shape[1], SYNC_CHECK):
@@ -197,13 +198,13 @@ def detect_repellers(ifs: IFS, w: WordLike, m_levels: int = 12) -> RepellerEstim
     must stabilize over the last three levels; all-rotation branches keep
     every arc, never stabilize, and raise Unpolarized.
 
-    Endpoint images are cached by domain point, and each level walks the
-    endpoints of its kept arcs that the cache lacks (`branch_lift_array`).
-    Every value walks on Python floats, and all walks share one memo, so a
-    float tail that meets one walked at an earlier level stops: on a
-    synchronizing branch the endpoints merge into a few values within a few
-    hundred letters.  Each point's image does not depend on the points
-    walked with it.
+    Each level walks the endpoints of its kept arcs (`branch_lift_array`)
+    on Python floats, through one memo shared by every level: a value walked
+    at an earlier level stops at its first memo key without stepping a
+    letter, and a float tail that meets one walked before stops there, so
+    on a synchronizing branch the endpoints merge into a few values within
+    a few hundred letters.  Each point's image does not depend on the
+    points walked with it.
 
     Returns one bracketing midpoint per kept arc at the finest level; the
     residual is the final arc length 2^-m_levels.
@@ -211,7 +212,6 @@ def detect_repellers(ifs: IFS, w: WordLike, m_levels: int = 12) -> RepellerEstim
     word = w if isinstance(w, Word) else Word(_letters(w), ifs.k)
     if not START_LEVEL + 3 <= m_levels <= MAX_LEVEL:
         raise ValueError(f"m_levels must be in {START_LEVEL + 3}..{MAX_LEVEL}")
-    cache: dict[float, float] = {}
     memo: dict = {}  # float tails of `word`, shared by every walk
 
     # Domain coordinates live on the lift in [offset, offset + 1].  Arc i at
@@ -223,34 +223,26 @@ def detect_repellers(ifs: IFS, w: WordLike, m_levels: int = 12) -> RepellerEstim
     kept: list[int] = list(range(1 << START_LEVEL))  # arc indices at current level
     counts: list[int] = []
     for level in range(START_LEVEL, m_levels + 1):
-        fresh = sorted({endpoint(i + j, level) for i in kept for j in (0, 1)} - cache.keys())
-        cache.update(zip(fresh, branch_lift_array(ifs, word, np.array(fresh), memo).tolist()))
-        lengths = {
-            i: cache[endpoint(i + 1, level)] - cache[endpoint(i, level)] for i in kept
-        }
-        top = max(lengths.values())
-        grown = [i for i in kept if lengths[i] > THETA_GROW * top]
-        if not grown:
-            raise Unpolarized("no arc image exceeded the growth threshold")
-        if len(grown) > MAX_CANDIDATES:
-            raise Unpolarized(f"{len(grown)} growing arcs exceed the candidate cap")
-        counts.append(len(grown))
-        if level >= START_LEVEL + 2 and len(grown) / (1 << level) > 0.5:
+        if level > START_LEVEL:
+            kept = [c for i in kept for c in (2 * i, 2 * i + 1)]
+        ends = sorted({endpoint(i + j, level) for i in kept for j in (0, 1)})
+        image = dict(zip(ends, branch_lift_array(ifs, word, np.array(ends), memo).tolist()))
+        lengths = {i: image[endpoint(i + 1, level)] - image[endpoint(i, level)] for i in kept}
+        top = max(lengths.values())  # > 0: the arcs split ones of positive image
+        kept = [i for i in kept if lengths[i] > THETA_GROW * top]
+        if len(kept) > MAX_CANDIDATES:
+            raise Unpolarized(f"{len(kept)} growing arcs exceed the candidate cap")
+        counts.append(len(kept))
+        if level >= START_LEVEL + 2 and len(kept) / (1 << level) > 0.5:
             raise Unpolarized("growing arcs cover most of the circle (isometric branch?)")
-        if level == m_levels:
-            kept = grown
-            final_lengths = [lengths[i] for i in grown]
-            break
-        kept = [c for i in grown for c in (2 * i, 2 * i + 1)]
 
-    if len(counts) >= 3 and not (counts[-1] == counts[-2] == counts[-3]):
+    if not counts[-1] == counts[-2] == counts[-3]:
         raise Unpolarized(f"growing-arc count never stabilized: {counts}")
     ell = counts[-1]
+    final_lengths = [lengths[i] for i in kept]
     if min(final_lengths) <= THETA_GROW / ell * 0.5:
         raise Unpolarized("final bracketing arcs are not uniformly grown")
-    points = tuple(
-        CirclePoint(endpoint(i, m_levels) + 0.5 / (1 << m_levels)) for i in sorted(kept)
-    )
+    points = tuple(CirclePoint(endpoint(i, m_levels) + 0.5 / (1 << m_levels)) for i in kept)
     return RepellerEstimate(
         omega_prefix=word,
         levels=m_levels,
@@ -468,13 +460,6 @@ def hitting_tail_check(
     horizon = n_grid[-1]
     if n_trials * horizon > MAX_CELLS:
         raise _FieldError("n_trials", f"{n_trials} x {horizon} letters exceeds {MAX_CELLS} cells")
-    if target.length >= 1.0:
-        rows = tuple(
-            TailBoundRow(n, 0.0, (1.0 - model.p**ell) ** (1 + n // ell), 0.0)
-            for n in n_grid
-        )
-        return TailBoundReport(rows, ell, r, s, model.p)
-
     hit_time = _hit_times(ifs.generators, model.sample_matrix(n_trials, horizon, seed), x, target)
     rows = []
     for n in n_grid:

@@ -68,6 +68,17 @@ class TestArc:
         for x in (0.0, 0.3, 0.99):
             assert arc.contains(x)
 
+    @pytest.mark.parametrize("start", [0.3, 0.0, math.nextafter(0.1 + 0.2, 1.0)])
+    def test_full_circle_holds_points_just_below_its_start(self, start):
+        # (x - start) mod 1 rounds up to 1.0 for x within 2^-54 below start;
+        # a full circle still holds x, a shorter arc does not.
+        below = [math.nextafter(start, -1.0), start - 2.0**-54, math.nextafter(1.0, 0.0)]
+        assert all(Arc(start, 1.0).contains(x) for x in below)
+        assert Arc(start, 1.0).contains_array(below).all()
+        short = Arc(start, math.nextafter(1.0, 0.0))
+        assert not short.contains(math.nextafter(start, -1.0))
+        assert not short.contains_array([math.nextafter(start, -1.0)]).any()
+
     def test_contains_arc_wrapping(self):
         outer = Arc(0.8, 0.5)
         assert contains_arc(outer, Arc(0.95, 0.2))

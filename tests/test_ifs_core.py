@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from circle_ifs import ifs_core
 from circle_ifs.circle_maps import (
     CirclePoint,
     Rotation,
@@ -66,6 +67,14 @@ class TestBranchApply:
         assert len(traj) == 3
         assert traj[-1] == branch_apply(golden_sine, Word((1, 2, 1), 2), 0.2)
 
+    def test_lift_just_below_an_integer_is_the_point_zero(self):
+        # -0.3 + nextafter(0.3, 0) is -2^-54 + ..., which % 1.0 rounds to 1.0.
+        ifs = IFS([Rotation(-0.3)])
+        x = math.nextafter(0.3, 0.0)
+        assert orbit_to_csv_rows(ifs, [1], x) == [0.0]
+        assert orbit_to_csv_rows(ifs, [1, 1], x) == [0.0, orbit_to_csv_rows(ifs, [1], 0.0)[0]]
+        assert branch_apply(ifs, [1], x) == 0.0
+
     @pytest.mark.parametrize("inverse", [False, True])
     def test_bit_identical_to_per_letter_loop(self, golden_sine, inverse):
         # Reference: the loops branch_apply and pair_distance_trajectory ran
@@ -80,9 +89,9 @@ class TestBranchApply:
             other = float(y) % 1.0
             distances.append(float(circle_distance_array(pos, other)))
             for a in w:
-                pos = gens[a - 1].lift(pos) % 1.0
-                traj.append(CirclePoint(pos))
-                other = float(gens[a - 1].lift(other)) % 1.0
+                pos = CirclePoint(gens[a - 1].lift(pos))
+                traj.append(pos)
+                other = float(CirclePoint(gens[a - 1].lift(other)))
                 distances.append(float(circle_distance_array(float(pos), other)))
             end = branch_apply(ifs, w, x)
             assert type(end) is CirclePoint
@@ -159,6 +168,24 @@ class TestBranchLiftArray:
         xs = np.array([0.0, -0.0])
         got = branch_lift_array(signed, [1] * 100, xs)
         assert got.tobytes() == reference_branch_lift_array(signed, [1] * 100, xs).tobytes()
+
+    @pytest.mark.parametrize("label", sorted(LIFT_IFS))
+    def test_rewalk_over_a_shared_memo_steps_no_letter(self, label, monkeypatch):
+        # Every value the first call walked maps through its first memo key
+        # to its final lift, so a second call over those values, in another
+        # order and with repeats, steps no letter.
+        ifs = LIFT_IFS[label]
+        w = LIFT_MODELS["bernoulli"].sample(5000, seed=4, stream=5)
+        memo = {}
+        first = branch_lift_array(ifs, w, ENDPOINTS[:33], memo)
+        letters = []
+        word_lift = ifs_core._word_lift
+        monkeypatch.setattr(ifs_core, "_word_lift",
+                            lambda f, block, x: letters.append(len(block)) or word_lift(f, block, x))
+        picks = [32, 0, 7, 7, 19]
+        again = branch_lift_array(ifs, w, ENDPOINTS[picks], memo)
+        assert letters == []
+        assert again.tobytes() == first[picks].tobytes()
 
     @pytest.mark.parametrize("label", sorted(LIFT_IFS))
     def test_two_dimensional_input_with_repeats(self, label):

@@ -128,9 +128,11 @@ class TestContractedFixedArc:
         att = find_contracted_fixed_arc(ifs, BernoulliModel([1.0]), seed=1)
         n = len(att.word)
         assert circle_distance(float(att.point), 0.0) < 1e-12
-        assert att.multiplier == pytest.approx(0.5**n, rel=1e-12)
-        assert att.invariant_arc.contains(float(att.point))
-        assert not att.invariant_arc.contains(0.5)
+        assert branch_deriv(ifs, att.word.letters, float(att.point)) == pytest.approx(
+            0.5**n, rel=1e-12
+        )
+        assert att.basin.contains(float(att.point))
+        assert not att.basin.contains(0.5)
 
     def test_all_rotations_exceed_horizon(self, fair_coin):
         ifs = IFS([Rotation(GOLDEN), Rotation(0.3)])
@@ -145,40 +147,43 @@ class TestContractedFixedArc:
                 float(att.point),
             )
             assert residual < 1e-10
-            assert att.multiplier < 1.0
+            assert branch_deriv(golden_sine_ifs, att.word.letters, float(att.point)) < 1.0
 
-    def test_invariant_arc_is_self_mapped(self, golden_sine_ifs, fair_coin):
+    def test_basin_is_self_mapped(self, golden_sine_ifs, fair_coin):
         att = find_contracted_fixed_arc(golden_sine_ifs, fair_coin, seed=7)
-        lo = att.invariant_arc.start
-        hi = lo + att.invariant_arc.length
+        lo = att.basin.start
+        hi = lo + att.basin.length
         img_lo = float(branch_apply(golden_sine_ifs, att.word, lo))
         img_hi = float(branch_apply(golden_sine_ifs, att.word, hi))
-        assert att.invariant_arc.contains(img_lo)
-        assert att.invariant_arc.contains(img_hi)
+        assert att.basin.contains(img_lo)
+        assert att.basin.contains(img_hi)
 
     def test_repeller_bracket_fallback(self, fair_coin, monkeypatch):
         # No short prefix of this seed-0 word has a fixed point with
         # multiplier in MILD_BAND and a long enough basin, so the arc is a
         # complement component of the repeller brackets (the attractor
-        # found has multiplier about 9e-4).
+        # found has multiplier about 9e-4).  That arc U is the bracket of
+        # the last bisection.
         ifs = IFS([Rotation(GOLDEN), SinePerturbed(0.0, -0.95, harmonics=2)])
-        mild, components = [], []
+        mild, components, brackets = [], [], []
         for name, log in (("_mild_prefix_attractor", mild), ("_complement_components", components)):
             fn = getattr(periodic_points, name)
             monkeypatch.setattr(periodic_points, name,
                                 lambda *a, fn=fn, log=log: log.append(fn(*a)) or log[-1])
+        bisect = periodic_points._bisect_fixed_point
+        monkeypatch.setattr(periodic_points, "_bisect_fixed_point",
+                            lambda f, letters, lo, hi: brackets.append((lo, hi))
+                            or bisect(f, letters, lo, hi))
         att = find_contracted_fixed_arc(ifs, fair_coin, seed=0)
         assert mild == [None]
-        lo = att.invariant_arc.start
-        hi = lo + att.invariant_arc.length
-        assert any((lo - c.start) % 1.0 + att.invariant_arc.length <= c.length
-                   for c in components[-1])
+        lo, hi = brackets[-1]
+        assert any((lo - c.start) % 1.0 + (hi - lo) <= c.length for c in components[-1])
         img_lo = _word_lift(ifs, att.word.letters, lo)
         img_hi = _word_lift(ifs, att.word.letters, hi)
-        assert (img_lo - lo) % 1.0 + (img_hi - img_lo) <= att.invariant_arc.length
+        assert (img_lo - lo) % 1.0 + (img_hi - img_lo) <= hi - lo
         q = float(att.point)
         assert circle_distance(_word_lift(ifs, att.word.letters, q) % 1.0, q) <= periodic_points.TOL_FIX
-        assert att.multiplier < 1.0
+        assert branch_deriv(ifs, att.word.letters, q) < 1.0
 
 
 class TestPeriodicInInterval:

@@ -7,7 +7,7 @@ a per-step method loop,
 for certificate JSON round trips, for the column-wise CSV writer
 against the per-row writer it replaced, for `Arc.contains_span`
 against the arc-in-arc test of the tests, for `_frac` against np.mod, and
-for `CirclePoint` and `Arc` starts landing in [0, 1).
+for `CirclePoint` and `Arc` starts and orbit rows landing in [0, 1).
 
 Maps are trees of depth <= 2 over rotations and sine maps, whose inner
 nodes compose two maps, raise one to a power |n| <= 2 or invert it.  A
@@ -212,7 +212,7 @@ def reference_walks(gens, letters, x):
     for a in letters:
         g = gens[a - 1]
         lifted = g.lift(lifted)
-        pos = float(g.lift(pos)) % 1.0
+        pos = float(CirclePoint(g.lift(pos)))
         rows.append(pos)
         value, d = g.lift_deriv(dpos)
         total *= float(d)
@@ -452,3 +452,14 @@ def test_circle_point_and_arc_start_lie_in_unit_interval(x, tiny):
     for value in (x, tiny):
         assert 0.0 <= CirclePoint(value) < 1.0
         assert 0.0 <= Arc(value, 0.5).start < 1.0
+
+
+@PROPERTY
+@given(st.floats(-(2.0**-50), 0.0, exclude_max=True), frac_inputs, st.integers(1, 8))
+@example(-5e-324, 0.0, 1)
+@example(-(2.0**-54), 1.0, 3)
+def test_orbit_rows_lie_in_unit_interval(alpha, x, n):
+    # A rotation by a tiny negative angle takes points just above an
+    # integer to lifts just below it, which Python's % rounds up to 1.0.
+    rows = orbit_to_csv_rows(IFS([Rotation(alpha)]), [1] * n, x)
+    assert len(rows) == n and all(0.0 <= v < 1.0 for v in rows)

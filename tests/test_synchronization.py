@@ -155,9 +155,10 @@ class TestDetectRepellers:
         assert abs(abs(a - b) - 0.5) < 1e-3
 
 
-def detect_repellers_per_level(ifs, w, m_levels):
+def detect_repellers_per_level(ifs, w, m_levels, arcs_log=None):
     """Reference: one branch walk per refinement level, carrying only the
-    endpoints that level is missing, each walk with a fresh memo."""
+    endpoints that level is missing, each walk with a fresh memo.  With
+    `arcs_log`, each level appends the arcs it measures."""
     theta_grow, start_level, max_candidates = 0.9, 3, 64
     letters = w.letters
     cache = {}
@@ -168,6 +169,8 @@ def detect_repellers_per_level(ifs, w, m_levels):
     kept = list(range(1 << start_level))
     counts = []
     for level in range(start_level, m_levels + 1):
+        if arcs_log is not None:
+            arcs_log.append(kept)
         pts = sorted({endpoint(i, level) for i in kept} | {endpoint(i + 1, level) for i in kept})
         fresh = [p for p in pts if p not in cache]
         if fresh:
@@ -235,43 +238,68 @@ class TestSharedWalks:
                 x.hex() for x in ref.final_image_lengths
             ]
 
-    def test_golden_sine_at_ten_levels_walks_once_per_level(
-        self, golden_sine, fair_coin, monkeypatch
+    @pytest.mark.parametrize(
+        "seed, stream, expected",
+        [
+            (0, 0, [13328, 640, 576, 576, 640, 640, 640, 640]),
+            # classify's first golden-sine word at seed 7.
+            (7, 100, [14672] + [704] * 7),
+        ],
+    )
+    def test_golden_sine_at_ten_levels_walks_each_level_through_one_memo(
+        self, golden_sine, fair_coin, monkeypatch, seed, stream, expected
     ):
         calls = []
-        float_letters = []  # letters that each walk's float tails step
-        word_lift = ifs_core._word_lift
+        level_letters = []  # letters that each level's float tails step
+        value_letters = []  # (value, letters its float tail steps), per value
+        word_lift, float_tail = ifs_core._word_lift, ifs_core._float_tail
 
         def counting_word_lift(ifs, letters, x):
-            float_letters[-1] += len(letters)
+            level_letters[-1] += len(letters)
             return word_lift(ifs, letters, x)
+
+        def counting_float_tail(ifs, letters, x, memo):
+            before = level_letters[-1]
+            out = float_tail(ifs, letters, x, memo)
+            value_letters.append((x, level_letters[-1] - before))
+            return out
 
         def counting(ifs, w, xs, memo=None):
             calls.append(xs.tolist())
-            float_letters.append(0)
+            level_letters.append(0)
             return branch_lift_array(ifs, w, xs, memo)
 
         monkeypatch.setattr(ifs_core, "_word_lift", counting_word_lift)
+        monkeypatch.setattr(ifs_core, "_float_tail", counting_float_tail)
         monkeypatch.setattr(synchronization, "branch_lift_array", counting)
-        w = fair_coin.sample(5000, seed=0, stream=0)
+        w = fair_coin.sample(5000, seed=seed, stream=stream)
         est = detect_repellers(golden_sine, w, m_levels=10)
         assert est.ell_hat == 1
-        walks, shared = calls[:], float_letters[:]
-        assert len(walks) == 8  # levels 3..10
-        assert walks[0] == [PARTITION_OFFSET + i / 8 for i in range(9)]
-        # Each later walk holds only the endpoints its level lacks: those the
-        # per-level reference walks, none of them walked before.
-        calls.clear()
-        detect_repellers_per_level(golden_sine, w, m_levels=10)
-        assert walks == calls
-        for j in range(1, len(walks)):
-            assert not set(walks[j]) & {x for walk in walks[:j] for x in walk}
+        walks, shared, per_value = calls[:], level_letters[:], value_letters[:]
+        # Each walk holds exactly the endpoints of the arcs its level
+        # measures, those of the per-level reference.
+        arcs = []
+        detect_repellers_per_level(golden_sine, w, 10, arcs)
+        assert len(walks) == len(arcs) == 8  # levels 3..10
+        for level, (xs, kept) in enumerate(zip(walks, arcs), start=3):
+            assert xs == sorted({PARTITION_OFFSET + (i + j) / (1 << level)
+                                 for i in kept for j in (0, 1)})
+        # A value walked at an earlier level steps no letter; each level
+        # steps as many letters as when it walked only the values it lacked.
+        seen, repeats = set(walks[0]), 0
+        for x, letters in per_value[len(walks[0]):]:
+            if x in seen:
+                assert letters == 0
+                repeats += 1
+            seen.add(x)
+        assert repeats == sum(map(len, walks)) - len(seen) >= 7
+        assert shared == expected
         # A later walk's float tails meet those of earlier levels in the
         # shared memo: with a fresh memo each walks its tail further.
         for xs, letters in zip(walks[1:], shared[1:]):
-            float_letters.append(0)
+            level_letters.append(0)
             branch_lift_array(golden_sine, w, np.array(xs), {})
-            assert 0 < letters < float_letters[-1]
+            assert 0 < letters < level_letters[-1]
 
 
 class TestWordOfCaution:
@@ -351,11 +379,39 @@ class TestHittingTail:
         with pytest.raises(ValueError, match=r"^n_trials: 1000000 x 15970 letters exceeds"):
             hitting_tail_check(golden_sine, fair_coin, Arc(0.3, 1e-3), x=0.1, n_trials=10**6)
 
-    def test_full_circle_target_trivial(self, golden_sine, fair_coin):
+    @pytest.mark.parametrize("minimal_word", [None, Word((1, 1), 2)])
+    @pytest.mark.parametrize("n_grid", [None, [1, 2, 7]])
+    @pytest.mark.parametrize("model", sorted(EQUIVALENCE_MODELS))
+    def test_full_circle_target_trivial(self, golden_sine, model, n_grid, minimal_word):
+        # Every trial hits the whole circle at step 1: no miss, no spread,
+        # and the closed-form bound, bit for bit.
+        m = EQUIVALENCE_MODELS[model]
         rep = hitting_tail_check(
-            golden_sine, fair_coin, Arc(0.0, 1.0), x=0.1, n_grid=[1, 2], n_trials=10
+            golden_sine, m, Arc(0.0, 1.0), x=0.1, n_grid=n_grid, n_trials=10,
+            minimal_word=minimal_word,
         )
-        assert all(r.empirical_miss == 0.0 for r in rep.rows)
+        s = 1 if minimal_word is None else len(minimal_word)
+        assert (rep.cover_count, rep.word_length, rep.ell) == (1, s, s)
+        grid = n_grid or [s * i for i in range(1, 11)]
+        expected = [(n, 0.0, (1.0 - m.p**s) ** (1 + n // s), 0.0) for n in grid]
+        got = [(r.n, r.empirical_miss, r.bound, r.stderr) for r in rep.rows]
+        assert [(n, *map(float.hex, v)) for n, *v in got] == [
+            (n, *map(float.hex, v)) for n, *v in expected
+        ]
+
+    def test_full_circle_target_holds_a_landing_just_below_its_start(self):
+        # Step 1 lands one ulp below the target's start, whose offset rounds
+        # up to 1.0; the whole circle still holds it.  (A single letter of
+        # probability 1 makes the bound 0.0 whatever the cover count.)
+        x, alpha = 0.1, 0.2
+        target = Arc(math.nextafter(x + alpha, 1.0), 1.0)
+        rep = hitting_tail_check(
+            IFS([Rotation(alpha)]), BernoulliModel([1.0]), target, x=x, n_grid=[1, 2],
+            n_trials=10,
+        )
+        assert [(r.n, r.empirical_miss, r.bound, r.stderr) for r in rep.rows] == [
+            (1, 0.0, 0.0, 0.0), (2, 0.0, 0.0, 0.0)
+        ]
 
     def test_bound_formula_instance(self):
         # p = 1/2, ell = 1: the bound at n is (1 - p)^(1 + n) = 2^-(n+1).
