@@ -28,8 +28,9 @@ ORBIT_CAP = 1_000_000
 FRONTIER_CAP = 50_000
 
 # branch_lift_array walks each value on Python floats, SYNC_CHECK letters at a
-# time, and its memo keys a tail by (block offset, bit pattern), so tails that
-# meet at a block boundary walk on as one; synchronization.sync_fraction drops
+# time, each block from its start reduced mod 1, and its memo keys a tail by
+# (block offset, bit pattern of that start), so tails that meet on the circle
+# at a block boundary walk on as one; synchronization.sync_fraction drops
 # its bitwise-merged pairs before every SYNC_CHECK-th letter and walks its last
 # FLOAT_PAIRS pairs on Python floats, a block at a time.
 SYNC_CHECK = 64
@@ -84,21 +85,23 @@ def branch_apply(ifs: IFS, w: WordLike, x: float) -> CirclePoint:
 
 
 def branch_lift_array(ifs: IFS, w: WordLike, xs: np.ndarray, memo: dict | None = None) -> np.ndarray:
-    """Vectorized branch application on the lift (no mod), preserving order
-    and shape.
+    """Branch application on the lift, preserving order and shape.
 
-    Lift differences of the output give exact image arc lengths for
-    monotone inputs.
+    Lift differences of the output give image arc lengths for monotone
+    inputs.
 
     Every value walks on Python floats (`_float_tail`), one SYNC_CHECK
-    block at a time.  `memo` (fresh if omitted; one per (ifs, w)) maps every
-    (block offset, bit pattern) that a tail passed to its final lift, so a
-    tail that meets a walked one stops: equal points walk once, and on a
-    synchronizing branch, which contracts onto its ell repellers, the tails
-    merge within a few blocks.  The tails (`_word_lift`) step rotations and
-    sine maps inline with the operations of their `lift`: the result is the
-    per-letter array loop's bit for bit, given that scalar sine lifts match
-    numpy's.
+    block at a time, each block from its start reduced mod 1 with the whole
+    turns carried as an int, so the walk keeps F(x + n) = F(x) + n.  `memo`
+    (fresh if omitted; one per (ifs, w)) maps every (block offset, bit
+    pattern of the reduced start) that a tail passed to the turns it gains
+    to the word's end and its final value, so a tail that meets a walked
+    one stops: points equal mod 1 walk once, and on a synchronizing branch,
+    which contracts the circle off its ell repellers, the tails merge within
+    a few blocks.  The tails (`_word_lift`) step rotations and sine maps
+    inline with the operations of their `lift`: the result is that of the
+    block-reduced per-letter array loop bit for bit, given that scalar sine
+    lifts match numpy's.
     """
     memo = {} if memo is None else memo
     vals = np.asarray(xs, dtype=float)
@@ -108,16 +111,21 @@ def branch_lift_array(ifs: IFS, w: WordLike, xs: np.ndarray, memo: dict | None =
 
 
 def _float_tail(ifs: IFS, letters: tuple[int, ...], x: float, memo: dict) -> float:
-    """`_word_lift` of letters at x, block by block, until memo knows the tail."""
-    visited = []
+    """`_word_lift` of letters at x, block by block from t = x - floor(x)
+    (exact unless x lies in (-1/2, 0)) with the whole turns carried as an
+    int, until memo knows the tail; returns turns + t."""
+    turns, visited = 0, []
     for at in range(0, len(letters), SYNC_CHECK):
+        n = math.floor(x)
+        turns, x = turns + n, x - n
         if (key := (at, struct.pack("<d", x))) in memo:
-            x = memo[key]
+            gained, x = memo[key]
+            turns += gained
             break
-        visited.append(key)
+        visited.append((key, turns))
         x = _word_lift(ifs, letters[at : at + SYNC_CHECK], x)
-    memo.update(dict.fromkeys(visited, x))
-    return x
+    memo.update({key: (turns - before, x) for key, before in visited})
+    return turns + x
 
 
 def _word_lift(ifs: IFS, letters: Sequence[int], x: float) -> float:

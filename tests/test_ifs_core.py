@@ -1,5 +1,6 @@
 import math
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -104,11 +105,18 @@ class TestBranchApply:
 
 
 def reference_branch_lift_array(ifs, w, xs):
-    """The per-letter loop that walked every point through every letter."""
+    """Every point through every letter with no memo, on the circle: each
+    SYNC_CHECK block starts at x - floor(x), and the whole turns are added
+    back at the end."""
     vals = np.asarray(xs, dtype=float)
-    for a in w:
-        vals = ifs.generators[a - 1].lift(vals)
-    return vals
+    turns = np.zeros_like(vals)
+    letters = list(w)
+    for at in range(0, len(letters), ifs_core.SYNC_CHECK):
+        whole = np.floor(vals)
+        turns, vals = turns + whole, vals - whole
+        for a in letters[at : at + ifs_core.SYNC_CHECK]:
+            vals = ifs.generators[a - 1].lift(vals)
+    return turns + vals
 
 
 LIFT_IFS = {
@@ -125,9 +133,10 @@ ENDPOINTS = 1.0 / 3.0 + np.arange(129) / 128
 
 
 class TestBranchLiftArray:
-    # Every point walks on Python floats.  On synchronizing words the float
-    # tails merge into ell + 1 values (2 on golden-sine, 3 on half-turn);
-    # rotations never merge.  Each case must equal the full loop bit for bit.
+    # Every point walks on Python floats, reduced at each block start.  On
+    # synchronizing words the float tails merge into ell values (one turn
+    # apart tails merge too); rotations never merge.  Each case must equal
+    # the block-reduced loop bit for bit.
     @pytest.mark.parametrize("n_points", [1, 7, 129])
     @pytest.mark.parametrize("length", [16, 64, 5000])
     @pytest.mark.parametrize("model", sorted(LIFT_MODELS))
@@ -155,19 +164,39 @@ class TestBranchLiftArray:
             assert got.tobytes() == reference_branch_lift_array(ifs, w, xs).tobytes()
 
     def test_memo_keys_carry_offset_and_sign(self):
-        # 0.5 is at 16.5 after letter 64 and back at 0.5 after letter 128,
-        # but a walk from 16.5 at letter 0 ends elsewhere; and Rotation(-0.0)
-        # keeps 0.0 and -0.0 apart, so their tails differ in the sign bit.
+        # 0.5 is at 16.5 after letter 64 and back at 0.5 after letter 128:
+        # every block starts at t = 0.5, and the block offset keeps the three
+        # keys apart.  16.5 starts at t = 0.5 too, so it shares the key
+        # (0, 0.5) and ends 16 turns further on.  Rotation(-0.0) keeps 0.0
+        # and -0.0 apart, so their keys differ in the sign bit.
         ifs = IFS([Rotation(0.25), Rotation(-0.25)])
         w = [1] * 64 + [2] * 64 + [1] * 64
         memo = {}
-        for xs in (np.array([0.5]), np.array([16.5])):
-            got = branch_lift_array(ifs, w, xs, memo)
-            assert got.tobytes() == reference_branch_lift_array(ifs, w, xs).tobytes()
-        signed = IFS([Rotation(-0.0)])
+        half, later = (branch_lift_array(ifs, w, np.array([x]), memo) for x in (0.5, 16.5))
+        assert half.tobytes() == reference_branch_lift_array(ifs, w, [0.5]).tobytes()
+        assert later[0] == half[0] + 16.0
+        assert sorted(memo) == [(at, struct.pack("<d", 0.5)) for at in (0, 64, 128)]
+        signed, memo = IFS([Rotation(-0.0)]), {}
         xs = np.array([0.0, -0.0])
-        got = branch_lift_array(signed, [1] * 100, xs)
+        got = branch_lift_array(signed, [1] * 100, xs, memo)
         assert got.tobytes() == reference_branch_lift_array(signed, [1] * 100, xs).tobytes()
+        assert sorted(memo) == sorted((at, struct.pack("<d", x)) for at in (0, 64) for x in xs)
+
+    @pytest.mark.parametrize("label", sorted(LIFT_IFS))
+    def test_one_turn_on_steps_no_letter(self, label, monkeypatch):
+        # y + 1 starts its first block at y's key, so it walks no letter and
+        # ends exactly one turn past y: the walk keeps F(y + 1) = F(y) + 1.
+        ifs = LIFT_IFS[label]
+        w = LIFT_MODELS["bernoulli"].sample(5000, seed=6, stream=5)
+        y, memo = 0.375, {}
+        first = branch_lift_array(ifs, w, np.array([y]), memo)
+        letters = []
+        word_lift = ifs_core._word_lift
+        monkeypatch.setattr(ifs_core, "_word_lift",
+                            lambda f, block, x: letters.append(len(block)) or word_lift(f, block, x))
+        again = branch_lift_array(ifs, w, np.array([y + 1.0]), memo)
+        assert letters == []
+        assert again[0] - first[0] == 1.0
 
     @pytest.mark.parametrize("label", sorted(LIFT_IFS))
     def test_rewalk_over_a_shared_memo_steps_no_letter(self, label, monkeypatch):
