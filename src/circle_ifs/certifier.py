@@ -35,9 +35,11 @@ from .circle_maps import (
     Arc,
     CirclePoint,
     Composition,
+    Exhausted,
     LiftMap,
     MAX_POWER,
     Power,
+    Refuted,
     Rotation,
     SinePerturbed,
     TOL_INV,
@@ -47,6 +49,7 @@ from .circle_maps import (
     _finite,
     _frac,
     _parsed,
+    _Record,
     _scalar_step,
     _string,
     circle_distance,
@@ -82,33 +85,33 @@ UNIVERSAL_FINE_FACTOR = 10
 UNIVERSAL_RETRIES = 3
 
 
-class NoAttractingSide(RuntimeError):
+class NoAttractingSide(Refuted):
     """No fixed point admits a one-sided contracting basin."""
 
 
-class RationalRotation(ValueError):
+class RationalRotation(Refuted, ValueError):
     """The rotation factor must have (numerically) irrational rotation number."""
 
 
-class SearchExhausted(RuntimeError):
+class SearchExhausted(Exhausted):
     def __init__(self, stage: str, message: str):
         super().__init__(f"[{stage}] {message}")
         self.stage = stage
 
 
-class ContractionFails(RuntimeError):
+class ContractionFails(Refuted):
     """The inflated derivative bound is not below 1."""
 
 
-class CoverGap(RuntimeError):
+class CoverGap(Refuted):
     """A nested-selection step found no covering arc (margin erosion)."""
 
 
-class NestedLimitViolation(RuntimeError):
+class NestedLimitViolation(Refuted):
     """The approximant missed the lambda^n * |B| guarantee."""
 
 
-class LengthExceeded(RuntimeError):
+class LengthExceeded(Exhausted):
     """The universal word outgrew max_len or its suffix search ran dry."""
 
 
@@ -118,7 +121,7 @@ class LengthExceeded(RuntimeError):
 
 
 @dataclass(frozen=True)
-class BasinData:
+class BasinData(_Record):
     """Attracting-side data for g2: the point p, the one-sided basin
     A = (p, p+eps) where 0 < Dg2 < 1 with margin deriv_margin, the return
     gap delta, and the derived arcs B and D."""
@@ -130,17 +133,6 @@ class BasinData:
     arc_B: Arc
     arc_D: Arc
     deriv_margin: float
-
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "eps": self.eps,
-            "delta": self.delta,
-            "arc_A": self.arc_A.to_json(),
-            "arc_B": self.arc_B.to_json(),
-            "arc_D": self.arc_D.to_json(),
-            "deriv_margin": self.deriv_margin,
-        }
 
     @staticmethod
     def from_json(obj: dict) -> "BasinData":
@@ -828,7 +820,7 @@ def nested_limit(
 
 
 @dataclass(frozen=True)
-class UniversalWordResult:
+class UniversalWordResult(_Record):
     word: Word
     capture_times: tuple[int, ...]  # per grid index; time t means word[:t]
     target: Arc

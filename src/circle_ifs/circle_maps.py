@@ -39,12 +39,14 @@ both components, so the result equals `(lift(x), deriv(x))` bit for bit.
 Every JSON input (config, map, model, certificate) is read by `_parsed`
 and its strict casts, here at the bottom layer: a missing or malformed field
 raises `_FieldError` with the field's path, e.g. `generators[1].maps[0].alpha`.
+A record writes its JSON field by field through `_Record`, and every failure
+a command reports derives from `Exhausted` (exit 3) or `Refuted` (exit 2).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain, repeat
 from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
@@ -63,7 +65,15 @@ TOL_NEUTRAL = 1e-6
 MAX_POWER = 10_000
 
 
-class ConvergenceFailure(RuntimeError):
+class Exhausted(RuntimeError):
+    """A search or solve ran out of its budget (the CLI exits 3)."""
+
+
+class Refuted(RuntimeError):
+    """The input fails a hypothesis the paper's construction needs (the CLI exits 2)."""
+
+
+class ConvergenceFailure(Exhausted):
     """Inverse evaluation failed to reach TOL_INV within MAX_INVERSE_ITER."""
 
 
@@ -147,6 +157,18 @@ def _integer(lo: int | None = None, hi: int | None = None) -> Callable[[object],
     return cast
 
 
+def _json_value(v):
+    """A value with its own `to_json` (a Word, an Arc, a map) gives that, a tuple a list."""
+    return v.to_json() if hasattr(v, "to_json") else list(v) if type(v) is tuple else v
+
+
+class _Record:
+    """A dataclass whose JSON is {field name: its `_json_value`}."""
+
+    def to_json(self) -> dict:
+        return {f.name: _json_value(getattr(self, f.name)) for f in fields(self)}
+
+
 class CirclePoint(float):
     """A point of R/Z.  Construction reduces mod 1, so 0 <= value < 1."""
 
@@ -177,7 +199,7 @@ def circle_distance_array(x: FloatLike, y: FloatLike) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Arc:
+class Arc(_Record):
     """Oriented arc traversed counterclockwise from `start`, length in (0, 1].
 
     Length 1 is the full circle: it holds every point, also one whose
@@ -212,9 +234,6 @@ class Arc:
         if 2.0 * margin >= self.length:
             raise ValueError("margin swallows the arc")
         return Arc(self.start + margin, self.length - 2.0 * margin)
-
-    def to_json(self) -> dict:
-        return {"start": self.start, "length": self.length}
 
     @staticmethod
     def from_json(obj: dict) -> "Arc":

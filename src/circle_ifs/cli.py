@@ -5,14 +5,15 @@ Every command runs on one thread; --threads is accepted for compatibility
 and ignored, so it never changes output bytes.  Outputs are canonical JSON
 (sorted keys, shortest round-trip floats) or CSV, so identical configs give
 byte-identical artifacts.  A command's `params` are the keys of its PARAMS
-entry, each read by a strict cast or set to its default.
+entry, each read by a strict cast or set to its default; `_run` resolves
+them once, before the command's handler runs.
 
-Exit codes: 0 success, 2 verification failure or config error (a missing or
-malformed field of a config or certificate, or a params key outside the
-command's table, reported with its path, e.g. `generators[1].a`, or an
-`--out` path that cannot be written, at `out`), 3 search
-exhaustion (including a Newton/bisection inverse solve that fails to
-converge, circle_maps.ConvergenceFailure).
+Exit codes: 0 success, 2 verification failure (circle_maps.Refuted) or config
+error (a missing or malformed field of a config or certificate, or a params
+key outside the command's table, reported with its path, e.g.
+`generators[1].a`, or an `--out` path that cannot be written, at `out`), 3
+search exhaustion (circle_maps.Exhausted, including a Newton/bisection
+inverse solve that fails to converge).
 """
 
 from __future__ import annotations
@@ -25,11 +26,6 @@ from pathlib import Path
 
 from .certifier import (
     CertificatePair,
-    ContractionFails,
-    LengthExceeded,
-    NoAttractingSide,
-    RationalRotation,
-    SearchExhausted,
     certify_robust_minimality,
     check_certificate,
     find_universal_word,
@@ -39,7 +35,8 @@ from .circle_maps import (
     _REQUIRED,
     MAX_POWER,
     Arc,
-    ConvergenceFailure,
+    Exhausted,
+    Refuted,
     _array,
     _FieldError,
     _finite,
@@ -50,21 +47,12 @@ from .circle_maps import (
     map_from_json,
 )
 from .ifs_core import IFS, ORBIT_CAP, minimality_estimate, orbit_to_csv_rows
-from .periodic_points import (
-    HorizonExceeded,
-    StageExhausted,
-    density_sweep,
-    find_contracted_fixed_arc,
-    periodic_in_interval,
-)
+from .periodic_points import density_sweep, find_contracted_fixed_arc, periodic_in_interval
 from .symbolic import SequenceModel, _rng, _seed, model_from_json
 from .synchronization import (
     MAX_CELLS,
     MAX_LEVEL,
     START_LEVEL,
-    CoverSearchExhausted,
-    NoMinimalGenerator,
-    Unpolarized,
     antonov_classify,
     detect_repellers,
     hitting_tail_check,
@@ -258,12 +246,11 @@ def _params(cfg: dict, command: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Command handlers: (config, seed) -> (text, exit_code)
+# Command handlers: (config, seed, params) -> (text, exit_code)
 # ---------------------------------------------------------------------------
 
 
-def _cmd_simulate_orbit(cfg: dict, seed: int) -> tuple[str, int]:
-    p = _params(cfg, "simulate-orbit")
+def _cmd_simulate_orbit(cfg: dict, seed: int, p: dict) -> tuple[str, int]:
     ifs = _ifs_of(cfg)
     letters = _model_of(cfg).sample_matrix(1, p["length"], seed)[0].tolist()
     points = orbit_to_csv_rows(ifs, letters, p["x"])
@@ -274,34 +261,30 @@ def _cmd_simulate_orbit(cfg: dict, seed: int) -> tuple[str, int]:
     return "n,letter,point\n" + "".join(rows), 0
 
 
-def _cmd_estimate_minimality(cfg: dict, seed: int) -> tuple[str, int]:
-    kwargs = _params(cfg, "estimate-minimality")
+def _cmd_estimate_minimality(cfg: dict, seed: int, p: dict) -> tuple[str, int]:
     ifs = _ifs_of(cfg)
     out = {
         "label": cfg["label"],
-        "params": kwargs,
-        "forward": minimality_estimate(ifs, **kwargs).to_json(),
-        "backward": minimality_estimate(ifs.inverse_ifs(), **kwargs).to_json(),
+        "params": p,
+        "forward": minimality_estimate(ifs, **p).to_json(),
+        "backward": minimality_estimate(ifs.inverse_ifs(), **p).to_json(),
     }
     return canonical_json(out), 0
 
 
-def _cmd_classify(cfg: dict, seed: int) -> tuple[str, int]:
-    p = _params(cfg, "classify")
+def _cmd_classify(cfg: dict, seed: int, p: dict) -> tuple[str, int]:
     _bound_cells(p, "n_pairs", p["sync_horizon"])
     result = antonov_classify(_ifs_of(cfg), _model_of(cfg), seed=seed, **p)
     return canonical_json(result.to_json()), 0
 
 
-def _cmd_detect_repellers(cfg: dict, seed: int) -> tuple[str, int]:
-    p = _params(cfg, "detect-repellers")
+def _cmd_detect_repellers(cfg: dict, seed: int, p: dict) -> tuple[str, int]:
     word = _model_of(cfg).sample(p["word_length"], seed)
     est = detect_repellers(_ifs_of(cfg), word, m_levels=p["m_levels"])
     return canonical_json(est.to_json()), 0
 
 
-def _cmd_tail_bound(cfg: dict, seed: int) -> tuple[str, int]:
-    p = _params(cfg, "tail-bound")
+def _cmd_tail_bound(cfg: dict, seed: int, p: dict) -> tuple[str, int]:
     ifs = _ifs_of(cfg)
     if p["minimal_index"] >= ifs.k:  # k comes from the config
         raise _FieldError("params.minimal_index", f"must be in 0..{ifs.k - 1}")
@@ -314,8 +297,7 @@ def _cmd_tail_bound(cfg: dict, seed: int) -> tuple[str, int]:
     return text, 0 if report.dominated else 2
 
 
-def _cmd_certify(cfg: dict, seed: int) -> tuple[str, int]:
-    p = _params(cfg, "certify")
+def _cmd_certify(cfg: dict, seed: int, p: dict) -> tuple[str, int]:
     gens = [map_from_json(g) for g in cfg["generators"]]
     if len(gens) != 2:
         raise _FieldError("generators", "certify expects exactly two maps")
@@ -337,40 +319,27 @@ def _cmd_certify_check(path: str) -> tuple[str, int]:
     return canonical_json(out), 0 if (ok_f and ok_b) else 2
 
 
-def _cmd_universal_word(cfg: dict, seed: int) -> tuple[str, int]:
-    res = find_universal_word(_ifs_of(cfg), **_params(cfg, "universal-word"))
-    out = {
-        "word": res.word.to_json(),
-        "length": len(res.word),
-        "capture_times": list(res.capture_times),
-        "z_grid": res.z_grid,
-        "fine_verified": res.fine_verified,
-        "target": res.target.to_json(),
-        "shrunk_target": res.shrunk_target.to_json(),
-    }
-    return canonical_json(out), 0
+def _cmd_universal_word(cfg: dict, seed: int, p: dict) -> tuple[str, int]:
+    res = find_universal_word(_ifs_of(cfg), **p)
+    return canonical_json({**res.to_json(), "length": len(res.word)}), 0
 
 
-def _cmd_find_periodic(cfg: dict, seed: int) -> tuple[str, int]:
-    p = _params(cfg, "find-periodic")
+def _cmd_find_periodic(cfg: dict, seed: int, p: dict) -> tuple[str, int]:
     ifs = _ifs_of(cfg)
     attractor = find_contracted_fixed_arc(ifs, _model_of(cfg), seed, horizon=p["horizon"])
     rec = periodic_in_interval(ifs, p["target"], attractor)
     return canonical_json(rec.to_json()), 0
 
 
-def _cmd_density_sweep(cfg: dict, seed: int) -> tuple[str, int]:
-    report = density_sweep(
-        _ifs_of(cfg), model=_model_of(cfg), seed=seed, **_params(cfg, "density-sweep")
-    )
+def _cmd_density_sweep(cfg: dict, seed: int, p: dict) -> tuple[str, int]:
+    report = density_sweep(_ifs_of(cfg), model=_model_of(cfg), seed=seed, **p)
     errors = (f"arc {r.arc_index} {r.stability}: {r.error}\n" for r in report.rows if r.error)
     sys.stderr.writelines(errors)
     header = ["arc_index", "stability", "found", "word_length", "residual", "multiplier"]
     return csv_text(header, report.to_csv_columns()), 0
 
 
-def _cmd_perturb(cfg: dict, seed: int) -> tuple[str, int]:
-    p = _params(cfg, "perturb")
+def _cmd_perturb(cfg: dict, seed: int, p: dict) -> tuple[str, int]:
     if p["command"] == "certify" and p["size"] > 0.0:
         raise _FieldError(
             "params.command",
@@ -386,7 +355,7 @@ def _cmd_perturb(cfg: dict, seed: int) -> tuple[str, int]:
             raise _FieldError("params.size", str(exc)) from exc
     inner_cfg = dict(cfg, generators=new_gens, params=p["params"])
     try:
-        return HANDLERS[p["command"]](inner_cfg, seed)
+        return _run(p["command"], inner_cfg, seed)
     except _FieldError as exc:  # the inner params sit at params.params
         if exc.path.startswith("params."):
             raise _FieldError(f"params.{exc.path}", exc.reason) from exc
@@ -406,14 +375,10 @@ HANDLERS = {
     "perturb": _cmd_perturb,
 }
 
-_EXHAUSTION = (
-    SearchExhausted, StageExhausted, HorizonExceeded, LengthExceeded, CoverSearchExhausted,
-    ConvergenceFailure,
-)
-# A model that breaks its invariant (InvalidModel) is a config error of `model`.
-_VERIFICATION = (
-    ContractionFails, NoAttractingSide, RationalRotation, NoMinimalGenerator, Unpolarized,
-)
+
+def _run(command: str, cfg: dict, seed: int) -> tuple[str, int]:
+    """Run `command` on a loaded config: its params are resolved here, once."""
+    return HANDLERS[command](cfg, seed, _params(cfg, command))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -442,15 +407,15 @@ def main(argv: list[str] | None = None) -> int:
                 raise _FieldError("config", "--config is required")
             cfg = load_config(args.config)
             seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-            text, code = HANDLERS[args.command](cfg, seed)
+            text, code = _run(args.command, cfg, seed)
         _emit(text, args.out)
     except _FieldError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2
-    except _EXHAUSTION as exc:
+    except Exhausted as exc:
         sys.stderr.write(f"search exhausted: {exc}\n")
         return 3
-    except _VERIFICATION as exc:
+    except Refuted as exc:
         sys.stderr.write(f"verification failure: {exc}\n")
         return 2
     return code

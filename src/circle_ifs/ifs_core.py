@@ -13,7 +13,7 @@ from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from .circle_maps import (CirclePoint, Composition, LiftMap, _frac, _scalar_step,
+from .circle_maps import (CirclePoint, Composition, LiftMap, _frac, _Record, _scalar_step,
                           circle_distance_array)
 from .symbolic import Word
 
@@ -232,17 +232,10 @@ def _orbit_levels(ifs: IFS, x: float, depth: int) -> Iterator[np.ndarray]:
 
 
 @dataclass(frozen=True)
-class MinimalityEstimate:
+class MinimalityEstimate(_Record):
     minimal: bool
     worst_gap: float
     witness: CirclePoint | None
-
-    def to_json(self) -> dict:
-        return {
-            "minimal": self.minimal,
-            "worst_gap": self.worst_gap,
-            "witness": None if self.witness is None else float(self.witness),
-        }
 
 
 def _coverage_gap(orbit_sorted: np.ndarray, targets: np.ndarray) -> np.ndarray:

@@ -25,8 +25,10 @@ from typing import Iterator, Sequence
 from .circle_maps import (
     Arc,
     CirclePoint,
+    Exhausted,
     Inverse,
     _classify,
+    _Record,
     circle_distance,
     find_fixed_points,
 )
@@ -48,11 +50,11 @@ BANACH_ROUNDS = 80
 NEWTON_ROUNDS = 12
 
 
-class HorizonExceeded(RuntimeError):
+class HorizonExceeded(Exhausted):
     """No self-mapped arc appeared within the sampled horizon."""
 
 
-class StageExhausted(RuntimeError):
+class StageExhausted(Exhausted):
     def __init__(self, stage: str, message: str):
         super().__init__(f"[stage {stage}] {message}")
         self.stage = stage
@@ -60,21 +62,12 @@ class StageExhausted(RuntimeError):
 
 
 @dataclass(frozen=True)
-class PeriodicPointRecord:
+class PeriodicPointRecord(_Record):
     word: Word
     point: CirclePoint
     residual: float
     multiplier: float
     stability: str
-
-    def to_json(self) -> dict:
-        return {
-            "word": self.word.to_json(),
-            "point": float(self.point),
-            "residual": self.residual,
-            "multiplier": self.multiplier,
-            "stability": self.stability,
-        }
 
 
 @dataclass(frozen=True)

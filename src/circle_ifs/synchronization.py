@@ -17,13 +17,14 @@ minimal map in the semigroup.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .circle_maps import (Arc, CirclePoint, LiftMap, _FieldError, circle_distance,
-                          circle_distance_array, find_fixed_points)
+from .circle_maps import (Arc, CirclePoint, Exhausted, LiftMap, Refuted, _FieldError, _Record,
+                          circle_distance, circle_distance_array, find_fixed_points)
 from .ifs_core import (IFS, SYNC_CHECK, WordLike, _letters, _walk_step,
                        branch_lift_array, minimality_estimate, orbit_to_csv_rows)
 from .symbolic import SequenceModel, Word, _rng
@@ -55,15 +56,15 @@ FLOAT_PAIRS = 64
 # fixed point at 1/2) stay interior to one arc at every refinement level.
 PARTITION_OFFSET = 1.0 / 3.0
 
-class Unpolarized(RuntimeError):
+class Unpolarized(Refuted):
     """Arc-image lengths never polarized along the supplied word."""
 
 
-class NoMinimalGenerator(RuntimeError):
+class NoMinimalGenerator(Refuted):
     """The designated map has a fixed point, so it cannot act minimally."""
 
 
-class CoverSearchExhausted(RuntimeError):
+class CoverSearchExhausted(Exhausted):
     """Inverse iterates of the designated map failed to cover the circle."""
 
 
@@ -73,7 +74,7 @@ class CoverSearchExhausted(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SyncReport:
+class SyncReport(_Record):
     ifs_label: str
     model: dict
     n_pairs: int
@@ -81,17 +82,6 @@ class SyncReport:
     sync_fraction: float
     median_final_distance: float
     seed: int
-
-    def to_json(self) -> dict:
-        return {
-            "ifs_label": self.ifs_label,
-            "model": self.model,
-            "n_pairs": self.n_pairs,
-            "horizon": self.horizon,
-            "sync_fraction": self.sync_fraction,
-            "median_final_distance": self.median_final_distance,
-            "seed": self.seed,
-        }
 
 
 def sync_fraction(
@@ -390,44 +380,45 @@ def covering_count(h: LiftMap, target: Arc) -> int:
     """Smallest r with S^1 = union of h^{-1}(target), ..., h^{-r}(target).
 
     Arcs are pulled back through inverse endpoint evaluations (exact for
-    monotone maps) and merged as intervals.  The pull-back of the whole
-    circle is the whole circle, so a full-circle target gives 1 without
-    the evaluations, whose rounding can leave it just short of a turn.
+    monotone maps), and each closed pull-back is cut out of the uncovered
+    part of the line, kept as sorted open gaps: [0, 1] is covered once only
+    (-inf, 0) and (1, inf) are left.  The pull-back of the whole circle is
+    the whole circle, so a full-circle target gives 1 without the
+    evaluations, whose rounding can leave it just short of a turn.
     """
     if target.length == 1.0:
         return 1
-    intervals: list[tuple[float, float]] = []
+    los, his = [-math.inf], [math.inf]
     lo_lift = float(target.start)
     hi_lift = lo_lift + target.length
     for r in range(1, COVER_R_MAX + 1):
         lo_lift = float(h.inverse_lift(lo_lift))
         hi_lift = float(h.inverse_lift(hi_lift))
-        start = lo_lift % 1.0
-        length = min(hi_lift - lo_lift, 1.0)
+        length = hi_lift - lo_lift
         if length >= 1.0:
             return r
-        end = start + length
+        start = lo_lift % 1.0
+        end = start + max(length, 0.0)  # an end rounded below its start holds the start
         if end <= 1.0:
-            intervals.append((start, end))
+            _uncover(los, his, start, end)
         else:
-            intervals.append((start, 1.0))
-            intervals.append((0.0, end - 1.0))
-        if _covers_unit_interval(intervals):
+            _uncover(los, his, start, 1.0)
+            _uncover(los, his, 0.0, end - 1.0)
+        if len(los) == 2 and his[0] <= 0.0 and los[1] >= 1.0:
             return r
     raise CoverSearchExhausted(
         f"inverse iterates failed to cover the circle within r_max={COVER_R_MAX}"
     )
 
 
-def _covers_unit_interval(intervals: list[tuple[float, float]]) -> bool:
-    reach = 0.0
-    for a, b in sorted(intervals):
-        if a > reach:
-            return False
-        reach = max(reach, b)
-        if reach >= 1.0:
-            return True
-    return reach >= 1.0
+def _uncover(los: list[float], his: list[float], a: float, b: float) -> None:
+    """Cut the closed interval [a, b] out of the sorted open gaps (los[i], his[i])."""
+    i = bisect_right(his, a)  # the first gap that ends past a
+    j = bisect_left(los, b, i)  # past the last gap that starts before b
+    if i < j:
+        left_and_right = [(x, y) for x, y in ((los[i], a), (b, his[j - 1])) if x < y]
+        los[i:j] = [x for x, _ in left_and_right]
+        his[i:j] = [y for _, y in left_and_right]
 
 
 def hitting_tail_check(

@@ -7,11 +7,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from circle_ifs import cli
-from circle_ifs.certifier import Certificate, reverify_certificate
-from circle_ifs.circle_maps import MAX_POWER, Arc, ConvergenceFailure
+from circle_ifs import (certifier, circle_maps, cli, ifs_core, periodic_points, symbolic,
+                        synchronization)
+from circle_ifs.certifier import BasinData, Certificate, UniversalWordResult, reverify_certificate
+from circle_ifs.circle_maps import (MAX_POWER, Arc, CirclePoint, ConvergenceFailure, Exhausted,
+                                    Refuted)
 from circle_ifs.cli import csv_text, main
-from circle_ifs.ifs_core import orbit_to_csv_rows
+from circle_ifs.ifs_core import MinimalityEstimate, orbit_to_csv_rows
+from circle_ifs.periodic_points import PeriodicPointRecord
+from circle_ifs.symbolic import Word
+from circle_ifs.synchronization import SyncReport
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -312,7 +317,7 @@ class TestExitCodes:
         assert err.startswith("config error: out: ")
 
     def test_convergence_failure_exits_3(self, write_config, capsys, monkeypatch):
-        def failing(cfg, seed):
+        def failing(cfg, seed, p):
             raise ConvergenceFailure("inverse_lift did not converge")
 
         monkeypatch.setitem(cli.HANDLERS, "detect-repellers", failing)
@@ -320,6 +325,107 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
         assert err == "search exhausted: inverse_lift did not converge\n"
+
+
+    @pytest.mark.parametrize("command, params, key", [
+        ("density-sweep", {"mesh": 0}, "mesh"),
+        ("classify", {"n_pairs": 0}, "n_pairs"),
+        ("detect-repellers", {"m_levels": 5}, "m_levels"),
+        ("find-periodic", {"target": TARGET, "horizon": 0}, "horizon"),
+        ("simulate-orbit", {"length": -5}, "length"),
+        ("tail-bound", {"target": TARGET, "n_trials": 0}, "n_trials"),
+    ])
+    def test_params_error_precedes_missing_model(self, write_config, capsys, command, params, key):
+        # `main` resolves params before a handler reads the config's model.
+        cfg = base_config(**params)
+        del cfg["model"]
+        code, out, err = run_cli(capsys, command, "--config", write_config(cfg))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"config error: params.{key}: ")
+
+    def test_every_package_failure_has_one_exit_base(self):
+        # _FieldError (a config error) and InvalidModel (read as one) exit 2
+        # through the config path; every other failure picks its code by base.
+        found = {
+            name: cls
+            for module in (certifier, circle_maps, ifs_core, periodic_points, symbolic,
+                           synchronization, cli)
+            for name, cls in vars(module).items()
+            if isinstance(cls, type) and issubclass(cls, BaseException)
+            and cls.__module__ == module.__name__
+        }
+        assert {"ConvergenceFailure", "SearchExhausted", "Unpolarized"} <= set(found)
+        unbased = [
+            name for name, cls in found.items()
+            if name not in ("_FieldError", "InvalidModel", "Exhausted", "Refuted")
+            and not issubclass(cls, (Exhausted, Refuted))
+        ]
+        assert unbased == []
+        assert not any(issubclass(cls, Exhausted) and issubclass(cls, Refuted)
+                       for cls in found.values())
+        # Library code that catches ValueError still catches RationalRotation.
+        assert issubclass(certifier.RationalRotation, ValueError)
+
+    def test_cli_binds_only_the_bases_and_field_error(self):
+        bound = {name for name, v in vars(cli).items()
+                 if isinstance(v, type) and issubclass(v, BaseException)}
+        assert bound == {"Exhausted", "Refuted", "_FieldError"}
+
+
+class TestRecords:
+    """Each record's `_Record.to_json` against the dict its hand-written
+    `to_json` returned (for UniversalWordResult, `universal-word`'s output
+    without `length`)."""
+
+    def test_sync_report(self):
+        model = {"kind": "bernoulli", "weights": [0.5, 0.5]}
+        rep = SyncReport("golden-sine", model, 500, 2000, 0.984, 1.5e-17, 7)
+        assert rep.to_json() == {
+            "ifs_label": "golden-sine", "model": model, "n_pairs": 500, "horizon": 2000,
+            "sync_fraction": 0.984, "median_final_distance": 1.5e-17, "seed": 7,
+        }
+
+    def test_minimality_estimate(self):
+        est = MinimalityEstimate(False, 0.25, CirclePoint(1.375))
+        assert est.to_json() == {"minimal": False, "worst_gap": 0.25, "witness": 0.375}
+        assert cli.canonical_json(est.to_json()) == (
+            '{\n  "minimal": false,\n  "witness": 0.375,\n  "worst_gap": 0.25\n}\n'
+        )
+        est = MinimalityEstimate(True, 0.001, None)
+        assert est.to_json() == {"minimal": True, "worst_gap": 0.001, "witness": None}
+
+    def test_basin_data(self):
+        basin = BasinData(0.5, 0.0625, 0.03125, Arc(0.5, 0.0625), Arc(0.515625, 0.0078125),
+                          Arc(0.5, 0.015625), 0.01)
+        assert basin.to_json() == {
+            "p": 0.5, "eps": 0.0625, "delta": 0.03125,
+            "arc_A": {"start": 0.5, "length": 0.0625},
+            "arc_B": {"start": 0.515625, "length": 0.0078125},
+            "arc_D": {"start": 0.5, "length": 0.015625},
+            "deriv_margin": 0.01,
+        }
+
+    def test_periodic_point_record(self):
+        rec = PeriodicPointRecord(Word((1, 2, 2), 2), CirclePoint(0.3125), 2.5e-16, 0.125,
+                                  "attracting")
+        assert rec.to_json() == {
+            "word": [1, 2, 2], "point": 0.3125, "residual": 2.5e-16, "multiplier": 0.125,
+            "stability": "attracting",
+        }
+
+    def test_arc(self):
+        assert Arc(-0.0625, 0.125).to_json() == {"start": 0.9375, "length": 0.125}
+
+    def test_universal_word_result(self):
+        res = UniversalWordResult(Word((2, 1), 2), (0, 2, 1), Arc(0.3, 0.05), Arc(0.305, 0.04),
+                                  3, True)
+        out = res.to_json()
+        assert out == {
+            "word": [2, 1], "capture_times": [0, 2, 1], "z_grid": 3, "fine_verified": True,
+            "target": {"start": 0.3, "length": 0.05},
+            "shrunk_target": {"start": 0.305, "length": 0.04},
+        }
+        assert type(out["capture_times"]) is list
 
 
 class TestCsv:

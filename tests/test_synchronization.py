@@ -1,4 +1,5 @@
 import math
+from bisect import insort
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,6 +14,7 @@ from circle_ifs.circle_maps import (
     Power,
     Rotation,
     SinePerturbed,
+    find_fixed_points,
 )
 from circle_ifs.ifs_core import IFS, branch_lift_array
 from circle_ifs.symbolic import BernoulliModel, MarkovMinorizedModel, Word, _rng
@@ -20,6 +22,7 @@ from circle_ifs.synchronization import (
     FLOAT_PAIRS,
     MAX_LEVEL,
     PARTITION_OFFSET,
+    CoverSearchExhausted,
     NoMinimalGenerator,
     RepellerEstimate,
     SyncReport,
@@ -477,6 +480,87 @@ class TestHittingTail:
         rep2 = sync_fraction(golden_sine, markov, n=2000, n_pairs=200, tol_sync=1e-3, seed=3)
         assert rep == rep2
         assert rep.sync_fraction >= 0.9
+
+
+def reference_covering_count(h, target):
+    """covering_count before the sorted gaps: after every pull-back it sweeps
+    every interval so far in sorted order.  (The list is kept sorted on
+    insertion, so `sorted` in the sweep is a linear copy of the same list.)"""
+    if target.length == 1.0:
+        return 1
+    intervals = []
+    lo_lift = float(target.start)
+    hi_lift = lo_lift + target.length
+    for r in range(1, synchronization.COVER_R_MAX + 1):
+        lo_lift = float(h.inverse_lift(lo_lift))
+        hi_lift = float(h.inverse_lift(hi_lift))
+        start = lo_lift % 1.0
+        length = min(hi_lift - lo_lift, 1.0)
+        if length >= 1.0:
+            return r
+        end = start + length
+        if end <= 1.0:
+            insort(intervals, (start, end))
+        else:
+            insort(intervals, (start, 1.0))
+            insort(intervals, (0.0, end - 1.0))
+        if reference_covers_unit_interval(intervals):
+            return r
+    raise CoverSearchExhausted(
+        f"inverse iterates failed to cover the circle within r_max={synchronization.COVER_R_MAX}"
+    )
+
+
+def reference_covers_unit_interval(intervals):
+    reach = 0.0
+    for a, b in sorted(intervals):
+        if a > reach:
+            return False
+        reach = max(reach, b)
+        if reach >= 1.0:
+            return True
+    return reach >= 1.0
+
+
+COVER_MAPS = {
+    "golden-rotation": Rotation(GOLDEN),
+    "sine": SinePerturbed(0.3, 0.4),
+    "branch-11": IFS([Rotation(GOLDEN), SinePerturbed(0.0, -0.5)]).branch(Word((1, 1), 2).letters),
+}
+
+
+class TestCoveringCount:
+    @pytest.mark.parametrize("start", [0.0, 0.3, 0.95])  # from 0.95 the pull-backs wrap
+    @pytest.mark.parametrize("length", [0.05, 1e-2, 1e-3, 5e-4])
+    @pytest.mark.parametrize("label", sorted(COVER_MAPS))
+    def test_matches_sort_and_sweep_reference(self, label, length, start):
+        h = COVER_MAPS[label]
+        assert find_fixed_points(h, 512) == []
+        target = Arc(start, length)
+        assert covering_count(h, target) == reference_covering_count(h, target)
+
+    def test_exhaustion_matches_reference(self):
+        # A 1e-4 target needs F_21 = 10946 golden pull-backs, past COVER_R_MAX.
+        for count in (covering_count, reference_covering_count):
+            with pytest.raises(CoverSearchExhausted, match="r_max=10000"):
+                count(Rotation(GOLDEN), Arc(0.3, 1e-4))
+
+    @pytest.mark.parametrize("intervals", [
+        [(0.5, 1.0), (0.25, 0.25), (0.0, 0.25), (0.25, 0.5)],  # touching arcs and a point
+        [(0.0, 0.25), (0.5, 1.0), (0.25, 0.25)],  # the open gap (0.25, 0.5) is left
+        [(0.0, 0.5), (0.75, 1.0), (0.5, 0.5)],
+        [(1.0, 1.0), (0.0, 0.75), (0.75, 1.0 - 2**-53)],  # only 1 - 2^-53 < x < 1 is left
+        [(0.0, 1.0 - 2**-53), (1.0, 1.0)],
+        [(2**-1074, 1.0)],  # only 0 is left
+        [(0.0, 0.0), (2**-1074, 1.0)],
+        [(0.75, 1.0), (0.0, 0.5), (0.5, 0.75)],
+    ])
+    def test_gaps_agree_with_the_sweep(self, intervals):
+        los, his = [-math.inf], [math.inf]
+        for a, b in intervals:
+            synchronization._uncover(los, his, a, b)
+        covered = len(los) == 2 and his[0] <= 0.0 and los[1] >= 1.0
+        assert covered == reference_covers_unit_interval(intervals)
 
 
 def reference_walk_step(gens, pos, col):
