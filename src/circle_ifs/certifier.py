@@ -67,7 +67,6 @@ COVER_WINDOW_FRAC = 0.05  # edge padding of the return window for cover exponent
 # A rotation number within RATIONAL_TOL of p/q, q <= RATIONAL_Q_MAX, is rational.
 RATIONAL_Q_MAX, RATIONAL_TOL = 64, 1e-9
 CHECK_TOL = 1e-12  # stored against recomputed margins (absolute) and radius (relative)
-C1_GRID = 512  # grid points of the C^1 gauge
 PRUNE_SLACK_MAX = 1e-3  # largest rounding slack at which reverify_certificate prunes its grid
 # Power chains of SCALAR_VALUES points or fewer walk one Python float at a
 # time (`_float_chain`), stepping rotation and sine factors inline.  On a
@@ -966,40 +965,27 @@ def find_universal_word(
 # ---------------------------------------------------------------------------
 
 
-def c1_distance(f: LiftMap, g: LiftMap) -> float:
-    """sup |F - G| + sup |DF - DG| on a C1_GRID-point grid (the C^1 gauge
-    used throughout)."""
-    xs = np.arange(C1_GRID) / C1_GRID
-    d0 = float(np.max(np.abs(np.asarray(f.lift(xs)) - np.asarray(g.lift(xs)))))
-    d1 = float(np.max(np.abs(np.asarray(f.deriv(xs)) - np.asarray(g.deriv(xs)))))
-    return d0 + d1
-
-
 def perturb_map(g: LiftMap, size: float, rng: np.random.Generator) -> LiftMap:
-    """Post-compose g with a random phase-shifted sine bump of C^1 size `size`.
+    """Post-compose g with a random phase-shifted sine bump B, F = B o G,
+    within C^1 distance `size` of g: sup |F - G| + sup |DF - DG| <= size.
 
-    The bump is R_{-c} o SinePerturbed(u, v) o R_c, whose C^1 distance from
-    the identity is exactly linear in (u, v), so a single rescale lands the
-    requested size.
+    B(y) = y + s u + (s v / 2 pi) sin(2 pi (y + c)) is R_{-c} o
+    SinePerturbed(s u, s v) o R_c.  G is onto, so sup |F - G| = s (|u| +
+    |v| / 2 pi) exactly, and sup |DF - DG| = s |v| sup |cos(2 pi (G + c)) DG|
+    <= s |v| hi with hi = g.deriv_bounds()[1].  Hence s = size / (|u| +
+    |v| (1 / 2 pi + hi)), exact when g is a rotation (DG = 1).  A g with
+    hi = inf gets v = 0, a pure shift: no other bump is C^1-close to it.
     """
     if size <= 0.0:
         return g
     u = float(rng.uniform(-1.0, 1.0))
     v = float(rng.uniform(-1.0, 1.0))
     c = float(rng.random())
+    hi = g.deriv_bounds()[1]
+    if math.isinf(hi):
+        v = 0.0
     if u == 0.0 and v == 0.0:
         u = 1.0
-
-    def bumped(scale: float) -> LiftMap:
-        return Composition(
-            [Rotation(-c), SinePerturbed(u * scale, v * scale), Rotation(c), g]
-        )
-
-    probe = 1e-3
-    measured = c1_distance(bumped(probe), g)
-    scale = size * probe / measured
-    out = bumped(scale)
-    achieved = c1_distance(out, g)
-    if achieved > 0:
-        out = bumped(scale * size / achieved)
-    return out
+    # The v term only when v != 0: 0 * inf is nan.
+    s = size / (abs(u) + (abs(v) * (1.0 / (2.0 * math.pi) + hi) if v else 0.0))
+    return Composition([Rotation(-c), SinePerturbed(s * u, s * v), Rotation(c), g])

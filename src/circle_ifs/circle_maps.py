@@ -599,7 +599,10 @@ class Power(LiftMap):
     def deriv_bounds(self) -> tuple[float, float]:
         lo, hi = self._factor.deriv_bounds()
         n = abs(self.exponent)
-        return (lo**n, hi**n)
+        try:
+            return (lo**n, hi**n)
+        except OverflowError:  # a float ** raises where a product reads inf
+            return (lo**n, math.inf)
 
     def second_deriv_bound(self) -> float:
         # The n-fold Composition fold, over a table of the factor's maps.
@@ -637,12 +640,13 @@ class Inverse(LiftMap):
 
     def deriv_bounds(self) -> tuple[float, float]:
         lo, hi = self.base.deriv_bounds()
-        return (1.0 / hi, 1.0 / lo)
+        return (1.0 / hi, 1.0 / lo if lo > 0.0 else math.inf)
 
     def second_deriv_bound(self) -> float:
-        # |(f^-1)''| = |f'' o f^-1| * ((f^-1)')^3 <= M2 / lo^3
-        lo, _ = self.base.deriv_bounds()
-        return self.base.second_deriv_bound() / lo**3
+        # |(f^-1)''| = |f'' o f^-1| * ((f^-1)')^3 <= M2 / lo^3; a lower
+        # bound that underflows to 0 leaves no finite bound.
+        lo3 = self.base.deriv_bounds()[0] ** 3
+        return self.base.second_deriv_bound() / lo3 if lo3 > 0.0 else math.inf
 
     def to_json(self) -> dict:
         return {"kind": "inverse", "base": self.base.to_json()}
@@ -713,24 +717,21 @@ def find_fixed_points(f: LiftMap, grid_n: int) -> list[FixedPoint]:
     roots: list[float] = []
     for m in range(math.ceil(disp.min()), math.floor(disp.max()) + 1):
         g = disp - m
-        for i in range(grid_n):
-            if g[i] == 0.0:
-                roots.append(xs[i])
-                continue
-            if g[i] * g[i + 1] < 0.0:
-                lo, hi = xs[i], xs[i + 1]
-                glo = g[i]
-                while hi - lo > TOL_INV:
-                    mid = 0.5 * (lo + hi)
-                    gm = f.lift(mid) - mid - m
-                    if gm == 0.0:
-                        lo = hi = mid
-                        break
-                    if (gm > 0) == (glo > 0):
-                        lo, glo = mid, gm
-                    else:
-                        hi = mid
-                roots.append(0.5 * (lo + hi))
+        roots.extend(xs[np.flatnonzero(g[:-1] == 0.0)])
+        for i in np.flatnonzero(g[:-1] * g[1:] < 0.0):
+            lo, hi = xs[i], xs[i + 1]
+            glo = g[i]
+            while hi - lo > TOL_INV:
+                mid = 0.5 * (lo + hi)
+                gm = f.lift(mid) - mid - m
+                if gm == 0.0:
+                    lo = hi = mid
+                    break
+                if (gm > 0) == (glo > 0):
+                    lo, glo = mid, gm
+                else:
+                    hi = mid
+            roots.append(0.5 * (lo + hi))
         if g[grid_n] == 0.0 and xs[grid_n] % 1.0 not in roots:
             roots.append(xs[grid_n] % 1.0)
     # Deduplicate mod 1 at well below any grid scale.

@@ -11,10 +11,10 @@ import pytest
 from circle_ifs import certifier
 from circle_ifs.certifier import (
     ContractionFails,
+    LengthExceeded,
     NoAttractingSide,
     RationalRotation,
     SearchExhausted,
-    c1_distance,
     certify_robust_minimality,
     check_certificate,
     find_universal_word,
@@ -32,6 +32,13 @@ from word_helpers import all_words_concatenated, capture_time, concat, contains_
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 TWO_PI = 2.0 * math.pi
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+
+def c1_distance(f, g):
+    """sup |F - G| + sup |DF - DG| read on a 2^16-point grid."""
+    xs = np.arange(2**16) / 2**16
+    d0 = np.max(np.abs(f.lift(xs) - g.lift(xs)))
+    return float(d0 + np.max(np.abs(f.deriv(xs) - g.deriv(xs))))
 
 
 def c2_draws(golden_rotation, sine_map, size):
@@ -685,13 +692,80 @@ class TestUniversalWord:
         assert target.contains(float(hit))
 
 
+def enters_everywhere(ifs, word, target, grid_n):
+    """Every point of the grid_n-point grid enters the target along the word."""
+    pos = np.arange(grid_n) / grid_n
+    entered = target.contains_array(pos)
+    for a in word.letters:
+        pos = ifs.generators[a - 1].lift(pos) % 1.0
+        entered |= target.contains_array(pos)
+    return bool(entered.all())
+
+
+class TestUniversalWordFallbacks:
+    """The suffix and fine-grid fallbacks of `find_universal_word` on the
+    golden-sine target (0.3, 0.05)."""
+
+    def test_single_straggler_suffixes(self, golden_sine_ifs, monkeypatch):
+        # No cluster suffix: every suffix steers the first survivor alone.
+        bfs, spans = certifier._bfs_arc_to_target, []
+
+        def points_only(ifs, lo, span, goal):
+            spans.append(span)
+            return None if span > 0.0 else bfs(ifs, lo, span, goal)
+
+        monkeypatch.setattr(certifier, "_bfs_arc_to_target", points_only)
+        target = Arc(0.3, 0.05)
+        res = find_universal_word(golden_sine_ifs, target, z_grid=50)
+        assert 0.0 in spans and any(span > 0.0 for span in spans)
+        assert res.fine_verified and min(res.capture_times) >= 0
+        assert enters_everywhere(golden_sine_ifs, res.word, res.shrunk_target, 50)
+        assert enters_everywhere(golden_sine_ifs, res.word, target, 500)
+
+    def test_suffix_search_exhausted(self, golden_sine_ifs, monkeypatch):
+        monkeypatch.setattr(certifier, "UNIVERSAL_BFS_NODES", 0)
+        with pytest.raises(LengthExceeded, match="^suffix search exhausted$"):
+            find_universal_word(golden_sine_ifs, Arc(0.3, 0.05), z_grid=50)
+
+    def test_fine_grid_retry_resumes_the_greedy_loop(self, golden_sine_ifs):
+        # A 3-point grid leaves fine points out; the retry appends letters
+        # after the last grid capture and then verifies.
+        target = Arc(0.3, 0.05)
+        res = find_universal_word(golden_sine_ifs, target, z_grid=3)
+        assert res.fine_verified
+        assert len(res.word) > max(res.capture_times)
+        assert not enters_everywhere(
+            golden_sine_ifs, res.word[: max(res.capture_times)], target, 30)
+        assert enters_everywhere(golden_sine_ifs, res.word, target, 30)
+
+    def test_fine_grid_verification_kept_failing(self, golden_sine_ifs, monkeypatch):
+        monkeypatch.setattr(certifier, "UNIVERSAL_RETRIES", 1)
+        with pytest.raises(LengthExceeded, match="^fine-grid verification kept failing$"):
+            find_universal_word(golden_sine_ifs, Arc(0.3, 0.05), z_grid=3)
+
+
 class TestPerturbations:
     def test_requested_c1_size_achieved(self, golden_rotation, sine_map):
+        # `size` bounds sup |F - G| + sup |DF - DG| and is exact for a rotation.
         rng = np.random.Generator(np.random.Philox(key=np.array([3, 4], dtype=np.uint64)))
-        for g in (golden_rotation, sine_map):
-            for size in (1e-3, 1e-6, 1e-9):
-                f = perturb_map(g, size, rng)
-                assert c1_distance(f, g) == pytest.approx(size, rel=1e-6)
+        bases = (
+            Composition([golden_rotation, sine_map]),
+            sine_map.inverse(),
+            Power(sine_map, 3),
+        )
+        for size in (1e-3, 1e-6, 1e-9):
+            f = perturb_map(golden_rotation, size, rng)
+            assert c1_distance(f, golden_rotation) == pytest.approx(size, rel=1e-6)
+            for g in (sine_map, *bases):
+                assert c1_distance(perturb_map(g, size, rng), g) <= size * (1.0 + 1e-6)
+
+    def test_infinite_derivative_bound_gets_a_shift(self, sine_map):
+        g = Inverse(Power(sine_map, 1200))
+        assert g.deriv_bounds()[1] == math.inf
+        rng = np.random.Generator(np.random.Philox(key=np.array([3, 6], dtype=np.uint64)))
+        bump = perturb_map(g, 1e-3, rng).maps[1]
+        assert bump.b == 0.0
+        assert abs(bump.a) == pytest.approx(1e-3, rel=1e-12)
 
     def test_zero_size_is_identity(self, sine_map):
         rng = np.random.Generator(np.random.Philox(key=np.array([3, 5], dtype=np.uint64)))

@@ -241,6 +241,30 @@ class TestLiftDeriv:
                 assert f.second_deriv_bound() == reference_power_second_deriv_bound(f)
 
 
+class TestDerivBoundsSaturate:
+    def test_power_overflow_reads_inf(self):
+        sine = SinePerturbed(0.0, 0.5)
+        assert Power(sine, 2000).deriv_bounds() == (0.0, math.inf)
+        assert Composition([sine] * 2000).deriv_bounds() == (0.0, math.inf)
+
+    def test_inverse_of_an_underflowed_lower_bound_reads_inf(self):
+        sine = SinePerturbed(0.0, 0.5)
+        for base in (Power(sine, 1200), Composition([sine] * 1200)):
+            assert base.deriv_bounds()[0] == 0.0
+            lo, hi = Inverse(base).deriv_bounds()
+            assert 0.0 < lo < 1e-200
+            assert hi == math.inf
+            assert Inverse(base).second_deriv_bound() == math.inf
+
+    def test_finite_bounds_keep_their_bits(self):
+        sine = SinePerturbed(0.0, 0.5)
+        assert Power(sine, 40).deriv_bounds() == (0.5**40, 1.5**40)
+        assert Power(sine, 1750).deriv_bounds()[1] == 1.5**1750
+        assert Inverse(sine).deriv_bounds() == (1.0 / 1.5, 1.0 / 0.5)
+        assert Inverse(sine).second_deriv_bound() == sine.second_deriv_bound() / 0.5**3
+        assert Inverse(Power(sine, 1000)).deriv_bounds() == (1.0 / 1.5**1000, 1.0 / 0.5**1000)
+
+
 class TestInverse:
     def test_rotation_inverse(self):
         assert inverse_eval(Rotation(0.25), 0.75) == pytest.approx(0.5, abs=TOL_INV)
@@ -331,6 +355,51 @@ class TestFixedPoints:
         assert fps[0].derivative == pytest.approx(0.5039635515009363, abs=1e-8)
         assert fps[1].point == pytest.approx(0.4799469845047834, abs=1e-9)
         assert fps[1].derivative == pytest.approx(1.4960364484990638, abs=1e-8)
+
+
+    def test_grid_scan_matches_cell_loop(self):
+        word = Composition([Rotation(0.3), SinePerturbed(0.0, -0.5), Inverse(SinePerturbed(0.1, 0.4))])
+        maps = [*sample_maps(), word, Power(word, 3), SinePerturbed(0.0, -0.9, harmonics=3),
+                SinePerturbed(1.0, 0.5)]
+        for f in maps:
+            for grid_n in (16, 64, 1024):
+                got = [(fp.point, fp.derivative) for fp in find_fixed_points(f, grid_n)]
+                assert got == reference_fixed_points(f, grid_n), f
+
+
+def reference_fixed_points(f, grid_n):
+    """find_fixed_points with the grid scanned cell by cell."""
+    xs = np.linspace(0.0, 1.0, grid_n + 1)
+    disp = np.asarray(f.lift(xs)) - xs
+    roots = []
+    for m in range(math.ceil(disp.min()), math.floor(disp.max()) + 1):
+        g = disp - m
+        for i in range(grid_n):
+            if g[i] == 0.0:
+                roots.append(xs[i])
+                continue
+            if g[i] * g[i + 1] < 0.0:
+                lo, hi, glo = xs[i], xs[i + 1], g[i]
+                while hi - lo > TOL_INV:
+                    mid = 0.5 * (lo + hi)
+                    gm = f.lift(mid) - mid - m
+                    if gm == 0.0:
+                        lo = hi = mid
+                        break
+                    if (gm > 0) == (glo > 0):
+                        lo, glo = mid, gm
+                    else:
+                        hi = mid
+                roots.append(0.5 * (lo + hi))
+        if g[grid_n] == 0.0 and xs[grid_n] % 1.0 not in roots:
+            roots.append(xs[grid_n] % 1.0)
+    cleaned = []
+    for r in sorted(p % 1.0 for p in roots):
+        if not cleaned or (r - cleaned[-1]) > 1e-9:
+            cleaned.append(r)
+    if len(cleaned) >= 2 and (cleaned[0] + 1.0 - cleaned[-1]) <= 1e-9:
+        cleaned.pop()
+    return [(r, float(f.deriv(r))) for r in cleaned]
 
 
 class TestLiftInvariants:

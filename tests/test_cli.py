@@ -990,6 +990,21 @@ class TestOtherCommands:
         assert code == 0
         assert json.loads(out)["ell_hat"] == 1
 
+    def test_perturb_shifts_a_generator_with_infinite_derivative_bound(
+        self, write_config, capsys
+    ):
+        # sine^1200's lower derivative bound underflows to 0, so g2, its
+        # inverse, has sup D = inf and gets a shift of size 1e-3 (this exited
+        # 2 with a NaN sine coefficient before).
+        cfg = base_config(size=1e-3, command="simulate-orbit", params={"length": 5})
+        cfg["generators"][1] = {
+            "kind": "inverse",
+            "base": {"kind": "power", "base": cfg["generators"][1], "exponent": 1200},
+        }
+        code, out, err = run_cli(capsys, "perturb", "--config", write_config(cfg))
+        assert (code, err) == (0, "")
+        assert out.splitlines()[:2] == ["n,letter,point", "1,2,0.0010000000000000009"]
+
     def test_estimate_minimality_json(self, write_config, capsys):
         path = write_config(base_config(eps=0.05, start_grid=4, depth=3000))
         code, out, _ = run_cli(capsys, "estimate-minimality", "--config", path)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -218,6 +219,77 @@ class TestPeriodicInInterval:
         dn = float(branch_apply(golden_sine_ifs, rec.word, q - h))
         num = ((up - dn + 0.5) % 1.0 - 0.5) / (2.0 * h)
         assert rec.multiplier == pytest.approx(num, rel=1e-4)
+
+
+class TestStageFailures:
+    """Each stage failure of `periodic_in_interval` on the target (0.37, 0.05)
+    of the seed-3 golden-sine attractor, forced through one helper."""
+
+    @pytest.fixture(scope="class")
+    def attractor(self, golden_sine_ifs, fair_coin):
+        return find_contracted_fixed_arc(golden_sine_ifs, fair_coin, seed=3)
+
+    def exhausted(self, ifs, attractor):
+        with pytest.raises(StageExhausted) as err:
+            periodic_in_interval(ifs, Arc(0.37, 0.05), attractor)
+        return err.value.stage, err.value.detail
+
+    def test_pullback_leaving_the_target(self, golden_sine_ifs, attractor, monkeypatch):
+        # F^-1 walks the inverse IFS; shift every such walk half a turn.
+        word_lift = periodic_points._word_lift
+        monkeypatch.setattr(periodic_points, "_word_lift", lambda ifs, w, x: (
+            word_lift(ifs, w, x) + (0.0 if ifs is golden_sine_ifs else 0.5)))
+        assert self.exhausted(golden_sine_ifs, attractor) == (
+            "F", "pullback of the basin core left the target")
+
+    def test_no_neighborhood_maps_into_v(self, golden_sine_ifs, attractor, monkeypatch):
+        # V moved half a turn away from G(a): no delta fits.
+        delta_for, deltas = periodic_points._delta_for, []
+        monkeypatch.setattr(periodic_points, "_delta_for", lambda ifs, g, a, v, basin: (
+            deltas.append(delta_for(ifs, g, a, Arc(v.start + 0.5, v.length), basin))
+            or deltas[-1]))
+        assert self.exhausted(golden_sine_ifs, attractor) == (
+            "G", "no neighborhood of the attractor maps into V")
+        assert deltas and set(deltas) == {None}
+
+    def test_pull_in_never_entering(self, golden_sine_ifs, attractor, monkeypatch):
+        pull_in, ms = periodic_points._pull_in_iterations, []
+        monkeypatch.setattr(periodic_points, "M_CAP", 0)
+        monkeypatch.setattr(periodic_points, "_pull_in_iterations",
+                            lambda *args: ms.append(pull_in(*args)) or ms[-1])
+        stage, detail = self.exhausted(golden_sine_ifs, attractor)
+        assert stage == "m"
+        assert re.fullmatch(r"g\^m never entered the \d\.\d\de-\d\d-neighborhood", detail)
+        assert ms and set(ms) == {None}
+
+    def test_composite_not_mapping_v_into_itself(self, golden_sine_ifs, attractor, monkeypatch):
+        # Bisect half a turn from V, which the composite does not map into itself.
+        bisect = periodic_points._bisect_fixed_point
+        monkeypatch.setattr(periodic_points, "_bisect_fixed_point",
+                            lambda ifs, letters, lo, hi: bisect(ifs, letters, lo + 0.5, hi + 0.5))
+        assert self.exhausted(golden_sine_ifs, attractor) == (
+            "m", "composite failed to map V into itself")
+
+    def test_candidate_loop_survives_a_record_failure(
+        self, golden_sine_ifs, attractor, monkeypatch
+    ):
+        # The first composite reads an infinite residual, so `_record`
+        # raises; the next G candidate gives the record.
+        residual, first = periodic_points._residual, []
+
+        def failing_first(ifs, letters, q):
+            first[:] = first or [tuple(letters)]
+            return math.inf if tuple(letters) == first[0] else residual(ifs, letters, q)
+
+        monkeypatch.setattr(periodic_points, "_residual", failing_first)
+        target = Arc(0.37, 0.05)
+        rec = periodic_in_interval(golden_sine_ifs, target, attractor)
+        assert rec.word.letters != first[0]
+        assert target.contains(float(rec.point))
+        assert rec.residual <= periodic_points.TOL_FIX
+        with pytest.raises(StageExhausted) as err:
+            periodic_points._record(golden_sine_ifs, first[0], 0.4, "m", expanding=False)
+        assert err.value.detail == "residual inf above tolerance"
 
 
 class TestDensitySweep:
