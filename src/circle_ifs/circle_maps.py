@@ -461,13 +461,15 @@ def _scalar_step(g: LiftMap) -> tuple:
 
 def _m2_fold(pairs: Iterable[tuple[float, float]]) -> float:
     """Bound on sup |F''| of a composition from its factors' (M2, sup DF) pairs
-    in application order, folding |D2(f o g)| <= M2_f (sup Dg)^2 + sup Df * M2_g."""
+    in application order, folding |D2(f o g)| <= M2_f (sup Dg)^2 + sup Df * M2_g.
+    An inf bound makes some step 0 * inf, a nan that stays nan to the end:
+    the fold then reads inf, the only bound it has."""
     bound = 0.0
     dhi = 1.0
     for m2, mhi in pairs:
         bound = m2 * dhi * dhi + mhi * bound
         dhi *= mhi
-    return bound
+    return math.inf if math.isnan(bound) else bound
 
 
 def _flatten(maps: Sequence[LiftMap]) -> tuple[LiftMap, ...]:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -51,6 +52,10 @@ MAX_CELLS = 10**8
 # sync_fraction walks its pairs on Python floats once at most FLOAT_PAIRS are
 # live: numpy's per-call cost outweighs the work on so few rows.
 FLOAT_PAIRS = 64
+# antonov_classify measures the commutator gap at the midpoints of
+# COMMUTATOR_GRID equal cells, and a gap above COMMUTATOR_TOL excludes case 1.
+COMMUTATOR_GRID = 4096
+COMMUTATOR_TOL = 1e-9
 
 # Partition endpoints are offset by 1/3 so that dyadic repellers (such as a
 # fixed point at 1/2) stay interior to one arc at every refinement level.
@@ -264,9 +269,10 @@ def repeller_bracket_arcs(estimate: RepellerEstimate) -> list[Arc]:
 class TrichotomyResult:
     case: str  # "case1" | "case2" | "case3" | "inconclusive"
     ell: int | None
-    sync_report: SyncReport
-    baseline: float
-    baseline_sigma: float
+    commutator_gap: float
+    sync_report: SyncReport | None  # None, with the baseline, when no sync test ran
+    baseline: float | None
+    baseline_sigma: float | None
     ell_counts: dict
     n_unpolarized: int
     minimality_checked: bool
@@ -276,7 +282,8 @@ class TrichotomyResult:
         return {
             "case": self.case,
             "ell": self.ell,
-            "sync": self.sync_report.to_json(),
+            "commutator_gap": self.commutator_gap,
+            "sync": None if self.sync_report is None else self.sync_report.to_json(),
             "baseline": self.baseline,
             "baseline_sigma": self.baseline_sigma,
             "ell_counts": {str(k): v for k, v in sorted(self.ell_counts.items())},
@@ -284,6 +291,18 @@ class TrichotomyResult:
             "minimality_checked": self.minimality_checked,
             "warnings": list(self.warnings),
         }
+
+
+def _commutator_gap(ifs: IFS) -> float:
+    """Largest circle distance between g_i o g_j and g_j o g_i over every
+    pair of generators, at the midpoints of COMMUTATOR_GRID equal cells;
+    0.0 for a single generator."""
+    x = (np.arange(COMMUTATOR_GRID) + 0.5) / COMMUTATOR_GRID
+    gap = 0.0
+    for i, j in combinations(range(1, ifs.k + 1), 2):
+        d = circle_distance_array(ifs.branch((j, i)).lift(x), ifs.branch((i, j)).lift(x))
+        gap = max(gap, float(d.max()))
+    return gap
 
 
 def antonov_classify(
@@ -301,11 +320,26 @@ def antonov_classify(
 ) -> TrichotomyResult:
     """Empirical trichotomy: common-rotation behavior, or ell-point contraction.
 
-    A two-sided 3-sigma test of the synchronized fraction against the
-    no-dynamics baseline detects the rotation case; otherwise the modal
-    bracketing count across seeds decides ell.  The verdict is inconclusive
-    when the modal count falls short of MAJORITY of the seeds.  Seed s
-    detects on the word of stream 100 + s.
+    In case 1 one homeomorphism conjugates every generator to a rotation,
+    and rotations commute, so g_i o g_j = g_j o g_i for every pair.  A
+    commutator gap (`_commutator_gap`) above COMMUTATOR_TOL therefore
+    excludes case 1, whatever the model, and no sync test runs.  The gap
+    never declares case 1 by itself: the converse needs a generator with
+    irrational rotation number (Denjoy; its centralizer is the rotations),
+    and a float angle is rational.  So a commuting system still faces a
+    two-sided 3-sigma test of the synchronized fraction (`sync_fraction`)
+    against the no-dynamics baseline.
+
+    COMMUTATOR_TOL (1e-9) sits far from both sides of the gaps met so far:
+    conjugates h o R o h^-1 of two rotations, h = sine(0, 0.3), miss
+    commuting by 8.6e-13, since their inverse solves stop at TOL_INV =
+    1e-12, while the golden rotation against sine(0, -1e-4) misses by
+    3.0e-5.  A wrong tolerance only moves a system between the sync test
+    and repeller detection.
+
+    Unless case 1 holds, the modal bracketing count across seeds decides
+    ell.  The verdict is inconclusive when the modal count falls short of
+    MAJORITY of the seeds.  Seed s detects on the word of stream 100 + s.
     """
     warnings: list[str] = []
     if check_minimality:
@@ -315,13 +349,15 @@ def antonov_classify(
             warnings.append(
                 f"minimality estimate failed (forward={fwd.minimal}, backward={bwd.minimal})"
             )
-    report = sync_fraction(ifs, model, sync_horizon, n_pairs, tol_sync, seed)
-    baseline = min(1.0, 2.0 * tol_sync)
-    sigma = math.sqrt(baseline * (1.0 - baseline) / n_pairs)
-    if abs(report.sync_fraction - baseline) <= 3.0 * sigma:
-        return TrichotomyResult(
-            "case1", None, report, baseline, sigma, {}, 0, check_minimality, tuple(warnings)
-        )
+    gap = _commutator_gap(ifs)
+    report = baseline = sigma = None
+    if gap <= COMMUTATOR_TOL:
+        report = sync_fraction(ifs, model, sync_horizon, n_pairs, tol_sync, seed)
+        baseline = min(1.0, 2.0 * tol_sync)
+        sigma = math.sqrt(baseline * (1.0 - baseline) / n_pairs)
+        if abs(report.sync_fraction - baseline) <= 3.0 * sigma:
+            return TrichotomyResult("case1", None, gap, report, baseline, sigma, {}, 0,
+                                    check_minimality, tuple(warnings))
     ell_counts: dict[int, int] = {}
     unpolarized = 0
     for s in range(n_seeds):
@@ -338,7 +374,7 @@ def antonov_classify(
         if count >= MAJORITY * n_seeds:
             case, modal_ell = ("case2" if ell == 1 else "case3"), ell
     return TrichotomyResult(
-        case, modal_ell, report, baseline, sigma, ell_counts,
+        case, modal_ell, gap, report, baseline, sigma, ell_counts,
         unpolarized, check_minimality, tuple(warnings),
     )
 

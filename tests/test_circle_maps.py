@@ -256,8 +256,21 @@ class TestDerivBoundsSaturate:
             assert hi == math.inf
             assert Inverse(base).second_deriv_bound() == math.inf
 
+    def test_second_derivative_fold_past_an_inf_bound_reads_inf(self):
+        # Each fold meets 0 * inf: a rotation's M2 of 0 times an inf sup D,
+        # or an inf sup D times the 0 bound of the factors before it.
+        sine = SinePerturbed(0.0, 0.5)
+        for f in (
+            Composition([Rotation(0.1), Power(sine, 2000)]),
+            Composition([Inverse(Power(sine, 1200)), Rotation(0.1)]),
+            Power(Composition([Rotation(0.1), sine]), 2000),
+        ):
+            assert f.second_deriv_bound() == math.inf
+
     def test_finite_bounds_keep_their_bits(self):
         sine = SinePerturbed(0.0, 0.5)
+        m2 = sine.second_deriv_bound()
+        assert Power(sine, 2).second_deriv_bound() == m2 * 1.5 * 1.5 + 1.5 * m2
         assert Power(sine, 40).deriv_bounds() == (0.5**40, 1.5**40)
         assert Power(sine, 1750).deriv_bounds()[1] == 1.5**1750
         assert Inverse(sine).deriv_bounds() == (1.0 / 1.5, 1.0 / 0.5)

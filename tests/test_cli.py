@@ -16,7 +16,7 @@ from circle_ifs.cli import csv_text, main
 from circle_ifs.ifs_core import MinimalityEstimate, orbit_to_csv_rows
 from circle_ifs.periodic_points import PeriodicPointRecord
 from circle_ifs.symbolic import Word
-from circle_ifs.synchronization import SyncReport
+from circle_ifs.synchronization import SyncReport, TrichotomyResult
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -383,6 +383,21 @@ class TestRecords:
         assert rep.to_json() == {
             "ifs_label": "golden-sine", "model": model, "n_pairs": 500, "horizon": 2000,
             "sync_fraction": 0.984, "median_final_distance": 1.5e-17, "seed": 7,
+        }
+
+    @pytest.mark.parametrize("ran_sync", [True, False])
+    def test_trichotomy_result(self, ran_sync):
+        # Without a sync test, `sync`, `baseline` and `baseline_sigma` read null.
+        model = {"kind": "bernoulli", "weights": [0.5, 0.5]}
+        rep = SyncReport("two-rotations", model, 500, 2000, 0.0, 0.23, 7)
+        sync = (rep, 0.002, 0.0019979989989987483) if ran_sync else (None, None, None)
+        res = TrichotomyResult("case2", 1, 0.148, *sync, {3: 1, 1: 4}, 1, False, ("w",))
+        assert res.to_json() == {
+            "case": "case2", "ell": 1, "commutator_gap": 0.148,
+            "sync": rep.to_json() if ran_sync else None,
+            "baseline": sync[1], "baseline_sigma": sync[2],
+            "ell_counts": {"1": 4, "3": 1}, "n_unpolarized": 1,
+            "minimality_checked": False, "warnings": ["w"],
         }
 
     def test_minimality_estimate(self):
@@ -855,10 +870,8 @@ class TestDeterminism:
         assert out == (GOLDEN_DIR / "classify_seed7.json").read_text()
 
     def test_markov_classify_matches_golden_bytes(self, capsys):
-        # The reference bytes come from walking every sync pair through all
-        # letters; walks that drop merged pairs must reproduce them exactly.
-        # Every pair synchronizes, so the verdict does not depend on which
-        # draws a Markov letter row gets.
+        # The generators do not commute, so no sync pair walks and the
+        # verdict rests on the detections of Markov words alone.
         code, out, _ = run_cli(
             capsys, "classify", "--config",
             str(GOLDEN_DIR / "golden_sine_markov_n_seeds5_seed7.json"),
@@ -868,7 +881,8 @@ class TestDeterminism:
 
     def test_inverse_classify_matches_golden_bytes(self, capsys):
         # Every generator of golden_sine_n_seeds5_seed7.json wrapped as an
-        # inverse: the walks step array Newton solves.
+        # inverse: the commutator gap steps array Newton solves, the
+        # detections scalar ones.
         code, out, _ = run_cli(
             capsys, "classify", "--config",
             str(GOLDEN_DIR / "golden_sine_inverse_n_seeds5_seed7.json"),
@@ -891,12 +905,24 @@ class TestDeterminism:
         ("two_rotations_n_pairs40_seed7.json", "classify_two_rotations_n_pairs40_seed7.json"),
     ])
     def test_rotations_classify_matches_golden_bytes(self, capsys, config, golden):
-        # case1: no pair ever merges.  The reference bytes come from walking
-        # every pair on arrays; at the default 500 pairs they still do, and
-        # 40 pairs walk on Python floats from the first letter.
+        # case1: the generators commute, so the sync test runs and no pair
+        # ever merges.  The reference bytes come from walking every pair on
+        # arrays; at the default 500 pairs they still do, and 40 pairs walk
+        # on Python floats from the first letter.
         code, out, _ = run_cli(capsys, "classify", "--config", str(GOLDEN_DIR / config))
         assert code == 0
         assert out == (GOLDEN_DIR / golden).read_text()
+
+    def test_near_rotation_classify_matches_golden_bytes(self, capsys):
+        # Golden rotation and sine(0, -0.02): a commutator gap of 5.9e-3
+        # rules case 1 out, although the sync fraction stays within 3 sigma
+        # of the baseline.  No detection seed polarizes within 1000 letters.
+        code, out, _ = run_cli(
+            capsys, "classify", "--config", str(GOLDEN_DIR / "near_rotation_n_seeds3_seed7.json")
+        )
+        assert code == 0
+        assert out == (GOLDEN_DIR / "classify_near_rotation_seed7.json").read_text()
+        assert json.loads(out)["case"] == "inconclusive"
 
     def test_certify_and_check_match_golden_bytes(self, capsys, tmp_path):
         # The reference bytes come from separate power chains for

@@ -385,6 +385,59 @@ class TestAntonovClassify:
         assert res.ell_counts == {1: 20 - n_unpolarized}
 
 
+# Golden rotation against a weak sine: the generators do not commute, yet
+# their sync fraction stays within 3 sigma of the no-dynamics baseline.
+NEAR_ROTATIONS = {b: IFS([Rotation(GOLDEN), SinePerturbed(0.0, b)]) for b in (-0.02, -1e-4)}
+SMALL_DETECTION = {"n_seeds": 3, "word_length": 1000, "m_levels": 8}
+# h o R_a o h^-1 for the golden mean and 0.3, h = sine(0, 0.3): commuting,
+# but not rotations.
+CONJUGATED_ROTATIONS = IFS([
+    Composition([SinePerturbed(0.0, 0.3), Rotation(a), Inverse(SinePerturbed(0.0, 0.3))])
+    for a in (GOLDEN, 0.3)
+])
+
+
+class TestCommutatorGap:
+    @pytest.mark.parametrize("b", sorted(NEAR_ROTATIONS))
+    def test_near_rotations_are_not_case1(self, fair_coin, b):
+        res = antonov_classify(NEAR_ROTATIONS[b], fair_coin, seed=7, **SMALL_DETECTION)
+        assert res.commutator_gap > synchronization.COMMUTATOR_TOL
+        assert res.case != "case1"
+        assert (res.sync_report, res.baseline, res.baseline_sigma) == (None, None, None)
+
+    @pytest.mark.parametrize("label", ["rotations", "conjugated"])
+    def test_commuting_generators_are_case1_by_the_sync_test(self, rotations, fair_coin, label):
+        # The conjugated pair misses commuting by its inverse solves' error.
+        ifs = rotations if label == "rotations" else CONJUGATED_ROTATIONS
+        res = antonov_classify(ifs, fair_coin, n_pairs=100, sync_horizon=200, seed=7)
+        assert res.commutator_gap <= synchronization.COMMUTATOR_TOL
+        assert res.case == "case1"
+        assert res.sync_report is not None and res.sync_report.n_pairs == 100
+        assert res.baseline == 0.002
+
+    def test_non_commuting_generators_skip_the_sync_test(self, golden_sine, fair_coin, monkeypatch):
+        def no_sync(*args, **kwargs):
+            raise AssertionError("sync test ran")
+
+        monkeypatch.setattr(synchronization, "sync_fraction", no_sync)
+        res = antonov_classify(golden_sine, fair_coin, seed=7, **SMALL_DETECTION)
+        assert (res.case, res.ell) == ("case2", 1)
+
+    def test_gap_does_not_depend_on_the_model(self):
+        ifs = NEAR_ROTATIONS[-0.02]
+        results = [antonov_classify(ifs, model, seed=7, **SMALL_DETECTION)
+                   for model in EQUIVALENCE_MODELS.values()]
+        assert results[0].commutator_gap == results[1].commutator_gap > 0.0
+        assert all(res.case != "case1" for res in results)
+
+    def test_gap_is_the_largest_over_generator_pairs(self, golden_sine):
+        # A third generator commuting with the first two adds no gap; one
+        # generator has no pair and no gap.
+        ifs = IFS([*golden_sine.generators, Rotation(0.0)])
+        assert synchronization._commutator_gap(ifs) == synchronization._commutator_gap(golden_sine)
+        assert synchronization._commutator_gap(IFS([SinePerturbed(0.0, -0.5)])) == 0.0
+
+
 class TestHittingTail:
     def test_covering_count_matches_grid_oracle(self):
         # Frozen oracle: 200k-point grid coverage by backward golden
