@@ -13,13 +13,27 @@ so the composite maps V into itself and has a fixed point there.  Running
 the same construction on the inverse IFS and reversing the word yields
 repelling periodic points of the forward system; the point is polished
 once, by Newton on the reversed (expanding) forward word.
+
+On the inverse IFS a letter that is not a translation costs a Newton
+solve (`SinePerturbed.inverse_lift`), so each stage picks its direction:
+    F search: the target's ends step through the IFS, one letter per BFS
+        node (`_bfs_orbit`); V = F^-1(core) walks the reversed word on the
+        other IFS, forward lifts on the repelling side;
+    G search: reads the attractor's BFS orbit, walked once per IFS and
+        shared by every arc (`Attractor.orbits`); `_delta_for` walks G on
+        the IFS;
+    pull-in and bisection: where a word's inverse is a forward word
+        (`_inverse_is_forward`), they walk that inverse and solve nothing;
+        otherwise they walk the word.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from copy import copy
+from dataclasses import dataclass, field
+from itertools import tee
 from typing import Iterator, Sequence
 
 from .circle_maps import (
@@ -74,15 +88,28 @@ class PeriodicPointRecord(_Record):
 class Attractor:
     """An attracting fixed point a of the branch composition g and the
     interval attracted to a (its basin): all that `periodic_in_interval`
-    reads.  The multiplier is `branch_deriv(ifs, word.letters, point)`."""
+    reads.  The multiplier is `branch_deriv(ifs, word.letters, point)`.
+
+    `orbits` keeps, per IFS that `periodic_in_interval` ran on, the BFS
+    orbit of a (`_bfs_orbit`) as far as any G search read it, so the arcs
+    of a sweep walk it once; it takes no part in equality, hash or repr."""
 
     word: Word
     point: CirclePoint
     basin: Arc
+    orbits: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def _residual(ifs: IFS, letters: Sequence[int], q: float) -> float:
     return circle_distance(_word_lift(ifs, letters, q) % 1.0, q)
+
+
+def _inverse_is_forward(ifs: IFS) -> bool:
+    """Whether every generator is an `Inverse` or a pure translation (the
+    inverse IFS), so that a word's inverse, the reversed word on
+    `ifs.inverse_ifs()`, is a composition of forward lifts and needs no
+    inverse solve (Rotation(-a).lift(y) is y - a exactly)."""
+    return all(isinstance(g, Inverse) or g.as_translation() is not None for g in ifs.generators)
 
 
 def _bisect_fixed_point(ifs: IFS, letters: Sequence[int], lo: float, hi: float) -> float:
@@ -90,15 +117,13 @@ def _bisect_fixed_point(ifs: IFS, letters: Sequence[int], lo: float, hi: float) 
     interval into itself (so the normalized displacement changes sign).
 
     For the monotone degree-one branch h, h(x) >= x + k holds exactly when
-    x >= h^-1(x) + k.  When every generator is an `Inverse` or a pure
-    translation (the inverse IFS), h^-1 is a composition of forward lifts
-    and needs no inverse solve, so the sign tests run on x - h^-1(x) - k
-    with k = floor(lo - h^-1(lo)); otherwise they run on h(x) - k - x with
-    k = floor(h(lo) - lo).  Both give the same signs, hence the same
-    "interval is not mapped into itself" condition.  h^-1 is the reversed
-    word on `ifs.inverse_ifs()`, exactly (Rotation(-a).lift(y) is y - a).
+    x >= h^-1(x) + k.  When h^-1 is a forward word (`_inverse_is_forward`),
+    the sign tests run on x - h^-1(x) - k with k = floor(lo - h^-1(lo));
+    otherwise they run on h(x) - k - x with k = floor(h(lo) - lo).  Both
+    give the same signs, hence the same "interval is not mapped into
+    itself" condition.
     """
-    if all(isinstance(g, Inverse) or g.as_translation() is not None for g in ifs.generators):
+    if _inverse_is_forward(ifs):
         inverse, reversed_letters = ifs.inverse_ifs(), letters[::-1]
         k = math.floor(lo - _word_lift(inverse, reversed_letters, lo))
 
@@ -313,20 +338,28 @@ def _attracted_interval(ifs: IFS, word: Word, q: float, fallback: Arc) -> Arc:
 # ---------------------------------------------------------------------------
 
 
-def _bfs_words(ifs: IFS) -> Iterator[tuple[int, ...]]:
-    """All words in breadth-first lexicographic order, empty word first."""
-    queue: deque[tuple[int, ...]] = deque([()])
+def _bfs_orbit(
+    ifs: IFS, points: tuple[float, ...]
+) -> Iterator[tuple[tuple[int, ...], tuple[float, ...]]]:
+    """All words in breadth-first lexicographic order, empty word first, up
+    to BFS_DEPTH letters and BFS_NODES enqueued, each with the lifts of
+    `points` under it.  A word's lifts are its parent's stepped by its last
+    letter when it is dequeued: the bits of `_word_lift` from the points,
+    one letter a node."""
+    queue = deque([((), points)])
     count = 0
     while queue:
-        w = queue.popleft()
-        yield w
+        w, xs = queue.popleft()
+        if w:
+            xs = tuple(_word_lift(ifs, w[-1:], x) for x in xs)
+        yield w, xs
         if len(w) >= BFS_DEPTH:
             continue
         for a in range(1, ifs.k + 1):
             count += 1
             if count > BFS_NODES:
                 return
-            queue.append(w + (a,))
+            queue.append((w + (a,), xs))
 
 
 def _arc_intersection(a: Arc, b: Arc) -> Arc | None:
@@ -371,15 +404,16 @@ def periodic_in_interval(
     g_letters = attractor.word.letters
     inverse = ifs.inverse_ifs()  # F^-1 is the reversed word on it
     min_overlap = max(1e-6, 0.02 * target.length)
+    # A tee that never advances keeps every node; each copy replays them
+    # from the empty word and extends them on demand.
+    a_orbit = attractor.orbits.setdefault(ifs, tee(_bfs_orbit(ifs, (a,)), 1)[0])
 
     f_tried = 0
     stage = "F"
     detail = "no image of the target met the basin"
-    for f_word in _bfs_words(ifs):
+    for f_word, (lo, hi) in _bfs_orbit(ifs, (target.start, target.start + target.length)):
         if f_tried >= F_CANDIDATES:
             break
-        lo = _word_lift(ifs, f_word, target.start)
-        hi = _word_lift(ifs, f_word, target.start + target.length)
         if not 0.0 < hi - lo < 1.0:
             continue
         image = Arc(lo % 1.0, hi - lo)
@@ -405,12 +439,11 @@ def periodic_in_interval(
 
         g_tried = 0
         g_found_any = False
-        for g_word in _bfs_words(ifs):
+        inner = v_arc.shrunk(0.2 * v_arc.length)
+        for g_word, (g_a,) in copy(a_orbit):
             if g_tried >= G_CANDIDATES:
                 break
-            pos = _word_lift(ifs, g_word, a) % 1.0
-            inner = v_arc.shrunk(0.2 * v_arc.length)
-            if not inner.contains(pos):
+            if not inner.contains(g_a % 1.0):
                 continue
             g_found_any = True
             g_tried += 1
@@ -465,13 +498,36 @@ def _pull_in_iterations(
     a: float,
     delta: float,
 ) -> int | None:
-    lo, hi = lo_lift, hi_lift
-    window = Arc(a - delta, 2.0 * delta)
+    """Smallest m <= M_CAP with g^m([lo_lift, hi_lift]) inside the closed
+    window [a - delta, a + delta], or None.
+
+    When g^-1 is a forward word (`_inverse_is_forward`: the inverse IFS of
+    the repelling side), the window's ends walk backward, through g^-1 on
+    `ifs.inverse_ifs()`, and the test is [lo_lift, hi_lift] inside
+    g^-m(window); otherwise the span's ends walk forward through g into the
+    window.  g is an increasing degree-one lift, so the two are one
+    statement (a window rounded past a full turn is the whole circle); in
+    floats they can differ only on a knife-edge containment, where a span
+    end meets a window end to rounding, and only m leaves.
+    """
+    if _inverse_is_forward(ifs):
+        walked, letters, (lo, hi) = ifs.inverse_ifs(), g_letters[::-1], (a - delta, a + delta)
+
+        def inside(lo: float, hi: float) -> bool:
+            return Arc(lo, min(hi - lo, 1.0)).contains_span(lo_lift, hi_lift - lo_lift)
+
+    else:
+        walked, letters, (lo, hi) = ifs, g_letters, (lo_lift, hi_lift)
+        window = Arc(a - delta, 2.0 * delta)
+
+        def inside(lo: float, hi: float) -> bool:
+            return window.contains_span(lo, hi - lo)
+
     for m in range(M_CAP + 1):
-        if window.contains_span(lo, hi - lo):
+        if inside(lo, hi):
             return m
-        lo = _word_lift(ifs, g_letters, lo)
-        hi = _word_lift(ifs, g_letters, hi)
+        lo = _word_lift(walked, letters, lo)
+        hi = _word_lift(walked, letters, hi)
     return None
 
 

@@ -762,9 +762,11 @@ class TestDeterminism:
         # direct-displacement bisection; the scalar solves and forward-map
         # bisection must reproduce them exactly.  Repelling residuals are
         # those of the point the Newton polish stops at.  Mesh 20 is the
-        # benchmark's sweep.
-        for mesh in (4, 20):
-            name = f"density_sweep_mesh{mesh}_seed7"
+        # benchmark's sweep.  The Markov mesh-8 bytes, from the construction
+        # that re-walked every BFS word and pulled in through g, pin the
+        # repelling path on a second model.
+        for case in ("mesh4", "mesh20", "markov_mesh8"):
+            name = f"density_sweep_{case}_seed7"
             code, out, _ = run_cli(capsys, "density-sweep", "--config", str(GOLDEN_DIR / f"{name}.json"))
             assert code == 0
             assert out == (GOLDEN_DIR / f"{name}.csv").read_text()

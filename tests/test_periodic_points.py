@@ -1,5 +1,7 @@
 import math
 import re
+from copy import copy
+from itertools import islice
 
 import pytest
 
@@ -7,6 +9,7 @@ from circle_ifs import periodic_points
 from circle_ifs.circle_maps import Arc, Rotation, SinePerturbed, circle_distance
 from circle_ifs.ifs_core import IFS, _word_lift, branch_apply, branch_deriv
 from circle_ifs.periodic_points import (
+    Attractor,
     HorizonExceeded,
     StageExhausted,
     density_sweep,
@@ -14,7 +17,7 @@ from circle_ifs.periodic_points import (
     periodic_in_interval,
 )
 from circle_ifs.symbolic import BernoulliModel
-from word_helpers import coverage, reversed_word
+from word_helpers import bfs_words, coverage, image_pull_in, reversed_word
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -290,6 +293,108 @@ class TestStageFailures:
         with pytest.raises(StageExhausted) as err:
             periodic_points._record(golden_sine_ifs, first[0], 0.4, "m", expanding=False)
         assert err.value.detail == "residual inf above tolerance"
+
+
+class TestSharedOrbit:
+    """The G search reads one BFS orbit of the attractor per IFS, kept on
+    the `Attractor` and shared by every arc; the F search walks its own."""
+
+    @pytest.fixture(scope="class", params=["attracting", "repelling"])
+    def side(self, request, golden_sine_ifs, fair_coin):
+        repelling = request.param == "repelling"
+        system = golden_sine_ifs.inverse_ifs() if repelling else golden_sine_ifs
+        attractor = find_contracted_fixed_arc(system, fair_coin, seed=7, stream=int(repelling))
+        return system, attractor
+
+    def test_orbit_matches_bfs_words_and_word_lift(self, side):
+        system, att = side
+        for i in range(0, 20, 5):
+            periodic_in_interval(system, Arc(i / 20, 1 / 20), att)
+        assert list(att.orbits) == [system]
+        a = float(att.point)
+        nodes = list(islice(copy(att.orbits[system]), 400))
+        assert [w for w, _ in nodes] == list(islice(bfs_words(system), 400))
+        assert [x.hex() for _, (x,) in nodes] == [_word_lift(system, w, a).hex() for w, _ in nodes]
+
+    def test_orbit_is_no_part_of_the_value(self, side):
+        system, att = side
+        periodic_in_interval(system, Arc(0.5, 0.05), att)
+        bare = Attractor(att.word, att.point, att.basin)
+        assert att.orbits and not bare.orbits
+        assert (att, hash(att), repr(att)) == (bare, hash(bare), repr(bare))
+
+    @pytest.mark.parametrize("depth, nodes", [(3, 9), (2, 100), (12, 50)])
+    def test_orbit_stops_where_bfs_words_stops(self, golden_sine_ifs, monkeypatch, depth, nodes):
+        monkeypatch.setattr(periodic_points, "BFS_DEPTH", depth)
+        monkeypatch.setattr(periodic_points, "BFS_NODES", nodes)
+        points = (0.1, 0.7)
+        orbit = list(periodic_points._bfs_orbit(golden_sine_ifs, points))
+        assert [w for w, _ in orbit] == list(bfs_words(golden_sine_ifs))
+        assert all(xs == tuple(_word_lift(golden_sine_ifs, w, x) for x in points) for w, xs in orbit)
+
+    def test_repelling_side_makes_few_inverse_solves(self, golden_sine_ifs, fair_coin, monkeypatch):
+        # Mesh 20, seed 7 (the benchmark's sweep): with one G orbit a side
+        # and the pull-in walked forward, the repelling constructions make
+        # 185 scalar solves, 100 of them in `_delta_for`; re-walking every
+        # BFS word from the attractor and pulling in through g made 6,628.
+        construct, inverse_lift = periodic_points.periodic_in_interval, SinePerturbed.inverse_lift
+        repelling, solves = [False], [0]
+
+        def constructing(ifs, target, attractor, *, forward=None):
+            repelling[0] = forward is not None
+            try:
+                return construct(ifs, target, attractor, forward=forward)
+            finally:
+                repelling[0] = False
+
+        def counting(self, y):
+            solves[0] += repelling[0]
+            return inverse_lift(self, y)
+
+        monkeypatch.setattr(periodic_points, "periodic_in_interval", constructing)
+        monkeypatch.setattr(SinePerturbed, "inverse_lift", counting)
+        report = density_sweep(golden_sine_ifs, 20, fair_coin, seed=7)
+        assert all(row.found for row in report.rows)
+        assert 0 < solves[0] <= 200
+
+
+class TestForwardPullIn:
+    def test_forward_walk_matches_the_image_loop(self, golden_sine_ifs, fair_coin, monkeypatch):
+        # Every pull-in of the mesh-20 sweeps at seeds 0-11 (seed 7 is the
+        # golden's) returns the m of the image-space loop; the repelling
+        # ones walk the window forward and make no inverse solve.
+        pull_in, inverse_lift = periodic_points._pull_in_iterations, SinePerturbed.inverse_lift
+        calls, solves = [], [0]
+
+        def recording(*args):
+            before = solves[0]
+            m = pull_in(*args)
+            calls.append((args, m, solves[0] - before))
+            return m
+
+        def counting(self, y):
+            solves[0] += 1
+            return inverse_lift(self, y)
+
+        monkeypatch.setattr(periodic_points, "_pull_in_iterations", recording)
+        monkeypatch.setattr(SinePerturbed, "inverse_lift", counting)
+        for seed in range(12):
+            density_sweep(golden_sine_ifs, 20, fair_coin, seed=seed)
+        repelling = [(args, m, n) for args, m, n in calls if args[0] is not golden_sine_ifs]
+        assert len(repelling) >= 12 * 20
+        assert {n for _, _, n in repelling} == {0}
+        assert max(m for _, m, _ in repelling) > 0
+        assert [m for _, m, _ in calls] == [image_pull_in(*args) for args, _, _ in calls]
+
+    def test_cap_zero_on_the_inverse_ifs(self, golden_sine_ifs, fair_coin, monkeypatch):
+        inv = golden_sine_ifs.inverse_ifs()
+        att = find_contracted_fixed_arc(inv, fair_coin, seed=7, stream=1)
+        a, g = float(att.point), att.word.letters
+        monkeypatch.setattr(periodic_points, "M_CAP", 0)
+        pull_in = periodic_points._pull_in_iterations
+        assert pull_in(inv, g, a - 1e-3, a + 1e-3, a, 1e-2) == 0
+        assert pull_in(inv, g, a - 0.1, a + 0.1, a, 1e-2) is None
+        assert image_pull_in(inv, g, a - 0.1, a + 0.1, a, 1e-2) is None
 
 
 class TestDensitySweep:

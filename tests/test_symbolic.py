@@ -277,6 +277,18 @@ class TestSampling:
             with pytest.raises(ValueError):
                 model.sample_matrix(1, 8, seed, stream)
 
+    @pytest.mark.parametrize("model", [
+        BernoulliModel([0.3, 0.7]), MarkovMinorizedModel([[0.7, 0.3], [0.4, 0.6]]),
+    ], ids=["bernoulli", "markov"])
+    @pytest.mark.parametrize("n1, n2", [
+        (1, 2), (80, 81), (99, 10_000), (100, 10_000), (101, 10_000), (5000, 10_000),
+    ])
+    def test_samples_are_prefix_consistent(self, model, n1, n2):
+        # Markov walks chunks of isqrt(length) letters: 9 at 80 letters, 9 at
+        # 81, 100 at 10,000, so prefixes end on both sides of a chunk edge.
+        for seed, stream in [(0, 0), (7, 1), (42, 5), (2**40, 118)]:
+            assert model.sample(n2, seed, stream).letters[:n1] == model.sample(n1, seed, stream).letters
+
     def test_shift_compatibility(self):
         # Dropping the first letter leaves the Bernoulli distribution intact.
         m = BernoulliModel([0.3, 0.7])

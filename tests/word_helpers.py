@@ -1,13 +1,15 @@
 """Word builders, circle helpers and orbit statistics that only the tests use."""
 
 import math
-from typing import NamedTuple
+from collections import deque
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
+from circle_ifs import periodic_points
 from circle_ifs.certifier import UniversalWordResult
 from circle_ifs.circle_maps import Arc, LiftMap, circle_distance_array
-from circle_ifs.ifs_core import IFS, WordLike, _orbit_levels, orbit_to_csv_rows
+from circle_ifs.ifs_core import IFS, WordLike, _orbit_levels, _word_lift, orbit_to_csv_rows
 from circle_ifs.periodic_points import SweepReport
 from circle_ifs.symbolic import BernoulliModel, MarkovMinorizedModel, SequenceModel, Word
 
@@ -154,3 +156,34 @@ def coverage(report: SweepReport, stability: str) -> float:
     """Share of the mesh's arcs with a found record of this stability."""
     hits = sum(1 for r in report.rows if r.stability == stability and r.found)
     return hits / report.mesh
+
+
+def bfs_words(ifs: IFS) -> Iterator[tuple[int, ...]]:
+    """All words in breadth-first lexicographic order, empty word first, under
+    the caps `periodic_points.BFS_DEPTH` and `BFS_NODES` (enqueued words):
+    the word order that the construction's BFS orbits follow."""
+    queue: deque[tuple[int, ...]] = deque([()])
+    count = 0
+    while queue:
+        w = queue.popleft()
+        yield w
+        if len(w) >= periodic_points.BFS_DEPTH:
+            continue
+        for a in range(1, ifs.k + 1):
+            count += 1
+            if count > periodic_points.BFS_NODES:
+                return
+            queue.append(w + (a,))
+
+
+def image_pull_in(ifs: IFS, g_letters, lo: float, hi: float, a: float, delta: float) -> int | None:
+    """Smallest m <= `periodic_points.M_CAP` with g^m([lo, hi]) inside the
+    closed arc [a - delta, a + delta], the span's ends walked forward
+    through g on `ifs` (Newton solves on an inverse IFS)."""
+    window = Arc(a - delta, 2.0 * delta)
+    for m in range(periodic_points.M_CAP + 1):
+        if window.contains_span(lo, hi - lo):
+            return m
+        lo = _word_lift(ifs, g_letters, lo)
+        hi = _word_lift(ifs, g_letters, hi)
+    return None
