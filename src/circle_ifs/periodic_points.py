@@ -92,12 +92,16 @@ class Attractor:
 
     `orbits` keeps, per IFS that `periodic_in_interval` ran on, the BFS
     orbit of a (`_bfs_orbit`) as far as any G search read it, so the arcs
-    of a sweep walk it once; it takes no part in equality, hash or repr."""
+    of a sweep walk it once; it takes no part in equality, hash or repr,
+    and a copy or an unpickled attractor starts without it."""
 
     word: Word
     point: CirclePoint
     basin: Arc
-    orbits: dict = field(default_factory=dict, compare=False, repr=False)
+    orbits: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def __reduce__(self):
+        return Attractor, (self.word, self.point, self.basin)
 
 
 def _residual(ifs: IFS, letters: Sequence[int], q: float) -> float:
@@ -406,7 +410,9 @@ def periodic_in_interval(
     min_overlap = max(1e-6, 0.02 * target.length)
     # A tee that never advances keeps every node; each copy replays them
     # from the empty word and extends them on demand.
-    a_orbit = attractor.orbits.setdefault(ifs, tee(_bfs_orbit(ifs, (a,)), 1)[0])
+    a_orbit = attractor.orbits.get(ifs)
+    if a_orbit is None:
+        a_orbit = attractor.orbits[ifs] = tee(_bfs_orbit(ifs, (a,)), 1)[0]
 
     f_tried = 0
     stage = "F"

@@ -1,6 +1,7 @@
 import math
+import pickle
 import re
-from copy import copy
+from copy import copy, deepcopy
 from itertools import islice
 
 import pytest
@@ -233,8 +234,10 @@ class TestStageFailures:
         return find_contracted_fixed_arc(golden_sine_ifs, fair_coin, seed=3)
 
     def exhausted(self, ifs, attractor):
+        # A fresh attractor, so each test walks its own orbit under its patches.
+        fresh = Attractor(attractor.word, attractor.point, attractor.basin)
         with pytest.raises(StageExhausted) as err:
-            periodic_in_interval(ifs, Arc(0.37, 0.05), attractor)
+            periodic_in_interval(ifs, Arc(0.37, 0.05), fresh)
         return err.value.stage, err.value.detail
 
     def test_pullback_leaving_the_target(self, golden_sine_ifs, attractor, monkeypatch):
@@ -322,6 +325,8 @@ class TestSharedOrbit:
         bare = Attractor(att.word, att.point, att.basin)
         assert att.orbits and not bare.orbits
         assert (att, hash(att), repr(att)) == (bare, hash(bare), repr(bare))
+        for duplicate in (deepcopy(att), pickle.loads(pickle.dumps(att))):
+            assert duplicate == att and not duplicate.orbits
 
     @pytest.mark.parametrize("depth, nodes", [(3, 9), (2, 100), (12, 50)])
     def test_orbit_stops_where_bfs_words_stops(self, golden_sine_ifs, monkeypatch, depth, nodes):
