@@ -129,7 +129,11 @@ def _ifs_of(cfg: dict) -> IFS:
 
 
 def _model_of(cfg: dict) -> SequenceModel:
-    return _parsed(cfg, "model", model_from_json)
+    """The config's model, which draws one letter per generator."""
+    model, k = _parsed(cfg, "model", model_from_json), len(cfg["generators"])
+    if model.k != k:
+        raise _FieldError("model", f"must have one letter per generator ({k}), got {model.k}")
+    return model
 
 
 def _seed_option(text: str) -> int:

@@ -31,8 +31,7 @@ FRONTIER_CAP = 50_000
 # time, each block from its start reduced mod 1, and its memo keys a tail by
 # (block offset, bit pattern of that start), so tails that meet on the circle
 # at a block boundary walk on as one; synchronization.sync_fraction drops
-# its bitwise-merged pairs before every SYNC_CHECK-th letter and walks its last
-# FLOAT_PAIRS pairs on Python floats, a block at a time.
+# its bitwise-merged pairs before every SYNC_CHECK-th letter.
 SYNC_CHECK = 64
 
 
@@ -339,10 +338,10 @@ def random_orbit_density(
 
 def orbit_to_csv_rows(ifs: IFS, w: WordLike, x: float) -> list[float]:
     """The point column [f^1(x), ..., f^n(x)] of an orbit dump along w, as
-    Python floats in [0, 1); `branch_apply` and the last pairs of
-    `sync_fraction` run on it too.  Rotation and sine letters are stepped
-    inline from `ifs._steps`, as in `_word_lift`; the point is reduced mod 1
-    after each letter, a 1.0 (a lift just below an integer) to 0.0 as in `CirclePoint`."""
+    Python floats in [0, 1); `branch_apply` runs on it too.  Rotation and
+    sine letters are stepped inline from `ifs._steps`, as in `_word_lift`;
+    the point is reduced mod 1 after each letter, a 1.0 (a lift just below
+    an integer) to 0.0 as in `CirclePoint`."""
     steps, sin = ifs._steps, math.sin
     pos = float(x) % 1.0
     out = []

@@ -195,8 +195,8 @@ class MarkovMinorizedModel(SequenceModel):
         if initial is None:
             initial = [1.0 / k] * k
         init = tuple(float(x) for x in initial)
-        if abs(sum(init) - 1.0) > 1e-9 or min(init) < 0.0:
-            raise InvalidModel("initial distribution must be a probability vector")
+        if len(init) != k or abs(sum(init) - 1.0) > 1e-9 or min(init) < 0.0:
+            raise InvalidModel(f"initial distribution must be a probability vector of {k} entries")
         self.rows = tuple(mat)
         self.initial = init
         self.k = k

@@ -25,9 +25,9 @@ from typing import Sequence
 import numpy as np
 
 from .circle_maps import (Arc, CirclePoint, Exhausted, LiftMap, Refuted, _FieldError, _Record,
-                          circle_distance, circle_distance_array, find_fixed_points)
+                          circle_distance_array, find_fixed_points)
 from .ifs_core import (IFS, SYNC_CHECK, WordLike, _letters, _walk_step,
-                       branch_lift_array, minimality_estimate, orbit_to_csv_rows)
+                       branch_lift_array, minimality_estimate)
 from .symbolic import SequenceModel, Word, _rng
 
 # Polarization threshold: an arc counts as growing when its image length
@@ -49,9 +49,6 @@ COVER_R_MAX = 10_000  # inverse iterates that covering_count tries
 # Largest letter matrix sized by two counts (n_pairs x sync_horizon, n_trials
 # x max(n_grid)); 10^4 x 10^4 Bernoulli letters peak near 1 GB of memory.
 MAX_CELLS = 10**8
-# sync_fraction walks its pairs on Python floats once at most FLOAT_PAIRS are
-# live: numpy's per-call cost outweighs the work on so few rows.
-FLOAT_PAIRS = 64
 # antonov_classify measures the commutator gap at the midpoints of
 # COMMUTATOR_GRID equal cells, and a gap above COMMUTATOR_TOL excludes case 1.
 COMMUTATOR_GRID = 4096
@@ -106,8 +103,7 @@ def sync_fraction(
 
     A pair whose two points are bitwise equal before a SYNC_CHECK-th letter
     stops walking: lifts and inverse solves are elementwise, so it would
-    stay at distance 0.0.  The last FLOAT_PAIRS pairs walk on Python floats
-    (`_final_distances`).
+    stay at distance 0.0 (`_final_distances`).
     """
     if tol_sync <= 0.0:
         raise ValueError("tol_sync must be positive")
@@ -128,32 +124,17 @@ def sync_fraction(
 
 def _final_distances(ifs: IFS, pairs: np.ndarray, letters: np.ndarray) -> np.ndarray:
     """Circle distance between the two points of each row of `pairs` after
-    its row of `letters`; merged rows are dropped as in `sync_fraction`.
-    Once at most FLOAT_PAIRS rows are live, each walks the rest of its row
-    on `orbit_to_csv_rows` a SYNC_CHECK block at a time until its points are
-    equal: the array walk's bits, as Python's % is numpy's mod, unless a
-    point reduces to 1.0 (a lift just below an integer), which the float
-    walk takes as 0.0 and the array walk keeps."""
+    its row of `letters`; merged rows are dropped as in `sync_fraction`."""
     dist = np.zeros(len(pairs))
     live = np.arange(len(pairs))  # the row of each pair still walked
     for start in range(0, letters.shape[1], SYNC_CHECK):
         apart = np.not_equal(*pairs.view(np.int64).T)  # compare bit patterns
         pairs, live = pairs[apart], live[apart]
-        if len(live) <= FLOAT_PAIRS:
+        if not len(live):
             break
         for col in letters[live, start : start + SYNC_CHECK].T:
             _walk_step(ifs.generators, pairs, col)
-    else:
-        dist[live] = circle_distance_array(pairs[:, 0], pairs[:, 1])
-        return dist
-    for row, (x, y) in zip(live.tolist(), pairs.tolist()):
-        rest = letters[row, start:].tolist()
-        for at in range(0, len(rest), SYNC_CHECK):
-            if x == y:
-                break
-            block = rest[at : at + SYNC_CHECK]
-            x, y = orbit_to_csv_rows(ifs, block, x)[-1], orbit_to_csv_rows(ifs, block, y)[-1]
-        dist[row] = circle_distance(x, y)
+    dist[live] = circle_distance_array(pairs[:, 0], pairs[:, 1])
     return dist
 
 

@@ -23,6 +23,7 @@ GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 TARGET = {"start": 0.3, "length": 0.05}
 SINE = {"kind": "sine", "a": 0.0, "b": -0.5}
 POWER = {"kind": "power", "base": SINE, "exponent": 10**4}
+MARKOV = {"kind": "markov", "rows": [[0.7, 0.3], [0.4, 0.6]]}
 
 
 def golden_basin(**arc_b):
@@ -247,16 +248,32 @@ class TestConfigValidation:
         # Bounded powers in one composition: 10^7 sine lifts a letter.
         ("generators", 1, {"kind": "composition", "maps": [POWER] * 1000}, "generators[1].maps"),
         ("model", "weights", ["0.5", 0.5], "model.weights[0]"),
+        # One letter per generator: a third letter has no map, and a model
+        # of one letter never draws the second.
+        ("model", "weights", [0.25, 0.25, 0.5], "model"),
+        ("model", "weights", [1.0], "model"),
+        # A Markov initial distribution has one entry per state.
+        (None, "model", dict(MARKOV, initial=[0.2, 0.3, 0.5]), "model"),
+        (None, "model", dict(MARKOV, initial=[1.0]), "model"),
     ])
     def test_malformed_generator_or_model_exits_2_with_path(
         self, write_config, capsys, section, key, value, path
     ):
         cfg = base_config(length=3)
-        cfg[section][key] = value
+        (cfg if section is None else cfg[section])[key] = value
         code, out, err = run_cli(capsys, "simulate-orbit", "--config", write_config(cfg))
         assert code == 2
         assert out == ""
         assert err.startswith(f"config error: {path}: ")
+
+    @pytest.mark.parametrize("command", ["classify", "detect-repellers", "density-sweep"])
+    def test_model_with_another_letter_count_exits_2(self, write_config, capsys, command):
+        cfg = base_config()
+        cfg["model"]["weights"] = [0.25, 0.25, 0.5]
+        code, out, err = run_cli(capsys, command, "--config", write_config(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error: model: ")
 
     def test_perturb_checks_inner_params_against_inner_command(self, write_config, capsys):
         cfg = base_config(size=0, command="detect-repellers", params={"lenght": 3})

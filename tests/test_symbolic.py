@@ -119,6 +119,10 @@ class TestSampling:
             MarkovMinorizedModel([[1.0, 0.0], [0.5, 0.5]])
         with pytest.raises(InvalidModel):
             MarkovMinorizedModel([[0.5, 0.5]])
+        # initial has one entry per state
+        for initial in ([0.2, 0.3, 0.5], [1.0], []):
+            with pytest.raises(InvalidModel, match="2 entries"):
+                MarkovMinorizedModel([[0.7, 0.3], [0.4, 0.6]], initial)
 
     def test_markov_transition_frequencies(self):
         rows = [[0.8, 0.2], [0.3, 0.7]]

@@ -19,7 +19,6 @@ from circle_ifs.circle_maps import (
 from circle_ifs.ifs_core import IFS, branch_lift_array
 from circle_ifs.symbolic import BernoulliModel, MarkovMinorizedModel, Word, _rng
 from circle_ifs.synchronization import (
-    FLOAT_PAIRS,
     MAX_LEVEL,
     PARTITION_OFFSET,
     CoverSearchExhausted,
@@ -714,9 +713,7 @@ class TestLiveRowWalks:
         ifs = IFS(EQUIVALENCE_IFS[label], label=label)
         chain = LIVE_ROW_MODELS[model]
         for seed in (0, 5, 7):
-            # FLOAT_PAIRS pairs walk on floats from the first letter, one more
-            # walks its first block on arrays.
-            for n_pairs in (1, FLOAT_PAIRS, FLOAT_PAIRS + 1, 500):
+            for n_pairs in (1, 64, 65, 500):
                 ref, ref_dist = reference_sync_fraction(ifs, chain, n, n_pairs, 1e-3, seed)
                 got = sync_fraction(ifs, chain, n, n_pairs, 1e-3, seed)
                 assert walked.pop().tobytes() == ref_dist.tobytes()
@@ -728,12 +725,12 @@ class TestLiveRowWalks:
         ([Rotation(GOLDEN), Composition([Rotation(0.3), SinePerturbed(0.1, 0.4)]),
           Power(SinePerturbed(0.0, -0.5, harmonics=2), 2)], 300),
     ], ids=["inverse-golden-sine", "composition-power"])
-    def test_float_pairs_match_all_rows_walk_on_other_map_kinds(self, gens, n, walked):
-        # The float walks step these letters by their generator's own lift;
+    def test_sync_walk_matches_all_rows_walk_on_other_map_kinds(self, gens, n, walked):
+        # The sync walk steps these letters by their generator's own lift;
         # at horizon n some pairs have merged and some have not.
         ifs = IFS(gens)
         model = BernoulliModel([1.0 / len(gens)] * len(gens))
-        for n_pairs in (FLOAT_PAIRS, FLOAT_PAIRS + 1, 200):
+        for n_pairs in (64, 65, 200):
             ref, ref_dist = reference_sync_fraction(ifs, model, n, n_pairs, 1e-3, 7)
             got = sync_fraction(ifs, model, n, n_pairs, 1e-3, 7)
             assert walked.pop().tobytes() == ref_dist.tobytes()
@@ -779,7 +776,10 @@ class TestLiveRowWalks:
         assert sizes[0] == 500
         assert sizes == sorted(sizes, reverse=True)
         assert len(sizes) < 2000  # every pair merged before the last letter
-        assert sizes[-1] > FLOAT_PAIRS  # the last pairs walk on floats
+        assert sizes[-1] >= 1  # the walk stops once no pair is live
+        # merged pairs are dropped only before a SYNC_CHECK-th letter
+        changes = [i for i in range(1, len(sizes)) if sizes[i] != sizes[i - 1]]
+        assert all(i % ifs_core.SYNC_CHECK == 0 for i in changes)
 
     def test_hit_trials_stop_walking(self, golden_sine, monkeypatch):
         sizes = []
