@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -370,13 +370,13 @@ def _margins(value) -> dict:
 
 
 @dataclass(frozen=True)
-class Certificate:
+class Certificate(_Record):
     direction: str  # "forward" | "backward"
     label: str
     generators: tuple[LiftMap, LiftMap]  # the pair the numbers below were evaluated on
     basin: BasinData
     cover_exponents: tuple[int, ...]
-    lam: float
+    lam: float = field(metadata={"json": "lambda"})
     global_forward_exponents: tuple[int, ...]
     global_backward_exponents: tuple[int, ...]
     margins: dict
@@ -390,20 +390,6 @@ class Certificate:
     def h_maps(self) -> tuple[LiftMap, ...]:
         g1, g2 = self.generators
         return tuple(Composition([Power(g1, n), g2]) for n in self.cover_exponents)
-
-    def to_json(self) -> dict:
-        return {
-            "direction": self.direction,
-            "label": self.label,
-            "generators": [g.to_json() for g in self.generators],
-            "basin": self.basin.to_json(),
-            "cover_exponents": list(self.cover_exponents),
-            "lambda": self.lam,
-            "global_forward_exponents": list(self.global_forward_exponents),
-            "global_backward_exponents": list(self.global_backward_exponents),
-            "margins": {k: self.margins[k] for k in MARGIN_KEYS},
-            "radius": self.radius,
-        }
 
     @staticmethod
     def from_json(obj: dict) -> "Certificate":

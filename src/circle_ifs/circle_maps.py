@@ -39,8 +39,10 @@ both components, so the result equals `(lift(x), deriv(x))` bit for bit.
 Every JSON input (config, map, model, certificate) is read by `_parsed`
 and its strict casts, here at the bottom layer: a missing or malformed field
 raises `_FieldError` with the field's path, e.g. `generators[1].maps[0].alpha`.
-A record writes its JSON field by field through `_Record`, and every failure
-a command reports derives from `Exhausted` (exit 3) or `Refuted` (exit 2).
+A record writes its JSON through `_Record`, one key per field (a
+`TrichotomyResult`'s sync test is `sync`, a `RepellerEstimate` keeps its
+word's `omega_prefix_length`), and every failure a command reports derives
+from `Exhausted` (exit 3) or `Refuted` (exit 2).
 """
 
 from __future__ import annotations
@@ -158,15 +160,22 @@ def _integer(lo: int | None = None, hi: int | None = None) -> Callable[[object],
 
 
 def _json_value(v):
-    """A value with its own `to_json` (a Word, an Arc, a map) gives that, a tuple a list."""
-    return v.to_json() if hasattr(v, "to_json") else list(v) if type(v) is tuple else v
+    """A tuple gives the list of its items' values, a dict their values under
+    str keys in string order, and a value with a `to_json` (a Word, an Arc, a map) that."""
+    if type(v) is tuple:
+        return [_json_value(x) for x in v]
+    if type(v) is dict:
+        return dict(sorted((str(k), _json_value(x)) for k, x in v.items()))
+    return v.to_json() if hasattr(v, "to_json") else v
 
 
 class _Record:
-    """A dataclass whose JSON is {field name: its `_json_value`}."""
+    """A dataclass whose JSON is {field name: its `_json_value`}; a field
+    with `metadata["json"]` is written under that name instead."""
 
     def to_json(self) -> dict:
-        return {f.name: _json_value(getattr(self, f.name)) for f in fields(self)}
+        return {f.metadata.get("json", f.name): _json_value(getattr(self, f.name))
+                for f in fields(self)}
 
 
 class CirclePoint(float):

@@ -79,10 +79,10 @@ def _cell(v) -> str:
     return str(v)
 
 
-def csv_text(header: list[str], columns: list) -> str:
-    """CSV text of equally long columns under a header line, each cell by `_cell`."""
-    cells = [map(_cell, col) for col in columns]
-    return "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
+def csv_text(rows, columns: list[str]) -> str:
+    """CSV text of each row's named fields under a header of those names, cells by `_cell`."""
+    lines = (",".join(_cell(getattr(row, c)) for c in columns) for row in rows)
+    return "\n".join([",".join(columns), *lines]) + "\n"
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -297,7 +297,7 @@ def _cmd_tail_bound(cfg: dict, seed: int, p: dict) -> tuple[str, int]:
         report = hitting_tail_check(ifs, _model_of(cfg), seed=seed, **p)
     except _FieldError as exc:
         raise _FieldError(f"params.{exc.path}", exc.reason) from exc
-    text = csv_text(["n", "empirical_miss", "bound", "stderr"], report.to_csv_columns())
+    text = csv_text(report.rows, ["n", "empirical_miss", "bound", "stderr"])
     return text, 0 if report.dominated else 2
 
 
@@ -339,8 +339,8 @@ def _cmd_density_sweep(cfg: dict, seed: int, p: dict) -> tuple[str, int]:
     report = density_sweep(_ifs_of(cfg), model=_model_of(cfg), seed=seed, **p)
     errors = (f"arc {r.arc_index} {r.stability}: {r.error}\n" for r in report.rows if r.error)
     sys.stderr.writelines(errors)
-    header = ["arc_index", "stability", "found", "word_length", "residual", "multiplier"]
-    return csv_text(header, report.to_csv_columns()), 0
+    columns = ["arc_index", "stability", "found", "word_length", "residual", "multiplier"]
+    return csv_text(report.rows, columns), 0
 
 
 def _cmd_perturb(cfg: dict, seed: int, p: dict) -> tuple[str, int]:

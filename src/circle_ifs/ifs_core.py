@@ -74,6 +74,12 @@ class IFS:
         return Composition([self.generators[a - 1] for a in reversed(letters)])
 
 
+def _check_model(ifs: IFS, model) -> None:
+    """Raise ValueError unless `model` draws one letter per generator of `ifs`."""
+    if model.k != ifs.k:
+        raise ValueError(f"model must have one letter per generator ({ifs.k}), got {model.k}")
+
+
 def branch_apply(ifs: IFS, w: WordLike, x: float) -> CirclePoint:
     """Apply f_{w_n} o ... o f_{w_1} to x (first letter first), on the walk
     of `orbit_to_csv_rows`.  Library API: nothing in the package calls it;
@@ -313,6 +319,7 @@ def random_orbit_density(
     a fixed seed.  Library API: the title theorem's quantity, which no CLI
     command reports yet.
     """
+    _check_model(ifs, model)
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     if n_samples < 1:

@@ -40,13 +40,14 @@ from .circle_maps import (
     Arc,
     CirclePoint,
     Exhausted,
+    FixedPoint,
     Inverse,
     _classify,
     _Record,
     circle_distance,
     find_fixed_points,
 )
-from .ifs_core import IFS, _word_lift, branch_deriv
+from .ifs_core import IFS, _check_model, _word_lift, branch_deriv
 from .symbolic import SequenceModel, Word
 from .synchronization import Unpolarized, detect_repellers, repeller_bracket_arcs
 
@@ -234,19 +235,22 @@ def find_contracted_fixed_arc(
 
     U is the largest complement component of the repeller brackets, shrunk
     slightly, that the prefix maps into itself; the record keeps not U but
-    the fixed point's attracted interval (its basin).  Once polarization
-    confirms the synchronizing regime, a short prefix whose composition has
-    a mildly attracting fixed point is preferred: strong contraction makes
-    downstream composite fixed points unrepresentable in float64 (their
-    reversed words expand residuals past tolerance).
+    the fixed point's attracted interval (its basin).  A short prefix whose
+    composition has a mildly attracting fixed point, verified as such
+    (`_mild_prefix_attractor`), is tried first, before any detection: strong
+    contraction makes downstream composite fixed points unrepresentable in
+    float64 (their reversed words expand residuals past tolerance).
     """
+    _check_model(ifs, model)
     w_full = model.sample(horizon, seed, stream=stream)
+    mild = _mild_prefix_attractor(ifs, w_full)
+    if mild is not None:
+        return mild
     schedule = [16, 24, 32, 48, 64, 96, 128, 192, 256, 384]
     lengths = [n for n in schedule if n <= horizon] or [horizon]
     if lengths[-1] < horizon:
         lengths.append(horizon)
     last_error = "branch never polarized"
-    mild_checked = False  # its arguments do not depend on n
     for n in lengths:
         prefix = w_full[:n]
         try:
@@ -254,11 +258,6 @@ def find_contracted_fixed_arc(
         except Unpolarized as exc:
             last_error = str(exc)
             continue
-        if not mild_checked:
-            mild_checked = True
-            mild = _mild_prefix_attractor(ifs, w_full)
-            if mild is not None:
-                return mild
         brackets = repeller_bracket_arcs(est)
         for u_arc in _complement_components(brackets):
             u_arc = u_arc.shrunk(min(1e-3, 0.05 * u_arc.length))
@@ -271,7 +270,8 @@ def find_contracted_fixed_arc(
             q = _banach_polish(ifs, prefix.letters, q)
             if _residual(ifs, prefix.letters, q) > TOL_FIX:
                 continue
-            return Attractor(prefix, CirclePoint(q), _attracted_interval(ifs, prefix, q, u_arc))
+            fps = find_fixed_points(ifs.branch(prefix.letters), 2048)
+            return Attractor(prefix, CirclePoint(q), _attracted_interval(fps, q, u_arc))
         last_error = f"no self-mapped complement component at n={n}"
     raise HorizonExceeded(f"within horizon {horizon}: {last_error}")
 
@@ -289,14 +289,14 @@ def _mild_prefix_attractor(ifs: IFS, w_full: Word) -> Attractor | None:
         if j > len(w_full):
             break
         prefix = w_full[:j]
-        fps = find_fixed_points(ifs.branch(prefix.letters), 1024)
+        fps = find_fixed_points(ifs.branch(prefix.letters), 2048)
         for fp in fps:
             if fp.stability != "attracting" or not MILD_BAND[0] <= fp.derivative <= MILD_BAND[1]:
                 continue
             q = _banach_polish(ifs, prefix.letters, float(fp.point))
             if _residual(ifs, prefix.letters, q) > TOL_FIX:
                 continue
-            basin = _attracted_interval(ifs, prefix, q, Arc(q - 0.25, 0.5))
+            basin = _attracted_interval(fps, q, Arc(q - 0.25, 0.5))
             if basin.length < MIN_BASIN:
                 continue
             img_lo = _word_lift(ifs, prefix.letters, basin.start)
@@ -320,10 +320,9 @@ def _complement_components(brackets: list[Arc]) -> list[Arc]:
     return sorted(comps, key=lambda a: -a.length)
 
 
-def _attracted_interval(ifs: IFS, word: Word, q: float, fallback: Arc) -> Arc:
-    """Open interval around q attracted to it under the word composition,
-    bounded by the neighboring fixed points."""
-    fps = find_fixed_points(ifs.branch(word.letters), 2048)
+def _attracted_interval(fps: list[FixedPoint], q: float, fallback: Arc) -> Arc:
+    """Open interval around q attracted to it under a word composition,
+    bounded by the neighboring ones of its fixed points `fps`."""
     others = sorted(
         float(fp.point) for fp in fps if circle_distance(float(fp.point), q) > 1e-6
     )
@@ -558,12 +557,6 @@ class SweepReport:
     mesh: int
     rows: tuple[SweepRow, ...]
     records: tuple[PeriodicPointRecord, ...]
-
-    def to_csv_columns(self) -> list[tuple]:
-        return list(zip(*(
-            (r.arc_index, r.stability, int(r.found), r.word_length, r.residual, r.multiplier)
-            for r in self.rows
-        )))
 
 
 def density_sweep(

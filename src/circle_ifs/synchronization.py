@@ -26,7 +26,7 @@ import numpy as np
 
 from .circle_maps import (Arc, CirclePoint, Exhausted, LiftMap, Refuted, _FieldError, _Record,
                           circle_distance_array, find_fixed_points)
-from .ifs_core import (IFS, SYNC_CHECK, WordLike, _letters, _walk_step,
+from .ifs_core import (IFS, SYNC_CHECK, WordLike, _check_model, _letters, _walk_step,
                        branch_lift_array, minimality_estimate)
 from .symbolic import SequenceModel, Word, _rng
 
@@ -105,6 +105,7 @@ def sync_fraction(
     stops walking: lifts and inverse solves are elementwise, so it would
     stay at distance 0.0 (`_final_distances`).
     """
+    _check_model(ifs, model)
     if tol_sync <= 0.0:
         raise ValueError("tol_sync must be positive")
     pair_rng = _rng(seed, 1)
@@ -144,23 +145,13 @@ def _final_distances(ifs: IFS, pairs: np.ndarray, letters: np.ndarray) -> np.nda
 
 
 @dataclass(frozen=True)
-class RepellerEstimate:
-    omega_prefix: Word
+class RepellerEstimate(_Record):
+    omega_prefix_length: int
     levels: int
     points: tuple[CirclePoint, ...]
     ell_hat: int
     residual: float
     final_image_lengths: tuple[float, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "omega_prefix_length": len(self.omega_prefix),
-            "levels": self.levels,
-            "points": [float(p) for p in self.points],
-            "ell_hat": self.ell_hat,
-            "residual": self.residual,
-            "final_image_lengths": list(self.final_image_lengths),
-        }
 
 
 def detect_repellers(ifs: IFS, w: WordLike, m_levels: int = 12) -> RepellerEstimate:
@@ -226,7 +217,7 @@ def detect_repellers(ifs: IFS, w: WordLike, m_levels: int = 12) -> RepellerEstim
         raise Unpolarized("final bracketing arcs are not uniformly grown")
     points = tuple(CirclePoint(endpoint(i, m_levels) + 0.5 / (1 << m_levels)) for i in kept)
     return RepellerEstimate(
-        omega_prefix=word,
+        omega_prefix_length=len(word),
         levels=m_levels,
         points=points,
         ell_hat=ell,
@@ -247,31 +238,17 @@ def repeller_bracket_arcs(estimate: RepellerEstimate) -> list[Arc]:
 
 
 @dataclass(frozen=True)
-class TrichotomyResult:
+class TrichotomyResult(_Record):
     case: str  # "case1" | "case2" | "case3" | "inconclusive"
     ell: int | None
     commutator_gap: float
-    sync_report: SyncReport | None  # None, with the baseline, when no sync test ran
+    sync: SyncReport | None  # None, with the baseline, when no sync test ran
     baseline: float | None
     baseline_sigma: float | None
-    ell_counts: dict
+    ell_counts: dict  # {ell: seeds}, written with str keys
     n_unpolarized: int
     minimality_checked: bool
     warnings: tuple[str, ...] = ()
-
-    def to_json(self) -> dict:
-        return {
-            "case": self.case,
-            "ell": self.ell,
-            "commutator_gap": self.commutator_gap,
-            "sync": None if self.sync_report is None else self.sync_report.to_json(),
-            "baseline": self.baseline,
-            "baseline_sigma": self.baseline_sigma,
-            "ell_counts": {str(k): v for k, v in sorted(self.ell_counts.items())},
-            "n_unpolarized": self.n_unpolarized,
-            "minimality_checked": self.minimality_checked,
-            "warnings": list(self.warnings),
-        }
 
 
 def _commutator_gap(ifs: IFS) -> float:
@@ -322,6 +299,7 @@ def antonov_classify(
     ell.  The verdict is inconclusive when the modal count falls short of
     MAJORITY of the seeds.  Seed s detects on the word of stream 100 + s.
     """
+    _check_model(ifs, model)
     warnings: list[str] = []
     if check_minimality:
         fwd = minimality_estimate(ifs, eps=0.05, start_grid=4, depth=3000)
@@ -388,9 +366,6 @@ class TailBoundReport:
     @property
     def dominated(self) -> bool:
         return all(r.dominated for r in self.rows)
-
-    def to_csv_columns(self) -> list[tuple]:
-        return list(zip(*((r.n, r.empirical_miss, r.bound, r.stderr) for r in self.rows)))
 
 
 def covering_count(h: LiftMap, target: Arc) -> int:
@@ -460,6 +435,7 @@ def hitting_tail_check(
     MAX_CELLS raises _FieldError at `n_trials` before any letter is
     sampled.  A trial stops walking once it has hit the target.
     """
+    _check_model(ifs, model)
     if minimal_word is not None:
         h: LiftMap = ifs.branch(minimal_word.letters)
         s = len(minimal_word)

@@ -1,8 +1,10 @@
 import json
 import math
 import threading
-from dataclasses import replace
+from collections import namedtuple
+from dataclasses import dataclass, field, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,9 +16,9 @@ from circle_ifs.circle_maps import (MAX_POWER, Arc, CirclePoint, ConvergenceFail
                                     Refuted)
 from circle_ifs.cli import csv_text, main
 from circle_ifs.ifs_core import MinimalityEstimate, orbit_to_csv_rows
-from circle_ifs.periodic_points import PeriodicPointRecord
+from circle_ifs.periodic_points import PeriodicPointRecord, SweepRow
 from circle_ifs.symbolic import Word
-from circle_ifs.synchronization import SyncReport, TrichotomyResult
+from circle_ifs.synchronization import RepellerEstimate, SyncReport, TrichotomyResult
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -24,6 +26,7 @@ TARGET = {"start": 0.3, "length": 0.05}
 SINE = {"kind": "sine", "a": 0.0, "b": -0.5}
 POWER = {"kind": "power", "base": SINE, "exponent": 10**4}
 MARKOV = {"kind": "markov", "rows": [[0.7, 0.3], [0.4, 0.6]]}
+OrbitRow = namedtuple("OrbitRow", "n letter point")  # a simulate-orbit line
 
 
 def golden_basin(**arc_b):
@@ -459,11 +462,47 @@ class TestRecords:
         }
         assert type(out["capture_times"]) is list
 
+    def test_repeller_estimate(self):
+        est = RepellerEstimate(5000, 12, (CirclePoint(1.25),), 1, 2.0**-12, (0.95,))
+        assert est.to_json() == {
+            "omega_prefix_length": 5000, "levels": 12, "points": [0.25], "ell_hat": 1,
+            "residual": 2.0**-12, "final_image_lengths": [0.95],
+        }
+
+    def test_certificate(self):
+        # Both sides of the golden certificate write back the dicts they were read from.
+        text = (GOLDEN_DIR / "certify_seed7.json").read_text()
+        for side in ("forward", "backward"):
+            obj = json.loads(text)[side]
+            assert Certificate.from_json(obj).to_json() == obj
+
+    def test_nested_tuples_int_keys_and_json_names(self):
+        @dataclass(frozen=True)
+        class Rec(circle_maps._Record):
+            arcs: tuple
+            counts: dict
+            lam: float = field(metadata={"json": "lambda"})
+
+        rec = Rec(((Arc(0.5, 0.25),), (1, 2)), {10: 1, 9: (Arc(0.0, 0.5),), 1: 2}, 0.5)
+        out = rec.to_json()
+        assert out == {
+            "arcs": [[{"start": 0.5, "length": 0.25}], [1, 2]],
+            "counts": {"1": 2, "10": 1, "9": [{"start": 0.0, "length": 0.5}]},
+            "lambda": 0.5,
+        }
+        assert list(out["counts"]) == ["1", "10", "9"]
+
 
 class TestCsv:
     def test_numpy_float_cell_prints_as_float(self):
-        text = csv_text(["a", "b"], [[np.float64(1.25e-13)], [0.5]])
+        text = csv_text([SimpleNamespace(a=np.float64(1.25e-13), b=0.5)], ["a", "b"])
         assert text == "a,b\n1.25e-13,0.5\n"
+
+    def test_named_fields_in_column_order(self):
+        # Only the named fields print, in the columns' order; a bool as 1/0.
+        row = SweepRow(3, "repelling", True, 41, 0.0, math.nan, "unused")
+        text = csv_text([row], ["found", "arc_index", "multiplier"])
+        assert text == "found,arc_index,multiplier\n1,3,nan\n"
 
 
 class TestSimulateOrbit:
@@ -503,7 +542,7 @@ class TestSimulateOrbit:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_rows_match_column_writer(self, write_config, capsys, k, length):
         # The handler's one f-string per row against csv_text over the
-        # same columns, the writer it replaced.
+        # same rows, the writer it replaced.
         generators = [
             {"kind": "rotation", "alpha": GOLDEN},
             {"kind": "inverse", "base": SINE},
@@ -516,7 +555,8 @@ class TestSimulateOrbit:
         letters = cli._model_of(cfg).sample_matrix(1, length, 7)[0].tolist()
         points = orbit_to_csv_rows(cli._ifs_of(cfg), letters, 0.123)
         assert len(set(letters)) == min(k, length)
-        assert out == csv_text(["n", "letter", "point"], [range(1, length + 1), letters, points])
+        rows = map(OrbitRow, range(1, length + 1), letters, points)
+        assert out == csv_text(rows, ["n", "letter", "point"])
 
     def test_integral_float_length_is_an_integer(self, write_config, capsys):
         _, out_int, _ = run_cli(capsys, "simulate-orbit", "--config",
@@ -781,8 +821,10 @@ class TestDeterminism:
         # those of the point the Newton polish stops at.  Mesh 20 is the
         # benchmark's sweep.  The Markov mesh-8 bytes, from the construction
         # that re-walked every BFS word and pulled in through g, pin the
-        # repelling path on a second model.
-        for case in ("mesh4", "mesh20", "markov_mesh8"):
+        # repelling path on a second model.  On rotation + sine(0.1, 0.3)
+        # detection never polarizes, so the attracting rows come from the
+        # mild prefix tried first.
+        for case in ("mesh4", "mesh20", "markov_mesh8", "rotation_sine_markov_mesh4"):
             name = f"density_sweep_{case}_seed7"
             code, out, _ = run_cli(capsys, "density-sweep", "--config", str(GOLDEN_DIR / f"{name}.json"))
             assert code == 0
@@ -811,16 +853,16 @@ class TestDeterminism:
         assert out == (GOLDEN_DIR / golden).read_text()
 
     def test_density_sweep_reports_failed_arcs_on_stderr(self, write_config, capsys):
-        # At seed 0 and horizon 32 the forward branch never polarizes: the
+        # At seed 0 and horizon 8 the forward branch finds no attractor: the
         # attracting rows print found 0 on stdout and their reason on stderr.
         cfg = json.loads((GOLDEN_DIR / "density_sweep_mesh4_seed7.json").read_text())
-        cfg["seed"], cfg["params"] = 0, {"mesh": 4, "horizon": 32}
+        cfg["seed"], cfg["params"] = 0, {"mesh": 4, "horizon": 8}
         code, out, err = run_cli(capsys, "density-sweep", "--config", write_config(cfg))
         assert code == 0
         assert [line.split(",")[1:3] for line in out.splitlines()[1:5]] == [["attracting", "0"]] * 4
         lines = err.splitlines()
         assert len(lines) == 4
-        assert all(line.startswith(f"arc {i} attracting: within horizon 32")
+        assert all(line.startswith(f"arc {i} attracting: within horizon 8")
                    for i, line in enumerate(lines))
 
     def test_find_periodic_matches_golden_bytes(self, capsys):

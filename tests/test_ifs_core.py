@@ -5,8 +5,9 @@ import struct
 import numpy as np
 import pytest
 
-from circle_ifs import ifs_core
+from circle_ifs import ifs_core, periodic_points, synchronization
 from circle_ifs.circle_maps import (
+    Arc,
     CirclePoint,
     Rotation,
     SinePerturbed,
@@ -376,3 +377,28 @@ class TestRandomOrbitDensity:
         a = random_orbit_density(golden_sine, m, **kw)
         b = random_orbit_density(golden_sine, m, **kw)
         assert a == b
+
+
+# Each library entry point that samples letters for an IFS, called on a
+# two-map IFS with a model of `weights`; one call per entry point.
+MODEL_ENTRY_POINTS = {
+    "sync_fraction": lambda ifs, m: synchronization.sync_fraction(ifs, m, 200, 50, 1e-3, 7),
+    "antonov_classify": lambda ifs, m: synchronization.antonov_classify(ifs, m, n_seeds=1),
+    "hitting_tail_check": lambda ifs, m: synchronization.hitting_tail_check(
+        ifs, m, Arc(0.3, 0.05), 0.1, n_trials=10),
+    "random_orbit_density": lambda ifs, m: random_orbit_density(ifs, m, 0.1, 0.1, 10, 5, 7),
+    "find_contracted_fixed_arc": lambda ifs, m: periodic_points.find_contracted_fixed_arc(
+        ifs, m, 7),
+}
+
+
+class TestModelLetterCount:
+    @pytest.mark.parametrize("weights", [[0.25, 0.25, 0.5], [1.0]])
+    @pytest.mark.parametrize("entry", sorted(MODEL_ENTRY_POINTS))
+    def test_model_must_draw_one_letter_per_generator(self, entry, weights):
+        # Three letters used to make letter 3 act as the identity; one
+        # letter silently dropped the second generator.
+        ifs = IFS([Rotation(0.3), SinePerturbed(0.0, -0.5)])
+        with pytest.raises(ValueError, match=rf"^model must have one letter per generator \(2\), "
+                                             rf"got {len(weights)}$"):
+            MODEL_ENTRY_POINTS[entry](ifs, BernoulliModel(weights))

@@ -478,15 +478,31 @@ class TestDensitySweep:
         assert coverage(report, "attracting") == 1.0
 
     def test_one_side_beyond_horizon_fails_only_its_rows(self, golden_sine_ifs, fair_coin):
-        # At seed 0 and horizon 32 only the forward branch fails to
-        # polarize; the repelling side still constructs every arc.
-        report = density_sweep(golden_sine_ifs, 4, fair_coin, seed=0, horizon=32)
+        # At seed 0 and horizon 8 the forward branch has no mild prefix and
+        # never polarizes; the repelling side still constructs every arc.
+        report = density_sweep(golden_sine_ifs, 4, fair_coin, seed=0, horizon=8)
         attracting = [r for r in report.rows if r.stability == "attracting"]
         repelling = [r for r in report.rows if r.stability == "repelling"]
-        assert all(not r.found and r.error.startswith("within horizon 32") for r in attracting)
+        assert all(not r.found and r.error.startswith("within horizon 8") for r in attracting)
         assert [r.word_length for r in repelling] == [53, 34, 41, 61]
         assert all(r.found and r.residual < 1e-9 for r in repelling)
         assert [rec.stability for rec in report.records] == ["repelling"] * 4
+
+    def test_mild_prefix_is_tried_before_any_detection(self, golden_sine_ifs, fair_coin):
+        # At seed 0 and horizon 32 no prefix of the forward word polarizes;
+        # the mild prefix alone builds all 4 arcs.
+        report = density_sweep(golden_sine_ifs, 4, fair_coin, seed=0, horizon=32)
+        assert [r.found for r in report.rows if r.stability == "attracting"] == [True] * 4
+
+    def test_seed7_sweep_runs_no_detection(self, golden_sine_ifs, fair_coin, monkeypatch):
+        # Both sides of the golden-sine seed-7 sweep find a mild prefix.
+        calls = []
+        detect = periodic_points.detect_repellers
+        monkeypatch.setattr(periodic_points, "detect_repellers",
+                            lambda *a, **kw: calls.append(a) or detect(*a, **kw))
+        report = density_sweep(golden_sine_ifs, 4, fair_coin, seed=7)
+        assert all(row.found for row in report.rows)
+        assert calls == []
 
     def test_every_record_is_made_on_the_forward_ifs(self, golden_sine_ifs, fair_coin, monkeypatch):
         # The repelling side polishes once, on the reversed forward word; no

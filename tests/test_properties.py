@@ -18,6 +18,7 @@ inside every tolerance used here.
 
 import json
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -411,7 +412,8 @@ def tables(draw):
 @given(tables())
 def test_csv_text_matches_per_row_writer(columns):
     header = [f"c{i}" for i in range(len(columns))]
-    assert csv_text(header, columns) == reference_csv_text(header, list(zip(*columns)))
+    rows = [SimpleNamespace(**dict(zip(header, row))) for row in zip(*columns)]
+    assert csv_text(rows, header) == reference_csv_text(header, list(zip(*columns)))
 
 
 @PROPERTY

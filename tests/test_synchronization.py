@@ -228,7 +228,7 @@ def detect_repellers_per_level(ifs, w, m_levels, arcs_log=None):
     points = tuple(
         CirclePoint(endpoint(i, m_levels) + 0.5 / (1 << m_levels)) for i in sorted(kept)
     )
-    return RepellerEstimate(w, m_levels, points, ell, 2.0**-m_levels, tuple(final_lengths))
+    return RepellerEstimate(len(w), m_levels, points, ell, 2.0**-m_levels, tuple(final_lengths))
 
 
 def _outcome(detect, ifs, w, m_levels):
@@ -402,7 +402,7 @@ class TestCommutatorGap:
         res = antonov_classify(NEAR_ROTATIONS[b], fair_coin, seed=7, **SMALL_DETECTION)
         assert res.commutator_gap > synchronization.COMMUTATOR_TOL
         assert res.case != "case1"
-        assert (res.sync_report, res.baseline, res.baseline_sigma) == (None, None, None)
+        assert (res.sync, res.baseline, res.baseline_sigma) == (None, None, None)
 
     @pytest.mark.parametrize("label", ["rotations", "conjugated"])
     def test_commuting_generators_are_case1_by_the_sync_test(self, rotations, fair_coin, label):
@@ -411,7 +411,7 @@ class TestCommutatorGap:
         res = antonov_classify(ifs, fair_coin, n_pairs=100, sync_horizon=200, seed=7)
         assert res.commutator_gap <= synchronization.COMMUTATOR_TOL
         assert res.case == "case1"
-        assert res.sync_report is not None and res.sync_report.n_pairs == 100
+        assert res.sync is not None and res.sync.n_pairs == 100
         assert res.baseline == 0.002
 
     def test_non_commuting_generators_skip_the_sync_test(self, golden_sine, fair_coin, monkeypatch):
