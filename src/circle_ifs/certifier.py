@@ -636,17 +636,18 @@ def reverify_certificate(
     older versions).  Perturbed maps re-check the same combinatorial data;
     the result is `valid` when the certificate survives.
 
-    One `f2.lift_deriv` evaluates the B ends and the contraction grid.  One
-    f1 chain (`_power_chain`) carries f2(B ends), the D ends, the B ends
-    and f2 of the grid points that can hold the grid maximum of Dh_n up to
-    the largest cover or global forward exponent.  When pruning leaves at
-    most SCALAR_VALUES points, as on small perturbations, each walks on
-    Python floats, stepping f1's rotation and sine factors inline
-    (`_float_chain`); otherwise one array `f1.lift_deriv` per step.  At
-    each cover exponent n the chain gives the ends of h_n(B) and f1^n(D)
-    and the grid maximum of Dh_n; at each global forward exponent, the ends
-    of f1^n(B).  The f1^-1 images of B for condition (4) take an f1^-1
-    chain on the two ends of B, from unit derivatives.
+    One `f2.lift_deriv` evaluates the B ends and the contraction grid.
+    Three chains (`_power_chain`) walk each point only as far as it is
+    read.  An f1 chain to the largest cover exponent carries f2(B ends),
+    the D ends and f2 of the grid points that can hold the grid maximum of
+    Dh_n: at each cover exponent n it gives the ends of h_n(B) and f1^n(D)
+    and the grid maximum of Dh_n, for conditions (1)-(3).  For condition
+    (4), an f1 chain and an f1^-1 chain carry the two ends of B to the
+    global forward and backward exponents.  A chain of at most
+    SCALAR_VALUES points, as after pruning on small perturbations, walks
+    each on Python floats, stepping rotation and sine factors inline
+    (`_float_chain`); otherwise one array `lift_deriv` per step.  Each
+    point walks alone, so the split gives the bits of one shared chain.
 
     Pruning: with g = Df2 on the grid, (lo, hi) = f1.deriv_bounds() and N
     the largest cover exponent, point i walks only if g_i >= max(g)
@@ -677,7 +678,7 @@ def reverify_certificate(
     rb1 = rb0 + basin.arc_B.length
     b_ends = np.array([basin.arc_B.start, basin.arc_B.start + basin.arc_B.length])
 
-    # One f1 chain: the f2(B), D and B ends, then the grid points that pass.
+    # f1 to the cover exponents: the f2(B) and D ends, then the grid points that pass.
     xs = np.concatenate([[p + rb0, p + rb1], p + np.linspace(delta, eps, CONTRACTION_GRID + 1)])
     f2_pos, f2_deriv = (np.asarray(v, dtype=float) for v in f2.lift_deriv(xs))
     b_img, grid_pos, grid_deriv = f2_pos[:2], f2_pos[2:], f2_deriv[2:]
@@ -686,10 +687,10 @@ def reverify_certificate(
     keep = np.full(len(grid_pos), True)
     if 0.0 < lo <= hi < math.inf and s <= PRUNE_SLACK_MAX:
         keep = grid_deriv >= np.max(grid_deriv) * (lo / hi) ** n * ((1 - s) / (1 + s))
-    pos = np.concatenate([b_img, [p, p + d_len], b_ends, grid_pos[keep]])
-    deriv = np.concatenate([np.ones(6), grid_deriv[keep]])
-    chain = _power_chain(f1, pos, deriv, [*cert.cover_exponents, *cert.global_forward_exponents])
-    worst = max(float(np.max(chain[n][1][6:])) for n in cert.cover_exponents)
+    pos = np.concatenate([b_img, [p, p + d_len], grid_pos[keep]])
+    deriv = np.concatenate([np.ones(4), grid_deriv[keep]])
+    chain = _power_chain(f1, pos, deriv, cert.cover_exponents)
+    worst = max(float(np.max(chain[n][1][4:])) for n in cert.cover_exponents)
 
     # (1) closure(B) covered by h_i = f1^{n_i} o f2 images, in stored order.
     spans = _spans([chain[n][0][:2] for n in cert.cover_exponents], p)
@@ -705,13 +706,13 @@ def reverify_certificate(
     m3 = 1.0 - lam
 
     # (4) circle covers in stored order, forward and inverse families.
-    exps = cert.global_backward_exponents
-    backward = _power_chain(f1.inverse(), b_ends, np.ones(2), exps)
     m4 = math.inf
-    for ends in (
-        [chain[m][0][4:6] for m in cert.global_forward_exponents],
-        [backward[m][0] for m in exps],
+    for f, exps in (
+        (f1, cert.global_forward_exponents),
+        (f1.inverse(), cert.global_backward_exponents),
     ):
+        walk = _power_chain(f, b_ends, np.ones(2), exps)
+        ends = [walk[m][0] for m in exps]
         spans = _spans(ends, ends[0][0])
         m4 = min(m4, min([*_overlaps(spans), spans[-1][1] - 1.0]))
 

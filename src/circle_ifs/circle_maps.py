@@ -616,13 +616,18 @@ class Power(LiftMap):
             return (lo**n, math.inf)
 
     def second_deriv_bound(self) -> float:
-        # The n-fold Composition fold, over a table of the factor's maps.
+        # The n-fold Composition fold, over a table of the factor's maps.  A
+        # translation's (0, 1) is an identity step while sup DF is finite, so
+        # only a last one stays: a step after an inf sup DF reads inf.
         f = self._factor
+        maps = tuple(reversed(f.maps if isinstance(f, Composition) else (f,)))
         table = [
             (m.second_deriv_bound(), m.deriv_bounds()[1])
-            for m in reversed(f.maps if isinstance(f, Composition) else (f,))
+            for m in maps
+            if m.as_translation() is None
         ]
-        return _m2_fold(chain.from_iterable(repeat(table, abs(self.exponent))))
+        tail = [(0.0, 1.0)] if self.exponent and maps[-1].as_translation() is not None else []
+        return _m2_fold(chain(chain.from_iterable(repeat(table, abs(self.exponent))), tail))
 
     def to_json(self) -> dict:
         return {"kind": "power", "base": self.base.to_json(), "exponent": self.exponent}

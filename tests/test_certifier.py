@@ -50,8 +50,9 @@ def c2_draws(golden_rotation, sine_map, size):
 
 def walked(monkeypatch, cert, f1, f2):
     """`reverify_certificate(cert, f1, f2)` and how its chains walked: the
-    point count of each `_power_chain` call (the f1 chain, then the 2-point
-    f1^-1 chain of condition (4)'s inverse family), and per point that
+    point count of each `_power_chain` call (the f1 chain to the cover
+    exponents, then the 2-point f1 and f1^-1 chains of condition (4)'s
+    forward and inverse families), and per point that
     walked on Python floats (`_float_chain`) its factor table and its
     number of steps, in walk order."""
     walks = SimpleNamespace(sizes=[], tables=[], steps=[])
@@ -444,17 +445,18 @@ class TestCertifyEndToEnd:
         f1, f2 = next(c2_draws(golden_rotation, sine_map, certificate_pair.radius / 2.0))
         cert = certificate_pair.forward
         _, walks = walked(monkeypatch, cert, f1, f2)
-        # One f1 chain serves conditions (1)-(3) and the forward family of
-        # (4); the inverse family walks the two ends of B through
-        # f1.inverse().  The f1 chain's six arc ends and the one grid point
-        # that pruning keeps walk on Python floats, one step per exponent
-        # and point, with every rotation and sine factor of f1 stepped
-        # inline; the f1^-1 steps call the inverse sine factor's own
+        # One f1 chain to the cover exponents serves conditions (1)-(3);
+        # condition (4) walks the two ends of B through f1 and f1.inverse().
+        # The cover chain's four arc ends and the one grid point that
+        # pruning keeps walk on Python floats, one step per exponent and
+        # point, as do the B ends, with every rotation and sine factor of f1
+        # stepped inline; the f1^-1 steps call the inverse sine factor's own
         # `lift_deriv`.
-        n = max(cert.cover_exponents + cert.global_forward_exponents)
+        n = max(cert.cover_exponents)
+        nf = max(cert.global_forward_exponents)
         nb = max(cert.global_backward_exponents)
-        assert walks.sizes == [6 + 1, 2]
-        assert walks.steps == [n] * (6 + 1) + [nb] * 2
+        assert walks.sizes == [4 + 1, 2, 2]
+        assert walks.steps == [n] * (4 + 1) + [nf] * 2 + [nb] * 2
         assert all(other is None for table in walks.tables[:7] for *_, other in table)
         for table in walks.tables[7:]:
             assert [type(other) for *_, other in table if other is not None] == [Inverse]
@@ -468,11 +470,12 @@ class TestCertifyEndToEnd:
                 (certificate_pair.backward, f1.inverse(), f2.inverse()),
             ):
                 _, walks = walked(monkeypatch, cert, h1, h2)
-                n = max(cert.cover_exponents + cert.global_forward_exponents)
+                n = max(cert.cover_exponents)
+                nf = max(cert.global_forward_exponents)
                 nb = max(cert.global_backward_exponents)
-                assert walks.sizes[1] == 2
-                assert 6 + 1 <= walks.sizes[0] <= 6 + 8
-                assert walks.steps == [n] * walks.sizes[0] + [nb] * 2
+                assert walks.sizes[1:] == [2, 2]
+                assert 4 + 1 <= walks.sizes[0] <= 4 + 8
+                assert walks.steps == [n] * walks.sizes[0] + [nf] * 2 + [nb] * 2
 
     @pytest.mark.parametrize("side", ["forward", "backward"])
     def test_scalar_chain_equals_array_chain(
@@ -576,9 +579,9 @@ class TestPrunedGrid:
             ):
                 rev, walks = walked(monkeypatch, cert, h1, h2)
                 assert evaluated(rev) == reference_reverify(cert, h1, h2)
-                assert len(walks.sizes) == 2
-                assert 0 < walks.sizes[0] <= 6 + 8
-                assert walks.sizes[1] == 2
+                assert len(walks.sizes) == 3
+                assert 0 < walks.sizes[0] <= 4 + 8
+                assert walks.sizes[1:] == [2, 2]
                 assert len(walks.steps) == sum(walks.sizes)
 
     def test_wide_bound_f1_keeps_full_grid(self, certificate_pair, sine_map, monkeypatch):
@@ -588,10 +591,11 @@ class TestPrunedGrid:
             (certificate_pair.backward, f1.inverse(), sine_map.inverse()),
         ):
             rev, walks = walked(monkeypatch, cert, h1, h2)
-            # The f1 chain walks the full grid as arrays; only the two B
-            # ends of the inverse family walk on Python floats.
-            assert walks.sizes == [6 + certifier.CONTRACTION_GRID + 1, 2]
-            assert walks.steps == [max(cert.global_backward_exponents)] * 2
+            # The cover chain walks the full grid as arrays; only the two B
+            # ends of the forward and inverse families walk on Python floats.
+            nf, nb = max(cert.global_forward_exponents), max(cert.global_backward_exponents)
+            assert walks.sizes == [4 + certifier.CONTRACTION_GRID + 1, 2, 2]
+            assert walks.steps == [nf] * 2 + [nb] * 2
             assert evaluated(rev) == reference_reverify(cert, h1, h2)
 
 

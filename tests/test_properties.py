@@ -3,7 +3,8 @@ scalar sine path against numpy's, for the float-in, float-out scalar paths
 of every map kind, for a composition's step table against the per-factor
 loop, for the scalar word walks of an IFS against per-letter method loops,
 for the float walk of a certificate power chain against the array chain and
-a per-step method loop,
+a per-step method loop, for a power's second-derivative fold against the
+fold over its factor's full repeated table,
 for certificate JSON round trips, for the column-wise CSV writer
 against the per-row writer it replaced, for `Arc.contains_span`
 against the arc-in-arc test of the tests, for `_frac` against np.mod, and
@@ -17,6 +18,7 @@ inside every tolerance used here.
 """
 
 import json
+import math
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -40,11 +42,13 @@ from circle_ifs.circle_maps import (  # noqa: E402
     CirclePoint,
     Composition,
     Inverse,
+    LiftMap,
     MAX_POWER,
     Power,
     Rotation,
     SinePerturbed,
     _frac,
+    _m2_fold,
 )
 from circle_ifs.cli import canonical_json, csv_text  # noqa: E402
 from circle_ifs.ifs_core import IFS, _word_lift, branch_deriv, orbit_to_csv_rows  # noqa: E402
@@ -314,6 +318,57 @@ def test_power_chain_of_no_points_or_no_steps(f, k):
     chain = _power_chain(f, pos, deriv, [3, 0, 1])
     assert sorted(chain) == [0, 1, 3]
     assert all(x.shape == d.shape == (k,) for x, d in chain.values())
+
+
+def reference_power_m2(f, n):
+    """`Power(f, n).second_deriv_bound()` as the fold over the table of the
+    factor's maps repeated |n| times, translation factors included."""
+    g = f if n >= 0 else f.inverse()
+    factors = g.maps if isinstance(g, Composition) else (g,)
+    table = [(m.second_deriv_bound(), m.deriv_bounds()[1]) for m in reversed(factors)]
+    return _m2_fold(table * abs(n))
+
+
+# Rotation-only factors of every kind, and sine maps up to |b| = 0.999,
+# whose folds at |n| in the hundreds read inf.
+fold_factors = st.one_of(
+    translations,
+    sines,
+    st.builds(SinePerturbed, st.floats(-0.5, 0.5), st.floats(-0.999, 0.999)),
+)
+saturated = Composition([Rotation(-0.3), SinePerturbed(0.1, 0.999), Rotation(0.3)])
+
+
+@PROPERTY
+@given(st.one_of(fold_factors, st.lists(fold_factors, min_size=1, max_size=5).map(Composition)),
+       st.integers(-1200, 1200))
+@example(saturated, 1200)
+@example(saturated, -1200)
+def test_power_m2_fold_equals_full_table_fold(f, n):
+    assert _bits(Power(f, n).second_deriv_bound()) == _bits(reference_power_m2(f, n))
+
+
+@pytest.mark.parametrize("n", [1200, -1200])
+def test_saturated_power_m2_fold_reads_inf(n):
+    # The examples above saturate: sup DF passes 1e308 within the |n| repeats.
+    assert Power(saturated, n).second_deriv_bound() == math.inf
+
+
+class SteepMap(LiftMap):
+    """A map kind whose sup DF overflows in two steps while M2 d^2 stays finite."""
+
+    def deriv_bounds(self):
+        return (1.0, 1e160)
+
+    def second_deriv_bound(self):
+        return 1e-300
+
+
+def test_power_m2_fold_keeps_a_last_translation():
+    # The fold is 1e20 at the second SteepMap step, where sup DF turns inf;
+    # the rotation's step after it is 0 * inf, which reads inf.
+    f = Composition([Rotation(0.1), SteepMap()])
+    assert Power(f, 2).second_deriv_bound() == reference_power_m2(f, 2) == math.inf
 
 
 reals = st.floats(allow_nan=False, allow_infinity=False)
