@@ -435,7 +435,7 @@ class CertificatePair:
         of the forward ones (compared as the maps' `to_json`), one `label` at the top and
         on both sides, and the top `radius` the smaller side radius."""
         schema = _parsed(obj, "schema", lambda v: v)
-        if schema != 1:
+        if schema != 1 or isinstance(schema, bool):
             raise _FieldError("schema", f"must be 1, got {schema!r}")
         sides = {k: _parsed(obj, k, Certificate.from_json) for k in DIRECTIONS}
         for side, cert in sides.items():

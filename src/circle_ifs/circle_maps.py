@@ -236,7 +236,10 @@ class Arc(_Record):
         return d <= 1.0 if self.length == 1.0 else d < self.length
 
     def contains_span(self, lo: float, length: float) -> bool:
-        """Whether the lifted span [lo, lo + length] lies inside the closed arc."""
+        """Whether the lifted span [lo, lo + length] lies inside the closed
+        arc; the full circle holds every span of length at most 1."""
+        if self.length == 1.0:
+            return length <= 1.0
         return (lo - self.start) % 1.0 + length <= self.length
 
     def shrunk(self, margin: float) -> "Arc":

@@ -113,7 +113,7 @@ def _read_json(path: str, name: str) -> dict:
 def load_config(path: str) -> dict:
     raw = _read_json(path, "config")
     schema = _parsed(raw, "schema", lambda v: v)
-    if schema != SCHEMA_VERSION:
+    if schema != SCHEMA_VERSION or isinstance(schema, bool):
         raise _FieldError("schema", f"expected {SCHEMA_VERSION}, got {schema!r}")
     if not _parsed(raw, "generators", _array(map_from_json)):
         raise _FieldError("generators", "must be a non-empty array of map objects")

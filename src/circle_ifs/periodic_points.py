@@ -1,9 +1,10 @@
 """Constructive periodic points of the semigroup.
 
-A synchronizing branch contracts some arc U into itself, so the branch
-composition has a fixed point in U (monotone bisection finds it).  With an
-attracting record (g, a, basin) in hand, a periodic point inside any
-prescribed arc J comes from the three-stage composition G o g^m o F:
+A scan of the fixed points of a sampled branch's prefixes finds a prefix
+composition g with an attracting fixed point a that maps its attracted
+interval (the basin) into itself.  With (g, a, basin) in hand, a periodic
+point inside any prescribed arc J comes from the three-stage composition
+G o g^m o F:
 
     F sends part of J into the basin of a,
     g^m pulls that image into a small neighborhood (a - d, a + d),
@@ -49,7 +50,6 @@ from .circle_maps import (
 )
 from .ifs_core import IFS, _check_model, _word_lift, branch_deriv
 from .symbolic import SequenceModel, Word
-from .synchronization import Unpolarized, detect_repellers, repeller_bracket_arcs
 
 TOL_FIX = 1e-9
 # Fixed construction budgets.
@@ -58,7 +58,6 @@ BFS_NODES = 100_000  # words enumerated per breadth-first search
 F_CANDIDATES = 40  # transports F tried per target
 G_CANDIDATES = 20  # returns G tried per transport F
 M_CAP = 500  # largest pull-in iterate m
-M_LEVELS = 7  # refinement levels of the repeller detection
 MILD_BAND = (0.02, 0.9)  # multipliers accepted for a short attracting prefix
 MIN_BASIN = 0.05  # shortest attracted interval of such a prefix
 BANACH_ROUNDS = 80
@@ -230,68 +229,44 @@ def find_contracted_fixed_arc(
     horizon: int = 512,
     stream: int = 0,
 ) -> Attractor:
-    """Sample a branch, find a prefix length n and an arc U with
-    branch(U) inside U, and solve the fixed point of the prefix composition.
+    """Sample a branch and return the first attracting fixed point of a
+    prefix composition, with its basin, that `_prefix_attractor` verifies.
 
-    U is the largest complement component of the repeller brackets, shrunk
-    slightly, that the prefix maps into itself; the record keeps not U but
-    the fixed point's attracted interval (its basin).  A short prefix whose
-    composition has a mildly attracting fixed point, verified as such
-    (`_mild_prefix_attractor`), is tried first, before any detection: strong
-    contraction makes downstream composite fixed points unrepresentable in
-    float64 (their reversed words expand residuals past tolerance).
+    Two scans of prefix lengths: short prefixes with a multiplier in
+    MILD_BAND first, since strong contraction makes downstream composite
+    fixed points unrepresentable in float64 (their reversed words expand
+    residuals past tolerance); then longer ones up to the horizon with any
+    attracting multiplier.
     """
     _check_model(ifs, model)
     w_full = model.sample(horizon, seed, stream=stream)
-    mild = _mild_prefix_attractor(ifs, w_full)
-    if mild is not None:
-        return mild
-    schedule = [16, 24, 32, 48, 64, 96, 128, 192, 256, 384]
-    lengths = [n for n in schedule if n <= horizon] or [horizon]
-    if lengths[-1] < horizon:
-        lengths.append(horizon)
-    last_error = "branch never polarized"
-    for n in lengths:
-        prefix = w_full[:n]
-        try:
-            est = detect_repellers(ifs, prefix, m_levels=M_LEVELS)
-        except Unpolarized as exc:
-            last_error = str(exc)
-            continue
-        brackets = repeller_bracket_arcs(est)
-        for u_arc in _complement_components(brackets):
-            u_arc = u_arc.shrunk(min(1e-3, 0.05 * u_arc.length))
-            lo = u_arc.start
-            hi = u_arc.start + u_arc.length
-            img_lo = _word_lift(ifs, prefix.letters, lo)
-            if not u_arc.contains_span(img_lo, _word_lift(ifs, prefix.letters, hi) - img_lo):
-                continue
-            q = _bisect_fixed_point(ifs, prefix.letters, lo, hi)
-            q = _banach_polish(ifs, prefix.letters, q)
-            if _residual(ifs, prefix.letters, q) > TOL_FIX:
-                continue
-            fps = find_fixed_points(ifs.branch(prefix.letters), 2048)
-            return Attractor(prefix, CirclePoint(q), _attracted_interval(fps, q, u_arc))
-        last_error = f"no self-mapped complement component at n={n}"
-    raise HorizonExceeded(f"within horizon {horizon}: {last_error}")
+    lengths = [n for n in (16, 24, 32, 48, 64, 96, 128, 192, 256, 384) if n < horizon] + [horizon]
+    attractor = _prefix_attractor(
+        ifs, w_full, (4, 6, 8, 10, 12, 16, 20, 24, 32, 40, 48), MILD_BAND
+    ) or _prefix_attractor(ifs, w_full, lengths, (0.0, 1.0))
+    if attractor is None:
+        raise HorizonExceeded(f"within horizon {horizon}: no prefix has a verified attractor")
+    return attractor
 
 
-def _mild_prefix_attractor(ifs: IFS, w_full: Word) -> Attractor | None:
-    """Shortest word prefix whose composition has an attracting fixed point
-    with multiplier inside MILD_BAND and an attracted interval of length at
-    least MIN_BASIN.
+def _prefix_attractor(
+    ifs: IFS, w_full: Word, lengths: Sequence[int], band: tuple[float, float]
+) -> Attractor | None:
+    """First prefix, in the order of `lengths`, whose composition has an
+    attracting fixed point with multiplier in `band` and an attracted
+    interval of length at least MIN_BASIN.
 
     The attracted interval between neighboring fixed points is itself
     invariant (points move monotonically toward the attractor); the prefix
     must map it into itself, and it becomes the record's basin.
     """
-    for j in (4, 6, 8, 10, 12, 16, 20, 24, 32, 40, 48):
+    for j in lengths:
         if j > len(w_full):
             break
         prefix = w_full[:j]
         fps = find_fixed_points(ifs.branch(prefix.letters), 2048)
         for fp in fps:
-            if fp.stability != "attracting" or not MILD_BAND[0] <= fp.derivative <= MILD_BAND[1]:
+            if fp.stability != "attracting" or not band[0] <= fp.derivative <= band[1]:
                 continue
             q = _banach_polish(ifs, prefix.letters, float(fp.point))
             if _residual(ifs, prefix.letters, q) > TOL_FIX:
@@ -305,19 +280,6 @@ def _mild_prefix_attractor(ifs: IFS, w_full: Word) -> Attractor | None:
                 continue
             return Attractor(prefix, CirclePoint(q), basin)
     return None
-
-
-def _complement_components(brackets: list[Arc]) -> list[Arc]:
-    """Connected components of the circle minus the bracket arcs, largest first."""
-    if not brackets:
-        return []
-    spans = sorted((b.start, (b.start + b.length) % 1.0) for b in brackets)
-    comps = []
-    for (s0, e0), (s1, _) in zip(spans, spans[1:] + spans[:1]):
-        length = (s1 - e0) % 1.0
-        if length > 0.0:
-            comps.append(Arc(e0, length))
-    return sorted(comps, key=lambda a: -a.length)
 
 
 def _attracted_interval(fps: list[FixedPoint], q: float, fallback: Arc) -> Arc:

@@ -226,12 +226,6 @@ def detect_repellers(ifs: IFS, w: WordLike, m_levels: int = 12) -> RepellerEstim
     )
 
 
-def repeller_bracket_arcs(estimate: RepellerEstimate) -> list[Arc]:
-    """The final-level bracketing arcs (one per detected point)."""
-    half = 0.5 * estimate.residual
-    return [Arc(float(p) - half, estimate.residual) for p in estimate.points]
-
-
 # ---------------------------------------------------------------------------
 # Trichotomy classification
 # ---------------------------------------------------------------------------

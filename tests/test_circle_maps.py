@@ -97,6 +97,11 @@ class TestArc:
         assert not arc.contains_span(0.9375, 0.25)
         assert Arc(0.25, 0.5).contains_span(0.5, 0.25)
         assert not Arc(0.25, 0.5).contains_span(0.9375, 0.125)  # [0.9375, 1.0625]
+        # The full circle holds every span up to one turn, as `contains`
+        # holds every point.
+        assert Arc(0.3, 1.0).contains_span(0.9, 0.5)
+        assert Arc(0.3, 1.0).contains_span(0.9, 1.0)
+        assert not Arc(0.3, 1.0).contains_span(0.9, 1.0625)
 
     @pytest.mark.parametrize("turns", [-3, -1, 1, 4])
     def test_contains_span_ignores_whole_turns(self, turns):

@@ -163,32 +163,24 @@ class TestContractedFixedArc:
         assert att.basin.contains(img_lo)
         assert att.basin.contains(img_hi)
 
-    def test_repeller_bracket_fallback(self, fair_coin, monkeypatch):
+    def test_second_scan_finds_a_strong_attractor(self, fair_coin, monkeypatch):
         # No short prefix of this seed-0 word has a fixed point with
-        # multiplier in MILD_BAND and a long enough basin, so the arc is a
-        # complement component of the repeller brackets (the attractor
-        # found has multiplier about 9e-4).  That arc U is the bracket of
-        # the last bisection.
+        # multiplier in MILD_BAND and a long enough basin, so the attractor
+        # comes from the second scan, with any attracting multiplier.  It is
+        # the one that repeller detection used to find, at 16 letters.
         ifs = IFS([Rotation(GOLDEN), SinePerturbed(0.0, -0.95, harmonics=2)])
-        mild, components, brackets = [], [], []
-        for name, log in (("_mild_prefix_attractor", mild), ("_complement_components", components)):
-            fn = getattr(periodic_points, name)
-            monkeypatch.setattr(periodic_points, name,
-                                lambda *a, fn=fn, log=log: log.append(fn(*a)) or log[-1])
-        bisect = periodic_points._bisect_fixed_point
-        monkeypatch.setattr(periodic_points, "_bisect_fixed_point",
-                            lambda f, letters, lo, hi: brackets.append((lo, hi))
-                            or bisect(f, letters, lo, hi))
+        scans = []
+        scan = periodic_points._prefix_attractor
+        monkeypatch.setattr(periodic_points, "_prefix_attractor",
+                            lambda *a: scans.append((a[3], scan(*a))) or scans[-1][1])
         att = find_contracted_fixed_arc(ifs, fair_coin, seed=0)
-        assert mild == [None]
-        lo, hi = brackets[-1]
-        assert any((lo - c.start) % 1.0 + (hi - lo) <= c.length for c in components[-1])
-        img_lo = _word_lift(ifs, att.word.letters, lo)
-        img_hi = _word_lift(ifs, att.word.letters, hi)
-        assert (img_lo - lo) % 1.0 + (img_hi - img_lo) <= hi - lo
+        assert scans == [(periodic_points.MILD_BAND, None), ((0.0, 1.0), att)]
+        assert len(att.word) == 16
+        assert float(att.point) == 0.00013495616848135938
+        assert att.basin == Arc(0.8786626548010441, 0.4998)
         q = float(att.point)
         assert circle_distance(_word_lift(ifs, att.word.letters, q) % 1.0, q) <= periodic_points.TOL_FIX
-        assert branch_deriv(ifs, att.word.letters, q) < 1.0
+        assert branch_deriv(ifs, att.word.letters, q) < periodic_points.MILD_BAND[0]
 
 
 class TestPeriodicInInterval:
@@ -478,8 +470,8 @@ class TestDensitySweep:
         assert coverage(report, "attracting") == 1.0
 
     def test_one_side_beyond_horizon_fails_only_its_rows(self, golden_sine_ifs, fair_coin):
-        # At seed 0 and horizon 8 the forward branch has no mild prefix and
-        # never polarizes; the repelling side still constructs every arc.
+        # At seed 0 and horizon 8 no prefix of the forward branch has a
+        # verified attractor; the repelling side still constructs every arc.
         report = density_sweep(golden_sine_ifs, 4, fair_coin, seed=0, horizon=8)
         attracting = [r for r in report.rows if r.stability == "attracting"]
         repelling = [r for r in report.rows if r.stability == "repelling"]
@@ -489,20 +481,20 @@ class TestDensitySweep:
         assert [rec.stability for rec in report.records] == ["repelling"] * 4
 
     def test_mild_prefix_is_tried_before_any_detection(self, golden_sine_ifs, fair_coin):
-        # At seed 0 and horizon 32 no prefix of the forward word polarizes;
-        # the mild prefix alone builds all 4 arcs.
+        # At seed 0 and horizon 32 the mild scan alone builds all 4 arcs.
         report = density_sweep(golden_sine_ifs, 4, fair_coin, seed=0, horizon=32)
         assert [r.found for r in report.rows if r.stability == "attracting"] == [True] * 4
 
     def test_seed7_sweep_runs_no_detection(self, golden_sine_ifs, fair_coin, monkeypatch):
-        # Both sides of the golden-sine seed-7 sweep find a mild prefix.
-        calls = []
-        detect = periodic_points.detect_repellers
-        monkeypatch.setattr(periodic_points, "detect_repellers",
-                            lambda *a, **kw: calls.append(a) or detect(*a, **kw))
+        # Both sides of the golden-sine seed-7 sweep find a mild prefix, so
+        # neither runs the second scan.
+        bands = []
+        scan = periodic_points._prefix_attractor
+        monkeypatch.setattr(periodic_points, "_prefix_attractor",
+                            lambda *a: bands.append(a[3]) or scan(*a))
         report = density_sweep(golden_sine_ifs, 4, fair_coin, seed=7)
         assert all(row.found for row in report.rows)
-        assert calls == []
+        assert bands == [periodic_points.MILD_BAND] * 2
 
     def test_every_record_is_made_on_the_forward_ifs(self, golden_sine_ifs, fair_coin, monkeypatch):
         # The repelling side polishes once, on the reversed forward word; no

@@ -45,3 +45,18 @@ def test_library_api_is_exported_and_unreferenced():
     # An allow-listed name that the package starts calling leaves the list.
     assert set(LIBRARY_API) <= set(circle_ifs.__all__)
     assert set(LIBRARY_API).isdisjoint(package_references())
+
+
+def test_periodic_points_imports_nothing_from_synchronization():
+    # The attractor search scans prefix fixed points; it runs no repeller
+    # detection.  Module paths and imported names are both read, so
+    # `from . import synchronization` counts too.
+    tree = ast.parse((PACKAGE / "periodic_points.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(part for alias in node.names for part in alias.name.split("."))
+    assert "synchronization" not in names

@@ -30,10 +30,9 @@ from circle_ifs.synchronization import (
     covering_count,
     detect_repellers,
     hitting_tail_check,
-    repeller_bracket_arcs,
     sync_fraction,
 )
-from word_helpers import contains_arc, pair_distance_trajectory
+from word_helpers import contains_arc, pair_distance_trajectory, repeller_bracket_arcs
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 

@@ -12,6 +12,7 @@ from circle_ifs.circle_maps import Arc, LiftMap, circle_distance_array
 from circle_ifs.ifs_core import IFS, WordLike, _orbit_levels, _word_lift, orbit_to_csv_rows
 from circle_ifs.periodic_points import SweepReport
 from circle_ifs.symbolic import BernoulliModel, MarkovMinorizedModel, SequenceModel, Word
+from circle_ifs.synchronization import RepellerEstimate
 
 
 def all_words_concatenated(k: int, depth: int) -> Word:
@@ -55,6 +56,13 @@ def contains_arc(outer: Arc, inner: Arc) -> bool:
         return True
     offset = (inner.start - outer.start) % 1.0
     return offset + inner.length <= outer.length
+
+
+def repeller_bracket_arcs(estimate: RepellerEstimate) -> list[Arc]:
+    """The final-level bracketing arcs of a repeller detection, one per
+    detected point."""
+    half = 0.5 * estimate.residual
+    return [Arc(float(p) - half, estimate.residual) for p in estimate.points]
 
 
 def inverse_eval(f: LiftMap, y: float) -> float:
